@@ -24,6 +24,7 @@ from .grid import Domain, GridFunction, Interval
 from .harness import (
     DecayCurve,
     VerificationReport,
+    _root_cube,
     calderon_bundle,
     coifman_fefferman_experiment,
     environment,
@@ -255,8 +256,6 @@ def run_experiment(cfg: dict, out_dir: Path) -> list[VerificationReport]:
             ))
         else:
             fs = _functions(cfg, dom, seed, bundle.m)
-            from .harness import _root_cube, default_t_grid
-
             bprod = bundle.symbol_norm_product()
             scale = bprod if bprod > 0 else 1.0
             ts = np.logspace(math.log10(t_lo), math.log10(t_hi), t_pts) * scale
@@ -481,7 +480,6 @@ def main(argv=None) -> int:
     sub = ap.add_subparsers(dest="command", required=True)
     p_run = sub.add_parser("run", help="run an experiment config")
     p_run.add_argument("config")
-    p_run.add_argument("--jobs", type=int, default=1)
     p_run.add_argument("--out", default=None, help="override output directory")
     p_const = sub.add_parser("constants", help="weight constants table")
     p_const.add_argument("bank")
@@ -521,33 +519,21 @@ def main(argv=None) -> int:
         print(f"config error: {e}", file=sys.stderr)
         return 2
 
+    if args.command == "constants" and cfg["experiment"]["kind"] != "constants":
+        print("config error: constants command needs kind = constants",
+              file=sys.stderr)
+        return 2
+
     out_dir = Path(args.out or cfg.get("output", {}).get("dir", "."))
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    if args.command == "constants":
-        L = int(cfg.get("experiment", {}).get("l", "9"))
-        if cfg.get("experiment", {}).get("kind", "constants") != "constants":
-            print("config error: constants command needs kind = constants",
-                  file=sys.stderr)
-            return 2
-        dom = Domain(0.0, 1.0, L)
-        try:
-            rows = constants_rows(cfg, dom)
-        except ConfigError as e:
-            print(f"config error: {e}", file=sys.stderr)
-            return 2
-        write_constants_csv(out_dir / "constants.csv", rows)
-        print(out_dir / "constants.csv")
-        return 0
-
     try:
         reports = run_experiment(cfg, out_dir)
-    except ConfigError as e:
+    except ValueError as e:  # ConfigError is a ValueError
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    except ValueError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 2
+    if args.command == "constants":
+        print(out_dir / "constants.csv")
     verdicts = [r.verdict for r in reports]
     for r in reports:
         print(f"{r.id}: {r.verdict} (ratio {r.ratio:.6g})")

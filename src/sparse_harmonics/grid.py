@@ -24,6 +24,7 @@ __all__ = [
     "DyadicLattice",
     "CubeFamily",
     "children",
+    "cube_cells",
     "dilate",
     "shifted_lattices",
     "triple_of_base_cube",
@@ -89,6 +90,11 @@ class Domain:
         lo = int(math.ceil((iv.left - self.left) / self.h - 0.5 - 1e-9))
         hi = int(math.ceil((iv.right - self.left) / self.h - 0.5 - 1e-9))
         return max(lo, 0), min(hi, self.n_cells)
+
+    def mean_cells(self, lo, hi, full):
+        """Cells a mean over Q divides by: the full width of Q under
+        zero-extension, only Q's cells inside the domain under "clip"."""
+        return full if self.boundary_mode == "zero-extend" else hi - lo
 
 
 class GridFunction:
@@ -369,9 +375,8 @@ class LevelEntry:
 class CubeFamily:
     """All cubes of the base + shifted lattices, levels 0..L, on one domain."""
 
-    def __init__(self, domain: Domain, include_shifted: bool = True):
+    def __init__(self, domain: Domain):
         self.domain = domain
-        self.include_shifted = include_shifted
         self.entries: list[LevelEntry] = []
         L = domain.resolution_log2
         N = domain.n_cells
@@ -383,25 +388,24 @@ class CubeFamily:
                 LevelEntry(0, level, 0, starts, c, starts.copy(),
                            starts + c, cells // c)
             )
-        if include_shifted:
-            for lid in (1, 2, 3):
-                j = lid - 1  # per-axis shift class of the lattice
-                for level in range(L + 1):
-                    c = 1 << (L - level)
-                    r = (j << level) % 3
-                    w = 3 * c
-                    t_min = -1 if r > 0 else 0
-                    t_max = ((1 << level) - 1 - r) // 3
-                    ts = np.arange(t_min, t_max + 1)
-                    starts = (3 * ts + r) * c
-                    lo = np.clip(starts, 0, N)
-                    hi = np.clip(starts + w, 0, N)
-                    keep = hi > lo
-                    ts, starts, lo, hi = ts[keep], starts[keep], lo[keep], hi[keep]
-                    c2c = (cells - r * c) // w - ts[0]
-                    self.entries.append(
-                        LevelEntry(lid, level, int(ts[0]), starts, w, lo, hi, c2c)
-                    )
+        for lid in (1, 2, 3):
+            j = lid - 1  # per-axis shift class of the lattice
+            for level in range(L + 1):
+                c = 1 << (L - level)
+                r = (j << level) % 3
+                w = 3 * c
+                t_min = -1 if r > 0 else 0
+                t_max = ((1 << level) - 1 - r) // 3
+                ts = np.arange(t_min, t_max + 1)
+                starts = (3 * ts + r) * c
+                lo = np.clip(starts, 0, N)
+                hi = np.clip(starts + w, 0, N)
+                keep = hi > lo
+                ts, starts, lo, hi = ts[keep], starts[keep], lo[keep], hi[keep]
+                c2c = (cells - r * c) // w - ts[0]
+                self.entries.append(
+                    LevelEntry(lid, level, int(ts[0]), starts, w, lo, hi, c2c)
+                )
 
     # -- reductions ---------------------------------------------------------
 
@@ -421,23 +425,33 @@ class CubeFamily:
     def segment_max(self, entry: LevelEntry, values: np.ndarray) -> np.ndarray:
         return np.maximum.reduceat(values, entry.lo)
 
-    def cube_measure(self, entry: LevelEntry, mode: str | None = None) -> np.ndarray:
-        """Denominator cell counts per cube under the boundary mode."""
-        mode = mode or self.domain.boundary_mode
-        if mode == "zero-extend":
-            return np.full(entry.n_cubes, entry.width, dtype=float)
-        return entry.clipped_sizes().astype(float)
+    def means(self, entry: LevelEntry, csum: np.ndarray, clip: bool = False) -> np.ndarray:
+        """Per-cube means from a prefix sum: over Q's cells inside the domain
+        when clip, else over the boundary mode's measure of Q."""
+        if clip:
+            sizes = entry.clipped_sizes()
+        else:
+            sizes = self.domain.mean_cells(entry.lo, entry.hi, entry.width)
+        return self.segment_sums(entry, csum) / sizes
 
-    def all_cubes(self) -> Iterator[DyadicCube]:
-        for e in self.entries:
-            yield from e.cubes()
-
-    def scatter_max(self, per_entry_values: Iterable[np.ndarray]) -> np.ndarray:
+    def scatter_max(
+        self, entries: Iterable[LevelEntry], per_entry_values: Iterable[np.ndarray]
+    ) -> np.ndarray:
         """Pointwise max over all cubes containing each cell."""
         out = np.full(self.domain.n_cells, -np.inf)
-        for entry, vals in zip(self.entries, per_entry_values):
+        for entry, vals in zip(entries, per_entry_values):
             np.maximum(out, vals[entry.cell_to_cube], out=out)
         return out
+
+
+def cube_cells(domain: Domain, q) -> tuple[int, int, int]:
+    """(lo, hi, full) for a DyadicCube or an Interval: the cells [lo, hi) of
+    Q inside the domain and the full width of Q in cells."""
+    if isinstance(q, DyadicCube):
+        start, end, full = q.cell_bounds(domain)
+        return max(start, 0), min(end, domain.n_cells), full
+    lo, hi = domain.cell_range(q)
+    return lo, hi, max(int(round(q.length / domain.h)), hi - lo)
 
 
 def average(f: GridFunction, q, r: float = 1.0) -> float:
@@ -449,14 +463,8 @@ def average(f: GridFunction, q, r: float = 1.0) -> float:
     if r <= 0:
         raise ValueError("power must be positive")
     dom = f.domain
-    if isinstance(q, DyadicCube):
-        start, end, full = q.cell_bounds(dom)
-        lo, hi = max(start, 0), min(end, dom.n_cells)
-    else:
-        lo, hi = dom.cell_range(q)
-        full = max(int(round(q.length / dom.h)), hi - lo)
+    lo, hi, full = cube_cells(dom, q)
     if hi <= lo:
         raise ValueError("cube does not meet the domain")
-    denom = full if dom.boundary_mode == "zero-extend" else hi - lo
-    m = np.sum(np.abs(f.samples[lo:hi]) ** r) / denom
+    m = np.sum(np.abs(f.samples[lo:hi]) ** r) / dom.mean_cells(lo, hi, full)
     return float(m ** (1.0 / r))

@@ -23,13 +23,14 @@ from .grid import (
     ResolutionError,
     average,
     children,
+    cube_cells,
     dilate,
 )
 from .maximal import MaximalVariant, maximal, multilinear_maximal
 from .operators import KernelOperator, bmo_norm, iterated_commutator
 from .orlicz import Measure, YoungFunction, dilation_indices, phi_power
 from .sparse import SparseFamily, sparse_operator
-from .weights import DimensionalConstants, Weight, ainfty_constants, ap_constant, k0_p0
+from .weights import DimensionalConstants, Weight, ap_constant, log_k0_p0
 
 DEFAULT_SLACK = 10.0
 
@@ -356,6 +357,7 @@ def local_decay_experiment(
     t_grid = np.asarray(t_grid, dtype=float)
 
     comp = _comparator_llogl(bundle, fs)
+    s0, e0, _ = cube_cells(dom, q0)
     constants: dict = {"symbol_norm_product": bprod, "comparator": comparator}
     if comparator == "mixed-min":
         sf = principal_cubes(bundle.apply(fs), q0)
@@ -378,7 +380,6 @@ def local_decay_experiment(
             for f in fs:
                 prod *= average(f, q, 1.0)
             dom_form[lo:hi] += prod
-        s0, e0, _ = q0.cell_bounds(dom)
         covered = dom_form[s0:e0] > 0
         sig = np.abs(g[s0:e0]) > 1e-12 * max(np.abs(g).max(), 1e-300)
         if np.any(sig & ~covered):
@@ -389,7 +390,6 @@ def local_decay_experiment(
             constants["domination_constant"] = float(np.nanmax(c_dom))
         comp = GridFunction(dom, both)
 
-    s0, e0, _ = q0.cell_bounds(dom)
     cvals = comp.samples[s0:e0]
     gvals = g[s0:e0]
     if np.mean(cvals <= 0) > 0:
@@ -539,10 +539,10 @@ def mixed_weak_experiment(
     )
     a1_u = ap_constant(u, 1.0)
     at_v = ap_constant(v_m, t)
-    p0, k0 = k0_p0(t, a1_u, at_v, m, dc)
+    p0, log_k0 = log_k0_p0(t, a1_u, at_v, m, dc)
     l = bundle.l
     bprod = bundle.symbol_norm_product()
-    log_const = (2 * l + 6 * m) * math.log(k0) + (2 * l + 4 * m) * math.log(at_v)
+    log_const = (2 * l + 6 * m) * log_k0 + (2 * l + 4 * m) * math.log(at_v)
     if bprod > 0:
         log_const += math.log(bprod)
     log_ratio = (math.log(lhs) if lhs > 0 else -math.inf) - log_const - (
@@ -568,7 +568,7 @@ def mixed_weak_experiment(
         experiment_id,
         {"m": m, "l": l, "t": t, "weights": [w.name for w in ws], "v": v.name},
         lhs, rhs_norm,
-        {"p0": p0, "K0": k0, "a1_u": a1_u, "at_v": at_v,
+        {"p0": p0, "log10_K0": log_k0 / math.log(10.0), "a1_u": a1_u, "at_v": at_v,
          "log10_constant": log_const / math.log(10.0),
          "log10_endpoint_constant": log_c1 / math.log(10.0),
          "endpoint_ratio": ratio1, "slack": slack},

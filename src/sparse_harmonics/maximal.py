@@ -59,8 +59,8 @@ def _entries(fam: CubeFamily, scope: str) -> list[LevelEntry]:
     return fam.entries
 
 
-def _avg_per_cube(fam: CubeFamily, entry: LevelEntry, csum: np.ndarray) -> np.ndarray:
-    return fam.segment_sums(entry, csum) / fam.cube_measure(entry)
+# bisection passes per level, each halving the [mean, max] bracket
+_LUX_PASSES = 48
 
 
 def luxemburg_per_cube(
@@ -69,22 +69,18 @@ def luxemburg_per_cube(
     absf: np.ndarray,
     phi: YoungFunction,
     inv1: float,
-    n_iter: int = 48,
 ) -> np.ndarray:
     """Luxemburg norms of f over every cube of one level, bisected in bulk."""
-    denom = fam.cube_measure(entry)
     vmax = fam.segment_max(entry, absf)
-    vmean = fam.segment_sums(entry, fam.prefix(absf)) / denom
     lam_hi = vmax / inv1
-    lam_lo = vmean / inv1
+    lam_lo = fam.means(entry, fam.prefix(absf)) / inv1
     live = vmax > 0
     cell_cube = entry.cell_to_cube
-    for _ in range(n_iter):
+    for _ in range(_LUX_PASSES):
         mid = 0.5 * (lam_lo + lam_hi)
         safe = np.where(mid > 0, mid, 1.0)
         vals = phi(absf / safe[cell_cube])
-        modular = fam.segment_sums(entry, fam.prefix(vals)) / denom
-        ok = modular <= 1.0
+        ok = fam.means(entry, fam.prefix(vals)) <= 1.0
         lam_hi = np.where(live & ok, mid, lam_hi)
         lam_lo = np.where(live & ~ok, mid, lam_lo)
     return np.where(live, lam_hi, 0.0)
@@ -100,34 +96,22 @@ def maximal(f: GridFunction, v: MaximalVariant = MaximalVariant()) -> GridFuncti
         return out
     fam = family_for(dom)
     absf = np.abs(f.samples).astype(float)
-    per_entry = []
+    entries = _entries(fam, "dyadic" if v.kind == "weighted_dyadic" else v.cube_scope)
     if v.kind == "weighted_dyadic":
         w = v.weight.samples.astype(float)
         cs_fw = fam.prefix(absf * w)
         cs_w = fam.prefix(w)
-        entries = [e for e in fam.entries if e.lattice_id == 0]
-        for e in entries:
-            per_entry.append(fam.segment_sums(e, cs_fw) / fam.segment_sums(e, cs_w))
-        out = np.full(dom.n_cells, -np.inf)
-        for e, vals in zip(entries, per_entry):
-            np.maximum(out, vals[e.cell_to_cube], out=out)
-        return GridFunction(dom, out)
-    entries = _entries(fam, v.cube_scope)
-    if v.kind == "hl":
+        per_entry = (fam.segment_sums(e, cs_fw) / fam.segment_sums(e, cs_w) for e in entries)
+    elif v.kind == "hl":
         cs = fam.prefix(absf)
-        per_entry = [_avg_per_cube(fam, e, cs) for e in entries]
+        per_entry = (fam.means(e, cs) for e in entries)
     elif v.kind == "power":
         cs = fam.prefix(absf ** v.r)
-        per_entry = [_avg_per_cube(fam, e, cs) ** (1.0 / v.r) for e in entries]
+        per_entry = (fam.means(e, cs) ** (1.0 / v.r) for e in entries)
     else:  # orlicz
         inv1 = float(np.atleast_1d(v.phi.inverse(np.array([1.0])))[0])
-        per_entry = [
-            luxemburg_per_cube(fam, e, absf, v.phi, inv1) for e in entries
-        ]
-    out = np.full(dom.n_cells, -np.inf)
-    for e, vals in zip(entries, per_entry):
-        np.maximum(out, vals[e.cell_to_cube], out=out)
-    return GridFunction(dom, out)
+        per_entry = (luxemburg_per_cube(fam, e, absf, v.phi, inv1) for e in entries)
+    return GridFunction(dom, fam.scatter_max(entries, per_entry))
 
 
 def multilinear_maximal(
@@ -155,19 +139,23 @@ def multilinear_maximal(
     entries = _entries(fam, cube_scope)
     phi = llog(1.0)
     inv1 = float(np.atleast_1d(phi.inverse(np.array([1.0])))[0])
-    out = np.full(dom.n_cells, -np.inf)
     absfs = [np.abs(f.samples).astype(float) for f in fs]
-    for e in entries:
+    # per slot: None for an L log L slot, else the prefix sum its averages use
+    csums = [
+        None if flavor == "llogl" or (flavor == "mixed" and i < l)
+        else fam.prefix(af ** r if flavor == "power" else af)
+        for i, af in enumerate(absfs)
+    ]
+
+    def product(e: LevelEntry) -> np.ndarray:
         prod = np.ones(e.n_cubes)
-        for i, af in enumerate(absfs):
-            use_llogl = flavor == "llogl" or (flavor == "mixed" and i < l)
-            if use_llogl:
+        for af, cs in zip(absfs, csums):
+            if cs is None:
                 prod *= luxemburg_per_cube(fam, e, af, phi, inv1)
             elif flavor == "power":
-                prod *= (
-                    fam.segment_sums(e, fam.prefix(af ** r)) / fam.cube_measure(e)
-                ) ** (1.0 / r)
+                prod *= fam.means(e, cs) ** (1.0 / r)
             else:
-                prod *= fam.segment_sums(e, fam.prefix(af)) / fam.cube_measure(e)
-        np.maximum(out, prod[e.cell_to_cube], out=out)
-    return GridFunction(dom, out)
+                prod *= fam.means(e, cs)
+        return prod
+
+    return GridFunction(dom, fam.scatter_max(entries, map(product, entries)))

@@ -17,9 +17,8 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.signal import fftconvolve
 
-from .grid import CubeFamily, Domain, GridFunction
+from .grid import GridFunction
 from .maximal import family_for
-from .orlicz import Measure, exp_power, luxemburg_norm
 
 __all__ = [
     "KernelOperator",
@@ -221,19 +220,15 @@ class BmoFunction:
         return weighted_bmo_norm(self.b, w, p)
 
 
-def _cube_means(fam: CubeFamily, entry, samples: np.ndarray) -> np.ndarray:
-    cs = fam.prefix(samples.astype(float))
-    return fam.segment_sums(entry, cs) / entry.clipped_sizes()
-
-
 def bmo_norm(b: GridFunction) -> float:
     """sup_Q <|b - <b>_Q|>_Q over the full cube family."""
     fam = family_for(b.domain)
+    cs_b = fam.prefix(b.samples.astype(float))
     best = 0.0
     for e in fam.entries:
-        means = _cube_means(fam, e, b.samples)
+        means = fam.means(e, cs_b, clip=True)
         dev = np.abs(b.samples - means[e.cell_to_cube])
-        osc = fam.segment_sums(e, fam.prefix(dev)) / e.clipped_sizes()
+        osc = fam.means(e, fam.prefix(dev), clip=True)
         best = max(best, float(osc.max()))
     return best
 
@@ -244,10 +239,11 @@ def weighted_bmo_norm(b: GridFunction, w: GridFunction, p: float) -> float:
     if p <= 0:
         raise ValueError("need p > 0")
     fam = family_for(b.domain)
+    cs_b = fam.prefix(b.samples.astype(float))
     cs_w = fam.prefix(w.samples.astype(float))
     best = 0.0
     for e in fam.entries:
-        means = _cube_means(fam, e, b.samples)
+        means = fam.means(e, cs_b, clip=True)
         dev = np.abs(b.samples - means[e.cell_to_cube]) ** p * w.samples
         num = fam.segment_sums(e, fam.prefix(dev))
         den = fam.segment_sums(e, cs_w)

@@ -14,7 +14,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .grid import Domain, DyadicCube, GridFunction, average
+from .grid import GridFunction, average, cube_cells
 
 __all__ = [
     "average",
@@ -223,15 +223,6 @@ class Measure:
 LEBESGUE = Measure()
 
 
-def _cube_cells(domain: Domain, q) -> tuple[int, int, int]:
-    if isinstance(q, DyadicCube):
-        s, e, full = q.cell_bounds(domain)
-        return max(s, 0), min(e, domain.n_cells), full
-    lo, hi = domain.cell_range(q)
-    full = max(int(round(q.length / domain.h)), hi - lo)
-    return lo, hi, full
-
-
 def luxemburg_norm(
     f: GridFunction,
     phi: YoungFunction,
@@ -245,13 +236,13 @@ def luxemburg_norm(
     max|f|/phi^-1(1), then bisected; both brackets are exact for constants.
     """
     dom = f.domain
-    lo_c, hi_c, full = _cube_cells(dom, q)
+    lo_c, hi_c, full = cube_cells(dom, q)
     if hi_c <= lo_c:
         raise ValueError("cube does not meet the domain")
     v = np.abs(f.samples[lo_c:hi_c]).astype(float)
     if mu.is_lebesgue:
         wts = np.ones_like(v)
-        denom = float(full if dom.boundary_mode == "zero-extend" else hi_c - lo_c)
+        denom = float(dom.mean_cells(lo_c, hi_c, full))
     else:
         wts = mu.weight.samples[lo_c:hi_c].astype(float)
         denom = wts.sum()
@@ -299,7 +290,7 @@ def generalized_holder(
         raise ValueError("exponents must be >= 1")
     dom = g.domain
     mu = Measure(w)
-    lo, hi, _ = _cube_cells(dom, q)
+    lo, hi, _ = cube_cells(dom, q)
     wq = w.samples[lo:hi].sum()
     prod = np.abs(g.samples[lo:hi]).astype(float)
     for f in fs:

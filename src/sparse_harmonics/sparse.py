@@ -20,6 +20,7 @@ from .grid import (
     ResolutionError,
     average,
     children,
+    cube_cells,
     dilate,
 )
 
@@ -31,7 +32,6 @@ __all__ = [
     "commutator_sparse_form",
     "oscillation_sparse",
     "counting_decay",
-    "write_decay_csv",
 ]
 
 
@@ -57,12 +57,7 @@ class SparseFamily:
 
     def cell_sets(self) -> list[tuple[int, int]]:
         """Clipped (lo, hi) cell ranges, in family order."""
-        N = self.domain.n_cells
-        out = []
-        for q in self.cubes:
-            s, e, _ = q.cell_bounds(self.domain)
-            out.append((max(s, 0), min(e, N)))
-        return out
+        return [cube_cells(self.domain, q)[:2] for q in self.cubes]
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -222,11 +217,7 @@ def _signed_average(f: GridFunction, q, dom: Domain) -> float:
     cube leaking past the boundary averages what is actually known, rather
     than zero-padding (which would make constants non-constant).
     """
-    if isinstance(q, DyadicCube):
-        s, e, _ = q.cell_bounds(dom)
-        lo, hi = max(s, 0), min(e, dom.n_cells)
-    else:
-        lo, hi = dom.cell_range(q)
+    lo, hi, _ = cube_cells(dom, q)
     return float(f.samples[lo:hi].sum() / (hi - lo))
 
 
@@ -248,7 +239,7 @@ def oscillation_sparse(
     queue = list(fam.cubes)
     while queue:
         q = queue.pop()
-        base = _osc_avg(b, q, dom)
+        base = _osc_avg_about(b, q, q, dom)
         if base == 0.0:
             continue
         thresh = 2.0 ** (n + 1) * base
@@ -263,8 +254,8 @@ def oscillation_sparse(
                     )
                 continue
             for ch in children(cur, dom):
-                s, e, _ = ch.cell_bounds(dom)
-                if min(e, dom.n_cells) <= max(s, 0):
+                lo, hi, _ = cube_cells(dom, ch)
+                if hi <= lo:
                     continue
                 if _osc_avg_about(b, ch, q, dom) > thresh:
                     if ch not in collected:
@@ -280,12 +271,6 @@ def oscillation_sparse(
     return out, cert
 
 
-def _osc_avg(b: GridFunction, q, dom) -> float:
-    m = _signed_average(b, q, dom)
-    dev = GridFunction(dom, np.abs(b.samples - m))
-    return average(dev, q, 1.0)
-
-
 def _osc_avg_about(b: GridFunction, r, q, dom) -> float:
     """<|b - <b>_Q|>_R: oscillation of b over R, recentered at Q's mean."""
     m = _signed_average(b, q, dom)
@@ -297,10 +282,7 @@ def _certify_oscillation(b: GridFunction, fam: SparseFamily) -> dict:
     dom = fam.domain
     n = 1
     cells = fam.cell_sets()
-    osc = [
-        average(GridFunction(dom, np.abs(b.samples - _signed_average(b, q, dom))), q, 1.0)
-        for q in fam.cubes
-    ]
+    osc = [_osc_avg_about(b, q, q, dom) for q in fam.cubes]
     worst = -np.inf
     for i, (q, (lo, hi)) in enumerate(zip(fam.cubes, cells)):
         lhs = np.abs(b.samples[lo:hi] - _signed_average(b, q, dom))
@@ -324,8 +306,7 @@ def counting_decay(
     then fits log measure = log c - alpha t on the strictly positive range.
     """
     dom = fam.domain
-    s0, e0, _ = q0.cell_bounds(dom)
-    lo0, hi0 = max(s0, 0), min(e0, dom.n_cells)
+    lo0, hi0, _ = cube_cells(dom, q0)
     count = np.zeros(hi0 - lo0)
     inside = 0
     for lo, hi in fam.cell_sets():
@@ -365,10 +346,3 @@ def counting_decay(
     )
     return result
 
-
-def write_decay_csv(path, result: dict) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "measure", "model"])
-        for t, m, mo in zip(result["t"], result["measure"], result["model"]):
-            w.writerow([repr(float(t)), repr(float(m)), repr(float(mo))])

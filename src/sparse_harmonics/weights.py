@@ -16,8 +16,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .grid import CubeFamily, Domain, GridFunction, Interval, LevelEntry
-from .maximal import MaximalVariant, family_for, maximal
+from .grid import Domain, GridFunction, LevelEntry
+from .maximal import family_for, maximal
 
 __all__ = [
     "Weight",
@@ -31,6 +31,7 @@ __all__ = [
     "rubio_de_francia",
     "IterationError",
     "k0_p0",
+    "log_k0_p0",
     "k0_p0_remark",
     "lemma51_check",
     "write_constants_csv",
@@ -138,10 +139,6 @@ class MultiWeight:
         return Weight(GridFunction(self.weights[0].domain, s), "nu")
 
 
-def _clip_avgs(fam: CubeFamily, entry: LevelEntry, csum: np.ndarray) -> np.ndarray:
-    return fam.segment_sums(entry, csum) / entry.clipped_sizes()
-
-
 def ap_constant(w: Weight, p: float) -> float:
     """sup_Q <w>_Q <w^{1-p'}>_Q^{p-1}, or <w>_Q / inf_Q w for p = 1."""
     if p < 1:
@@ -151,13 +148,13 @@ def ap_constant(w: Weight, p: float) -> float:
     best = -np.inf
     if p == 1.0:
         for e in fam.entries:
-            vals = _clip_avgs(fam, e, cs_w) / fam.segment_min(e, w.samples)
+            vals = fam.means(e, cs_w, clip=True) / fam.segment_min(e, w.samples)
             best = max(best, float(vals.max()))
         return best
     dual = clamped_power(w.samples, 1.0 - p / (p - 1.0))
     cs_d = fam.prefix(dual)
     for e in fam.entries:
-        vals = _clip_avgs(fam, e, cs_w) * _clip_avgs(fam, e, cs_d) ** (p - 1.0)
+        vals = fam.means(e, cs_w, clip=True) * fam.means(e, cs_d, clip=True) ** (p - 1.0)
         best = max(best, float(vals.max()))
     return best
 
@@ -177,29 +174,26 @@ def multi_ap_constant(mw: MultiWeight) -> float:
             duals.append(fam.prefix(clamped_power(w.samples, 1.0 - pj / (pj - 1.0))))
     best = -np.inf
     for e in fam.entries:
-        vals = _clip_avgs(fam, e, cs_nu)
+        vals = fam.means(e, cs_nu, clip=True)
         for w, pj, cs_d in zip(mw.weights, mw.exponents, duals):
             if cs_d is None:
                 vals = vals * fam.segment_min(e, w.samples) ** (-p)
             else:
                 ppj = pj / (pj - 1.0)
-                vals = vals * _clip_avgs(fam, e, cs_d) ** (p / ppj)
+                vals = vals * fam.means(e, cs_d, clip=True) ** (p / ppj)
         best = max(best, float(vals.max()))
     return best
 
 
-def _doubling_cubes(fam: CubeFamily):
-    """(entry, cube position, Q cells, 2Q cells) for cubes with 2Q inside."""
-    N = fam.domain.n_cells
-    for e in fam.entries:
-        if e.width % 2:
-            continue  # doubles of odd-width cubes are not grid aligned
-        half = e.width // 2
-        lo2 = e.starts - half
-        hi2 = e.starts + e.width + half
-        ok = (lo2 >= 0) & (hi2 <= N) & (e.lo == e.starts) & (e.hi == e.starts + e.width)
-        for i in np.nonzero(ok)[0]:
-            yield e, i, (e.lo[i], e.hi[i]), (lo2[i], hi2[i])
+def _doubles(e: LevelEntry, n_cells: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(ok, lo2, hi2): which cubes of e lie in the domain together with
+    their double 2Q, and the cells [lo2, hi2) of 2Q.  Doubles of odd-width
+    cubes are not grid aligned and never count."""
+    half = e.width // 2
+    lo2 = e.starts - half
+    hi2 = e.starts + e.width + half
+    ok = (lo2 >= 0) & (hi2 <= n_cells) & (e.width % 2 == 0)
+    return ok, lo2, hi2
 
 
 def ainfty_constants(w: Weight) -> tuple[float, float]:
@@ -215,10 +209,8 @@ def ainfty_constants(w: Weight) -> tuple[float, float]:
     fw = -np.inf
     weak = -np.inf
     cs_w = fam.prefix(w.samples.astype(float))
-    doubles = {}
-    for e, i, (lo, hi), (lo2, hi2) in _doubling_cubes(fam):
-        doubles[(id(e), i)] = (lo2, hi2)
     for e in fam.entries:
+        ok, lo2, hi2 = _doubles(e, dom.n_cells)
         for i, (lo, hi) in enumerate(zip(e.lo, e.hi)):
             chunk = np.zeros(dom.n_cells)
             chunk[lo:hi] = w.samples[lo:hi]
@@ -226,10 +218,8 @@ def ainfty_constants(w: Weight) -> tuple[float, float]:
             num = h * m.samples[lo:hi].sum()
             wq = h * (cs_w[hi] - cs_w[lo])
             fw = max(fw, num / wq)
-            d = doubles.get((id(e), i))
-            if d is not None:
-                lo2, hi2 = d
-                w2q = h * (cs_w[hi2] - cs_w[lo2])
+            if ok[i]:
+                w2q = h * (cs_w[hi2[i]] - cs_w[lo2[i]])
                 weak = max(weak, num / w2q)
     return float(fw), float(weak)
 
@@ -244,12 +234,15 @@ def reverse_holder_check(w: Weight, dc: DimensionalConstants = DimensionalConsta
     cs_wr = fam.prefix(clamped_power(w.samples, r))
     worst = -np.inf
     worst_cube = None
-    for e, i, (lo, hi), (lo2, hi2) in _doubling_cubes(fam):
-        lhs = ((cs_wr[hi] - cs_wr[lo]) / (hi - lo)) ** (1.0 / r)
-        rhs = 2.0 * (cs_w[hi2] - cs_w[lo2]) / (hi2 - lo2)
-        ratio = lhs / rhs
-        if ratio > worst:
-            worst, worst_cube = ratio, (e.lattice_id, e.level, e.t0 + i)
+    for e in fam.entries:
+        ok, lo2, hi2 = _doubles(e, w.domain.n_cells)
+        avg_wr = fam.means(e, cs_wr, clip=True)
+        for i in np.nonzero(ok)[0]:
+            lhs = avg_wr[i] ** (1.0 / r)
+            rhs = 2.0 * (cs_w[hi2[i]] - cs_w[lo2[i]]) / (hi2[i] - lo2[i])  # 2 <w>_{2Q}
+            ratio = lhs / rhs
+            if ratio > worst:
+                worst, worst_cube = ratio, (e.lattice_id, e.level, e.t0 + i)
     return {
         "r": r,
         "worst_ratio": float(worst),
@@ -323,6 +316,24 @@ def k0_p0(
         + 1.0
     )
     return p0, k0
+
+
+def log_k0_p0(
+    t: float,
+    a1_u: float,
+    at_v: float,
+    m: int = 1,
+    dc: DimensionalConstants = DimensionalConstants(),
+) -> tuple[float, float]:
+    """(p0, ln K0) of k0_p0, summed in log space: K0 leaves the float range
+    once 2^{p0-1} a1_u^{p0-1} does, which an A_1 constant of a few hundred
+    already forces."""
+    if t <= 1 or a1_u < 1 or at_v < 1:
+        raise ValueError("need t > 1 and constants >= 1")
+    p0 = 2.0 ** (dc.n + 3) * (t - 1.0) * a1_u + 1.0
+    log_x = (p0 - 1.0) * math.log(2.0 * a1_u) + t * math.log(dc.C_n) + 2.0 * math.log(at_v)
+    log_k0 = math.log(4.0 * dc.C_n * p0 * p0 / (p0 - 1.0)) + np.logaddexp(math.log(a1_u), log_x)
+    return p0, float(np.logaddexp(log_k0, 0.0))
 
 
 def k0_p0_remark(

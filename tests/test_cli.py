@@ -137,6 +137,35 @@ comparator = mixed-min
     assert payload["reports"][0]["verdict"] == "degenerate"
 
 
+def test_run_mixed_spike_weight_has_no_traceback(tmp_path, capsys):
+    # K0 overflowed a float (A_1 of the spike product is 501, p0 = 8017)
+    cfg = write_config(tmp_path, """
+[experiment]
+kind = mixed
+l = 12
+seed = 0
+
+[operator]
+kind = hilbert
+
+[functions]
+bank = random
+
+[weights]
+w = spike
+v = one
+
+[params]
+t = 2
+""")
+    out = tmp_path / "o"
+    assert main(["run", cfg, "--out", str(out)]) in (0, 3, 4)
+    assert "Traceback" not in capsys.readouterr().err
+    consts = json.loads((out / "report.json").read_text())["reports"][0]["constants"]
+    assert consts["p0"] == 8017.0
+    assert 24000 < consts["log10_K0"] < 24100
+
+
 def test_run_bad_stein_alpha_exits_2(tmp_path):
     cfg = write_config(tmp_path, """
 [experiment]
@@ -217,6 +246,28 @@ def test_constants_matches_fixture_bytes(tmp_path):
     code = main(["constants", str(FIX / "weight_bank.ini"), "--out", str(out)])
     assert code == 0
     assert (out / "constants.csv").read_bytes() == (FIX / "constants.csv").read_bytes()
+
+
+def test_run_and_constants_write_the_same_table(tmp_path):
+    # no `l`: both commands share one code path and one default resolution
+    cfg = write_config(tmp_path, """
+[experiment]
+kind = constants
+
+[bank]
+weights = power:0.5
+p_grid = 2
+""")
+    assert main(["run", cfg, "--out", str(tmp_path / "run")]) == 0
+    assert main(["constants", cfg, "--out", str(tmp_path / "const")]) == 0
+    table = (tmp_path / "run" / "constants.csv").read_bytes()
+    assert table == (tmp_path / "const" / "constants.csv").read_bytes()
+    assert not (tmp_path / "const" / "report.json").exists()
+
+
+def test_constants_command_rejects_other_kinds(tmp_path):
+    cfg = write_config(tmp_path, DECAY_CONFIG)
+    assert main(["constants", cfg, "--out", str(tmp_path / "o")]) == 2
 
 
 # -- fixtures ----------------------------------------------------------------

@@ -14,6 +14,7 @@ from sparse_harmonics.grid import (
     ResolutionError,
     average,
     children,
+    cube_cells,
     dilate,
     shifted_lattices,
     triple_of_base_cube,
@@ -187,15 +188,40 @@ def test_cell_to_cube_consistent():
 
 
 def test_segment_sums_match_direct():
-    dom = Domain(0.0, 1.0, 7)
-    fam = CubeFamily(dom)
     rng = np.random.default_rng(3)
-    v = rng.uniform(size=dom.n_cells)
-    cs = fam.prefix(v)
-    for entry in fam.entries:
-        got = fam.segment_sums(entry, cs)
-        want = np.array([v[lo:hi].sum() for lo, hi in zip(entry.lo, entry.hi)])
-        np.testing.assert_allclose(got, want, rtol=1e-12)
+    v = rng.uniform(size=1 << 7)
+    for mode in ("zero-extend", "clip"):
+        dom = Domain(0.0, 1.0, 7, boundary_mode=mode)
+        fam = CubeFamily(dom)
+        cs = fam.prefix(v)
+        for entry in fam.entries:
+            got = fam.segment_sums(entry, cs)
+            want = np.array([v[lo:hi].sum() for lo, hi in zip(entry.lo, entry.hi)])
+            np.testing.assert_allclose(got, want, rtol=1e-12)
+            # clip=True: the mean over Q's cells inside the domain, in any mode
+            clipped = np.array([v[lo:hi].mean() for lo, hi in zip(entry.lo, entry.hi)])
+            np.testing.assert_allclose(fam.means(entry, cs, clip=True), clipped, rtol=1e-12)
+            # clip=False: the boundary mode decides; zero-extension divides by |Q|
+            full = want / entry.width if mode == "zero-extend" else clipped
+            np.testing.assert_allclose(fam.means(entry, cs), full, rtol=1e-12)
+
+
+def test_cube_cells_shifted_cube_with_negative_start():
+    dom = Domain(0.0, 1.0, 6)
+    q = DyadicCube(2, 3, (-1,))  # cells [-8, 16) of a 64-cell grid
+    assert q.cell_bounds(dom) == (-8, 16, 24)
+    assert cube_cells(dom, q) == (0, 16, 24)
+
+
+def test_cube_cells_interval_past_right_edge():
+    dom = Domain(0.0, 1.0, 6)
+    lo, hi, full = cube_cells(dom, Interval(0.75, 1.25))
+    assert (lo, hi, full) == (48, 64, 32)
+    f = GridFunction(dom, np.arange(dom.n_cells, dtype=float))
+    assert average(f, Interval(0.75, 1.25)) == pytest.approx(f.samples[48:].sum() / 32)
+    clip = Domain(0.0, 1.0, 6, boundary_mode="clip")
+    g = GridFunction(clip, f.samples)
+    assert average(g, Interval(0.75, 1.25)) == pytest.approx(f.samples[48:].mean())
 
 
 @settings(max_examples=60, deadline=None)

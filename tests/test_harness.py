@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sparse_harmonics.cli import fixtures_dir
-from sparse_harmonics.grid import Domain, GridFunction, Interval
+from sparse_harmonics.grid import Domain, DyadicCube, GridFunction, Interval
 from sparse_harmonics.harness import (
     _root_cube,
     calderon_bundle,
@@ -178,6 +178,15 @@ def test_decay_mixed_min_runs_and_reports_branch():
     m = curve.measures
     assert np.all(np.diff(m) <= 1e-12)
     assert np.all((m >= 0) & (m <= 1))
+
+
+def test_decay_on_root_cube_sticking_out_of_domain():
+    # cells [-128, 256) of a 256-cell grid: the same cells as the root cube
+    shifted = DyadicCube(2, 1, (-1,))
+    bundle = hilbert_bundle([SYMBOL])
+    curve, _ = local_decay_experiment(bundle, [bump(0.5)], shifted, comparator="llogl")
+    root, _ = local_decay_experiment(bundle, [bump(0.5)], _root_cube(DOM), comparator="llogl")
+    np.testing.assert_array_equal(curve.measures, root.measures)
 
 
 def test_decay_weighted_alpha_ordering():

@@ -1,0 +1,74 @@
+"""Source hygiene checks that need no linter: every name a module under
+src/ imports is used in that module."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _imported_names(tree: ast.AST) -> dict[str, int]:
+    """Name bound by each import (not from __future__) -> its line."""
+    out = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                out[name] = node.lineno
+    return out
+
+
+def _used_names(tree: ast.AST) -> set[str]:
+    """Names read anywhere, plus the strings listed in __all__."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            base = node
+            while isinstance(base, ast.Attribute):
+                base = base.value
+            if isinstance(base, ast.Name):
+                used.add(base.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(
+                elt.value for elt in node.value.elts if isinstance(elt, ast.Constant)
+            )
+    return used
+
+
+def unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    used = _used_names(tree)
+    return [
+        f"{name} (line {line})"
+        for name, line in sorted(_imported_names(tree).items())
+        if name not in used
+    ]
+
+
+def test_checker_sees_unused_and_used_names():
+    src = (
+        "from __future__ import annotations\n"
+        "import os, sys\n"
+        "from a.b import c, d as e\n"
+        "from f import g\n"
+        "__all__ = ['g']\n"
+        "print(os.path, e)\n"
+    )
+    assert unused_imports(src) == ["c (line 3)", "sys (line 2)"]
+
+
+def test_no_unused_imports_in_src():
+    modules = sorted(SRC.rglob("*.py"))
+    assert modules
+    found = [
+        f"{path.relative_to(SRC)}: {item}"
+        for path in modules
+        for item in unused_imports(path.read_text())
+    ]
+    assert not found, "unused imports:\n" + "\n".join(found)

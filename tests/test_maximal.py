@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sparse_harmonics.grid import Domain, GridFunction, Interval
+from sparse_harmonics.grid import Domain, DyadicCube, GridFunction, Interval
 from sparse_harmonics.maximal import MaximalVariant, maximal, multilinear_maximal
 from sparse_harmonics.orlicz import llog
 
@@ -50,6 +50,26 @@ def test_dyadic_maximal_of_small_indicator_brute_force():
             avg = f.samples[m * c : (m + 1) * c].mean()
             want[m * c : (m + 1) * c] = np.maximum(want[m * c : (m + 1) * c], avg)
     np.testing.assert_allclose(got, want, rtol=1e-12)
+
+
+@pytest.mark.parametrize("mode", ["zero-extend", "clip"])
+def test_maximal_matches_brute_force_in_both_boundary_modes(mode):
+    # every cube of every lattice, averaged literally; under "clip" a cube
+    # sticking out of the domain averages only its cells inside it
+    dom = Domain(0.0, 1.0, 5, boundary_mode=mode)
+    f = rand_f(7, dom)
+    N = dom.n_cells
+    want = np.zeros(N)
+    for lid in range(4):
+        for level in range(dom.resolution_log2 + 1):
+            for t in range(-1, 1 << level):
+                s, e, full = DyadicCube(lid, level, (t,)).cell_bounds(dom)
+                lo, hi = max(s, 0), min(e, N)
+                if hi <= lo:
+                    continue
+                denom = full if mode == "zero-extend" else hi - lo
+                want[lo:hi] = np.maximum(want[lo:hi], f.samples[lo:hi].sum() / denom)
+    np.testing.assert_allclose(maximal(f).samples, want, rtol=1e-12)
 
 
 def test_maximal_dominates_f():

@@ -14,6 +14,7 @@ from sparse_harmonics.weights import (
     ap_constant,
     k0_p0,
     k0_p0_remark,
+    log_k0_p0,
     lemma51_check,
     multi_ap_constant,
     reverse_holder_check,
@@ -215,6 +216,18 @@ def test_k0_p0_limit_t_to_one():
     p0, k0 = k0_p0(1.0 + 1e-9, 1.0, 1.0)
     assert p0 == pytest.approx(1.0, abs=1e-6)
     assert math.isfinite(k0) and k0 > 1.0
+
+
+def test_log_k0_p0_matches_k0_p0_and_stays_finite():
+    for args in [(2.0, 1.0, 1.0), (1.5, 3.0, 2.0), (2.7, 5.5, 1.3)]:
+        p0, k0 = k0_p0(*args)
+        q0, log_k0 = log_k0_p0(*args)
+        assert q0 == p0
+        assert log_k0 == pytest.approx(math.log(k0), rel=1e-14)
+    p0, log_k0 = log_k0_p0(2.0, 501.0, 1.0)
+    # ln K0 ~ (p0 - 1) ln(2 a1_u) once the power term dominates
+    assert p0 == 8017.0
+    assert log_k0 == pytest.approx(8016.0 * math.log(1002.0), rel=1e-3)
 
 
 def test_k0_p0_remark_shape():
