@@ -256,7 +256,7 @@ def run_experiment(cfg: dict, out_dir: Path) -> list[VerificationReport]:
             ))
         else:
             fs = _functions(cfg, dom, seed, bundle.m)
-            bprod = bundle.symbol_norm_product()
+            bprod = bundle.symbol_norm_product
             scale = bprod if bprod > 0 else 1.0
             ts = np.logspace(math.log10(t_lo), math.log10(t_hi), t_pts) * scale
             curve, rep = local_decay_experiment(

@@ -29,6 +29,7 @@ __all__ = [
     "shifted_lattices",
     "triple_of_base_cube",
     "ResolutionError",
+    "write_csv",
 ]
 
 
@@ -159,11 +160,7 @@ class GridFunction:
         if np.iscomplexobj(self.samples):
             raise ValueError("CSV serialization is for real-valued functions")
         xs = self.domain.cell_centers()
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["x", "value"])
-            for x, v in zip(xs, self.samples):
-                w.writerow([repr(float(x)), repr(float(v))])
+        write_csv(path, ["x", "value"], zip(xs, self.samples.astype(float)))
 
     @classmethod
     def from_csv(cls, domain: Domain, path) -> "GridFunction":
@@ -176,6 +173,18 @@ class GridFunction:
             for row in r:
                 vals.append(float(row[1]))
         return cls(domain, np.asarray(vals))
+
+
+def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write a CSV table: floats as repr(float(x)), strings and integers as
+    they are."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(
+            [x if isinstance(x, (str, int, np.integer)) else repr(float(x)) for x in row]
+            for row in rows
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ not unknowable absolute constants.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -20,16 +21,15 @@ from .grid import (
     Domain,
     DyadicCube,
     GridFunction,
-    ResolutionError,
     average,
-    children,
     cube_cells,
     dilate,
+    write_csv,
 )
 from .maximal import MaximalVariant, maximal, multilinear_maximal
 from .operators import KernelOperator, bmo_norm, iterated_commutator
 from .orlicz import Measure, YoungFunction, dilation_indices, phi_power
-from .sparse import SparseFamily, sparse_operator
+from .sparse import SparseFamily, sparse_operator, stopping_cubes
 from .weights import DimensionalConstants, Weight, ap_constant, log_k0_p0
 
 DEFAULT_SLACK = 10.0
@@ -74,10 +74,7 @@ class DecayCurve:
     fit: dict
 
     def write_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("t,measure,model\n")
-            for t, m, mo in zip(self.t_grid, self.measures, self.model):
-                fh.write(",".join(repr(float(x)) for x in (t, m, mo)) + "\n")
+        write_csv(path, ["t", "measure", "model"], zip(self.t_grid, self.measures, self.model))
 
 
 def verdict_from(ratio: float, slack: float) -> str:
@@ -122,6 +119,7 @@ class OperatorBundle:
     def l(self) -> int:
         return len(self.bs)
 
+    @functools.cached_property
     def symbol_norm_product(self) -> float:
         out = 1.0
         for b in self.bs:
@@ -286,29 +284,8 @@ def principal_cubes(g: GridFunction, q0: DyadicCube, factor: float = 2.0) -> Spa
     Chebyshev gives eta >= 1 - 1/factor, so 1/2-sparse at factor 2."""
     dom = g.domain
     absg = GridFunction(dom, np.abs(g.samples))
-    out = []
-    queue = [q0]
-    while queue:
-        q = queue.pop()
-        out.append(q)
-        base = average(absg, q, 1.0)
-        if base <= 0:
-            continue
-        try:
-            stack = children(q, dom)
-        except ResolutionError:
-            continue
-        while stack:
-            r = stack.pop()
-            if average(absg, r, 1.0) > factor * base:
-                queue.append(r)
-            else:
-                try:
-                    stack.extend(children(r, dom))
-                except ResolutionError:
-                    pass
-    eta = 1.0 - 1.0 / factor
-    return SparseFamily.make(out, eta, dom)
+    cubes = stopping_cubes([q0], lambda r, q: average(absg, r, 1.0), factor, dom)
+    return SparseFamily.make(cubes, 1.0 - 1.0 / factor, dom)
 
 
 # -- experiments -------------------------------------------------------------
@@ -350,8 +327,9 @@ def local_decay_experiment(
     if comparator not in ("mixed-min", "llogl"):
         raise ValueError(f"unknown comparator {comparator!r}")
     dom = fs[0].domain
-    g = np.abs(bundle.apply(fs).samples)
-    bprod = bundle.symbol_norm_product()
+    tf = bundle.apply(fs)
+    g = np.abs(tf.samples)
+    bprod = bundle.symbol_norm_product
     if t_grid is None:
         t_grid = default_t_grid(bprod)
     t_grid = np.asarray(t_grid, dtype=float)
@@ -360,7 +338,7 @@ def local_decay_experiment(
     s0, e0, _ = cube_cells(dom, q0)
     constants: dict = {"symbol_norm_product": bprod, "comparator": comparator}
     if comparator == "mixed-min":
-        sf = principal_cubes(bundle.apply(fs), q0)
+        sf = principal_cubes(tf, q0)
         fs0 = []
         for i, f in enumerate(fs):
             if i in bundle.slots:
@@ -458,7 +436,7 @@ def sharpness_experiment(
         lo, hi = 3.0, 18.0
     f = GridFunction.constant(dom, 1.0)
     bundle = hilbert_bundle([b])
-    t_grid = np.logspace(math.log10(lo), math.log10(hi), n_points) * bmo_norm(b)
+    t_grid = np.logspace(math.log10(lo), math.log10(hi), n_points) * bundle.symbol_norm_product
     curve, rep = local_decay_experiment(
         bundle, [f], _root_cube(dom), t_grid, comparator="llogl",
         slack=slack, seed=seed,
@@ -489,7 +467,7 @@ def coifman_fefferman_experiment(
     mf = multilinear_maximal(fs, "llogl").samples
     base = float(np.sum(mf ** p * w.samples) * h)
     fw, _ = w.ainfty()
-    bprod = bundle.symbol_norm_product()
+    bprod = bundle.symbol_norm_product
     const = bprod ** p * fw ** (p * bundle.l) * fw ** max(2.0, p)
     rhs = const * base
     ratio = lhs / rhs if rhs > 0 else (0.0 if lhs == 0 else math.inf)
@@ -541,7 +519,7 @@ def mixed_weak_experiment(
     at_v = ap_constant(v_m, t)
     p0, log_k0 = log_k0_p0(t, a1_u, at_v, m, dc)
     l = bundle.l
-    bprod = bundle.symbol_norm_product()
+    bprod = bundle.symbol_norm_product
     log_const = (2 * l + 6 * m) * log_k0 + (2 * l + 4 * m) * math.log(at_v)
     if bprod > 0:
         log_const += math.log(bprod)
@@ -602,7 +580,7 @@ def fefferman_stein_experiment(
         nu = nu * wi.samples ** (p / pi)
     tf = np.abs(bundle.apply(fs).samples)
     lhs = float(np.sum(tf ** p * nu) * h) ** (1.0 / p)
-    rhs = bundle.symbol_norm_product() if bundle.bs else 1.0
+    rhs = bundle.symbol_norm_product
     weak_consts = []
     for f, pi, wi in zip(fs, ps, ws):
         mw = maximal(wi.f).samples
@@ -616,7 +594,7 @@ def fefferman_stein_experiment(
          "weights": [w.name for w in ws]},
         lhs, rhs,
         {"weak_ainfty": weak_consts,
-         "symbol_norm_product": bundle.symbol_norm_product(), "slack": slack},
+         "symbol_norm_product": bundle.symbol_norm_product, "slack": slack},
         ratio, None, verdict_from(ratio, slack),
         environment(dom, dc, seed, bundle.operator.pv_cutoff),
     )

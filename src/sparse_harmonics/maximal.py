@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .grid import CubeFamily, Domain, GridFunction, LevelEntry
-from .orlicz import YoungFunction, llog
+from .orlicz import YoungFunction, llog, monotone_root
 
 __all__ = ["MaximalVariant", "maximal", "multilinear_maximal", "family_for"]
 
@@ -59,10 +59,6 @@ def _entries(fam: CubeFamily, scope: str) -> list[LevelEntry]:
     return fam.entries
 
 
-# bisection passes per level, each halving the [mean, max] bracket
-_LUX_PASSES = 48
-
-
 def luxemburg_per_cube(
     fam: CubeFamily,
     entry: LevelEntry,
@@ -70,20 +66,17 @@ def luxemburg_per_cube(
     phi: YoungFunction,
     inv1: float,
 ) -> np.ndarray:
-    """Luxemburg norms of f over every cube of one level, bisected in bulk."""
-    vmax = fam.segment_max(entry, absf)
-    lam_hi = vmax / inv1
-    lam_lo = fam.means(entry, fam.prefix(absf)) / inv1
-    live = vmax > 0
+    """Luxemburg norms of f over every cube of one level, solved in bulk
+    from the [mean, max] / phi^-1(1) brackets."""
     cell_cube = entry.cell_to_cube
-    for _ in range(_LUX_PASSES):
-        mid = 0.5 * (lam_lo + lam_hi)
-        safe = np.where(mid > 0, mid, 1.0)
-        vals = phi(absf / safe[cell_cube])
-        ok = fam.means(entry, fam.prefix(vals)) <= 1.0
-        lam_hi = np.where(live & ok, mid, lam_hi)
-        lam_lo = np.where(live & ~ok, mid, lam_lo)
-    return np.where(live, lam_hi, 0.0)
+
+    def above(lam: np.ndarray) -> np.ndarray:
+        safe = np.where(lam > 0, lam, 1.0)
+        return ~(fam.means(entry, fam.prefix(phi(absf / safe[cell_cube]))) <= 1.0)
+
+    return monotone_root(
+        fam.means(entry, fam.prefix(absf)) / inv1, fam.segment_max(entry, absf) / inv1, above
+    )
 
 
 def maximal(f: GridFunction, v: MaximalVariant = MaximalVariant()) -> GridFunction:

@@ -196,7 +196,7 @@ def stein_square_function(
     acc = np.zeros(N)
     for t in ts:
         s2 = (xi / t) ** 2
-        with np.errstate(invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore"):
             mult = np.where(s2 < 1.0, s2 * np.maximum(1.0 - s2, 0.0) ** (alpha - 1.0), 0.0)
         conv = np.fft.ifft(fhat * mult)
         acc += np.abs(conv) ** 2 * dlog

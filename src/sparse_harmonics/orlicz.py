@@ -26,6 +26,7 @@ __all__ = [
     "exp_power",
     "phi_power",
     "luxemburg_norm",
+    "monotone_root",
     "generalized_holder",
     "young_pair_checks",
     "dilation_indices",
@@ -68,8 +69,25 @@ class YoungFunction:
         return YoungFunction(f"conj({self.name})", lambda t: _conjugate_eval(self, t))
 
 
+def monotone_root(lo, hi, above):
+    """Bisect every bracket [lo, hi] of one vector at once until
+    hi - lo <= 1e-12 hi (at most 200 passes), and return hi.  above(x) is
+    True where the root lies above x; a bracket with lo = hi = 0 stays 0."""
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    for _ in range(200):
+        if np.all(hi - lo <= 1e-12 * hi):
+            break
+        mid = 0.5 * (lo + hi)
+        up = above(mid)
+        lo = np.where(up, mid, lo)
+        hi = np.where(up, hi, mid)
+    return hi
+
+
 def _numeric_inverse(phi: YoungFunction, t: np.ndarray) -> np.ndarray:
-    """Vectorized bisection for the (generalized) inverse of a monotone phi."""
+    """The (generalized) inverse of a monotone phi: a doubling search for
+    the upper end of each bracket, then one vector root solve."""
     t = np.atleast_1d(t).astype(float)
     hi = np.ones_like(t)
     for _ in range(200):
@@ -77,14 +95,7 @@ def _numeric_inverse(phi: YoungFunction, t: np.ndarray) -> np.ndarray:
         if not bad.any():
             break
         hi[bad] *= 2.0
-    lo = np.zeros_like(t)
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        small = phi(mid) < t
-        lo = np.where(small, mid, lo)
-        hi = np.where(small, hi, mid)
-    out = 0.5 * (lo + hi)
-    return out if out.shape else float(out)
+    return monotone_root(np.zeros_like(t), hi, lambda s: phi(s) < t)
 
 
 _CONJ_S = np.logspace(-9.0, 9.0, 4096)
@@ -228,12 +239,12 @@ def luxemburg_norm(
     phi: YoungFunction,
     q,
     mu: Measure = LEBESGUE,
-    rel_tol: float = 1e-10,
 ) -> float:
     """inf lambda with (1/mu(Q)) int_Q phi(|f|/lambda) dmu <= 1.
 
     Bracketed by the Jensen lower bound <|f|>/phi^-1(1) and the sup bound
-    max|f|/phi^-1(1), then bisected; both brackets are exact for constants.
+    max|f|/phi^-1(1), then solved by `monotone_root`; both brackets are
+    exact for constants.
     """
     dom = f.domain
     lo_c, hi_c, full = cube_cells(dom, q)
@@ -246,28 +257,12 @@ def luxemburg_norm(
     else:
         wts = mu.weight.samples[lo_c:hi_c].astype(float)
         denom = wts.sum()
-    vmax = v.max(initial=0.0)
-    if vmax == 0.0:
-        return 0.0
     inv1 = float(np.atleast_1d(phi.inverse(np.array([1.0])))[0])
     vmean = float((v * wts).sum() / denom)
-    lam_lo = vmean / inv1
-    lam_hi = vmax / inv1
-    if lam_hi - lam_lo <= rel_tol * lam_hi:
-        return lam_hi
-
-    def modular(lam: float) -> float:
-        return float((phi(v / lam) * wts).sum() / denom)
-
-    for _ in range(200):
-        if lam_hi - lam_lo <= rel_tol * lam_hi:
-            break
-        mid = 0.5 * (lam_lo + lam_hi)
-        if modular(mid) <= 1.0:
-            lam_hi = mid
-        else:
-            lam_lo = mid
-    return lam_hi
+    return float(monotone_root(
+        vmean / inv1, v.max(initial=0.0) / inv1,
+        lambda lam: not (phi(v / lam) * wts).sum() / denom <= 1.0,
+    ))
 
 
 def generalized_holder(

@@ -17,11 +17,11 @@ from .grid import (
     Domain,
     DyadicCube,
     GridFunction,
-    ResolutionError,
     average,
     children,
     cube_cells,
     dilate,
+    write_csv,
 )
 
 __all__ = [
@@ -31,6 +31,7 @@ __all__ = [
     "sparse_operator",
     "commutator_sparse_form",
     "oscillation_sparse",
+    "stopping_cubes",
     "counting_decay",
 ]
 
@@ -60,11 +61,8 @@ class SparseFamily:
         return [cube_cells(self.domain, q)[:2] for q in self.cubes]
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["lattice_id", "level", "index"])
-            for q in self.cubes:
-                w.writerow([q.lattice_id, q.level, q.index[0]])
+        write_csv(path, ["lattice_id", "level", "index"],
+                  ([q.lattice_id, q.level, q.index[0]] for q in self.cubes))
 
     @classmethod
     def from_csv(cls, path, eta: float, domain: Domain) -> "SparseFamily":
@@ -221,50 +219,58 @@ def _signed_average(f: GridFunction, q, dom: Domain) -> float:
     return float(f.samples[lo:hi].sum() / (hi - lo))
 
 
+def stopping_cubes(roots, value, factor: float, domain: Domain) -> list:
+    """The roots, then recursively the stopping children of each stopping
+    cube Q: the maximal subcubes R of Q that meet the domain and have
+    value(R, Q) > factor value(Q, Q).  A Q with value(Q, Q) = 0 stops
+    nothing below it; the walk ends at the grid floor."""
+    out = list(roots)
+    seen = set(out)
+    queue = list(out)
+    while queue:
+        q = queue.pop()
+        base = value(q, q)
+        if base == 0.0:
+            continue
+        thresh = factor * base
+        stack = [q]
+        while stack:
+            cur = stack.pop()
+            if cur.level >= domain.resolution_log2:
+                continue
+            for r in children(cur):
+                lo, hi, _ = cube_cells(domain, r)
+                if hi <= lo:
+                    continue
+                if value(r, q) > thresh:
+                    if r not in seen:
+                        seen.add(r)
+                        out.append(r)
+                        queue.append(r)
+                else:
+                    stack.append(r)
+    return out
+
+
 def oscillation_sparse(
     b: GridFunction, fam: SparseFamily, certify: bool = True
 ) -> tuple[SparseFamily, dict]:
     """Augment the family so cube oscillations of b are controlled on it.
 
     From each cube Q the stopping children are the maximal subcubes R with
-    <|b - <b>_Q|>_R > 2^{n+1} <|b - <b>_Q|>_Q, selected greedily top-down;
-    recursion adds them to the family.  The returned certificate checks,
-    cell by cell, that on each family cube Q
+    <|b - <b>_Q|>_R > 2^{n+1} <|b - <b>_Q|>_Q (`stopping_cubes`); recursion
+    adds them to the family.  The returned certificate checks, cell by
+    cell, that on each family cube Q
 
         |b - <b>_Q| <= 2^{n+2} sum_{R in S~, R subset Q} <|b - <b>_R|>_R chi_R.
     """
     dom = fam.domain
     n = 1
-    collected = set(fam.cubes)
-    queue = list(fam.cubes)
-    while queue:
-        q = queue.pop()
-        base = _osc_avg_about(b, q, q, dom)
-        if base == 0.0:
-            continue
-        thresh = 2.0 ** (n + 1) * base
-        stack = [q]
-        while stack:
-            cur = stack.pop()
-            if cur.level >= dom.resolution_log2:
-                if cur is not q and _osc_avg_about(b, cur, q, dom) > thresh:
-                    raise ResolutionError(
-                        "stopping recursion hit the grid floor at "
-                        f"level {cur.level} under cube {q}"
-                    )
-                continue
-            for ch in children(cur, dom):
-                lo, hi, _ = cube_cells(dom, ch)
-                if hi <= lo:
-                    continue
-                if _osc_avg_about(b, ch, q, dom) > thresh:
-                    if ch not in collected:
-                        collected.add(ch)
-                        queue.append(ch)
-                else:
-                    stack.append(ch)
+    cubes = stopping_cubes(
+        fam.cubes, lambda r, q: _osc_avg_about(b, r, q, dom), 2.0 ** (n + 1), dom
+    )
     eta_out = fam.eta / (2.0 * (1.0 + fam.eta))
-    out = SparseFamily.make(collected, eta_out, dom)
+    out = SparseFamily.make(cubes, eta_out, dom)
     cert: dict = {"checked": False}
     if certify:
         cert = _certify_oscillation(b, out)

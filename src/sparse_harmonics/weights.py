@@ -9,14 +9,13 @@ consider cubes whose double stays inside the domain.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .grid import Domain, GridFunction, LevelEntry
+from .grid import Domain, GridFunction, LevelEntry, write_csv
 from .maximal import family_for, maximal
 
 __all__ = [
@@ -372,12 +371,5 @@ def lemma51_check(
 
 def write_constants_csv(path, rows: Sequence[dict]) -> None:
     """Emit the constants table: weight,p,ap,a1,ainfty_fw,ainfty_weak."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["weight", "p", "ap", "a1", "ainfty_fw", "ainfty_weak"])
-        for r in rows:
-            w.writerow(
-                [r["weight"], repr(float(r["p"])), repr(float(r["ap"])),
-                 repr(float(r["a1"])), repr(float(r["ainfty_fw"])),
-                 repr(float(r["ainfty_weak"]))]
-            )
+    header = ["weight", "p", "ap", "a1", "ainfty_fw", "ainfty_weak"]
+    write_csv(path, header, ([r[k] for k in header] for r in rows))

@@ -189,6 +189,15 @@ def test_decay_on_root_cube_sticking_out_of_domain():
     np.testing.assert_array_equal(curve.measures, root.measures)
 
 
+def test_mixed_min_decay_on_root_cube_sticking_out_of_domain():
+    # principal cubes of the root skip the children that lie outside the grid
+    shifted = DyadicCube(2, 1, (-1,))
+    curve, rep = local_decay_experiment(hilbert_bundle([SYMBOL]), [bump(0.5)], shifted)
+    assert rep.params["comparator"] == "mixed-min"
+    assert rep.constants["sparse_family_size"] >= 1
+    assert len(curve.measures) == len(curve.t_grid)
+
+
 def test_decay_weighted_alpha_ordering():
     # heavier weak A-infty slows the decay: fitted alpha decreases
     dom = Domain(0.0, 1.0, 10)

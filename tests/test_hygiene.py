@@ -1,10 +1,20 @@
 """Source hygiene checks that need no linter: every name a module under
-src/ imports is used in that module."""
+src/ imports is used in that module, and the benchmark tracer still finds
+every name and parameter it traces."""
 
 import ast
+import importlib.util
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+import numpy as np
+
+from sparse_harmonics import maximal as maximal_module
+from sparse_harmonics.grid import Domain, GridFunction
+from sparse_harmonics.maximal import MaximalVariant
+from sparse_harmonics.orlicz import llog
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 
 
 def _imported_names(tree: ast.AST) -> dict[str, int]:
@@ -72,3 +82,22 @@ def test_no_unused_imports_in_src():
         for item in unused_imports(path.read_text())
     ]
     assert not found, "unused imports:\n" + "\n".join(found)
+
+
+def test_benchmark_tracer_binds_every_traced_name():
+    # install() fails on a traced name bound nowhere; a traced Orlicz call
+    # fails when luxemburg_per_cube renames a parameter the tracer reads
+    spec = importlib.util.spec_from_file_location("tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    dom = Domain(0.0, 1.0, 5)
+    f = GridFunction(dom, np.linspace(0.1, 2.0, dom.n_cells))
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        maximal_module.maximal(f, MaximalVariant("orlicz", phi=llog(1.0)))
+    finally:
+        tracer.uninstall()
+    n_entries = len(maximal_module.family_for(dom).entries)
+    assert tracer.calls["maximal.maximal"] == 1
+    assert tracer.calls["maximal.luxemburg_per_cube"] == n_entries

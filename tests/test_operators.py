@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -135,6 +136,15 @@ def test_stein_subadditive():
         b = stein_square_function(g, 1.0).samples
         ab = stein_square_function(f + g, 1.0).samples
         assert np.all(ab <= a + b + 1e-12)
+
+
+def test_stein_alpha_below_one_warns_nothing():
+    # at |xi| = t the band edge (1 - |xi|^2/t^2)^(alpha - 1) is 0^(alpha - 1)
+    f = rand_f(3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        g = stein_square_function(f, 0.75).samples
+    assert np.all(np.isfinite(g))
 
 
 def test_stein_alpha_validation():

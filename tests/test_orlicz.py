@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
-from sparse_harmonics.grid import Domain, DyadicCube, GridFunction, Interval, average
+from sparse_harmonics.grid import Domain, DyadicCube, GridFunction, Interval, average, cube_cells
+from sparse_harmonics.maximal import MaximalVariant, family_for, maximal
 from sparse_harmonics.orlicz import (
     LEBESGUE,
     Measure,
@@ -93,6 +95,50 @@ def test_luxemburg_weighted_measure():
         float((f.samples ** 2 * w.samples).sum() / w.samples.sum())
     )
     assert got == pytest.approx(want, rel=1e-9)
+
+
+def _spike(dom):
+    s = np.ones(dom.n_cells)
+    s[dom.n_cells // 3] = 1e3
+    return GridFunction(dom, s)
+
+
+def _brentq_norm(v, denom, phi, inv1):
+    """Root in lambda of (1/denom) sum phi(v / lambda) = 1 by brentq, from a
+    bracket twice as wide as [mean, max] / phi^-1(1) on either side."""
+    lo = 0.5 * v.sum() / denom / inv1
+    hi = 2.0 * v.max() / inv1
+    return brentq(lambda lam: phi(v / lam).sum() / denom - 1.0, lo, hi, xtol=1e-300)
+
+
+@pytest.mark.parametrize("L", [7, 9])
+def test_luxemburg_matches_brentq_on_spike(L):
+    # max/mean up to 1e3 on a cube: 48 halvings of [mean, max] fall short
+    dom = Domain(0.0, 1.0, L)
+    f = _spike(dom)
+    phi = llog(1.0)
+    inv1 = brentq(lambda t: phi(t) - 1.0, 0.1, 1.0, xtol=1e-300)
+    for level in range(4):
+        for k in range(2 ** level):
+            q = DyadicCube(0, level, (k,))
+            lo, hi, _ = cube_cells(dom, q)
+            want = _brentq_norm(f.samples[lo:hi], hi - lo, phi, inv1)
+            assert luxemburg_norm(f, phi, q) == pytest.approx(want, rel=2e-12)
+
+
+def test_orlicz_maximal_matches_brute_brentq_on_spike():
+    dom = Domain(0.0, 1.0, 7)
+    f = _spike(dom)
+    phi = llog(1.0)
+    inv1 = brentq(lambda t: phi(t) - 1.0, 0.1, 1.0, xtol=1e-300)
+    want = np.zeros(dom.n_cells)
+    for e in family_for(dom).entries:
+        for q in e.cubes():
+            lo, hi, full = cube_cells(dom, q)
+            norm = _brentq_norm(f.samples[lo:hi], dom.mean_cells(lo, hi, full), phi, inv1)
+            want[lo:hi] = np.maximum(want[lo:hi], norm)
+    got = maximal(f, MaximalVariant("orlicz", phi=phi)).samples
+    np.testing.assert_allclose(got, want, rtol=2e-12, atol=0.0)
 
 
 # -- generalized Hölder ------------------------------------------------------
