@@ -23,25 +23,22 @@ import numpy as np
 from .grid import Domain, GridFunction, Interval
 from .harness import (
     DecayCurve,
+    OperatorBundle,
     VerificationReport,
     _root_cube,
     calderon_bundle,
     coifman_fefferman_experiment,
-    environment,
+    default_t_grid,
     fefferman_stein_experiment,
-    fit_exponent,
     hilbert_bundle,
     local_decay_experiment,
     mixed_weak_experiment,
-    model_values,
     modular_experiment,
     sharpness_experiment,
+    stein_bundle,
 )
-from .maximal import MaximalVariant, maximal
-from .operators import stein_square_function
 from .orlicz import exp_power, llog, power
 from .weights import (
-    DimensionalConstants,
     Weight,
     ainfty_constants,
     ap_constant,
@@ -172,7 +169,7 @@ def _resolve_seed(cfg: dict) -> int:
     return int(cfg.get("experiment", {}).get("seed", "0"))
 
 
-def _build_bundle(cfg: dict, dom: Domain):
+def _build_bundle(cfg: dict, dom: Domain) -> OperatorBundle:
     op = cfg.get("operator", {})
     kind = op.get("kind", "hilbert")
     pv = int(op.get("pv_cutoff", "1"))
@@ -188,10 +185,9 @@ def _build_bundle(cfg: dict, dom: Domain):
         slots = tuple(range(len(bs)))
         return calderon_bundle(m, bs, slots, pv_cutoff=pv)
     if kind == "stein":
-        alpha = float(op.get("alpha", "1.0"))
-        if alpha <= 0.5:
-            raise ConfigError("stein operator needs alpha > 1/2")
-        return ("stein", alpha)
+        if bs:
+            raise ConfigError("stein operator takes no symbols")
+        return stein_bundle(float(op.get("alpha", "1.0")))
     raise ConfigError(f"unknown operator kind {kind!r}")
 
 
@@ -204,6 +200,12 @@ def _functions(cfg: dict, dom: Domain, seed: int, m: int) -> list[GridFunction]:
         raise ConfigError(f"need {m} function specs, got {len(specs)}")
     fseed = int(cfg.get("functions", {}).get("seed", str(seed)))
     return [make_function(s, dom, fseed + i) for i, s in enumerate(specs)]
+
+
+def _weights(cfg: dict, dom: Domain, m: int) -> list[Weight]:
+    specs = cfg.get("weights", {}).get("w", "one").split(",")
+    ws = [make_weight(s, dom) for s in specs]
+    return ws * m if len(ws) == 1 else ws
 
 
 def run_experiment(cfg: dict, out_dir: Path) -> list[VerificationReport]:
@@ -231,39 +233,13 @@ def run_experiment(cfg: dict, out_dir: Path) -> list[VerificationReport]:
         comparator = params.get("comparator", "mixed-min")
         wspec = cfg.get("weights", {}).get("w", "")
         w = make_weight(wspec, dom) if wspec.strip() else None
-        if isinstance(bundle, tuple):
-            # square function route: decay of G_alpha f against M f
-            _, alpha = bundle
-            f = _functions(cfg, dom, seed, 1)[0]
-            g = stein_square_function(f, alpha)
-            comp = maximal(f, MaximalVariant("iterated", k=1))
-            ts = np.logspace(math.log10(t_lo), math.log10(t_hi), t_pts)
-            good = comp.samples > 0
-            if not np.all(good):
-                raise ConfigError("comparator vanishes on the grid")
-            meas = np.array([
-                float(np.mean(np.abs(g.samples) > t * comp.samples)) for t in ts
-            ])
-            fit = fit_exponent(ts, meas)
-            curve = DecayCurve(ts, meas, model_values(fit, ts), fit)
-            verdict = "degenerate" if fit["degenerate"] else (
-                "holds" if fit["r2"] >= 0.9 and fit["alpha"] > 0 else "holds-with-margin"
-            )
-            reports.append(VerificationReport(
-                "stein-decay", {"alpha": alpha}, float(meas[0]), float(meas[-1]),
-                {}, fit.get("p", math.nan), fit, verdict,
-                environment(dom, DimensionalConstants(), seed),
-            ))
-        else:
-            fs = _functions(cfg, dom, seed, bundle.m)
-            bprod = bundle.symbol_norm_product
-            scale = bprod if bprod > 0 else 1.0
-            ts = np.logspace(math.log10(t_lo), math.log10(t_hi), t_pts) * scale
-            curve, rep = local_decay_experiment(
-                bundle, fs, _root_cube(dom), ts, comparator=comparator,
-                w=w, slack=slack, seed=seed,
-            )
-            reports.append(rep)
+        fs = _functions(cfg, dom, seed, bundle.m)
+        ts = default_t_grid(bundle.symbol_norm_product, t_pts, t_lo, t_hi)
+        curve, rep = local_decay_experiment(
+            bundle, fs, _root_cube(dom), ts, comparator=comparator,
+            w=w, slack=slack, seed=seed,
+        )
+        reports.append(rep)
     elif kind == "cf":
         bundle = _build_bundle(cfg, dom)
         fs = _functions(cfg, dom, seed, bundle.m)
@@ -273,10 +249,7 @@ def run_experiment(cfg: dict, out_dir: Path) -> list[VerificationReport]:
     elif kind == "mixed":
         bundle = _build_bundle(cfg, dom)
         fs = _functions(cfg, dom, seed, bundle.m)
-        wspecs = cfg.get("weights", {}).get("w", "one").split(",")
-        ws = [make_weight(s, dom) for s in wspecs]
-        if len(ws) == 1:
-            ws = ws * bundle.m
+        ws = _weights(cfg, dom, bundle.m)
         v = make_weight(cfg.get("weights", {}).get("v", "one"), dom)
         t = float(params.get("t", "2"))
         reports.append(mixed_weak_experiment(bundle, fs, ws, v, t, slack, seed))
@@ -286,10 +259,7 @@ def run_experiment(cfg: dict, out_dir: Path) -> list[VerificationReport]:
         ps = [float(s) for s in params.get("ps", "1").split(",")]
         if len(ps) == 1:
             ps = ps * bundle.m
-        wspecs = cfg.get("weights", {}).get("w", "one").split(",")
-        ws = [make_weight(s, dom) for s in wspecs]
-        if len(ws) == 1:
-            ws = ws * bundle.m
+        ws = _weights(cfg, dom, bundle.m)
         reports.append(fefferman_stein_experiment(bundle, fs, ps, ws, slack, seed))
     elif kind == "modular":
         bundle = _build_bundle(cfg, dom)

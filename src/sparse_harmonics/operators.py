@@ -22,7 +22,6 @@ from .maximal import family_for
 
 __all__ = [
     "KernelOperator",
-    "BmoFunction",
     "CostError",
     "hilbert_transform",
     "calderon_kernel",
@@ -42,16 +41,18 @@ class CostError(RuntimeError):
 
 @dataclass(frozen=True)
 class KernelOperator:
-    kind: str = "hilbert"  # hilbert | calderon | direct_kernel
-    m: int = 1
+    kind: str = "hilbert"  # hilbert | calderon | stein | direct_kernel
+    alpha: float = 1.0  # order of the Stein square function
     kernel: Optional[Callable] = None
     pv_cutoff: int = 1
 
     def __post_init__(self):
-        if self.kind not in ("hilbert", "calderon", "direct_kernel"):
+        if self.kind not in ("hilbert", "calderon", "stein", "direct_kernel"):
             raise ValueError(f"unknown operator kind {self.kind!r}")
         if self.pv_cutoff < 1:
             raise ValueError("pv_cutoff must be >= 1")
+        if self.kind == "stein" and self.alpha <= 0.5:
+            raise ValueError("stein operator needs alpha > 1/2")
         if self.kind == "direct_kernel" and self.kernel is None:
             raise ValueError("direct_kernel needs a kernel callable")
 
@@ -59,6 +60,9 @@ class KernelOperator:
         if self.kind == "hilbert":
             (f,) = fs
             return hilbert_transform(f, self.pv_cutoff)
+        if self.kind == "stein":
+            (f,) = fs
+            return stein_square_function(f, self.alpha)
         if self.kind == "calderon":
             return calderon_apply(fs, self.pv_cutoff)
         return _direct_kernel_apply(self.kernel, fs, self.pv_cutoff)
@@ -201,23 +205,6 @@ def stein_square_function(
         conv = np.fft.ifft(fhat * mult)
         acc += np.abs(conv) ** 2 * dlog
     return GridFunction(f.domain, np.sqrt(acc))
-
-
-@dataclass
-class BmoFunction:
-    """Symbol with cached oscillation norm."""
-
-    b: GridFunction
-    _norm: Optional[float] = None
-
-    @property
-    def bmo_norm(self) -> float:
-        if self._norm is None:
-            self._norm = bmo_norm(self.b)
-        return self._norm
-
-    def weighted_norm(self, w: GridFunction, p: float) -> float:
-        return weighted_bmo_norm(self.b, w, p)
 
 
 def bmo_norm(b: GridFunction) -> float:

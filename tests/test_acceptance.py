@@ -10,7 +10,6 @@ import pytest
 from sparse_harmonics.cli import fixtures_dir, main
 from sparse_harmonics.grid import Domain, DyadicCube, GridFunction, Interval, children
 from sparse_harmonics.harness import (
-    _root_cube,
     calderon_bundle,
     coifman_fefferman_experiment,
     fefferman_stein_experiment,
@@ -22,7 +21,6 @@ from sparse_harmonics.harness import (
 )
 from sparse_harmonics.maximal import family_for
 from sparse_harmonics.operators import (
-    bmo_norm,
     calderon_apply,
     first_order_commutator_kernel,
     hilbert_transform,

@@ -1,8 +1,9 @@
 import csv
 import json
+import math
 import shutil
-from pathlib import Path
 
+import numpy as np
 import pytest
 
 from sparse_harmonics.cli import (
@@ -11,8 +12,13 @@ from sparse_harmonics.cli import (
     fixtures_dir,
     list_fixtures,
     main,
+    make_function,
     parse_config,
 )
+from sparse_harmonics.grid import Domain
+from sparse_harmonics.harness import fit_exponent
+from sparse_harmonics.maximal import MaximalVariant, maximal
+from sparse_harmonics.operators import stein_square_function
 
 FIX = fixtures_dir()
 
@@ -166,6 +172,35 @@ t = 2
     assert 24000 < consts["log10_K0"] < 24100
 
 
+def test_run_mixed_spike_weight_reports_log10_ratio(tmp_path):
+    # the tracked constant is about 10^144357: the ratio underflows to 0
+    # and only its logarithm says how slack the bound is
+    cfg = write_config(tmp_path, """
+[experiment]
+kind = mixed
+l = 10
+seed = 0
+
+[operator]
+kind = hilbert
+
+[functions]
+bank = random
+
+[weights]
+w = spike
+v = one
+
+[params]
+t = 2
+""")
+    out = tmp_path / "o"
+    assert main(["run", cfg, "--out", str(out)]) == 0
+    rep = json.loads((out / "report.json").read_text())["reports"][0]
+    assert rep["ratio"] == 0.0
+    assert rep["constants"]["log10_ratio"] < -1e5
+
+
 def test_run_bad_stein_alpha_exits_2(tmp_path):
     cfg = write_config(tmp_path, """
 [experiment]
@@ -204,6 +239,101 @@ t_points = 24
     code = main(["run", cfg, "--out", str(out)])
     assert code in (0, 3)
     assert (out / "report.json").is_file()
+
+
+STEIN_DECAY = """
+[experiment]
+kind = decay
+l = 8
+
+[operator]
+kind = stein
+alpha = 0.75
+
+[functions]
+bank = {bank}
+
+[params]
+comparator = {comparator}
+"""
+
+
+def _measure_column(out):
+    with open(out / "curves.csv", newline="") as fh:
+        return [float(row["measure"]) for row in csv.DictReader(fh)]
+
+
+@pytest.mark.parametrize("comparator", ["mixed-min", "llogl"])
+def test_stein_decay_matches_square_function_oracle(tmp_path, comparator):
+    # the direct computation: G_alpha f against M f over every cell of the
+    # grid, on the default t grid; with no symbols both comparators are M f
+    dom = Domain(0.0, 1.0, 8)
+    f = make_function("bump", dom, 0)
+    g = stein_square_function(f, 0.75).samples
+    comp = maximal(f, MaximalVariant("iterated", k=1)).samples
+    ts = np.logspace(math.log10(0.5), math.log10(50.0), 24)
+    meas = np.array([float(np.mean(np.abs(g) > t * comp)) for t in ts])
+    fit = fit_exponent(ts, meas)
+    assert not fit["degenerate"]
+
+    cfg = write_config(tmp_path, STEIN_DECAY.format(bank="bump", comparator=comparator))
+    out = tmp_path / "o"
+    assert main(["run", cfg, "--out", str(out)]) in (0, 4)
+    assert _measure_column(out) == meas.tolist()
+    assert json.loads((out / "report.json").read_text())["reports"][0]["fit"] == fit
+
+
+def test_stein_decay_honours_weight(tmp_path):
+    # a random input: on the symmetric bump, the step weight's two halves
+    # balance and the weighted measures equal the plain ones
+    text = STEIN_DECAY.format(bank="random", comparator="llogl")
+    plain = write_config(tmp_path, text)
+    weighted = write_config(tmp_path, text + "\n[weights]\nw = step\n", name="w.ini")
+    assert main(["run", plain, "--out", str(tmp_path / "a")]) in (0, 3, 4)
+    assert main(["run", weighted, "--out", str(tmp_path / "b")]) in (0, 3, 4)
+    assert _measure_column(tmp_path / "a") != _measure_column(tmp_path / "b")
+    rep = json.loads((tmp_path / "b" / "report.json").read_text())["reports"][0]
+    assert rep["id"] == "local-decay"
+    assert rep["params"] == {"comparator": "llogl", "m": 1, "l": 0, "weighted": True}
+
+
+@pytest.mark.parametrize("kind", ["cf", "mixed", "fs", "modular"])
+def test_stein_runs_in_every_kind(tmp_path, capsys, kind):
+    cfg = write_config(tmp_path, f"""
+[experiment]
+kind = {kind}
+l = 8
+
+[operator]
+kind = stein
+alpha = 1.5
+
+[functions]
+bank = random
+""")
+    out = tmp_path / "o"
+    assert main(["run", cfg, "--out", str(out)]) in (0, 3, 4)
+    assert "Traceback" not in capsys.readouterr().err
+    assert (out / "report.json").is_file()
+
+
+def test_stein_rejects_symbols(tmp_path, capsys):
+    cfg = write_config(tmp_path, """
+[experiment]
+kind = decay
+l = 8
+
+[operator]
+kind = stein
+
+[symbols]
+b = log
+
+[functions]
+bank = bump
+""")
+    assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "takes no symbols" in capsys.readouterr().err
 
 
 def test_run_cf_exit_code(tmp_path):

@@ -6,6 +6,7 @@ import pytest
 from sparse_harmonics.cli import fixtures_dir
 from sparse_harmonics.grid import Domain, DyadicCube, GridFunction, Interval
 from sparse_harmonics.harness import (
+    OperatorBundle,
     _root_cube,
     calderon_bundle,
     coifman_fefferman_experiment,
@@ -21,8 +22,9 @@ from sparse_harmonics.harness import (
     principal_cubes,
     quasiconvex_alpha,
     sharpness_experiment,
+    stein_bundle,
 )
-from sparse_harmonics.operators import bmo_norm
+from sparse_harmonics.operators import KernelOperator, bmo_norm
 from sparse_harmonics.orlicz import Measure, llog, power
 from sparse_harmonics.sparse import verify_sparse
 from sparse_harmonics.weights import Weight, ainfty_constants
@@ -400,6 +402,14 @@ def test_report_determinism():
     a = coifman_fefferman_experiment(hilbert_bundle([SYMBOL]), [f], 1.0, ONE)
     b = coifman_fefferman_experiment(hilbert_bundle([SYMBOL]), [f], 1.0, ONE)
     assert a.to_json() == b.to_json()
+
+
+def test_stein_bundle_rejects_symbols_and_small_alpha():
+    # sublinear: the binomial expansion of the commutator does not hold
+    with pytest.raises(ValueError, match="no symbols"):
+        OperatorBundle(KernelOperator("stein"), 1, (SYMBOL,), (0,))
+    with pytest.raises(ValueError, match="alpha"):
+        stein_bundle(0.5)
 
 
 def test_default_t_grid_scales_with_symbols():

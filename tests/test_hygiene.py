@@ -1,6 +1,6 @@
 """Source hygiene checks that need no linter: every name a module under
-src/ imports is used in that module, and the benchmark tracer still finds
-every name and parameter it traces."""
+src/ or tests/ imports is used in that module, and the benchmark tracer
+still finds every name and parameter it traces."""
 
 import ast
 import importlib.util
@@ -15,6 +15,7 @@ from sparse_harmonics.orlicz import llog
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
+TESTS = ROOT / "tests"
 
 
 def _imported_names(tree: ast.AST) -> dict[str, int]:
@@ -73,14 +74,23 @@ def test_checker_sees_unused_and_used_names():
     assert unused_imports(src) == ["c (line 3)", "sys (line 2)"]
 
 
-def test_no_unused_imports_in_src():
-    modules = sorted(SRC.rglob("*.py"))
+def _unused_imports_under(tree: Path) -> list[str]:
+    modules = sorted(tree.rglob("*.py"))
     assert modules
-    found = [
-        f"{path.relative_to(SRC)}: {item}"
+    return [
+        f"{path.relative_to(ROOT)}: {item}"
         for path in modules
         for item in unused_imports(path.read_text())
     ]
+
+
+def test_no_unused_imports_in_src():
+    found = _unused_imports_under(SRC)
+    assert not found, "unused imports:\n" + "\n".join(found)
+
+
+def test_no_unused_imports_in_tests():
+    found = _unused_imports_under(TESTS)
     assert not found, "unused imports:\n" + "\n".join(found)
 
 

@@ -6,7 +6,6 @@ import pytest
 
 from sparse_harmonics.grid import Domain, DyadicCube, GridFunction, Interval
 from sparse_harmonics.operators import (
-    BmoFunction,
     CostError,
     KernelOperator,
     bmo_norm,

@@ -6,10 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from sparse_harmonics.grid import Domain, DyadicCube, GridFunction, Interval, average, cube_cells
+from sparse_harmonics.grid import Domain, DyadicCube, GridFunction, average, cube_cells
 from sparse_harmonics.maximal import MaximalVariant, family_for, maximal
 from sparse_harmonics.orlicz import (
-    LEBESGUE,
     Measure,
     delta2_constant,
     dilation_indices,
