@@ -38,12 +38,7 @@ from .harness import (
     stein_bundle,
 )
 from .orlicz import exp_power, llog, power
-from .weights import (
-    Weight,
-    ainfty_constants,
-    ap_constant,
-    write_constants_csv,
-)
+from .weights import Weight, write_constants_csv
 
 
 class ConfigError(ValueError):
@@ -230,6 +225,8 @@ def run_experiment(cfg: dict, out_dir: Path) -> list[VerificationReport]:
         t_lo = float(params.get("t_lo", "0.5"))
         t_hi = float(params.get("t_hi", "50"))
         t_pts = int(params.get("t_points", "24"))
+        if t_pts < 1:
+            raise ConfigError("[params] t_points must be at least 1")
         comparator = params.get("comparator", "mixed-min")
         wspec = cfg.get("weights", {}).get("w", "")
         w = make_weight(wspec, dom) if wspec.strip() else None
@@ -290,13 +287,13 @@ def constants_rows(cfg: dict, dom: Domain) -> list[dict]:
     rows = []
     for spec in specs:
         w = make_weight(spec, dom)
-        fw, weak = ainfty_constants(w)
+        fw, weak = w.ainfty()
         for p in p_grid:
             rows.append({
                 "weight": w.name,
                 "p": p,
-                "ap": ap_constant(w, p),
-                "a1": ap_constant(w, 1.0),
+                "ap": w.ap(p),
+                "a1": w.a1(),
                 "ainfty_fw": fw,
                 "ainfty_weak": weak,
             })

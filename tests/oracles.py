@@ -1,0 +1,57 @@
+"""Brute-force oracles for the fast weight kernels: one slice sum per cube,
+one maximal function per cube, no vectorisation.  Slow on purpose."""
+
+import numpy as np
+
+from sparse_harmonics.maximal import family_for
+
+
+def brute_ap(w, p):
+    """[w]_{A_p}: a literal sweep over every cube of every lattice."""
+    fam = family_for(w.domain)
+    best = -np.inf
+    for e in fam.entries:
+        for lo, hi in zip(e.lo, e.hi):
+            chunk = w.samples[lo:hi]
+            if p == 1.0:
+                val = chunk.mean() / chunk.min()
+            else:
+                val = chunk.mean() * (chunk ** (1.0 - p / (p - 1.0))).mean() ** (p - 1.0)
+            best = max(best, val)
+    return best
+
+
+def brute_maximal(samples, dom):
+    """M f over the cube family, every mean a slice sum over the full width.
+
+    Every clipped cube of the family is also a base-lattice cube, so this is
+    M f under both boundary modes."""
+    fam = family_for(dom)
+    out = np.zeros(dom.n_cells)
+    for e in fam.entries:
+        for lo, hi in zip(e.lo, e.hi):
+            avg = samples[lo:hi].sum() / e.width
+            out[lo:hi] = np.maximum(out[lo:hi], avg)
+    return out
+
+
+def brute_ainfty(w):
+    """(Fujii-Wilson, weak) constants of w: one brute maximal function of
+    w chi_Q per family cube Q, and w(Q), w(2Q) as slice sums."""
+    dom = w.domain
+    fam = family_for(dom)
+    N = dom.n_cells
+    fw = weak = -np.inf
+    for e in fam.entries:
+        for i, (lo, hi) in enumerate(zip(e.lo, e.hi)):
+            chunk = np.zeros(N)
+            chunk[lo:hi] = w.samples[lo:hi]
+            m = brute_maximal(chunk, dom)
+            num = m[lo:hi].sum()
+            fw = max(fw, num / w.samples[lo:hi].sum())
+            if e.width % 2 == 0 and e.lo[i] == e.starts[i] and e.hi[i] == e.starts[i] + e.width:
+                half = e.width // 2
+                lo2, hi2 = e.starts[i] - half, e.starts[i] + e.width + half
+                if lo2 >= 0 and hi2 <= N:
+                    weak = max(weak, num / w.samples[lo2:hi2].sum())
+    return fw, weak

@@ -19,7 +19,6 @@ from sparse_harmonics.harness import (
     modular_experiment,
     sharpness_experiment,
 )
-from sparse_harmonics.maximal import family_for
 from sparse_harmonics.operators import (
     calderon_apply,
     first_order_commutator_kernel,
@@ -51,6 +50,8 @@ from sparse_harmonics.weights import (
     rubio_de_francia,
     s_u,
 )
+
+from oracles import brute_ainfty, brute_ap
 
 DOM8 = Domain(0.0, 1.0, 8)
 ROOT8 = DyadicCube(0, 0, (0,))
@@ -189,50 +190,6 @@ def test_criterion_3_oscillation_certificate():
 
 # 4. weight-constant oracle equivalence --------------------------------------
 
-def _brute_ap(w, p):
-    fam = family_for(w.domain)
-    best = -np.inf
-    for e in fam.entries:
-        for lo, hi in zip(e.lo, e.hi):
-            chunk = w.samples[lo:hi]
-            if p == 1.0:
-                val = chunk.mean() / chunk.min()
-            else:
-                val = chunk.mean() * (chunk ** (1.0 - p / (p - 1.0))).mean() ** (p - 1.0)
-            best = max(best, val)
-    return best
-
-
-def _brute_maximal(samples, dom):
-    fam = family_for(dom)
-    out = np.zeros(dom.n_cells)
-    for e in fam.entries:
-        for lo, hi in zip(e.lo, e.hi):
-            avg = samples[lo:hi].sum() / e.width
-            out[lo:hi] = np.maximum(out[lo:hi], avg)
-    return out
-
-
-def _brute_ainfty(w):
-    dom = w.domain
-    fam = family_for(dom)
-    N = dom.n_cells
-    fw = weak = -np.inf
-    for e in fam.entries:
-        for i, (lo, hi) in enumerate(zip(e.lo, e.hi)):
-            chunk = np.zeros(N)
-            chunk[lo:hi] = w.samples[lo:hi]
-            m = _brute_maximal(chunk, dom)
-            num = m[lo:hi].sum()
-            fw = max(fw, num / w.samples[lo:hi].sum())
-            if e.width % 2 == 0 and e.lo[i] == e.starts[i] and e.hi[i] == e.starts[i] + e.width:
-                half = e.width // 2
-                lo2, hi2 = e.starts[i] - half, e.starts[i] + e.width + half
-                if lo2 >= 0 and hi2 <= N:
-                    weak = max(weak, num / w.samples[lo2:hi2].sum())
-    return fw, weak
-
-
 def test_criterion_4_weight_oracles():
     t0 = time.time()
     dom = Domain(0.0, 1.0, 6)
@@ -240,9 +197,9 @@ def test_criterion_4_weight_oracles():
     assert len(bank) == 10
     for w in bank:
         for p in (1.0, 2.0):
-            assert w.ap(p) == pytest.approx(_brute_ap(w, p), rel=1e-12)
+            assert w.ap(p) == pytest.approx(brute_ap(w, p), rel=1e-12)
         fw, weak = w.ainfty()
-        bfw, bweak = _brute_ainfty(w)
+        bfw, bweak = brute_ainfty(w)
         assert fw == pytest.approx(bfw, rel=1e-12)
         assert weak == pytest.approx(bweak, rel=1e-12)
     one = bank[0]

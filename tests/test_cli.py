@@ -217,6 +217,29 @@ bank = bump
     assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize("t_points", ["0", "-3"])
+def test_run_t_points_below_one_exits_2(tmp_path, capsys, t_points):
+    cfg = write_config(tmp_path, f"""
+[experiment]
+kind = decay
+l = 8
+
+[operator]
+kind = hilbert
+
+[symbols]
+b = log
+
+[functions]
+bank = bump
+
+[params]
+t_points = {t_points}
+""")
+    assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "config error: [params] t_points must be at least 1" in capsys.readouterr().err
+
+
 def test_run_stein_decay(tmp_path):
     cfg = write_config(tmp_path, """
 [experiment]

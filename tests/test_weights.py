@@ -1,7 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from sparse_harmonics.grid import Domain, GridFunction, Interval
 from sparse_harmonics.maximal import maximal
@@ -22,6 +25,8 @@ from sparse_harmonics.weights import (
     s_u,
 )
 
+from oracles import brute_ainfty, brute_ap
+
 DOM = Domain(0.0, 1.0, 6)
 
 
@@ -41,23 +46,6 @@ def step_weight(seed, dom=DOM, lo=0.2, hi=5.0):
 ONE = weight_from(lambda x: np.ones_like(x), name="one")
 
 
-def brute_force_ap(w, p):
-    # literal sweep over every cube of every lattice
-    from sparse_harmonics.maximal import family_for
-
-    fam = family_for(w.domain)
-    best = -np.inf
-    for e in fam.entries:
-        for lo, hi in zip(e.lo, e.hi):
-            chunk = w.samples[lo:hi]
-            if p == 1.0:
-                val = chunk.mean() / chunk.min()
-            else:
-                val = chunk.mean() * (chunk ** (1.0 - p / (p - 1.0))).mean() ** (p - 1.0)
-            best = max(best, val)
-    return best
-
-
 def test_ap_of_one_is_one():
     for p in (1.0, 1.5, 2.0, 4.0):
         assert ap_constant(ONE, p) == pytest.approx(1.0, rel=1e-12)
@@ -66,7 +54,7 @@ def test_ap_of_one_is_one():
 def test_ap_matches_brute_force():
     w = weight_from(lambda x: np.abs(x - 0.5) ** 0.5)
     got = ap_constant(w, 2.0)
-    assert got == pytest.approx(brute_force_ap(w, 2.0), rel=1e-12)
+    assert got == pytest.approx(brute_ap(w, 2.0), rel=1e-12)
     assert got > 1.0 and math.isfinite(got)
 
 
@@ -141,6 +129,56 @@ def test_fujii_wilson_dominates_weak():
         w = step_weight(seed)
         fw, weak = ainfty_constants(w)
         assert fw >= weak
+
+
+def _steep(dom):
+    return weight_from(lambda x: np.abs(x - 0.37) ** 6, dom, "steep")
+
+
+def test_ainfty_steep_power_weight_matches_brute_oracle():
+    # w = |x - 0.37|^6 spans 1.7e-18 to 0.06 at L = 7: a difference of global
+    # prefix sums loses every digit of the small cube sums and gives inf
+    bfw, bweak = brute_ainfty(_steep(Domain(0.0, 1.0, 7)))
+    assert bfw == pytest.approx(2.664070266676703, rel=1e-12)
+    for mode in ("zero-extend", "clip"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fw, weak = ainfty_constants(_steep(Domain(0.0, 1.0, 7, mode)))
+        assert fw == pytest.approx(bfw, rel=1e-12)
+        assert weak == pytest.approx(bweak, rel=1e-12)
+
+
+@pytest.mark.parametrize("mode", ["zero-extend", "clip"])
+def test_ainfty_steep_power_weight_is_finite_at_l10(mode):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fw, weak = ainfty_constants(_steep(Domain(0.0, 1.0, 10, mode)))
+    assert math.isfinite(fw) and math.isfinite(weak)
+    assert fw >= 1.0 and weak > 0.0
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(3, 6),
+    st.sampled_from(["zero-extend", "clip"]),
+    st.one_of(
+        st.tuples(st.just("lognormal"), st.integers(0, 2**32 - 1), st.floats(0.1, 3.0)),
+        st.tuples(st.just("power"), st.floats(0.0, 1.0), st.floats(-0.9, 6.0)),
+    ),
+)
+def test_ainfty_matches_brute_oracle(L, mode, spec):
+    dom = Domain(0.0, 1.0, L, mode)
+    kind, a, b = spec
+    if kind == "lognormal":
+        s = np.exp(np.random.default_rng(a).normal(0.0, b, dom.n_cells))
+    else:
+        s = np.abs(dom.cell_centers() - a) ** b
+    assume(np.all(s > 0) and np.all(np.isfinite(s)))
+    w = Weight(GridFunction(dom, s), kind)
+    fw, weak = ainfty_constants(w)
+    bfw, bweak = brute_ainfty(w)
+    assert fw == pytest.approx(bfw, rel=1e-12)
+    assert weak == pytest.approx(bweak, rel=1e-12)
 
 
 def test_reverse_holder_constant_weight():
