@@ -216,9 +216,7 @@ def run_experiment(cfg: dict, out_dir: Path) -> list[VerificationReport]:
 
     if kind == "sharpness":
         bounded = params.get("bounded_symbol", "no") == "yes"
-        curve, rep = sharpness_experiment(
-            L=L, bounded_symbol=bounded, slack=slack, seed=seed
-        )
+        curve, rep = sharpness_experiment(L=L, bounded_symbol=bounded, seed=seed)
         reports.append(rep)
     elif kind == "decay":
         bundle = _build_bundle(cfg, dom)
@@ -233,8 +231,7 @@ def run_experiment(cfg: dict, out_dir: Path) -> list[VerificationReport]:
         fs = _functions(cfg, dom, seed, bundle.m)
         ts = default_t_grid(bundle.symbol_norm_product, t_pts, t_lo, t_hi)
         curve, rep = local_decay_experiment(
-            bundle, fs, _root_cube(dom), ts, comparator=comparator,
-            w=w, slack=slack, seed=seed,
+            bundle, fs, _root_cube(), ts, comparator=comparator, w=w, seed=seed,
         )
         reports.append(rep)
     elif kind == "cf":

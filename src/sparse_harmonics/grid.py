@@ -425,8 +425,11 @@ class CubeFamily:
         np.cumsum(samples, out=out[1:])
         return out
 
-    def segment_sums(self, entry: LevelEntry, csum: np.ndarray) -> np.ndarray:
-        return csum[entry.hi] - csum[entry.lo]
+    def segment_sums(self, entry: LevelEntry, values: np.ndarray) -> np.ndarray:
+        """Per-cube sums of cell values.  The clipped cubes of an entry tile
+        [0, N) in order, so each sum is a direct reduction over its own
+        cells: a cube with a tiny share of the mass keeps its digits."""
+        return np.add.reduceat(values, entry.lo)
 
     def segment_min(self, entry: LevelEntry, values: np.ndarray) -> np.ndarray:
         return np.minimum.reduceat(values, entry.lo)
@@ -434,14 +437,14 @@ class CubeFamily:
     def segment_max(self, entry: LevelEntry, values: np.ndarray) -> np.ndarray:
         return np.maximum.reduceat(values, entry.lo)
 
-    def means(self, entry: LevelEntry, csum: np.ndarray, clip: bool = False) -> np.ndarray:
-        """Per-cube means from a prefix sum: over Q's cells inside the domain
+    def means(self, entry: LevelEntry, values: np.ndarray, clip: bool = False) -> np.ndarray:
+        """Per-cube means of cell values: over Q's cells inside the domain
         when clip, else over the boundary mode's measure of Q."""
         if clip:
             sizes = entry.clipped_sizes()
         else:
             sizes = self.domain.mean_cells(entry.lo, entry.hi, entry.width)
-        return self.segment_sums(entry, csum) / sizes
+        return self.segment_sums(entry, values) / sizes
 
     def scatter_max(
         self, entries: Iterable[LevelEntry], per_entry_values: Iterable[np.ndarray]

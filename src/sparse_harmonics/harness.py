@@ -292,7 +292,7 @@ def principal_cubes(g: GridFunction, q0: DyadicCube, factor: float = 2.0) -> Spa
 
 # -- experiments -------------------------------------------------------------
 
-def _root_cube(dom: Domain) -> DyadicCube:
+def _root_cube() -> DyadicCube:
     return DyadicCube(0, 0, (0,))
 
 
@@ -323,7 +323,6 @@ def local_decay_experiment(
     t_grid: Optional[np.ndarray] = None,
     comparator: str = "mixed-min",
     w: Optional[Weight] = None,
-    slack: float = DEFAULT_SLACK,
     seed: int = 0,
     dc: DimensionalConstants = DimensionalConstants(),
     experiment_id: str = "local-decay",
@@ -392,9 +391,7 @@ def local_decay_experiment(
         total = (e0 - s0) * dom.h
     else:
         cellmass = w.samples[s0:e0] * dom.h
-        iv = dilate(q0, 2.0, dom)
-        lo = max(0, dom.cell_range(iv)[0])
-        hi = min(dom.n_cells, dom.cell_range(iv)[1])
+        lo, hi, _ = cube_cells(dom, dilate(q0, 2.0, dom))
         total = float(np.sum(w.samples[lo:hi]) * dom.h)
     measures = np.array([
         float(np.sum(cellmass[gvals > t * cvals])) / total for t in t_grid
@@ -424,7 +421,6 @@ def local_decay_experiment(
 def sharpness_experiment(
     L: int = 14,
     bounded_symbol: bool = False,
-    slack: float = DEFAULT_SLACK,
     seed: int = 0,
     n_points: int = 24,
 ) -> tuple[DecayCurve, VerificationReport]:
@@ -444,8 +440,7 @@ def sharpness_experiment(
     bundle = hilbert_bundle([b])
     t_grid = default_t_grid(bundle.symbol_norm_product, n_points, lo, hi)
     curve, rep = local_decay_experiment(
-        bundle, [f], _root_cube(dom), t_grid, comparator="llogl",
-        slack=slack, seed=seed,
+        bundle, [f], _root_cube(), t_grid, comparator="llogl", seed=seed,
         experiment_id="sharpness-contrast" if bounded_symbol else "sharpness",
     )
     return curve, rep
@@ -523,7 +518,7 @@ def mixed_weak_experiment(
     )
     a1_u = ap_constant(u, 1.0)
     at_v = ap_constant(v_m, t)
-    p0, log_k0 = log_k0_p0(t, a1_u, at_v, m, dc)
+    p0, log_k0 = log_k0_p0(t, a1_u, at_v, dc)
     l = bundle.l
     bprod = bundle.symbol_norm_product
     log_const = (2 * l + 6 * m) * log_k0 + (2 * l + 4 * m) * math.log(at_v)

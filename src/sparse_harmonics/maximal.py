@@ -72,10 +72,10 @@ def luxemburg_per_cube(
 
     def above(lam: np.ndarray) -> np.ndarray:
         safe = np.where(lam > 0, lam, 1.0)
-        return ~(fam.means(entry, fam.prefix(phi(absf / safe[cell_cube]))) <= 1.0)
+        return ~(fam.means(entry, phi(absf / safe[cell_cube])) <= 1.0)
 
     return monotone_root(
-        fam.means(entry, fam.prefix(absf)) / inv1, fam.segment_max(entry, absf) / inv1, above
+        fam.means(entry, absf) / inv1, fam.segment_max(entry, absf) / inv1, above
     )
 
 
@@ -92,15 +92,13 @@ def maximal(f: GridFunction, v: MaximalVariant = MaximalVariant()) -> GridFuncti
     entries = _entries(fam, "dyadic" if v.kind == "weighted_dyadic" else v.cube_scope)
     if v.kind == "weighted_dyadic":
         w = v.weight.samples.astype(float)
-        cs_fw = fam.prefix(absf * w)
-        cs_w = fam.prefix(w)
-        per_entry = (fam.segment_sums(e, cs_fw) / fam.segment_sums(e, cs_w) for e in entries)
+        fw = absf * w
+        per_entry = (fam.segment_sums(e, fw) / fam.segment_sums(e, w) for e in entries)
     elif v.kind == "hl":
-        cs = fam.prefix(absf)
-        per_entry = (fam.means(e, cs) for e in entries)
+        per_entry = (fam.means(e, absf) for e in entries)
     elif v.kind == "power":
-        cs = fam.prefix(absf ** v.r)
-        per_entry = (fam.means(e, cs) ** (1.0 / v.r) for e in entries)
+        powered = absf ** v.r
+        per_entry = (fam.means(e, powered) ** (1.0 / v.r) for e in entries)
     else:  # orlicz
         inv1 = float(np.atleast_1d(v.phi.inverse(np.array([1.0])))[0])
         per_entry = (luxemburg_per_cube(fam, e, absf, v.phi, inv1) for e in entries)
@@ -133,22 +131,22 @@ def multilinear_maximal(
     phi = llog(1.0)
     inv1 = float(np.atleast_1d(phi.inverse(np.array([1.0])))[0])
     absfs = [np.abs(f.samples).astype(float) for f in fs]
-    # per slot: None for an L log L slot, else the prefix sum its averages use
-    csums = [
+    # per slot: None for an L log L slot, else the cell values it averages
+    averaged = [
         None if flavor == "llogl" or (flavor == "mixed" and i < l)
-        else fam.prefix(af ** r if flavor == "power" else af)
+        else af ** r if flavor == "power" else af
         for i, af in enumerate(absfs)
     ]
 
     def product(e: LevelEntry) -> np.ndarray:
         prod = np.ones(e.n_cubes)
-        for af, cs in zip(absfs, csums):
-            if cs is None:
+        for af, vals in zip(absfs, averaged):
+            if vals is None:
                 prod *= luxemburg_per_cube(fam, e, af, phi, inv1)
             elif flavor == "power":
-                prod *= fam.means(e, cs) ** (1.0 / r)
+                prod *= fam.means(e, vals) ** (1.0 / r)
             else:
-                prod *= fam.means(e, cs)
+                prod *= fam.means(e, vals)
         return prod
 
     return GridFunction(dom, fam.scatter_max(entries, map(product, entries)))

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.signal import fftconvolve
 
-from .grid import GridFunction
+from .grid import CubeFamily, GridFunction
 from .maximal import family_for
 
 __all__ = [
@@ -121,7 +121,7 @@ def calderon_apply(fs: Sequence[GridFunction], pv_cutoff: int = 1) -> GridFuncti
         )
     N = dom.n_cells
     h = dom.h
-    csums = [np.concatenate([[0.0], np.cumsum(f.samples)]) * h for f in fs[:-1]]
+    csums = [CubeFamily.prefix(f.samples) * h for f in fs[:-1]]
     flast = fs[-1].samples.astype(float)
     idx = np.arange(N)
     out = np.zeros(N)
@@ -210,12 +210,12 @@ def stein_square_function(
 def bmo_norm(b: GridFunction) -> float:
     """sup_Q <|b - <b>_Q|>_Q over the full cube family."""
     fam = family_for(b.domain)
-    cs_b = fam.prefix(b.samples.astype(float))
+    bs = b.samples.astype(float)
     best = 0.0
     for e in fam.entries:
-        means = fam.means(e, cs_b, clip=True)
+        means = fam.means(e, bs, clip=True)
         dev = np.abs(b.samples - means[e.cell_to_cube])
-        osc = fam.means(e, fam.prefix(dev), clip=True)
+        osc = fam.means(e, dev, clip=True)
         best = max(best, float(osc.max()))
     return best
 
@@ -226,14 +226,14 @@ def weighted_bmo_norm(b: GridFunction, w: GridFunction, p: float) -> float:
     if p <= 0:
         raise ValueError("need p > 0")
     fam = family_for(b.domain)
-    cs_b = fam.prefix(b.samples.astype(float))
-    cs_w = fam.prefix(w.samples.astype(float))
+    bs = b.samples.astype(float)
+    ws = w.samples.astype(float)
     best = 0.0
     for e in fam.entries:
-        means = fam.means(e, cs_b, clip=True)
+        means = fam.means(e, bs, clip=True)
         dev = np.abs(b.samples - means[e.cell_to_cube]) ** p * w.samples
-        num = fam.segment_sums(e, fam.prefix(dev))
-        den = fam.segment_sums(e, cs_w)
+        num = fam.segment_sums(e, dev)
+        den = fam.segment_sums(e, ws)
         best = max(best, float((num / den).max()))
     return best ** (1.0 / p)
 

@@ -144,17 +144,16 @@ def ap_constant(w: Weight, p: float) -> float:
     if p < 1:
         raise ValueError("need p >= 1")
     fam = family_for(w.domain)
-    cs_w = fam.prefix(w.samples.astype(float))
+    ws = w.samples.astype(float)
     best = -np.inf
     if p == 1.0:
         for e in fam.entries:
-            vals = fam.means(e, cs_w, clip=True) / fam.segment_min(e, w.samples)
+            vals = fam.means(e, ws, clip=True) / fam.segment_min(e, w.samples)
             best = max(best, float(vals.max()))
         return best
     dual = clamped_power(w.samples, 1.0 - p / (p - 1.0))
-    cs_d = fam.prefix(dual)
     for e in fam.entries:
-        vals = fam.means(e, cs_w, clip=True) * fam.means(e, cs_d, clip=True) ** (p - 1.0)
+        vals = fam.means(e, ws, clip=True) * fam.means(e, dual, clip=True) ** (p - 1.0)
         best = max(best, float(vals.max()))
     return best
 
@@ -165,22 +164,20 @@ def multi_ap_constant(mw: MultiWeight) -> float:
     (inf_Q w_j)^{-p}."""
     fam = family_for(mw.weights[0].domain)
     p = mw.p
-    cs_nu = fam.prefix(mw.nu().samples)
-    duals = []
-    for w, pj in zip(mw.weights, mw.exponents):
-        if pj == 1.0:
-            duals.append(None)
-        else:
-            duals.append(fam.prefix(clamped_power(w.samples, 1.0 - pj / (pj - 1.0))))
+    nu = mw.nu().samples
+    duals = [
+        None if pj == 1.0 else clamped_power(w.samples, 1.0 - pj / (pj - 1.0))
+        for w, pj in zip(mw.weights, mw.exponents)
+    ]
     best = -np.inf
     for e in fam.entries:
-        vals = fam.means(e, cs_nu, clip=True)
-        for w, pj, cs_d in zip(mw.weights, mw.exponents, duals):
-            if cs_d is None:
+        vals = fam.means(e, nu, clip=True)
+        for w, pj, dual in zip(mw.weights, mw.exponents, duals):
+            if dual is None:
                 vals = vals * fam.segment_min(e, w.samples) ** (-p)
             else:
                 ppj = pj / (pj - 1.0)
-                vals = vals * fam.means(e, cs_d, clip=True) ** (p / ppj)
+                vals = vals * fam.means(e, dual, clip=True) ** (p / ppj)
         best = max(best, float(vals.max()))
     return best
 
@@ -210,7 +207,8 @@ def ainfty_constants(w: Weight) -> tuple[float, float]:
 
     fujii_wilson = sup_Q (1/w(Q)) int_Q M(w chi_Q);
     weak         = sup_Q (1/w(2Q)) int_Q M(w chi_Q), over cubes with 2Q
-    inside the domain.  The inner M runs over the same cube family.
+    inside the domain (ValueError when there is none, as at L <= 2).  The
+    inner M runs over the same cube family.
 
     One sweep per pair of levels (e, e') of the family.  The cubes Q of e
     tile the grid, and for a cell x of Q, M(w chi_Q)(x) is the max over e'
@@ -256,6 +254,11 @@ def ainfty_constants(w: Weight) -> tuple[float, float]:
         idx, _, w2q = _double_sums(e, ws)
         if len(idx):
             weak = max(weak, float((num[idx] / w2q).max()))
+    if weak == -np.inf:
+        raise ValueError(
+            f"no cube has its double inside the domain at L = {dom.resolution_log2}, "
+            "so the weak A_inf constant is a sup over no cubes"
+        )
     return float(fw), float(weak)
 
 
@@ -333,7 +336,6 @@ def k0_p0(
     t: float,
     a1_u: float,
     at_v: float,
-    m: int = 1,
     dc: DimensionalConstants = DimensionalConstants(),
 ) -> tuple[float, float]:
     """p0 = 2^{n+3}(t-1) a1_u + 1 and the companion constant
@@ -341,7 +343,7 @@ def k0_p0(
     K0 = 4 C_n p0 p0' (a1_u + 2^{p0-1} C_n^t at_v^2 a1_u^{p0-1}) + 1.
 
     at_v is the A_t constant of v^{1/m}; m itself does not enter the
-    formulas and is accepted only so call sites read like the estimates.
+    formulas.
     """
     if t <= 1 or a1_u < 1 or at_v < 1:
         raise ValueError("need t > 1 and constants >= 1")
@@ -359,7 +361,6 @@ def log_k0_p0(
     t: float,
     a1_u: float,
     at_v: float,
-    m: int = 1,
     dc: DimensionalConstants = DimensionalConstants(),
 ) -> tuple[float, float]:
     """(p0, ln K0) of k0_p0, summed in log space: K0 leaves the float range

@@ -55,3 +55,29 @@ def brute_ainfty(w):
                 if lo2 >= 0 and hi2 <= N:
                     weak = max(weak, num / w.samples[lo2:hi2].sum())
     return fw, weak
+
+
+def brute_weighted_maximal(samples, weight, dom):
+    """Weighted dyadic M: sup over the base-lattice cubes Q containing each
+    cell of w(|f| chi_Q) / w(Q), both slice sums."""
+    fam = family_for(dom)
+    out = np.zeros(dom.n_cells)
+    for e in fam.entries:
+        if e.lattice_id:
+            continue
+        for lo, hi in zip(e.lo, e.hi):
+            avg = (np.abs(samples[lo:hi]) * weight[lo:hi]).sum() / weight[lo:hi].sum()
+            out[lo:hi] = np.maximum(out[lo:hi], avg)
+    return out
+
+
+def brute_weighted_bmo(b, w, p, dom):
+    """sup over every clipped family cube Q of
+    ((1/w(Q)) int_Q |b - <b>_Q|^p w)^{1/p}, every sum a slice sum."""
+    fam = family_for(dom)
+    best = 0.0
+    for e in fam.entries:
+        for lo, hi in zip(e.lo, e.hi):
+            dev = np.abs(b[lo:hi] - b[lo:hi].mean()) ** p * w[lo:hi]
+            best = max(best, dev.sum() / w[lo:hi].sum())
+    return best ** (1.0 / p)

@@ -418,6 +418,23 @@ p_grid = 2
     assert not (tmp_path / "const" / "report.json").exists()
 
 
+def test_constants_on_a_grid_without_doubles_exits_2(tmp_path, capsys):
+    # at L = 2 no cube has its double inside the domain: weak A_inf is a sup
+    # over no cubes, which used to be written as -inf
+    cfg = write_config(tmp_path, """
+[experiment]
+kind = constants
+l = 2
+
+[bank]
+weights = one
+p_grid = 2
+""")
+    assert main(["constants", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "double" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "constants.csv").exists()
+
+
 def test_constants_command_rejects_other_kinds(tmp_path):
     cfg = write_config(tmp_path, DECAY_CONFIG)
     assert main(["constants", cfg, "--out", str(tmp_path / "o")]) == 2

@@ -193,17 +193,36 @@ def test_segment_sums_match_direct():
     for mode in ("zero-extend", "clip"):
         dom = Domain(0.0, 1.0, 7, boundary_mode=mode)
         fam = CubeFamily(dom)
-        cs = fam.prefix(v)
         for entry in fam.entries:
-            got = fam.segment_sums(entry, cs)
+            # the reduction relies on the clipped cubes tiling [0, N) in order
+            assert entry.lo[0] == 0 and entry.hi[-1] == dom.n_cells
+            np.testing.assert_array_equal(entry.hi[:-1], entry.lo[1:])
+            got = fam.segment_sums(entry, v)
             want = np.array([v[lo:hi].sum() for lo, hi in zip(entry.lo, entry.hi)])
             np.testing.assert_allclose(got, want, rtol=1e-12)
             # clip=True: the mean over Q's cells inside the domain, in any mode
             clipped = np.array([v[lo:hi].mean() for lo, hi in zip(entry.lo, entry.hi)])
-            np.testing.assert_allclose(fam.means(entry, cs, clip=True), clipped, rtol=1e-12)
+            np.testing.assert_allclose(fam.means(entry, v, clip=True), clipped, rtol=1e-12)
             # clip=False: the boundary mode decides; zero-extension divides by |Q|
             full = want / entry.width if mode == "zero-extend" else clipped
-            np.testing.assert_allclose(fam.means(entry, cs), full, rtol=1e-12)
+            np.testing.assert_allclose(fam.means(entry, v), full, rtol=1e-12)
+
+
+@pytest.mark.parametrize("mode", ["zero-extend", "clip"])
+def test_segment_sums_keep_digits_of_steep_weight(mode):
+    # w = |x - 0.37|^6 spans 2.6e-21 to 0.062 at L = 10: differences of one
+    # global prefix sum lose every digit of the cubes near 0.37
+    dom = Domain(0.0, 1.0, 10, boundary_mode=mode)
+    w = np.abs(dom.cell_centers() - 0.37) ** 6
+    fam = CubeFamily(dom)
+    for entry in fam.entries:
+        want = np.array([w[lo:hi].sum() for lo, hi in zip(entry.lo, entry.hi)])
+        np.testing.assert_allclose(fam.segment_sums(entry, w), want, rtol=1e-13)
+        sizes = dom.mean_cells(entry.lo, entry.hi, entry.width)
+        np.testing.assert_allclose(fam.means(entry, w), want / sizes, rtol=1e-13)
+        np.testing.assert_allclose(
+            fam.means(entry, w, clip=True), want / entry.clipped_sizes(), rtol=1e-13
+        )
 
 
 def test_cube_cells_shifted_cube_with_negative_start():

@@ -151,7 +151,7 @@ def test_fit_exponent_is_well_conditioned_on_sharpness_curve():
 def test_principal_cubes_sparse():
     for seed in range(5):
         g = hilbert_bundle([SYMBOL]).apply([rand_f(seed)])
-        fam = principal_cubes(g, _root_cube(DOM))
+        fam = principal_cubes(g, _root_cube())
         ok, eta, carleson = verify_sparse(fam)
         assert ok
         assert eta >= 0.5 - 1e-12
@@ -170,7 +170,7 @@ def test_decay_constant_symbol_vanishes():
 def test_decay_mixed_min_runs_and_reports_branch():
     f = bump(0.5)
     curve, rep = local_decay_experiment(
-        hilbert_bundle([SYMBOL]), [f], _root_cube(DOM),
+        hilbert_bundle([SYMBOL]), [f], _root_cube(),
         comparator="mixed-min",
     )
     assert rep.verdict in ("holds", "holds-with-margin", "degenerate")
@@ -187,7 +187,7 @@ def test_decay_on_root_cube_sticking_out_of_domain():
     shifted = DyadicCube(2, 1, (-1,))
     bundle = hilbert_bundle([SYMBOL])
     curve, _ = local_decay_experiment(bundle, [bump(0.5)], shifted, comparator="llogl")
-    root, _ = local_decay_experiment(bundle, [bump(0.5)], _root_cube(DOM), comparator="llogl")
+    root, _ = local_decay_experiment(bundle, [bump(0.5)], _root_cube(), comparator="llogl")
     np.testing.assert_array_equal(curve.measures, root.measures)
 
 
@@ -218,7 +218,7 @@ def test_decay_weighted_alpha_ordering():
             )
         _, weak = ainfty_constants(w)
         _, rep = local_decay_experiment(
-            bundle, [f], _root_cube(dom), ts, comparator="llogl", w=w
+            bundle, [f], _root_cube(), ts, comparator="llogl", w=w
         )
         assert rep.verdict in ("holds", "holds-with-margin")
         rows.append((weak, rep.fit["alpha"]))

@@ -1,6 +1,7 @@
 """Source hygiene checks that need no linter: every name a module under
-src/ or tests/ imports is used in that module, and the benchmark tracer
-still finds every name and parameter it traces."""
+src/ or tests/ imports is used in that module, every parameter of a def
+under src/ is read in its body, and the benchmark tracer still finds every
+name and parameter it traces."""
 
 import ast
 import importlib.util
@@ -74,24 +75,68 @@ def test_checker_sees_unused_and_used_names():
     assert unused_imports(src) == ["c (line 3)", "sys (line 2)"]
 
 
-def _unused_imports_under(tree: Path) -> list[str]:
+def _findings_under(tree: Path, check) -> list[str]:
     modules = sorted(tree.rglob("*.py"))
     assert modules
     return [
         f"{path.relative_to(ROOT)}: {item}"
         for path in modules
-        for item in unused_imports(path.read_text())
+        for item in check(path.read_text())
     ]
 
 
 def test_no_unused_imports_in_src():
-    found = _unused_imports_under(SRC)
+    found = _findings_under(SRC, unused_imports)
     assert not found, "unused imports:\n" + "\n".join(found)
 
 
 def test_no_unused_imports_in_tests():
-    found = _unused_imports_under(TESTS)
+    found = _findings_under(TESTS, unused_imports)
     assert not found, "unused imports:\n" + "\n".join(found)
+
+
+def unused_parameters(source: str) -> list[str]:
+    """Parameters of each def that its body never reads; self and cls are
+    exempt."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        a = node.args
+        params = [*a.posonlyargs, *a.args, a.vararg, *a.kwonlyargs, a.kwarg]
+        read = {
+            n.id for stmt in node.body for n in ast.walk(stmt)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        }
+        out += [
+            f"{node.name}({p.arg}) (line {node.lineno})"
+            for p in params if p and p.arg not in ("self", "cls", *read)
+        ]
+    return out
+
+
+def test_checker_sees_unused_parameters():
+    src = (
+        "def f(a, b, *args, c=1, **kw):\n"
+        "    def g(d):\n"
+        "        return a + len(kw)\n"
+        "    return g\n"
+        "class K:\n"
+        "    def m(self, x):\n"
+        "        x = 1\n"
+        "    @classmethod\n"
+        "    def n(cls):\n"
+        "        pass\n"
+    )
+    assert unused_parameters(src) == [
+        "f(b) (line 1)", "f(args) (line 1)", "f(c) (line 1)",
+        "g(d) (line 2)", "m(x) (line 6)",
+    ]
+
+
+def test_no_unused_parameters_in_src():
+    found = _findings_under(SRC, unused_parameters)
+    assert not found, "unused parameters:\n" + "\n".join(found)
 
 
 def test_benchmark_tracer_binds_every_traced_name():

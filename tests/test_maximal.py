@@ -1,9 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from sparse_harmonics.grid import Domain, DyadicCube, GridFunction, Interval
 from sparse_harmonics.maximal import MaximalVariant, maximal, multilinear_maximal
 from sparse_harmonics.orlicz import llog
+
+from oracles import brute_weighted_maximal
 
 DOM = Domain(0.0, 1.0, 8)
 
@@ -137,6 +141,20 @@ def test_weighted_dyadic_l2_bound():
         den = np.sqrt((f.samples ** 2 * w.samples).sum())
         worst = max(worst, num / den)
     assert worst <= 4.0
+
+
+@pytest.mark.parametrize("L", [7, 10])
+def test_weighted_dyadic_steep_weight_matches_slice_sums(L):
+    # w = |x - 0.37|^6: differences of a global prefix sum gave w(Q) <= 0
+    # on the cubes near 0.37, and with it non-finite samples
+    dom = Domain(0.0, 1.0, L)
+    w = GridFunction.from_callable(dom, lambda x: np.abs(x - 0.37) ** 6)
+    f = rand_f(4, dom)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = maximal(f, MaximalVariant("weighted_dyadic", weight=w)).samples
+    want = brute_weighted_maximal(f.samples, w.samples, dom)
+    np.testing.assert_allclose(got, want, rtol=1e-13)
 
 
 def test_variant_validation():

@@ -157,6 +157,15 @@ def test_ainfty_steep_power_weight_is_finite_at_l10(mode):
     assert fw >= 1.0 and weak > 0.0
 
 
+@pytest.mark.parametrize("L", [1, 2])
+@pytest.mark.parametrize("mode", ["zero-extend", "clip"])
+def test_ainfty_refuses_grid_without_doubles(L, mode):
+    # no cube of the family has its double inside the domain at L <= 2
+    dom = Domain(0.0, 1.0, L, mode)
+    with pytest.raises(ValueError, match="double inside the domain"):
+        ainfty_constants(Weight(GridFunction.constant(dom, 1.0), "one"))
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     st.integers(3, 6),
