@@ -46,6 +46,8 @@ class ConfigError(ValueError):
 
 
 KINDS = ("decay", "cf", "mixed", "fs", "modular", "constants", "sharpness")
+# the kinds whose verdicts allow a slack factor
+SLACK_KINDS = ("cf", "mixed", "fs", "modular")
 
 SCHEMA = {
     "experiment": {"kind", "l", "seed", "slack"},
@@ -64,22 +66,26 @@ SCHEMA = {
 
 def parse_config(path) -> dict:
     cp = configparser.ConfigParser()
-    read = cp.read(path)
+    try:
+        read = cp.read(path)
+        sections = {s: cp.items(s) for s in cp.sections()}
+    except configparser.Error as e:  # no section header, a duplicate, a bad %
+        raise ConfigError(str(e)) from e
     if not read:
         raise ConfigError(f"cannot read config {path}")
     out: dict = {}
-    for section in cp.sections():
+    for section, items in sections.items():
         if section not in SCHEMA:
             raise ConfigError(f"unknown section [{section}]")
-        body = {}
-        for key, value in cp.items(section):
+        for key, _ in items:
             if key not in SCHEMA[section]:
                 raise ConfigError(f"unknown key {key!r} in [{section}]")
-            body[key] = value
-        out[section] = body
+        out[section] = dict(items)
     exp = out.get("experiment", {})
     if exp.get("kind") not in KINDS:
         raise ConfigError(f"experiment kind must be one of {KINDS}")
+    if "slack" in exp and exp["kind"] not in SLACK_KINDS:
+        raise ConfigError(f"[experiment] slack does not apply to kind {exp['kind']!r}")
     return out
 
 
@@ -479,19 +485,10 @@ def main(argv=None) -> int:
 
     try:
         cfg = parse_config(args.config if args.command == "run" else args.bank)
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 2
-
-    if args.command == "constants" and cfg["experiment"]["kind"] != "constants":
-        print("config error: constants command needs kind = constants",
-              file=sys.stderr)
-        return 2
-
-    out_dir = Path(args.out or cfg.get("output", {}).get("dir", "."))
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    try:
+        if args.command == "constants" and cfg["experiment"]["kind"] != "constants":
+            raise ConfigError("constants command needs kind = constants")
+        out_dir = Path(args.out or cfg.get("output", {}).get("dir", "."))
+        out_dir.mkdir(parents=True, exist_ok=True)
         reports = run_experiment(cfg, out_dir)
     except ValueError as e:  # ConfigError is a ValueError
         print(f"config error: {e}", file=sys.stderr)

@@ -21,7 +21,6 @@ from .grid import (
     Domain,
     DyadicCube,
     GridFunction,
-    average,
     cube_cells,
     dilate,
     write_csv,
@@ -29,7 +28,7 @@ from .grid import (
 from .maximal import MaximalVariant, maximal, multilinear_maximal
 from .operators import KernelOperator, bmo_norm, iterated_commutator
 from .orlicz import Measure, YoungFunction, dilation_indices, phi_power
-from .sparse import SparseFamily, sparse_operator, stopping_cubes
+from .sparse import SparseFamily, commutator_sparse_form, sparse_operator, stopping_cubes
 from .weights import DimensionalConstants, Weight, ap_constant, log_k0_p0
 
 DEFAULT_SLACK = 10.0
@@ -146,6 +145,8 @@ def hilbert_bundle(bs: Sequence[GridFunction] = (), pv_cutoff: int = 1) -> Opera
 def calderon_bundle(
     m: int = 1, bs: Sequence[GridFunction] = (), slots: Sequence[int] = (), pv_cutoff: int = 1
 ) -> OperatorBundle:
+    if m < 1:
+        raise ValueError("calderon operator needs m >= 1")
     op = KernelOperator("calderon", pv_cutoff=pv_cutoff)
     return OperatorBundle(op, m + 1, tuple(bs), tuple(slots))
 
@@ -284,10 +285,8 @@ def principal_cubes(g: GridFunction, q0: DyadicCube, factor: float = 2.0) -> Spa
     """Stopping family on |g| starting from q0: children of the family are
     the maximal descendants whose average exceeds factor times the parent's.
     Chebyshev gives eta >= 1 - 1/factor, so 1/2-sparse at factor 2."""
-    dom = g.domain
-    absg = GridFunction(dom, np.abs(g.samples))
-    cubes = stopping_cubes([q0], lambda r, q: average(absg, r, 1.0), factor, dom)
-    return SparseFamily.make(cubes, 1.0 - 1.0 / factor, dom)
+    cubes = stopping_cubes([q0], abs(g), factor, recenter=False)
+    return SparseFamily.make(cubes, 1.0 - 1.0 / factor, g.domain)
 
 
 # -- experiments -------------------------------------------------------------
@@ -357,12 +356,7 @@ def local_decay_experiment(
             np.mean(alt.samples < comp.samples)
         )
         # domination audit: the sparse form must cover the operator output
-        dom_form = np.zeros(dom.n_cells)
-        for q, (lo, hi) in zip(sf.cubes, sf.cell_sets()):
-            prod = 1.0
-            for f in fs:
-                prod *= average(f, q, 1.0)
-            dom_form[lo:hi] += prod
+        dom_form = commutator_sparse_form(sf, [], fs, []).samples
         covered = dom_form[s0:e0] > 0
         sig = np.abs(g[s0:e0]) > 1e-12 * max(np.abs(g).max(), 1e-300)
         if np.any(sig & ~covered):
@@ -574,6 +568,8 @@ def fefferman_stein_experiment(
     m = bundle.m
     if len(ps) != m or len(ws) != m:
         raise ValueError("need one exponent and one weight per slot")
+    if any(pi <= 0 for pi in ps):
+        raise ValueError("need every p_s > 0")
     p = 1.0 / sum(1.0 / pi for pi in ps)
     if p > 1.0 + 1e-12:
         raise ValueError("need 0 < p <= 1")

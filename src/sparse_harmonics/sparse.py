@@ -18,11 +18,11 @@ from .grid import (
     DyadicCube,
     GridFunction,
     average,
-    children,
     cube_cells,
     dilate,
     write_csv,
 )
+from .maximal import family_for
 
 __all__ = [
     "SparseFamily",
@@ -219,36 +219,39 @@ def _signed_average(f: GridFunction, q, dom: Domain) -> float:
     return float(f.samples[lo:hi].sum() / (hi - lo))
 
 
-def stopping_cubes(roots, value, factor: float, domain: Domain) -> list:
-    """The roots, then recursively the stopping children of each stopping
-    cube Q: the maximal subcubes R of Q that meet the domain and have
-    value(R, Q) > factor value(Q, Q).  A Q with value(Q, Q) = 0 stops
-    nothing below it; the walk ends at the grid floor."""
-    out = list(roots)
-    seen = set(out)
-    queue = list(out)
-    while queue:
-        q = queue.pop()
-        base = value(q, q)
-        if base == 0.0:
-            continue
-        thresh = factor * base
-        stack = [q]
-        while stack:
-            cur = stack.pop()
-            if cur.level >= domain.resolution_log2:
-                continue
-            for r in children(cur):
-                lo, hi, _ = cube_cells(domain, r)
-                if hi <= lo:
-                    continue
-                if value(r, q) > thresh:
-                    if r not in seen:
-                        seen.add(r)
-                        out.append(r)
-                        queue.append(r)
-                else:
-                    stack.append(r)
+def stopping_cubes(roots, b: GridFunction, factor: float, recenter: bool) -> list:
+    """The roots and, below each root, its stopping tree.  Each cell carries
+    the centre c_Q (<b>_Q over Q's cells in the domain if recenter, else 0)
+    and the threshold factor <|b - c_Q|>_Q of its current stopping cube Q.
+    Sweeping the root's lattice down to the grid floor, a cube R inside the
+    root stops when <|b - c_Q|>_R exceeds the threshold on its cells, and
+    then writes its own centre and threshold over them.  Each root sweeps
+    on its own."""
+    dom = b.domain
+    fam = family_for(dom)
+    span = dom.resolution_log2 + 1  # entries run lattice by lattice, levels 0..L
+    out = []
+    for root in roots:
+        root.cell_bounds(dom)  # ResolutionError below the grid floor
+        lattice = fam.entries[root.lattice_id * span : (root.lattice_id + 1) * span]
+        top = lattice[root.level]
+        i = root.index[0] - top.t0
+        if not 0 <= i < top.n_cubes:
+            raise ValueError("cube does not meet the domain")
+        lo, hi = top.lo[i], top.hi[i]
+        centre = np.zeros(dom.n_cells)
+        thresh = np.full(dom.n_cells, -np.inf)  # the root stops at its own level
+        for e in lattice[root.level :]:
+            dev = fam.means(e, np.abs(b.samples - centre))
+            stop = (e.lo >= lo) & (e.hi <= hi) & (dev > thresh[e.lo])
+            out += [DyadicCube(e.lattice_id, e.level, (e.t0 + int(j),))
+                    for j in np.flatnonzero(stop)]
+            cells = stop[e.cell_to_cube]
+            owner = e.cell_to_cube[cells]
+            if recenter:
+                centre[cells] = fam.means(e, b.samples, clip=True)[owner]
+                dev = fam.means(e, np.abs(b.samples - centre))
+            thresh[cells] = factor * dev[owner]
     return out
 
 
@@ -266,9 +269,7 @@ def oscillation_sparse(
     """
     dom = fam.domain
     n = 1
-    cubes = stopping_cubes(
-        fam.cubes, lambda r, q: _osc_avg_about(b, r, q, dom), 2.0 ** (n + 1), dom
-    )
+    cubes = stopping_cubes(fam.cubes, b, 2.0 ** (n + 1), recenter=True)
     eta_out = fam.eta / (2.0 * (1.0 + fam.eta))
     out = SparseFamily.make(cubes, eta_out, dom)
     cert: dict = {"checked": False}
@@ -277,21 +278,15 @@ def oscillation_sparse(
     return out, cert
 
 
-def _osc_avg_about(b: GridFunction, r, q, dom) -> float:
-    """<|b - <b>_Q|>_R: oscillation of b over R, recentered at Q's mean."""
-    m = _signed_average(b, q, dom)
-    dev = GridFunction(dom, np.abs(b.samples - m))
-    return average(dev, r, 1.0)
-
-
 def _certify_oscillation(b: GridFunction, fam: SparseFamily) -> dict:
     dom = fam.domain
     n = 1
     cells = fam.cell_sets()
-    osc = [_osc_avg_about(b, q, q, dom) for q in fam.cubes]
+    devs = [np.abs(b.samples - _signed_average(b, q, dom)) for q in fam.cubes]
+    osc = [average(GridFunction(dom, d), q, 1.0) for q, d in zip(fam.cubes, devs)]
     worst = -np.inf
-    for i, (q, (lo, hi)) in enumerate(zip(fam.cubes, cells)):
-        lhs = np.abs(b.samples[lo:hi] - _signed_average(b, q, dom))
+    for dev, (lo, hi) in zip(devs, cells):
+        lhs = dev[lo:hi]
         rhs = np.zeros(hi - lo)
         for j, (lo2, hi2) in enumerate(cells):
             if lo <= lo2 and hi2 <= hi:

@@ -1,8 +1,10 @@
-"""Brute-force oracles for the fast weight kernels: one slice sum per cube,
-one maximal function per cube, no vectorisation.  Slow on purpose."""
+"""Brute-force oracles for the fast kernels: one slice sum per cube, one
+maximal function per cube, one cube at a time in the stopping-time walk,
+no vectorisation.  Slow on purpose."""
 
 import numpy as np
 
+from sparse_harmonics.grid import children, cube_cells
 from sparse_harmonics.maximal import family_for
 
 
@@ -81,3 +83,36 @@ def brute_weighted_bmo(b, w, p, dom):
             dev = np.abs(b[lo:hi] - b[lo:hi].mean()) ** p * w[lo:hi]
             best = max(best, dev.sum() / w[lo:hi].sum())
     return best ** (1.0 / p)
+
+
+def brute_stopping_cubes(roots, value, factor, domain):
+    """The roots, then recursively the stopping children of each stopping
+    cube Q: the maximal subcubes R of Q that meet the domain and have
+    value(R, Q) > factor value(Q, Q).  A Q with value(Q, Q) = 0 stops
+    nothing below it; the walk ends at the grid floor."""
+    out = list(roots)
+    seen = set(out)
+    queue = list(out)
+    while queue:
+        q = queue.pop()
+        base = value(q, q)
+        if base == 0.0:
+            continue
+        thresh = factor * base
+        stack = [q]
+        while stack:
+            cur = stack.pop()
+            if cur.level >= domain.resolution_log2:
+                continue
+            for r in children(cur):
+                lo, hi, _ = cube_cells(domain, r)
+                if hi <= lo:
+                    continue
+                if value(r, q) > thresh:
+                    if r not in seen:
+                        seen.add(r)
+                        out.append(r)
+                        queue.append(r)
+                else:
+                    stack.append(r)
+    return out

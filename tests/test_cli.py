@@ -2,11 +2,17 @@ import csv
 import json
 import math
 import shutil
+import string
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparse_harmonics.cli import (
+    SCHEMA,
     ConfigError,
     diff_fixture_file,
     fixtures_dir,
@@ -75,6 +81,56 @@ def test_parse_rejects_unknown_kind(tmp_path):
 def test_parse_missing_file(tmp_path):
     with pytest.raises(ConfigError):
         parse_config(str(tmp_path / "absent.ini"))
+
+
+@pytest.mark.parametrize("text", [
+    "kind = decay\n",
+    "[experiment]\nkind = decay\nkind = cf\n",
+    "[experiment]\nkind = decay\n\n[experiment]\nl = 8\n",
+    "[experiment]\nkind = decay\n\n[functions]\nbank = 50%\n",
+], ids=["no-section-header", "duplicate-option", "duplicate-section", "bad-interpolation"])
+def test_malformed_ini_exits_2(tmp_path, capsys, text):
+    cfg = write_config(tmp_path, text)
+    assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert "Traceback" not in err
+
+
+def test_config_not_utf8_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "exp.ini"
+    cfg.write_bytes(b"\xff\xfe[experiment]\nkind = cf\n")
+    assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+_KEYS = sorted({key for keys in SCHEMA.values() for key in keys})
+_INI_LINE = st.one_of(
+    st.sampled_from(sorted(SCHEMA)).map(lambda section: f"[{section}]"),
+    st.tuples(st.sampled_from(_KEYS), st.text(string.printable, max_size=12)).map(
+        lambda kv: f"{kv[0]} = {kv[1]}"),
+    st.text(string.printable, max_size=30),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_INI_LINE, max_size=12).map("\n".join))
+def test_parse_config_raises_only_config_error(text):
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "fuzz.ini"
+        path.write_text(text)
+        try:
+            parse_config(str(path))
+        except ConfigError:
+            pass
+
+
+@pytest.mark.parametrize("kind", ["decay", "sharpness", "constants"])
+def test_slack_on_a_kind_without_slack_exits_2(tmp_path, capsys, kind):
+    cfg = write_config(tmp_path, f"[experiment]\nkind = {kind}\nl = 8\nslack = 10\n")
+    assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert f"config error: [experiment] slack does not apply to kind '{kind}'" in (
+        capsys.readouterr().err)
 
 
 # -- run ---------------------------------------------------------------------
@@ -238,6 +294,42 @@ t_points = {t_points}
 """)
     assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
     assert "config error: [params] t_points must be at least 1" in capsys.readouterr().err
+
+
+def test_run_fs_nonpositive_exponent_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, """
+[experiment]
+kind = fs
+l = 8
+
+[operator]
+kind = hilbert
+
+[functions]
+bank = random
+
+[params]
+ps = 0
+""")
+    assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "config error: need every p_s > 0" in capsys.readouterr().err
+
+
+def test_run_calderon_below_order_one_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, """
+[experiment]
+kind = cf
+l = 8
+
+[operator]
+kind = calderon
+m = -1
+
+[functions]
+bank = random
+""")
+    assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "config error: calderon operator needs m >= 1" in capsys.readouterr().err
 
 
 def test_run_stein_decay(tmp_path):

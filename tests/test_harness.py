@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from sparse_harmonics.cli import fixtures_dir
-from sparse_harmonics.grid import Domain, DyadicCube, GridFunction, Interval
+from sparse_harmonics.grid import (
+    Domain,
+    DyadicCube,
+    GridFunction,
+    Interval,
+    ResolutionError,
+    average,
+)
 from sparse_harmonics.harness import (
     OperatorBundle,
     _root_cube,
@@ -28,6 +35,8 @@ from sparse_harmonics.operators import KernelOperator, bmo_norm
 from sparse_harmonics.orlicz import Measure, llog, power
 from sparse_harmonics.sparse import verify_sparse
 from sparse_harmonics.weights import Weight, ainfty_constants
+
+from oracles import brute_stopping_cubes
 
 DOM = Domain(0.0, 1.0, 8)
 ONE = Weight(GridFunction.constant(DOM, 1.0), "one")
@@ -156,6 +165,51 @@ def test_principal_cubes_sparse():
         assert ok
         assert eta >= 0.5 - 1e-12
         assert fam.cubes[0].level == 0
+
+
+# roots in all four lattices; the second sticks out of the domain
+PRINCIPAL_ROOTS = (
+    DyadicCube(0, 0, (0,)),
+    DyadicCube(2, 1, (-1,)),
+    DyadicCube(1, 2, (0,)),
+    DyadicCube(3, 1, (0,)),
+)
+
+
+@pytest.mark.parametrize("mode", ["zero-extend", "clip"])
+@pytest.mark.parametrize("L", [6, 10])
+def test_principal_cubes_match_brute_walk(L, mode):
+    dom = Domain(0.0, 1.0, L, mode)
+    x = dom.cell_centers()
+    rng = np.random.default_rng(L)
+    raw = [
+        rng.uniform(-1.0, 1.0, dom.n_cells),
+        np.exp(-120.0 * (x - 0.5) ** 2),
+        np.repeat(rng.uniform(0.1, 1.0, 32), dom.n_cells // 32),
+        np.ones(dom.n_cells),
+        np.sin(6.0 * math.pi * x),
+        np.abs(x - 0.37) ** -0.4,
+    ]
+    fs = [GridFunction(dom, s) for s in raw]
+    commutator = hilbert_bundle([GridFunction(dom, np.log(x))])
+    for g in fs + [commutator.apply([f]) for f in fs]:
+        absg = abs(g)
+        for factor in (2.0, 4.0):
+            for root in PRINCIPAL_ROOTS:
+                want = brute_stopping_cubes(
+                    [root], lambda r, q: average(absg, r, 1.0), factor, dom
+                )
+                assert set(principal_cubes(g, root, factor).cubes) == set(want)
+
+
+def test_principal_cubes_refuse_root_outside_domain():
+    with pytest.raises(ValueError, match="does not meet the domain"):
+        principal_cubes(rand_f(0), DyadicCube(2, 1, (-5,)))
+
+
+def test_principal_cubes_refuse_root_finer_than_grid():
+    with pytest.raises(ResolutionError):
+        principal_cubes(rand_f(0), DyadicCube(0, DOM.resolution_log2 + 1, (0,)))
 
 
 # -- decay experiments -------------------------------------------------------

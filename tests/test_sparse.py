@@ -3,7 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from sparse_harmonics.grid import Domain, DyadicCube, GridFunction, Interval, average, children
+from sparse_harmonics.grid import (
+    Domain,
+    DyadicCube,
+    GridFunction,
+    Interval,
+    average,
+    children,
+    cube_cells,
+)
 from sparse_harmonics.sparse import (
     SparseFamily,
     commutator_sparse_form,
@@ -13,6 +21,8 @@ from sparse_harmonics.sparse import (
     sparse_operator,
     verify_sparse,
 )
+
+from oracles import brute_stopping_cubes
 
 DOM = Domain(0.0, 1.0, 6)
 ROOT = DyadicCube(0, 0, (0,))
@@ -202,6 +212,36 @@ def test_oscillation_log_symbol():
         assert cert["ok"], cert
         ok, eta, _ = verify_sparse(out)
         assert eta >= fam.eta / (2.0 * (1.0 + fam.eta)) - 1e-12
+
+
+@pytest.mark.parametrize("mode", ["zero-extend", "clip"])
+@pytest.mark.parametrize("L", [6, 10])
+def test_oscillation_family_matches_brute_walk(L, mode):
+    dom = Domain(0.0, 1.0, L, mode)
+    x = dom.cell_centers()
+    rng = np.random.default_rng(L)
+    symbols = [
+        np.log(np.abs(x - 0.5) + dom.h / 4),
+        np.abs(x - 0.37) ** -0.6,
+        1.0 + 2.0 * (x < 0.3),
+        np.repeat(rng.uniform(-1.0, 1.0, 32), dom.n_cells // 32),
+    ]
+    # a shifted-lattice family whose top cube sticks out of the domain
+    top = DyadicCube(2, 1, (-1,))
+    families = [random_family(seed, dom=dom) for seed in range(4)]
+    families.append(SparseFamily.make([top] + children(top, dom), 0.5, dom))
+    for samples in symbols:
+
+        def value(r, q):
+            # <|b - <b>_Q|>_R, with <b>_Q over Q's cells in the domain
+            lo, hi, _ = cube_cells(dom, q)
+            dev = np.abs(samples - samples[lo:hi].sum() / (hi - lo))
+            return average(GridFunction(dom, dev), r, 1.0)
+
+        for fam in families:
+            out, _ = oscillation_sparse(GridFunction(dom, samples), fam, certify=False)
+            want = brute_stopping_cubes(fam.cubes, value, 4.0, dom)
+            assert set(out.cubes) == set(want)
 
 
 def test_counting_decay_chain():
