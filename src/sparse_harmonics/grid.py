@@ -2,9 +2,12 @@
 
 The computational domain is a bounded interval split into N = 2**L equal
 cells; functions are piecewise constant on cells (samples are cell
-averages), so every cube average is an exact finite sum.  Cubes come from
-the base dyadic lattice plus three shifted lattices whose cubes have side
-3 * 2**-k; together they serve as the finite proxy for "all cubes".
+averages), so every cube average is an exact finite sum.  A function on
+the domain stands for its zero extension: a cube that sticks out of the
+domain averages over its full length.  Cubes come from the base dyadic
+lattice plus three shifted lattices whose cubes have side 3 * 2**-k;
+together they serve as the finite proxy for "all cubes" (the 1-D case of
+the 3**n-lattice theorem).
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -21,13 +24,10 @@ __all__ = [
     "GridFunction",
     "Interval",
     "DyadicCube",
-    "DyadicLattice",
     "CubeFamily",
     "children",
     "cube_cells",
     "dilate",
-    "shifted_lattices",
-    "triple_of_base_cube",
     "ResolutionError",
     "write_csv",
 ]
@@ -58,15 +58,12 @@ class Domain:
     left: float = 0.0
     length: float = 1.0
     resolution_log2: int = 10
-    boundary_mode: str = "zero-extend"  # or "clip"
 
     def __post_init__(self):
         if self.length <= 0:
             raise ValueError("domain length must be positive")
         if self.resolution_log2 < 1:
             raise ValueError("need at least 2 cells (L >= 1)")
-        if self.boundary_mode not in ("zero-extend", "clip"):
-            raise ValueError(f"unknown boundary mode {self.boundary_mode!r}")
 
     @property
     def n_cells(self) -> int:
@@ -91,11 +88,6 @@ class Domain:
         lo = int(math.ceil((iv.left - self.left) / self.h - 0.5 - 1e-9))
         hi = int(math.ceil((iv.right - self.left) / self.h - 0.5 - 1e-9))
         return max(lo, 0), min(hi, self.n_cells)
-
-    def mean_cells(self, lo, hi, full):
-        """Cells a mean over Q divides by: the full width of Q under
-        zero-extension, only Q's cells inside the domain under "clip"."""
-        return full if self.boundary_mode == "zero-extend" else hi - lo
 
 
 class GridFunction:
@@ -193,132 +185,59 @@ def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
 
 @dataclass(frozen=True)
 class DyadicCube:
-    """Cube of a (possibly shifted) dyadic lattice.
+    """Cube of a (possibly shifted) dyadic lattice, in units of the base
+    length.
 
-    lattice_id 0 is the base lattice: side 2**-level (units of the base
-    length), index is the position.  lattice_id 1..3**n are the shifted
-    lattices; their cubes have side 3 * 2**-level.  For n = 1 the index is a
-    1-tuple; cube combinatorics are n-generic, sampled functions are n = 1.
+    lattice_id 0 is the base lattice: side 2**-level, left end
+    index * 2**-level.  lattice_id 1..3 are the shifted lattices: side
+    3 * 2**-level, left end (3 * index + r) * 2**-level with r the residue
+    of (lattice_id - 1) * 2**level mod 3.
     """
 
     lattice_id: int
     level: int
-    index: tuple[int, ...]
-    n: int = 1
+    index: int
 
     def __post_init__(self):
-        if not (0 <= self.lattice_id <= 3 ** self.n):
+        if not (0 <= self.lattice_id <= 3):
             raise ValueError("lattice_id out of range")
         if self.level < 0:
             raise ValueError("negative level")
 
-    @property
-    def side(self) -> float:
-        base = 1.0 if self.lattice_id == 0 else 3.0
-        return base * 2.0 ** (-self.level)
-
-    def lattice_shifts(self) -> tuple[int, ...]:
-        """Per-axis shift class j in {0,1,2} identifying a shifted lattice."""
+    def _units(self) -> tuple[int, int]:
+        """(left end, side) in units of 2**-level."""
         if self.lattice_id == 0:
-            raise ValueError("base lattice has no shift classes")
-        out = []
-        lid = self.lattice_id - 1
-        for _ in range(self.n):
-            out.append(lid % 3)
-            lid //= 3
-        return tuple(out)
-
-    def residues(self) -> tuple[int, ...]:
-        """Per-axis residue of the left corner at this level, in {0,1,2}."""
-        return tuple((j << self.level) % 3 for j in self.lattice_shifts())
-
-    def corner(self) -> tuple[float, ...]:
-        """Left corner in units of the base length."""
-        s = 2.0 ** (-self.level)
-        if self.lattice_id == 0:
-            return tuple(m * s for m in self.index)
-        res = self.residues()
-        return tuple((3 * t + r) * s for t, r in zip(self.index, res))
-
-    def contains(self, other: "DyadicCube") -> bool:
-        """Geometric containment (per-axis interval inclusion)."""
-        a, b = self.corner(), other.corner()
-        tol = 1e-12
-        return all(
-            a[i] - tol <= b[i] and b[i] + other.side <= a[i] + self.side + tol
-            for i in range(self.n)
-        )
+            return self.index, 1
+        return 3 * self.index + ((self.lattice_id - 1) << self.level) % 3, 3
 
     def interval(self, domain: Domain) -> Interval:
-        if self.n != 1:
-            raise ValueError("interval geometry is 1-D only")
-        (c,) = self.corner()
-        left = domain.left + c * domain.length
-        return Interval(left, left + self.side * domain.length)
+        start, k = self._units()
+        s = 2.0 ** (-self.level)
+        left = domain.left + start * s * domain.length
+        return Interval(left, left + k * s * domain.length)
 
     def cell_bounds(self, domain: Domain) -> tuple[int, int, int]:
         """(start, end, full) in cell units; start/end unclipped, full = width."""
-        if self.n != 1:
-            raise ValueError("cells are 1-D only")
         L = domain.resolution_log2
         if self.level > L:
             raise ResolutionError("cube finer than the grid")
         c = 1 << (L - self.level)
-        if self.lattice_id == 0:
-            start = self.index[0] * c
-            return start, start + c, c
-        r = self.residues()[0]
-        start = (3 * self.index[0] + r) * c
-        return start, start + 3 * c, 3 * c
-
-
-@dataclass(frozen=True)
-class DyadicLattice:
-    """Identifier of a lattice: 0 is the base, 1..3**n are the shifted ones."""
-
-    id: int
-    n: int = 1
-
-    @property
-    def shifts(self) -> tuple[int, ...]:
-        if self.id == 0:
-            return (0,) * self.n
-        out, lid = [], self.id - 1
-        for _ in range(self.n):
-            out.append(lid % 3)
-            lid //= 3
-        return tuple(out)
+        start, k = self._units()
+        return start * c, (start + k) * c, k * c
 
 
 def children(q: DyadicCube, domain: Domain | None = None) -> list[DyadicCube]:
-    """The 2**n cubes of the next level partitioning q."""
+    """The two cubes of the next level partitioning q."""
     if domain is not None and q.level + 1 > domain.resolution_log2:
         raise ResolutionError(
             f"children at level {q.level + 1} exceed grid resolution "
             f"{domain.resolution_log2}"
         )
-    if q.lattice_id == 0:
-        per_axis = [(2 * m, 2 * m + 1) for m in q.index]
-    else:
-        per_axis = []
-        res = q.residues()
-        for t, r in zip(q.index, res):
-            rp = (2 * r) % 3
-            base = 2 * t + (2 * r - rp) // 3
-            per_axis.append((base, base + 1))
-    out = []
-    for combo in _product(per_axis):
-        out.append(DyadicCube(q.lattice_id, q.level + 1, combo, q.n))
-    return out
-
-
-def _product(axes: Sequence[tuple[int, int]]) -> Iterator[tuple[int, ...]]:
-    if not axes:
-        yield ()
-        return
-    for head in axes[0]:
-        for rest in _product(axes[1:]):
-            yield (head,) + rest
+    start, k = q._units()
+    # the first child starts at 2 * start in units of 2**-(level + 1); a
+    # shifted cube's index is its start divided by 3, rounded down
+    first = 2 * start // k
+    return [DyadicCube(q.lattice_id, q.level + 1, i) for i in (first, first + 1)]
 
 
 def dilate(q: DyadicCube, r: float, domain: Domain) -> Interval:
@@ -328,27 +247,6 @@ def dilate(q: DyadicCube, r: float, domain: Domain) -> Interval:
     iv = q.interval(domain)
     half = 0.5 * r * iv.length
     return Interval(iv.center - half, iv.center + half)
-
-
-def shifted_lattices(n: int = 1) -> list[DyadicLattice]:
-    """The 3**n shifted lattices (ids 1..3**n)."""
-    if n < 1:
-        raise ValueError("dimension must be >= 1")
-    return [DyadicLattice(i, n) for i in range(1, 3 ** n + 1)]
-
-
-def triple_of_base_cube(level: int, index: tuple[int, ...], n: int = 1) -> DyadicCube:
-    """The cube 3Q of a base-lattice Q, located in its unique shifted lattice."""
-    shifts, pos = [], []
-    inv = (1 << level) % 3  # (2**level) is self-inverse mod 3
-    for m in index:
-        r = (m - 1) % 3
-        shifts.append((r * inv) % 3)
-        pos.append((m - 1 - r) // 3)
-    lid = 0
-    for j in reversed(shifts):
-        lid = 3 * lid + j
-    return DyadicCube(lid + 1, level, tuple(pos), n)
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +274,7 @@ class LevelEntry:
 
     def cubes(self) -> list[DyadicCube]:
         return [
-            DyadicCube(self.lattice_id, self.level, (self.t0 + i,))
+            DyadicCube(self.lattice_id, self.level, self.t0 + i)
             for i in range(self.n_cubes)
         ]
 
@@ -398,7 +296,7 @@ class CubeFamily:
                            starts + c, cells // c)
             )
         for lid in (1, 2, 3):
-            j = lid - 1  # per-axis shift class of the lattice
+            j = lid - 1  # shift class of the lattice
             for level in range(L + 1):
                 c = 1 << (L - level)
                 r = (j << level) % 3
@@ -439,11 +337,8 @@ class CubeFamily:
 
     def means(self, entry: LevelEntry, values: np.ndarray, clip: bool = False) -> np.ndarray:
         """Per-cube means of cell values: over Q's cells inside the domain
-        when clip, else over the boundary mode's measure of Q."""
-        if clip:
-            sizes = entry.clipped_sizes()
-        else:
-            sizes = self.domain.mean_cells(entry.lo, entry.hi, entry.width)
+        when clip, else over the full width of Q."""
+        sizes = entry.clipped_sizes() if clip else entry.width
         return self.segment_sums(entry, values) / sizes
 
     def scatter_max(
@@ -469,14 +364,13 @@ def cube_cells(domain: Domain, q) -> tuple[int, int, int]:
 def average(f: GridFunction, q, r: float = 1.0) -> float:
     """<|f|^r>_Q ** (1/r), exact cell-weighted mean over Q.
 
-    Q may be a DyadicCube or an Interval.  Under zero-extension the mean is
-    taken over the full |Q| even when Q sticks out of the domain.
+    Q may be a DyadicCube or an Interval.  The mean is taken over the full
+    |Q| even when Q sticks out of the domain.
     """
     if r <= 0:
         raise ValueError("power must be positive")
-    dom = f.domain
-    lo, hi, full = cube_cells(dom, q)
+    lo, hi, full = cube_cells(f.domain, q)
     if hi <= lo:
         raise ValueError("cube does not meet the domain")
-    m = np.sum(np.abs(f.samples[lo:hi]) ** r) / dom.mean_cells(lo, hi, full)
+    m = np.sum(np.abs(f.samples[lo:hi]) ** r) / full
     return float(m ** (1.0 / r))

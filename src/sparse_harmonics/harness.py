@@ -108,7 +108,6 @@ class OperatorBundle:
     m: int
     bs: tuple = ()
     slots: tuple = ()
-    orders: Optional[tuple] = None
 
     def __post_init__(self):
         if len(self.bs) != len(self.slots):
@@ -134,7 +133,7 @@ class OperatorBundle:
             raise ValueError(f"expected {self.m} inputs")
         if not self.bs:
             return self.operator.apply(fs)
-        return iterated_commutator(self.operator, self.bs, self.slots, fs, self.orders)
+        return iterated_commutator(self.operator, self.bs, self.slots, fs)
 
 
 def hilbert_bundle(bs: Sequence[GridFunction] = (), pv_cutoff: int = 1) -> OperatorBundle:
@@ -292,7 +291,7 @@ def principal_cubes(g: GridFunction, q0: DyadicCube, factor: float = 2.0) -> Spa
 # -- experiments -------------------------------------------------------------
 
 def _root_cube() -> DyadicCube:
-    return DyadicCube(0, 0, (0,))
+    return DyadicCube(0, 0, 0)
 
 
 def default_t_grid(
@@ -633,6 +632,8 @@ def modular_experiment(
     with branch gating on the lower dilation index of phi."""
     if not phi.submultiplicative:
         raise ValueError("growth function must be sub-multiplicative")
+    if r <= 0:
+        raise ValueError("need r > 0")
     i_phi, _ = dilation_indices(phi, numeric=phi.i_lower is None)
     if r < i_phi and 1.0 < q < i_phi / r:
         branch = 1

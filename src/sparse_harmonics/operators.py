@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.integrate import quad
@@ -41,20 +41,17 @@ class CostError(RuntimeError):
 
 @dataclass(frozen=True)
 class KernelOperator:
-    kind: str = "hilbert"  # hilbert | calderon | stein | direct_kernel
+    kind: str = "hilbert"  # hilbert | calderon | stein
     alpha: float = 1.0  # order of the Stein square function
-    kernel: Optional[Callable] = None
     pv_cutoff: int = 1
 
     def __post_init__(self):
-        if self.kind not in ("hilbert", "calderon", "stein", "direct_kernel"):
+        if self.kind not in ("hilbert", "calderon", "stein"):
             raise ValueError(f"unknown operator kind {self.kind!r}")
         if self.pv_cutoff < 1:
             raise ValueError("pv_cutoff must be >= 1")
         if self.kind == "stein" and self.alpha <= 0.5:
             raise ValueError("stein operator needs alpha > 1/2")
-        if self.kind == "direct_kernel" and self.kernel is None:
-            raise ValueError("direct_kernel needs a kernel callable")
 
     def apply(self, fs: Sequence[GridFunction]) -> GridFunction:
         if self.kind == "hilbert":
@@ -63,9 +60,7 @@ class KernelOperator:
         if self.kind == "stein":
             (f,) = fs
             return stein_square_function(f, self.alpha)
-        if self.kind == "calderon":
-            return calderon_apply(fs, self.pv_cutoff)
-        return _direct_kernel_apply(self.kernel, fs, self.pv_cutoff)
+        return calderon_apply(fs, self.pv_cutoff)
 
 
 def hilbert_transform(f: GridFunction, pv_cutoff: int = 1) -> GridFunction:
@@ -144,47 +139,6 @@ def calderon_apply(fs: Sequence[GridFunction], pv_cutoff: int = 1) -> GridFuncti
     return GridFunction(dom, out)
 
 
-def _direct_kernel_apply(
-    kernel: Callable, fs: Sequence[GridFunction], pv_cutoff: int
-) -> GridFunction:
-    """Literal nested quadrature; only viable for tiny grids and m <= 2."""
-    dom = fs[0].domain
-    N = dom.n_cells
-    if len(fs) > 3 or (len(fs) > 2 and dom.resolution_log2 > 10):
-        raise CostError("direct quadrature refused at this size")
-    xs = dom.cell_centers()
-    h = dom.h
-    out = np.zeros(N)
-    samples = [f.samples for f in fs]
-    for i, x in enumerate(xs):
-        acc = 0.0
-        for jlast in range(N):
-            if abs(i - jlast) < pv_cutoff:
-                continue
-            w_last = samples[-1][jlast]
-            if w_last == 0.0:
-                continue
-            if len(fs) == 1:
-                acc += kernel(x, [xs[jlast]]) * w_last * h
-                continue
-            for j1 in range(N):
-                v = samples[0][j1]
-                if v == 0.0:
-                    continue
-                if len(fs) == 2:
-                    acc += kernel(x, [xs[j1], xs[jlast]]) * v * w_last * h ** 2
-                else:
-                    for j2 in range(N):
-                        v2 = samples[1][j2]
-                        if v2 != 0.0:
-                            acc += (
-                                kernel(x, [xs[j1], xs[j2], xs[jlast]])
-                                * v * v2 * w_last * h ** 3
-                            )
-        out[i] = acc
-    return GridFunction(dom, out)
-
-
 def stein_square_function(
     f: GridFunction, alpha: float, n_scales: int = 128
 ) -> GridFunction:
@@ -243,25 +197,21 @@ def iterated_commutator(
     bs: Sequence[GridFunction],
     slots: Sequence[int],
     fs: Sequence[GridFunction],
-    orders: Optional[Sequence[int]] = None,
 ) -> GridFunction:
-    """Commutator with factors (b_s(x) - b_s(y_{slot_s}))^{k_s} inside T.
+    """Commutator with factors (b_s(x) - b_s(y_{slot_s})) inside T.
 
-    Expanding each factor binomially turns the kernel integral into an
-    exact combination of plain T applications with b-powers multiplied
-    into the corresponding slots; on cell quadrature the identity is exact,
-    so this is the kernel form evaluated slot by slot.
+    Expanding the product of factors turns the kernel integral into an
+    exact combination of plain T applications with b multiplied into the
+    corresponding slots; on cell quadrature the identity is exact, so this
+    is the kernel form evaluated slot by slot.  A factor of order k is the
+    same symbol passed k times in one slot.
     """
     if len(bs) != len(slots):
         raise ValueError("need one slot per symbol")
     if any(not (0 <= s < len(fs)) for s in slots):
         raise ValueError("slot out of range")
-    orders = list(orders) if orders is not None else [1] * len(bs)
-    if len(orders) != len(bs) or any(k < 1 for k in orders):
-        raise ValueError("orders must be positive, one per symbol")
     dom = fs[0].domain
     out = np.zeros(dom.n_cells, dtype=complex)
-    ranges = [range(k + 1) for k in orders]
 
     def rec(depth, coeff, prefactor, mults):
         nonlocal out
@@ -271,14 +221,12 @@ def iterated_commutator(
                 args.append(GridFunction(dom, f.samples * mults[i]))
             out = out + coeff * prefactor * T.apply(args).samples
             return
+        # b(x) - b(y): b into the prefactor, then -b into the slot
         b = bs[depth].samples
-        k = orders[depth]
-        for j in ranges[depth]:
-            c = coeff * math.comb(k, j) * (-1.0) ** j
-            pf = prefactor * b ** (k - j)
-            m2 = list(mults)
-            m2[slots[depth]] = m2[slots[depth]] * b ** j
-            rec(depth + 1, c, pf, m2)
+        rec(depth + 1, coeff, prefactor * b, mults)
+        m2 = list(mults)
+        m2[slots[depth]] = m2[slots[depth]] * b
+        rec(depth + 1, -coeff, prefactor, m2)
 
     rec(0, 1.0, np.ones(dom.n_cells), [np.ones(dom.n_cells)] * len(fs))
     if not any(np.iscomplexobj(f.samples) for f in fs):

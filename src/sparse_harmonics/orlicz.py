@@ -14,10 +14,9 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .grid import GridFunction, average, cube_cells
+from .grid import GridFunction, cube_cells
 
 __all__ = [
-    "average",
     "YoungFunction",
     "Measure",
     "power",
@@ -246,14 +245,13 @@ def luxemburg_norm(
     max|f|/phi^-1(1), then solved by `monotone_root`; both brackets are
     exact for constants.
     """
-    dom = f.domain
-    lo_c, hi_c, full = cube_cells(dom, q)
+    lo_c, hi_c, full = cube_cells(f.domain, q)
     if hi_c <= lo_c:
         raise ValueError("cube does not meet the domain")
     v = np.abs(f.samples[lo_c:hi_c]).astype(float)
     if mu.is_lebesgue:
         wts = np.ones_like(v)
-        denom = float(dom.mean_cells(lo_c, hi_c, full))
+        denom = float(full)
     else:
         wts = mu.weight.samples[lo_c:hi_c].astype(float)
         denom = wts.sum()

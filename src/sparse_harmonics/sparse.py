@@ -62,7 +62,7 @@ class SparseFamily:
 
     def to_csv(self, path) -> None:
         write_csv(path, ["lattice_id", "level", "index"],
-                  ([q.lattice_id, q.level, q.index[0]] for q in self.cubes))
+                  ([q.lattice_id, q.level, q.index] for q in self.cubes))
 
     @classmethod
     def from_csv(cls, path, eta: float, domain: Domain) -> "SparseFamily":
@@ -73,7 +73,7 @@ class SparseFamily:
             if header != ["lattice_id", "level", "index"]:
                 raise ValueError("expected 'lattice_id,level,index' header")
             for row in r:
-                cubes.append(DyadicCube(int(row[0]), int(row[1]), (int(row[2]),)))
+                cubes.append(DyadicCube(int(row[0]), int(row[1]), int(row[2])))
         return cls.make(cubes, eta, domain)
 
 
@@ -235,7 +235,7 @@ def stopping_cubes(roots, b: GridFunction, factor: float, recenter: bool) -> lis
         root.cell_bounds(dom)  # ResolutionError below the grid floor
         lattice = fam.entries[root.lattice_id * span : (root.lattice_id + 1) * span]
         top = lattice[root.level]
-        i = root.index[0] - top.t0
+        i = root.index - top.t0
         if not 0 <= i < top.n_cubes:
             raise ValueError("cube does not meet the domain")
         lo, hi = top.lo[i], top.hi[i]
@@ -244,7 +244,7 @@ def stopping_cubes(roots, b: GridFunction, factor: float, recenter: bool) -> lis
         for e in lattice[root.level :]:
             dev = fam.means(e, np.abs(b.samples - centre))
             stop = (e.lo >= lo) & (e.hi <= hi) & (dev > thresh[e.lo])
-            out += [DyadicCube(e.lattice_id, e.level, (e.t0 + int(j),))
+            out += [DyadicCube(e.lattice_id, e.level, e.t0 + int(j))
                     for j in np.flatnonzero(stop)]
             cells = stop[e.cell_to_cube]
             owner = e.cell_to_cube[cells]

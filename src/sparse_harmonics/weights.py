@@ -245,7 +245,7 @@ def ainfty_constants(w: Weight) -> tuple[float, float]:
             wd = np.array([[f.width] for f in inner])
             lo, hi = np.maximum(s, 0), np.minimum(s + wd, N)
             vals = flat[at + np.minimum(hi, qhi)] - flat[at + np.maximum(lo, qlo)]
-            vals /= dom.mean_cells(lo, hi, wd)
+            vals /= wd
             np.maximum(m, vals.max(axis=0), out=m)
         per_cube = np.zeros((e.n_cubes, span))
         per_cube.flat[q * span + cells - qlo] = m

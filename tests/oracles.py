@@ -1,11 +1,15 @@
 """Brute-force oracles for the fast kernels: one slice sum per cube, one
 maximal function per cube, one cube at a time in the stopping-time walk,
-no vectorisation.  Slow on purpose."""
+a literal nested sum for kernel quadrature, no vectorisation.  Slow on
+purpose."""
+
+from typing import Callable, Sequence
 
 import numpy as np
 
-from sparse_harmonics.grid import children, cube_cells
+from sparse_harmonics.grid import GridFunction, children, cube_cells
 from sparse_harmonics.maximal import family_for
+from sparse_harmonics.operators import CostError
 
 
 def brute_ap(w, p):
@@ -24,10 +28,7 @@ def brute_ap(w, p):
 
 
 def brute_maximal(samples, dom):
-    """M f over the cube family, every mean a slice sum over the full width.
-
-    Every clipped cube of the family is also a base-lattice cube, so this is
-    M f under both boundary modes."""
+    """M f over the cube family, every mean a slice sum over the full width."""
     fam = family_for(dom)
     out = np.zeros(dom.n_cells)
     for e in fam.entries:
@@ -116,3 +117,44 @@ def brute_stopping_cubes(roots, value, factor, domain):
                 else:
                     stack.append(r)
     return out
+
+
+def direct_kernel_apply(
+    kernel: Callable, fs: Sequence[GridFunction], pv_cutoff: int
+) -> GridFunction:
+    """Literal nested quadrature; only viable for tiny grids and m <= 2."""
+    dom = fs[0].domain
+    N = dom.n_cells
+    if len(fs) > 3 or (len(fs) > 2 and dom.resolution_log2 > 10):
+        raise CostError("direct quadrature refused at this size")
+    xs = dom.cell_centers()
+    h = dom.h
+    out = np.zeros(N)
+    samples = [f.samples for f in fs]
+    for i, x in enumerate(xs):
+        acc = 0.0
+        for jlast in range(N):
+            if abs(i - jlast) < pv_cutoff:
+                continue
+            w_last = samples[-1][jlast]
+            if w_last == 0.0:
+                continue
+            if len(fs) == 1:
+                acc += kernel(x, [xs[jlast]]) * w_last * h
+                continue
+            for j1 in range(N):
+                v = samples[0][j1]
+                if v == 0.0:
+                    continue
+                if len(fs) == 2:
+                    acc += kernel(x, [xs[j1], xs[jlast]]) * v * w_last * h ** 2
+                else:
+                    for j2 in range(N):
+                        v2 = samples[1][j2]
+                        if v2 != 0.0:
+                            acc += (
+                                kernel(x, [xs[j1], xs[j2], xs[jlast]])
+                                * v * v2 * w_last * h ** 3
+                            )
+        out[i] = acc
+    return GridFunction(dom, out)

@@ -54,7 +54,7 @@ from sparse_harmonics.weights import (
 from oracles import brute_ainfty, brute_ap
 
 DOM8 = Domain(0.0, 1.0, 8)
-ROOT8 = DyadicCube(0, 0, (0,))
+ROOT8 = DyadicCube(0, 0, 0)
 
 
 def make_weight(dom, spec):
@@ -83,7 +83,7 @@ def random_half_sparse(seed, dom, max_cubes=14):
     # stopping-time selection: each cube passes at most half its measure on,
     # so the canonical disjoint sets witness eta = 1/2
     rng = np.random.default_rng(seed)
-    root = DyadicCube(0, 0, (0,))
+    root = DyadicCube(0, 0, 0)
     cubes = [root]
     frontier = [root]
     while frontier and len(cubes) < max_cubes:
@@ -120,7 +120,7 @@ def deep_half_sparse(seed, dom, steps=5):
     # every branch gets the same count budget, so each unit of the counting
     # function costs a fixed measure factor and the decay is clean
     rng = np.random.default_rng(seed)
-    root = DyadicCube(0, 0, (0,))
+    root = DyadicCube(0, 0, 0)
     cubes = [root]
     stack = [(root, 0)]
     while stack:
@@ -144,7 +144,7 @@ def deep_half_sparse(seed, dom, steps=5):
 def test_criterion_2_counting_decay():
     t0 = time.time()
     dom = Domain(0.0, 1.0, 12)
-    root = DyadicCube(0, 0, (0,))
+    root = DyadicCube(0, 0, 0)
     for seed in range(20):
         fam = deep_half_sparse(seed, dom)
         ok, _, _ = verify_sparse(fam)
@@ -154,7 +154,7 @@ def test_criterion_2_counting_decay():
         assert res["fit"]["alpha"] > 0
         assert res["fit"]["r2"] >= 0.95
     # nested dyadic chain: measure halves per level, alpha = ln 2 exactly
-    chain = [DyadicCube(0, k, (0,)) for k in range(10)]
+    chain = [DyadicCube(0, k, 0) for k in range(10)]
     fam = SparseFamily.make(chain, 0.5, dom)
     res = counting_decay(fam, root)
     assert res["fit"]["alpha"] == pytest.approx(math.log(2.0), rel=0.01)

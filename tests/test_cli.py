@@ -332,6 +332,25 @@ bank = random
     assert "config error: calderon operator needs m >= 1" in capsys.readouterr().err
 
 
+def test_run_modular_nonpositive_r_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, """
+[experiment]
+kind = modular
+l = 6
+
+[operator]
+kind = hilbert
+
+[functions]
+bank = random
+
+[params]
+r = 0
+""")
+    assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "config error: need r > 0" in capsys.readouterr().err
+
+
 def test_run_stein_decay(tmp_path):
     cfg = write_config(tmp_path, """
 [experiment]

@@ -16,8 +16,6 @@ from sparse_harmonics.grid import (
     children,
     cube_cells,
     dilate,
-    shifted_lattices,
-    triple_of_base_cube,
 )
 
 
@@ -63,23 +61,15 @@ def test_gridfunction_csv_roundtrip(tmp_path):
 
 def test_children_bisects_unit_interval():
     dom = Domain(0.0, 1.0, 4)
-    root = DyadicCube(0, 0, (0,))
+    root = DyadicCube(0, 0, 0)
     kids = children(root, dom)
     ivs = [k.interval(dom) for k in kids]
     assert [(iv.left, iv.right) for iv in ivs] == [(0.0, 0.5), (0.5, 1.0)]
 
 
-def test_children_quadrants_n2():
-    sq = DyadicCube(0, 0, (0, 0), n=2)
-    kids = children(sq)
-    assert len(kids) == 4
-    assert {k.index for k in kids} == {(0, 0), (0, 1), (1, 0), (1, 1)}
-    assert all(sq.contains(k) for k in kids)
-
-
 def test_children_resolution_floor():
     dom = Domain(0.0, 1.0, 4)
-    leaf = DyadicCube(0, 4, (3,))
+    leaf = DyadicCube(0, 4, 3)
     with pytest.raises(ResolutionError):
         children(leaf, dom)
 
@@ -107,10 +97,10 @@ def test_children_partition_shifted_exhaustive():
 
 def test_dilate_examples():
     dom = Domain(0.0, 1.0, 4)
-    root = DyadicCube(0, 0, (0,))
+    root = DyadicCube(0, 0, 0)
     iv = dilate(root, 3.0, dom)
     assert (iv.left, iv.right) == pytest.approx((-1.0, 2.0))
-    q = DyadicCube(0, 2, (1,))  # [1/4, 1/2)
+    q = DyadicCube(0, 2, 1)  # [1/4, 1/2)
     iv2 = dilate(q, 2.0, dom)
     assert (iv2.left, iv2.right) == pytest.approx((0.125, 0.625))
     iv3 = dilate(q, 1.0, dom)
@@ -119,55 +109,31 @@ def test_dilate_examples():
         dilate(q, 0.0, dom)
 
 
-# -- shifted lattices --------------------------------------------------------
-
-def test_lattice_counts():
-    assert len(shifted_lattices(1)) == 3
-    assert len(shifted_lattices(2)) == 9
-
+# -- cube family -------------------------------------------------------------
 
 def test_triple_cover_exhaustive_1d():
-    # for every base cube down to level L-2, 3Q is a cube of exactly one
-    # shifted lattice and contains Q with triple side
+    # for every base cube Q = [mc, (m+1)c) down to level L-2, 3Q is a cube of
+    # exactly one shifted lattice of the same level
     dom = Domain(0.0, 1.0, 8)
     L = dom.resolution_log2
+    fam = CubeFamily(dom)
     for level in range(L - 1):
         c = 1 << (L - level)
+        shifted = [e for e in fam.entries if e.lattice_id > 0 and e.level == level]
+        assert len(shifted) == 3
         for m in range(1 << level):
-            q = DyadicCube(0, level, (m,))
-            r = triple_of_base_cube(level, (m,))
-            assert r.side == pytest.approx(3.0 * q.side)
-            assert r.contains(q)
-            s, e, full = r.cell_bounds(dom)
-            assert (s, e) == ((m - 1) * c, (m + 2) * c) and full == 3 * c
-            # uniqueness: the residue of 3Q's corner pins down the lattice
-            matches = [
-                lat.id
-                for lat in shifted_lattices(1)
-                if ((lat.shifts[0] << level) % 3) == ((m - 1) % 3)
-            ]
-            assert matches == [r.lattice_id]
+            holders = [e for e in shifted if np.any(e.starts == (m - 1) * c)]
+            assert len(holders) == 1 and holders[0].width == 3 * c
 
 
-def test_triple_cover_n2():
-    for level in range(4):
-        for m1 in range(1 << level):
-            for m2 in range(1 << level):
-                q = DyadicCube(0, level, (m1, m2), n=2)
-                r = triple_of_base_cube(level, (m1, m2), n=2)
-                assert r.n == 2 and r.contains(q)
-                assert r.side == pytest.approx(3.0 * q.side)
+def test_cube_bounds_match_family_entries():
+    # DyadicCube.cell_bounds and CubeFamily each encode the lattice geometry
+    dom = Domain(0.0, 1.0, 6)
+    for e in CubeFamily(dom).entries:
+        for i in range(e.n_cubes):
+            q = DyadicCube(e.lattice_id, e.level, e.t0 + i)
+            assert q.cell_bounds(dom) == (e.starts[i], e.starts[i] + e.width, e.width)
 
-
-def test_root_triple_is_clipped_at_boundary():
-    dom = Domain(0.0, 1.0, 4, boundary_mode="clip")
-    r = triple_of_base_cube(0, (0,))
-    s, e, full = r.cell_bounds(dom)
-    assert s < 0 and full == 48
-    assert max(s, 0) == 0 and min(e, dom.n_cells) == dom.n_cells
-
-
-# -- cube family -------------------------------------------------------------
 
 def test_levels_tile_domain():
     dom = Domain(0.0, 1.0, 6)
@@ -190,36 +156,33 @@ def test_cell_to_cube_consistent():
 def test_segment_sums_match_direct():
     rng = np.random.default_rng(3)
     v = rng.uniform(size=1 << 7)
-    for mode in ("zero-extend", "clip"):
-        dom = Domain(0.0, 1.0, 7, boundary_mode=mode)
-        fam = CubeFamily(dom)
-        for entry in fam.entries:
-            # the reduction relies on the clipped cubes tiling [0, N) in order
-            assert entry.lo[0] == 0 and entry.hi[-1] == dom.n_cells
-            np.testing.assert_array_equal(entry.hi[:-1], entry.lo[1:])
-            got = fam.segment_sums(entry, v)
-            want = np.array([v[lo:hi].sum() for lo, hi in zip(entry.lo, entry.hi)])
-            np.testing.assert_allclose(got, want, rtol=1e-12)
-            # clip=True: the mean over Q's cells inside the domain, in any mode
-            clipped = np.array([v[lo:hi].mean() for lo, hi in zip(entry.lo, entry.hi)])
-            np.testing.assert_allclose(fam.means(entry, v, clip=True), clipped, rtol=1e-12)
-            # clip=False: the boundary mode decides; zero-extension divides by |Q|
-            full = want / entry.width if mode == "zero-extend" else clipped
-            np.testing.assert_allclose(fam.means(entry, v), full, rtol=1e-12)
+    dom = Domain(0.0, 1.0, 7)
+    fam = CubeFamily(dom)
+    for entry in fam.entries:
+        # the reduction relies on the clipped cubes tiling [0, N) in order
+        assert entry.lo[0] == 0 and entry.hi[-1] == dom.n_cells
+        np.testing.assert_array_equal(entry.hi[:-1], entry.lo[1:])
+        got = fam.segment_sums(entry, v)
+        want = np.array([v[lo:hi].sum() for lo, hi in zip(entry.lo, entry.hi)])
+        np.testing.assert_allclose(got, want, rtol=1e-12)
+        # clip=True: the mean over Q's cells inside the domain
+        clipped = np.array([v[lo:hi].mean() for lo, hi in zip(entry.lo, entry.hi)])
+        np.testing.assert_allclose(fam.means(entry, v, clip=True), clipped, rtol=1e-12)
+        # clip=False: zero extension divides by |Q|
+        np.testing.assert_allclose(fam.means(entry, v), want / entry.width, rtol=1e-12)
 
 
-@pytest.mark.parametrize("mode", ["zero-extend", "clip"])
-def test_segment_sums_keep_digits_of_steep_weight(mode):
+@pytest.mark.parametrize("L", [10], ids=["zero-extend"])
+def test_segment_sums_keep_digits_of_steep_weight(L):
     # w = |x - 0.37|^6 spans 2.6e-21 to 0.062 at L = 10: differences of one
     # global prefix sum lose every digit of the cubes near 0.37
-    dom = Domain(0.0, 1.0, 10, boundary_mode=mode)
+    dom = Domain(0.0, 1.0, L)
     w = np.abs(dom.cell_centers() - 0.37) ** 6
     fam = CubeFamily(dom)
     for entry in fam.entries:
         want = np.array([w[lo:hi].sum() for lo, hi in zip(entry.lo, entry.hi)])
         np.testing.assert_allclose(fam.segment_sums(entry, w), want, rtol=1e-13)
-        sizes = dom.mean_cells(entry.lo, entry.hi, entry.width)
-        np.testing.assert_allclose(fam.means(entry, w), want / sizes, rtol=1e-13)
+        np.testing.assert_allclose(fam.means(entry, w), want / entry.width, rtol=1e-13)
         np.testing.assert_allclose(
             fam.means(entry, w, clip=True), want / entry.clipped_sizes(), rtol=1e-13
         )
@@ -227,7 +190,7 @@ def test_segment_sums_keep_digits_of_steep_weight(mode):
 
 def test_cube_cells_shifted_cube_with_negative_start():
     dom = Domain(0.0, 1.0, 6)
-    q = DyadicCube(2, 3, (-1,))  # cells [-8, 16) of a 64-cell grid
+    q = DyadicCube(2, 3, -1)  # cells [-8, 16) of a 64-cell grid
     assert q.cell_bounds(dom) == (-8, 16, 24)
     assert cube_cells(dom, q) == (0, 16, 24)
 
@@ -238,9 +201,6 @@ def test_cube_cells_interval_past_right_edge():
     assert (lo, hi, full) == (48, 64, 32)
     f = GridFunction(dom, np.arange(dom.n_cells, dtype=float))
     assert average(f, Interval(0.75, 1.25)) == pytest.approx(f.samples[48:].sum() / 32)
-    clip = Domain(0.0, 1.0, 6, boundary_mode="clip")
-    g = GridFunction(clip, f.samples)
-    assert average(g, Interval(0.75, 1.25)) == pytest.approx(f.samples[48:].mean())
 
 
 @settings(max_examples=60, deadline=None)
@@ -264,14 +224,14 @@ def test_nesting_trichotomy(lattice_id, data):
 def test_average_constant():
     dom = Domain(0.0, 1.0, 6)
     f = GridFunction.constant(dom, 2.5)
-    q = DyadicCube(0, 2, (1,))
+    q = DyadicCube(0, 2, 1)
     for r in (0.5, 1.0, 2.0, 3.0):
         assert average(f, q, r) == pytest.approx(2.5, rel=1e-12)
 
 
 def test_average_half_indicator():
     dom = Domain(0.0, 1.0, 6)
-    q = DyadicCube(0, 1, (0,))  # [0, 1/2)
+    q = DyadicCube(0, 1, 0)  # [0, 1/2)
     f = GridFunction.indicator(dom, Interval(0.0, 0.25))
     assert average(f, q, 1.0) == pytest.approx(0.5, abs=1e-14)
 
@@ -280,6 +240,6 @@ def test_average_quadratic_against_antiderivative():
     L = 10
     dom = Domain(0.0, 1.0, L)
     f = GridFunction.from_callable(dom, lambda x: x)
-    q = DyadicCube(0, 0, (0,))
+    q = DyadicCube(0, 0, 0)
     got = average(f, q, 2.0)
     assert abs(got - math.sqrt(1.0 / 3.0)) < 2.0 ** (-2 * L) * 10

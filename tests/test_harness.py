@@ -169,17 +169,16 @@ def test_principal_cubes_sparse():
 
 # roots in all four lattices; the second sticks out of the domain
 PRINCIPAL_ROOTS = (
-    DyadicCube(0, 0, (0,)),
-    DyadicCube(2, 1, (-1,)),
-    DyadicCube(1, 2, (0,)),
-    DyadicCube(3, 1, (0,)),
+    DyadicCube(0, 0, 0),
+    DyadicCube(2, 1, -1),
+    DyadicCube(1, 2, 0),
+    DyadicCube(3, 1, 0),
 )
 
 
-@pytest.mark.parametrize("mode", ["zero-extend", "clip"])
-@pytest.mark.parametrize("L", [6, 10])
-def test_principal_cubes_match_brute_walk(L, mode):
-    dom = Domain(0.0, 1.0, L, mode)
+@pytest.mark.parametrize("L", [6, 10], ids=lambda L: f"{L}-zero-extend")
+def test_principal_cubes_match_brute_walk(L):
+    dom = Domain(0.0, 1.0, L)
     x = dom.cell_centers()
     rng = np.random.default_rng(L)
     raw = [
@@ -204,12 +203,12 @@ def test_principal_cubes_match_brute_walk(L, mode):
 
 def test_principal_cubes_refuse_root_outside_domain():
     with pytest.raises(ValueError, match="does not meet the domain"):
-        principal_cubes(rand_f(0), DyadicCube(2, 1, (-5,)))
+        principal_cubes(rand_f(0), DyadicCube(2, 1, -5))
 
 
 def test_principal_cubes_refuse_root_finer_than_grid():
     with pytest.raises(ResolutionError):
-        principal_cubes(rand_f(0), DyadicCube(0, DOM.resolution_log2 + 1, (0,)))
+        principal_cubes(rand_f(0), DyadicCube(0, DOM.resolution_log2 + 1, 0))
 
 
 # -- decay experiments -------------------------------------------------------
@@ -238,7 +237,7 @@ def test_decay_mixed_min_runs_and_reports_branch():
 
 def test_decay_on_root_cube_sticking_out_of_domain():
     # cells [-128, 256) of a 256-cell grid: the same cells as the root cube
-    shifted = DyadicCube(2, 1, (-1,))
+    shifted = DyadicCube(2, 1, -1)
     bundle = hilbert_bundle([SYMBOL])
     curve, _ = local_decay_experiment(bundle, [bump(0.5)], shifted, comparator="llogl")
     root, _ = local_decay_experiment(bundle, [bump(0.5)], _root_cube(), comparator="llogl")
@@ -247,7 +246,7 @@ def test_decay_on_root_cube_sticking_out_of_domain():
 
 def test_mixed_min_decay_on_root_cube_sticking_out_of_domain():
     # principal cubes of the root skip the children that lie outside the grid
-    shifted = DyadicCube(2, 1, (-1,))
+    shifted = DyadicCube(2, 1, -1)
     curve, rep = local_decay_experiment(hilbert_bundle([SYMBOL]), [bump(0.5)], shifted)
     assert rep.params["comparator"] == "mixed-min"
     assert rep.constants["sparse_family_size"] >= 1

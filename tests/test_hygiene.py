@@ -1,7 +1,8 @@
 """Source hygiene checks that need no linter: every name a module under
 src/ or tests/ imports is used in that module, every parameter of a def
-under src/ is read in its body, and the benchmark tracer still finds every
-name and parameter it traces."""
+under src/ is read in its body, every name in a src/ module's __all__ is
+defined in that module, and the benchmark tracer still finds every name
+and parameter it traces."""
 
 import ast
 import importlib.util
@@ -137,6 +138,45 @@ def test_checker_sees_unused_parameters():
 def test_no_unused_parameters_in_src():
     found = _findings_under(SRC, unused_parameters)
     assert not found, "unused parameters:\n" + "\n".join(found)
+
+
+def undefined_exports(source: str) -> list[str]:
+    """Names listed in __all__ that the module does not define at its top
+    level: a name it only imports is a re-export."""
+    tree = ast.parse(source)
+    defined, exported = set(), []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = {t.id for t in targets if isinstance(t, ast.Name)}
+            defined |= names
+            if "__all__" in names:
+                exported = [
+                    (elt.value, node.lineno) for elt in node.value.elts
+                    if isinstance(elt, ast.Constant)
+                ]
+    return [f"{name} (line {line})" for name, line in exported if name not in defined]
+
+
+def test_checker_sees_undefined_exports():
+    src = (
+        "from a import b\n"
+        "import c\n"
+        "__all__ = ['b', 'c', 'd', 'E', 'f', 'g']\n"
+        "def d():\n"
+        "    f = 1\n"
+        "class E:\n"
+        "    pass\n"
+        "g: int = 2\n"
+    )
+    assert undefined_exports(src) == ["b (line 3)", "c (line 3)", "f (line 3)"]
+
+
+def test_no_undefined_exports_in_src():
+    found = _findings_under(SRC, undefined_exports)
+    assert not found, "names in __all__ not defined in their module:\n" + "\n".join(found)
 
 
 def test_benchmark_tracer_binds_every_traced_name():

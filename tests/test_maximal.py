@@ -56,23 +56,21 @@ def test_dyadic_maximal_of_small_indicator_brute_force():
     np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
-@pytest.mark.parametrize("mode", ["zero-extend", "clip"])
-def test_maximal_matches_brute_force_in_both_boundary_modes(mode):
-    # every cube of every lattice, averaged literally; under "clip" a cube
-    # sticking out of the domain averages only its cells inside it
-    dom = Domain(0.0, 1.0, 5, boundary_mode=mode)
+def test_maximal_matches_brute_force_over_every_cube():
+    # every cube of every lattice, averaged literally; a cube sticking out
+    # of the domain averages over its full width
+    dom = Domain(0.0, 1.0, 5)
     f = rand_f(7, dom)
     N = dom.n_cells
     want = np.zeros(N)
     for lid in range(4):
         for level in range(dom.resolution_log2 + 1):
             for t in range(-1, 1 << level):
-                s, e, full = DyadicCube(lid, level, (t,)).cell_bounds(dom)
+                s, e, full = DyadicCube(lid, level, t).cell_bounds(dom)
                 lo, hi = max(s, 0), min(e, N)
                 if hi <= lo:
                     continue
-                denom = full if mode == "zero-extend" else hi - lo
-                want[lo:hi] = np.maximum(want[lo:hi], f.samples[lo:hi].sum() / denom)
+                want[lo:hi] = np.maximum(want[lo:hi], f.samples[lo:hi].sum() / full)
     np.testing.assert_allclose(maximal(f).samples, want, rtol=1e-12)
 
 
