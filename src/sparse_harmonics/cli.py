@@ -229,6 +229,8 @@ def run_experiment(cfg: dict, out_dir: Path) -> list[VerificationReport]:
         t_lo = float(params.get("t_lo", "0.5"))
         t_hi = float(params.get("t_hi", "50"))
         t_pts = int(params.get("t_points", "24"))
+        if not 0.0 < t_lo < t_hi < math.inf:
+            raise ConfigError("[params] t_lo and t_hi need 0 < t_lo < t_hi, both finite")
         if t_pts < 1:
             raise ConfigError("[params] t_points must be at least 1")
         comparator = params.get("comparator", "mixed-min")
@@ -257,6 +259,8 @@ def run_experiment(cfg: dict, out_dir: Path) -> list[VerificationReport]:
         bundle = _build_bundle(cfg, dom)
         fs = _functions(cfg, dom, seed, bundle.m)
         ps = [float(s) for s in params.get("ps", "1").split(",")]
+        if not all(math.isfinite(pi) for pi in ps):
+            raise ConfigError("[params] ps must be finite")
         if len(ps) == 1:
             ps = ps * bundle.m
         ws = _weights(cfg, dom, bundle.m)

@@ -567,8 +567,8 @@ def fefferman_stein_experiment(
     m = bundle.m
     if len(ps) != m or len(ws) != m:
         raise ValueError("need one exponent and one weight per slot")
-    if any(pi <= 0 for pi in ps):
-        raise ValueError("need every p_s > 0")
+    if not all(0 < pi < math.inf for pi in ps):
+        raise ValueError("need every p_s > 0 and finite")
     p = 1.0 / sum(1.0 / pi for pi in ps)
     if p > 1.0 + 1e-12:
         raise ValueError("need 0 < p <= 1")

@@ -9,6 +9,8 @@ are ratio-based so the proxy constant is tracked, not hidden.
 
 from __future__ import annotations
 
+import hashlib
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -20,6 +22,11 @@ from .orlicz import YoungFunction, llog, monotone_root
 __all__ = ["MaximalVariant", "maximal", "multilinear_maximal", "family_for"]
 
 _FAMILIES: dict[Domain, CubeFamily] = {}
+
+# multilinear_maximal outputs keyed by the content of their inputs, least
+# recently used first; the function is pure, so a hit returns the same numbers
+_PRODUCT_MEMO_SIZE = 32
+_PRODUCT_MEMO: OrderedDict[tuple, np.ndarray] = OrderedDict()
 
 
 def family_for(domain: Domain) -> CubeFamily:
@@ -70,12 +77,12 @@ def luxemburg_per_cube(
     from the [mean, max] / phi^-1(1) brackets."""
     cell_cube = entry.cell_to_cube
 
-    def above(lam: np.ndarray) -> np.ndarray:
+    def excess(lam: np.ndarray) -> np.ndarray:
         safe = np.where(lam > 0, lam, 1.0)
-        return ~(fam.means(entry, phi(absf / safe[cell_cube])) <= 1.0)
+        return fam.means(entry, phi(absf / safe[cell_cube])) - 1.0
 
     return monotone_root(
-        fam.means(entry, absf) / inv1, fam.segment_max(entry, absf) / inv1, above
+        fam.means(entry, absf) / inv1, fam.segment_max(entry, absf) / inv1, excess
     )
 
 
@@ -126,11 +133,33 @@ def multilinear_maximal(
         if l is None or not (1 <= l <= len(fs)):
             raise ValueError("mixed flavor needs 1 <= l <= m")
     dom = fs[0].domain
+    absfs = [np.abs(f.samples).astype(float) for f in fs]
+    key = (dom, flavor, r, l, cube_scope) + tuple(
+        hashlib.blake2b(af.tobytes(), digest_size=16).digest() for af in absfs
+    )
+    out = _PRODUCT_MEMO.get(key)
+    if out is None:
+        out = _product_maximal(dom, absfs, flavor, r, l, cube_scope)
+        _PRODUCT_MEMO[key] = out
+        if len(_PRODUCT_MEMO) > _PRODUCT_MEMO_SIZE:
+            _PRODUCT_MEMO.popitem(last=False)
+    else:
+        _PRODUCT_MEMO.move_to_end(key)
+    return GridFunction(dom, out.copy())
+
+
+def _product_maximal(
+    dom: Domain,
+    absfs: list[np.ndarray],
+    flavor: str,
+    r: float,
+    l: Optional[int],
+    cube_scope: str,
+) -> np.ndarray:
     fam = family_for(dom)
     entries = _entries(fam, cube_scope)
     phi = llog(1.0)
     inv1 = float(np.atleast_1d(phi.inverse(np.array([1.0])))[0])
-    absfs = [np.abs(f.samples).astype(float) for f in fs]
     # per slot: None for an L log L slot, else the cell values it averages
     averaged = [
         None if flavor == "llogl" or (flavor == "mixed" and i < l)
@@ -149,4 +178,4 @@ def multilinear_maximal(
                 prod *= fam.means(e, vals)
         return prod
 
-    return GridFunction(dom, fam.scatter_max(entries, map(product, entries)))
+    return fam.scatter_max(entries, map(product, entries))

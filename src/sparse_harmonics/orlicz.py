@@ -1,8 +1,8 @@
 """Young functions, Luxemburg norms and the growth-index toolkit.
 
 Built-in growth functions carry closed-form inverses and complementary
-functions where they exist; everything else falls back on monotone
-bisection or a refined discrete sup, so the numeric paths are only a
+functions where they exist; everything else falls back on a monotone
+root solve or a refined discrete sup, so the numeric paths are only a
 backstop for the closed forms.
 """
 
@@ -68,19 +68,53 @@ class YoungFunction:
         return YoungFunction(f"conj({self.name})", lambda t: _conjugate_eval(self, t))
 
 
-def monotone_root(lo, hi, above):
-    """Bisect every bracket [lo, hi] of one vector at once until
-    hi - lo <= 1e-12 hi (at most 200 passes), and return hi.  above(x) is
-    True where the root lies above x; a bracket with lo = hi = 0 stays 0."""
+def monotone_root(lo, hi, excess):
+    """Shrink every bracket [lo, hi] of one vector at once until
+    hi - lo <= 1e-12 hi (at most 200 passes), and return hi.  excess(x) is
+    > 0 where the root lies above x and decreases in x; a bracket with
+    lo = hi = 0 stays 0.
+
+    Each pass takes a safeguarded Illinois step (Dowell & Jarratt, BIT 11,
+    1971): the secant point of the bracket, with the excess kept at an end
+    halved when that end survives twice running.  Two safeguards:
+
+    - the step is clamped 0.4e-12 hi inside the bracket, so an end that is
+      an exact root (excess 0) ends the solve in one more pass instead of
+      stalling the secant on it;
+    - the step is the midpoint where the secant is undefined (an end's
+      excess is not finite, or both are 0) and where the bracket has not
+      halved in three passes, as when one end's excess dwarfs the other's
+      (an exponential phi) and the secant creeps along the far end.
+    """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
-    for _ in range(200):
-        if np.all(hi - lo <= 1e-12 * hi):
-            break
-        mid = 0.5 * (lo + hi)
-        up = above(mid)
-        lo = np.where(up, mid, lo)
-        hi = np.where(up, hi, mid)
+    if np.all(hi - lo <= 1e-12 * hi):  # spares the two end evaluations
+        return hi
+    moved = np.zeros(lo.shape)  # +1 where lo moved last pass, -1 where hi did
+    halved_at = hi - lo  # the width when the bracket last halved ...
+    slow = np.zeros(lo.shape, dtype=int)  # ... and the passes since then
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        f_lo, f_hi = excess(lo), excess(hi)
+        for _ in range(200):
+            width = hi - lo
+            open_ = width > 1e-12 * hi
+            if not open_.any():
+                break
+            halved = width <= 0.5 * halved_at
+            halved_at = np.where(halved, width, halved_at)
+            slow = np.where(halved, 0, slow + 1)
+            slope = f_lo - f_hi
+            secant = (slope > 0) & (slope < np.inf) & (slow < 3)
+            x = np.where(secant, lo + width * (f_lo / slope), lo + 0.5 * width)
+            delta = 0.4e-12 * hi
+            x = np.where(open_, np.clip(x, lo + delta, hi - delta), hi)
+            f_x = excess(x)
+            up = f_x > 0
+            f_hi = np.where(up & (moved > 0), 0.5 * f_hi, f_hi)
+            f_lo = np.where(~up & (moved < 0), 0.5 * f_lo, f_lo)
+            lo, f_lo = np.where(up, x, lo), np.where(up, f_x, f_lo)
+            hi, f_hi = np.where(up, hi, x), np.where(up, f_hi, f_x)
+            moved = np.where(up, 1.0, -1.0)
     return hi
 
 
@@ -94,7 +128,7 @@ def _numeric_inverse(phi: YoungFunction, t: np.ndarray) -> np.ndarray:
         if not bad.any():
             break
         hi[bad] *= 2.0
-    return monotone_root(np.zeros_like(t), hi, lambda s: phi(s) < t)
+    return monotone_root(np.zeros_like(t), hi, lambda s: t - phi(s))
 
 
 _CONJ_S = np.logspace(-9.0, 9.0, 4096)
@@ -259,7 +293,7 @@ def luxemburg_norm(
     vmean = float((v * wts).sum() / denom)
     return float(monotone_root(
         vmean / inv1, v.max(initial=0.0) / inv1,
-        lambda lam: not (phi(v / lam) * wts).sum() / denom <= 1.0,
+        lambda lam: (phi(v / lam) * wts).sum() / denom - 1.0,
     ))
 
 

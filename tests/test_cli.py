@@ -315,6 +315,56 @@ ps = 0
     assert "config error: need every p_s > 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("ps", ["inf", "nan", "-inf"])
+def test_run_fs_nonfinite_exponent_exits_2(tmp_path, capsys, ps):
+    # ps = inf made p = 1 / sum(1 / p_s) divide by zero, with a traceback
+    cfg = write_config(tmp_path, f"""
+[experiment]
+kind = fs
+l = 6
+
+[operator]
+kind = hilbert
+
+[functions]
+bank = random
+
+[params]
+ps = {ps}
+""")
+    assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "config error: [params] ps must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("t_lo, t_hi", [
+    ("5", "1"), ("2", "2"), ("0", "1"), ("-1", "3"), ("1", "inf"), ("nan", "3"),
+])
+def test_run_decay_t_range_out_of_order_exits_2(tmp_path, capsys, t_lo, t_hi):
+    # t_lo > t_hi used to end as "degenerate (ratio nan)", t_lo = 0 as a bare
+    # "math domain error"
+    cfg = write_config(tmp_path, f"""
+[experiment]
+kind = decay
+l = 6
+
+[operator]
+kind = hilbert
+
+[symbols]
+b = log
+
+[functions]
+bank = bump
+
+[params]
+t_lo = {t_lo}
+t_hi = {t_hi}
+""")
+    assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "config error: [params] t_lo and t_hi need 0 < t_lo < t_hi, both finite" in err
+
+
 def test_run_calderon_below_order_one_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path, """
 [experiment]

@@ -1,8 +1,10 @@
 import warnings
+from collections import OrderedDict
 
 import numpy as np
 import pytest
 
+import sparse_harmonics.maximal as maximal_module
 from sparse_harmonics.grid import Domain, DyadicCube, GridFunction, Interval
 from sparse_harmonics.maximal import MaximalVariant, maximal, multilinear_maximal
 from sparse_harmonics.orlicz import llog
@@ -127,6 +129,74 @@ def test_mixed_flavor_below_full_llogl():
         plain = multilinear_maximal(fs, flavor="plain").samples
         comp = np.minimum(mixed, plain)
         assert np.all(comp <= full * (1.0 + 1e-8) + 1e-12)
+
+
+@pytest.fixture
+def lux_calls(monkeypatch):
+    """An empty product memo, and a list that counts luxemburg_per_cube calls."""
+    monkeypatch.setattr(maximal_module, "_PRODUCT_MEMO", OrderedDict())
+    calls = []
+    solve = maximal_module.luxemburg_per_cube
+
+    def counted(*args):
+        calls.append(1)
+        return solve(*args)
+
+    monkeypatch.setattr(maximal_module, "luxemburg_per_cube", counted)
+    return calls
+
+
+def test_multilinear_memo_repeats_bit_for_bit(lux_calls):
+    fs = [rand_f(5, lo=-1.0, hi=1.0), rand_f(6)]
+    first = multilinear_maximal(fs, flavor="mixed", l=1)
+    n_first = len(lux_calls)
+    assert n_first > 0
+    again = multilinear_maximal(fs, flavor="mixed", l=1)
+    assert len(lux_calls) == n_first
+    assert again.samples.tobytes() == first.samples.tobytes()
+
+
+def test_multilinear_memo_hands_out_copies(lux_calls):
+    fs = [rand_f(7)]
+    first = multilinear_maximal(fs, flavor="llogl")
+    kept = first.samples.copy()
+    first.samples[:] = -1.0
+    second = multilinear_maximal(fs, flavor="llogl")
+    np.testing.assert_array_equal(second.samples, kept)
+    second.samples[0] = 0.0
+    np.testing.assert_array_equal(multilinear_maximal(fs, flavor="llogl").samples, kept)
+
+
+def test_multilinear_memo_keys_on_content(lux_calls):
+    f = rand_f(8, lo=-1.0, hi=1.0)
+    base = multilinear_maximal([f], flavor="llogl").samples
+    n_first = len(lux_calls)
+    # equal content in a fresh array, and -f (same |f|), are hits
+    for same in (GridFunction(DOM, f.samples.copy()), -1.0 * f):
+        assert multilinear_maximal([same], flavor="llogl").samples.tobytes() == base.tobytes()
+    assert len(lux_calls) == n_first
+    # 3f is new content: a miss, and the L log L norm is homogeneous
+    tripled = multilinear_maximal([3.0 * f], flavor="llogl").samples
+    assert len(lux_calls) == 2 * n_first
+    np.testing.assert_allclose(tripled, 3.0 * base, rtol=4e-12, atol=0.0)
+    # the same content under another flavor is another entry
+    assert not np.array_equal(multilinear_maximal([f], flavor="plain").samples, base)
+
+
+def test_multilinear_memo_stays_within_its_size(lux_calls):
+    size = maximal_module._PRODUCT_MEMO_SIZE
+    dom = Domain(0.0, 1.0, 5)
+    fs = [[rand_f(100 + i, dom)] for i in range(size + 5)]
+    for f in fs:
+        multilinear_maximal(f, flavor="llogl")
+        assert len(maximal_module._PRODUCT_MEMO) <= size
+    n_each = len(lux_calls) // len(fs)
+    assert len(lux_calls) == n_each * len(fs)
+    # the newest input is a hit; the least recently used one went first
+    multilinear_maximal(fs[-1], flavor="llogl")
+    assert len(lux_calls) == n_each * len(fs)
+    multilinear_maximal(fs[0], flavor="llogl")
+    assert len(lux_calls) == n_each * (len(fs) + 1)
 
 
 def test_weighted_dyadic_l2_bound():

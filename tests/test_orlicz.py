@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
+import sparse_harmonics.maximal as maximal_module
 from sparse_harmonics.grid import Domain, DyadicCube, GridFunction, average, cube_cells
 from sparse_harmonics.maximal import MaximalVariant, family_for, maximal
 from sparse_harmonics.orlicz import (
@@ -16,6 +17,7 @@ from sparse_harmonics.orlicz import (
     generalized_holder,
     llog,
     luxemburg_norm,
+    monotone_root,
     phi_power,
     power,
     power_over_p,
@@ -110,12 +112,18 @@ def _brentq_norm(v, denom, phi, inv1):
     return brentq(lambda lam: phi(v / lam).sum() / denom - 1.0, lo, hi, xtol=1e-300)
 
 
-@pytest.mark.parametrize("L", [7, 9])
-def test_luxemburg_matches_brentq_on_spike(L):
+@pytest.mark.parametrize("L, phi", [
+    pytest.param(7, llog(1.0), id="7"),
+    pytest.param(9, llog(1.0), id="9"),
+    # the excess at the lower end dwarfs the one at the upper end, so the
+    # secant alone would creep along the upper end
+    pytest.param(9, exp_power(1.0), id="9-exp1"),
+    pytest.param(9, exp_power(2.0), id="9-exp2"),
+])
+def test_luxemburg_matches_brentq_on_spike(L, phi):
     # max/mean up to 1e3 on a cube: 48 halvings of [mean, max] fall short
     dom = Domain(0.0, 1.0, L)
     f = _spike(dom)
-    phi = llog(1.0)
     inv1 = brentq(lambda t: phi(t) - 1.0, 0.1, 1.0, xtol=1e-300)
     for level in range(4):
         for k in range(2 ** level):
@@ -138,6 +146,76 @@ def test_orlicz_maximal_matches_brute_brentq_on_spike():
             want[lo:hi] = np.maximum(want[lo:hi], norm)
     got = maximal(f, MaximalVariant("orlicz", phi=phi)).samples
     np.testing.assert_allclose(got, want, rtol=2e-12, atol=0.0)
+
+
+def _counting(solves):
+    """monotone_root that appends (lo, hi, excess, result, excess calls) of
+    every solve to solves."""
+    def solve(lo, hi, excess):
+        calls = [0]
+
+        def counted(x):
+            calls[0] += 1
+            return excess(x)
+
+        out = monotone_root(lo, hi, counted)
+        solves.append((np.asarray(lo), np.asarray(hi), excess, out, calls[0]))
+        return out
+    return solve
+
+
+def test_orlicz_maximal_solves_every_entry_in_16_evaluations(monkeypatch):
+    # bisection to 1e-12 takes 40 to 48; the Illinois step takes about 11
+    dom = Domain(0.0, 1.0, 10)
+    f = rand_f(7, lo=-1.0, hi=1.0, dom=dom)
+    solves = []
+    monkeypatch.setattr(maximal_module, "monotone_root", _counting(solves))
+    maximal(f, MaximalVariant("orlicz", phi=llog(1.0)))
+    assert len(solves) == len(family_for(dom).entries)
+    rng = np.random.default_rng(0)
+    for lo, hi, excess, got, calls in solves:
+        assert calls <= 16
+        # a bracket closed from the start (one cell) is returned as it is
+        open_ = np.flatnonzero(hi - lo > 1e-12 * hi)
+        assert np.all(excess(got)[open_] <= 0.0)
+        # the root of a few open brackets of this entry, one cube at a time
+        for j in rng.choice(open_, size=min(3, len(open_)), replace=False):
+            def one_cube(lam):
+                lams = got.copy()
+                lams[j] = lam
+                return excess(lams)[j]
+            want = brentq(one_cube, lo[j], hi[j], xtol=1e-300)
+            assert abs(got[j] - want) <= 1e-12 * got[j]
+
+
+@pytest.mark.parametrize("end", ["hi", "lo"])
+def test_monotone_root_does_not_stall_on_an_exact_root_at_an_end(end):
+    # excess is exactly 0.0 at the root, so the secant lands on the end
+    # itself; the clamp inside the bracket must still end the solve
+    root = np.array([0.3, 1.0, 7.5, 2.0 ** -20, 3e5])
+
+    def excess(x):
+        return (root / x) ** 2 - 1.0
+
+    lo, hi = (root / 3.0, root) if end == "hi" else (root, 3.0 * root)
+    solves = []
+    got = _counting(solves)(lo, hi, excess)
+    assert solves[0][-1] <= 16
+    assert np.all(excess(got) <= 0.0)
+    np.testing.assert_allclose(got, root, rtol=1e-12, atol=0.0)
+
+
+def test_monotone_root_keeps_a_zero_bracket_and_bisects_an_infinite_excess():
+    # lo = hi = 0 stays 0; an infinite excess at lo has no secant, so the
+    # step falls back to the midpoint until the excess is finite
+    def excess(x):
+        with np.errstate(divide="ignore", over="ignore"):
+            return np.where(x > 0, np.exp(np.minimum(1.0 / x, 800.0)) - np.e, np.inf)
+
+    got = monotone_root(np.array([0.0, 0.0]), np.array([0.0, 4.0]), excess)
+    assert got[0] == 0.0
+    assert got[1] == pytest.approx(1.0, rel=1e-12)
+    assert excess(got)[1] <= 0.0
 
 
 # -- generalized Hölder ------------------------------------------------------
