@@ -9,6 +9,7 @@ discretization error is the quadrature of the singular factor itself.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -22,21 +23,14 @@ from .maximal import family_for
 
 __all__ = [
     "KernelOperator",
-    "CostError",
     "hilbert_transform",
-    "calderon_kernel",
     "calderon_apply",
     "stein_square_function",
     "iterated_commutator",
-    "first_order_commutator_kernel",
     "bmo_norm",
     "weighted_bmo_norm",
     "log_dini_norm",
 ]
-
-
-class CostError(RuntimeError):
-    """Quadrature refused: cost grows past the desk-scale budget."""
 
 
 @dataclass(frozen=True)
@@ -74,69 +68,66 @@ def hilbert_transform(f: GridFunction, pv_cutoff: int = 1) -> GridFunction:
     k = np.arange(-(N - 1), N)
     with np.errstate(divide="ignore"):
         ker = np.where(np.abs(k) >= pv_cutoff, 1.0 / np.where(k == 0, 1, k), 0.0)
-    out = fftconvolve(f.samples.astype(float), ker)[N - 1 : 2 * N - 1]
-    return GridFunction(f.domain, out / math.pi)
+    return GridFunction(f.domain, _toeplitz_apply(f.samples, ker) / math.pi)
 
 
-def calderon_kernel(x: float, ys: Sequence[float]) -> float:
-    """K(x, y_1..y_{m+1}): signed power of the last gap times indicators
-    confining every other y inside the open interval between x and y_{m+1}."""
-    ys = list(ys)
-    if len(ys) < 2:
-        raise ValueError("kernel takes at least two y arguments")
-    m = len(ys) - 1
-    ylast = ys[-1]
-    if ylast == x:
-        raise ValueError("kernel is singular at y_{m+1} = x")
-    lo, hi = min(x, ylast), max(x, ylast)
-    for y in ys[:-1]:
-        if not (lo < y < hi):
-            return 0.0
-    sign = (-1.0) ** (m * (1 if ylast - x > 0 else 0))
-    return sign / (x - ylast) ** (m + 1)
+def _toeplitz_apply(g: np.ndarray, ker: np.ndarray) -> np.ndarray:
+    """sum_j ker[i - j + N - 1] g_j for every i, ker indexed by the offset
+    i - j from -(N - 1) to N - 1.  A complex g is convolved part by part,
+    so the map is linear over the complex numbers."""
+    if np.iscomplexobj(g):
+        return _toeplitz_apply(g.real, ker) + 1j * _toeplitz_apply(g.imag, ker)
+    N = len(g)
+    return fftconvolve(g.astype(float), ker)[N - 1 : 2 * N - 1]
 
 
-_CALDERON_CHUNK = 256
+# Diagonals |i - j| <= _NEAR_BAND of the Calderon form are summed directly:
+# near the diagonal the expanded products cancel to a few digits
+_NEAR_BAND = 16
 
 
 def calderon_apply(fs: Sequence[GridFunction], pv_cutoff: int = 1) -> GridFunction:
-    """(m+1)-linear kernel quadrature of the commutator-type kernel.
+    """(m+1)-linear kernel quadrature of the commutator-type kernel,
+    h sum_{|i-j| >= cutoff} sign prod_s (c_s[max(i,j)] - c_s[min(i,j)+1])
+    f_{m+1}(y_j) / |x_i - y_j|^{m+1}, where c_s are the prefix sums of the
+    first m inputs (the y_1..y_m integrals over the open interval between
+    x and y_{m+1}) and the sign is -1 for j > i, +1 for j < i.
 
-    The y_1..y_m integrals over the open interval between x and y_{m+1}
-    separate into prefix-sum differences; the remaining y_{m+1} sum runs
-    with the PV cutoff.
+    Off the band |i - j| <= max(_NEAR_BAND, cutoff - 1), each product
+    expands into 2^m terms a(i) g(j), and each term is a one-sided Toeplitz
+    convolution with 1/(kh)^{m+1}: 2^{m+1} FFT convolutions in all.  The
+    band is summed one diagonal at a time.
     """
     if len(fs) < 2:
         raise ValueError("need m+1 >= 2 inputs")
     dom = fs[0].domain
     m = len(fs) - 1
-    if m + 1 > 3 and dom.resolution_log2 > 10:
-        raise CostError(
-            f"{m + 1}-linear quadrature at L={dom.resolution_log2} refused"
-        )
     N = dom.n_cells
     h = dom.h
-    csums = [CubeFamily.prefix(f.samples) * h for f in fs[:-1]]
-    flast = fs[-1].samples.astype(float)
-    idx = np.arange(N)
-    out = np.zeros(N)
-    for start in range(0, N, _CALDERON_CHUNK):
-        rows = idx[start : start + _CALDERON_CHUNK]
-        i = rows[:, None]
-        j = idx[None, :]
-        gap = (i - j).astype(float) * h  # x_i - y_j
-        keep = np.abs(i - j) >= pv_cutoff
-        lo = np.minimum(i, j)
-        hi = np.maximum(i, j)
-        inner = np.ones(gap.shape)
-        for cs in csums:
-            inner *= cs[hi] - cs[lo + 1]  # cells strictly between centers
-        sign = np.where((j > i) & (m % 2 == 1), -1.0, 1.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            vals = sign * inner / gap ** (m + 1)
-        vals = np.where(keep, vals, 0.0)
-        out[rows] = vals @ flast * h
-    return GridFunction(dom, out)
+    # shifting c_s keeps every difference; centred, the expanded products
+    # are smaller, and so are their rounding errors
+    csums = [cs - cs.mean() for cs in (CubeFamily.prefix(f.samples) * h for f in fs[:-1])]
+    flast = fs[-1].samples
+    band = max(_NEAR_BAND, pv_cutoff - 1)
+    k = np.arange(-(N - 1), N)
+    far = np.abs(k) > band
+    ker = np.where(far, 1.0 / (np.where(far, np.abs(k), 1) * h) ** (m + 1), 0.0)
+    lower, upper = np.where(k > 0, ker, 0.0), np.where(k < 0, ker, 0.0)
+    # prod_s (c_s[max] - c_s[min + 1]) is the sum, over the 2^m ways to pick
+    # one term of each factor, of p(max) q(min): p multiplies the picked
+    # c_s[x] and q the picked -c_s[x + 1]
+    ends = [(cs[:-1], -cs[1:]) for cs in csums]
+    out = np.zeros(N, dtype=np.result_type(flast, *csums))
+    for picks in itertools.product((0, 1), repeat=m):
+        p = math.prod((e[0] for e, pick in zip(ends, picks) if pick == 0), start=1.0)
+        q = math.prod((e[1] for e, pick in zip(ends, picks) if pick == 1), start=1.0)
+        out += p * _toeplitz_apply(q * flast, lower) - q * _toeplitz_apply(p * flast, upper)
+    for d in range(pv_cutoff, min(band, N - 1) + 1):
+        diag = math.prod((cs[d:N] - cs[1 : N - d + 1] for cs in csums), start=1.0)
+        diag = diag / (d * h) ** (m + 1)
+        out[d:] += diag * flast[: N - d]
+        out[: N - d] -= diag * flast[d:]
+    return GridFunction(dom, out * h)
 
 
 def stein_square_function(
@@ -232,20 +223,6 @@ def iterated_commutator(
     if not any(np.iscomplexobj(f.samples) for f in fs):
         out = out.real
     return GridFunction(dom, out)
-
-
-def first_order_commutator_kernel(
-    b: GridFunction, f: GridFunction, pv_cutoff: int = 1
-) -> GridFunction:
-    """Direct O(N^2) evaluation of (1/pi) sum (b_i - b_j) f_j / (i - j):
-    the independent oracle for the expansion path."""
-    N = f.domain.n_cells
-    i = np.arange(N)[:, None]
-    j = np.arange(N)[None, :]
-    with np.errstate(divide="ignore"):
-        ker = np.where(np.abs(i - j) >= pv_cutoff, 1.0 / np.where(i == j, 1, i - j), 0.0)
-    diff = b.samples[:, None] - b.samples[None, :]
-    return GridFunction(f.domain, (ker * diff) @ f.samples / math.pi)
 
 
 def log_dini_norm(omega: Callable[[float], float], a: float, m: int) -> float:

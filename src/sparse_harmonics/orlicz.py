@@ -68,11 +68,11 @@ class YoungFunction:
         return YoungFunction(f"conj({self.name})", lambda t: _conjugate_eval(self, t))
 
 
-def monotone_root(lo, hi, excess):
+def monotone_root(lo, hi, excess, below=False):
     """Shrink every bracket [lo, hi] of one vector at once until
-    hi - lo <= 1e-12 hi (at most 200 passes), and return hi.  excess(x) is
-    > 0 where the root lies above x and decreases in x; a bracket with
-    lo = hi = 0 stays 0.
+    hi - lo <= 1e-12 hi (at most 200 passes), and return hi, or lo if
+    below.  excess(x) is > 0 where the root lies above x and decreases in
+    x; a bracket with lo = hi = 0 stays 0.
 
     Each pass takes a safeguarded Illinois step (Dowell & Jarratt, BIT 11,
     1971): the secant point of the bracket, with the excess kept at an end
@@ -89,7 +89,7 @@ def monotone_root(lo, hi, excess):
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     if np.all(hi - lo <= 1e-12 * hi):  # spares the two end evaluations
-        return hi
+        return lo if below else hi
     moved = np.zeros(lo.shape)  # +1 where lo moved last pass, -1 where hi did
     halved_at = hi - lo  # the width when the bracket last halved ...
     slow = np.zeros(lo.shape, dtype=int)  # ... and the passes since then
@@ -115,12 +115,16 @@ def monotone_root(lo, hi, excess):
             lo, f_lo = np.where(up, x, lo), np.where(up, f_x, f_lo)
             hi, f_hi = np.where(up, hi, x), np.where(up, f_hi, f_x)
             moved = np.where(up, 1.0, -1.0)
-    return hi
+    return lo if below else hi
 
 
 def _numeric_inverse(phi: YoungFunction, t: np.ndarray) -> np.ndarray:
     """The (generalized) inverse of a monotone phi: a doubling search for
-    the upper end of each bracket, then one vector root solve."""
+    the upper end of each bracket, then one vector root solve.  It returns
+    the lower end, less 4 eps for the rounding of v / (v / s) and of phi,
+    so that phi(phi^-1(t)) <= t: a Luxemburg bracket [mean, max] |f| /
+    phi^-1(1) then ends where mean phi(|f| / lam) <= 1, also when it is
+    closed (a one-cell cube)."""
     t = np.atleast_1d(t).astype(float)
     hi = np.ones_like(t)
     for _ in range(200):
@@ -128,7 +132,8 @@ def _numeric_inverse(phi: YoungFunction, t: np.ndarray) -> np.ndarray:
         if not bad.any():
             break
         hi[bad] *= 2.0
-    return monotone_root(np.zeros_like(t), hi, lambda s: t - phi(s))
+    lo = monotone_root(np.zeros_like(t), hi, lambda s: t - phi(s), below=True)
+    return lo * (1.0 - 4.0 * np.finfo(float).eps)
 
 
 _CONJ_S = np.logspace(-9.0, 9.0, 4096)

@@ -1,15 +1,15 @@
 """Brute-force oracles for the fast kernels: one slice sum per cube, one
 maximal function per cube, one cube at a time in the stopping-time walk,
-a literal nested sum for kernel quadrature, no vectorisation.  Slow on
-purpose."""
+dense O(N^2) sums for the convolution kernels, a literal nested sum for
+kernel quadrature, little or no vectorisation.  Slow on purpose."""
 
+import math
 from typing import Callable, Sequence
 
 import numpy as np
 
-from sparse_harmonics.grid import GridFunction, children, cube_cells
+from sparse_harmonics.grid import CubeFamily, GridFunction, children, cube_cells
 from sparse_harmonics.maximal import family_for
-from sparse_harmonics.operators import CostError
 
 
 def brute_ap(w, p):
@@ -126,7 +126,7 @@ def direct_kernel_apply(
     dom = fs[0].domain
     N = dom.n_cells
     if len(fs) > 3 or (len(fs) > 2 and dom.resolution_log2 > 10):
-        raise CostError("direct quadrature refused at this size")
+        raise ValueError("direct quadrature refused at this size")
     xs = dom.cell_centers()
     h = dom.h
     out = np.zeros(N)
@@ -158,3 +158,65 @@ def direct_kernel_apply(
                             )
         out[i] = acc
     return GridFunction(dom, out)
+
+
+def calderon_kernel(x: float, ys: Sequence[float]) -> float:
+    """K(x, y_1..y_{m+1}): signed power of the last gap times indicators
+    confining every other y inside the open interval between x and y_{m+1}."""
+    ys = list(ys)
+    if len(ys) < 2:
+        raise ValueError("kernel takes at least two y arguments")
+    m = len(ys) - 1
+    ylast = ys[-1]
+    if ylast == x:
+        raise ValueError("kernel is singular at y_{m+1} = x")
+    lo, hi = min(x, ylast), max(x, ylast)
+    for y in ys[:-1]:
+        if not (lo < y < hi):
+            return 0.0
+    sign = (-1.0) ** (m * (1 if ylast - x > 0 else 0))
+    return sign / (x - ylast) ** (m + 1)
+
+
+def dense_calderon_apply(fs: Sequence[GridFunction], pv_cutoff: int = 1) -> np.ndarray:
+    """The Calderon form of `calderon_apply` as a dense O(N^2) sum over
+    every pair (i, j), 256 rows at a time."""
+    dom = fs[0].domain
+    m = len(fs) - 1
+    N = dom.n_cells
+    h = dom.h
+    csums = [CubeFamily.prefix(f.samples) * h for f in fs[:-1]]
+    flast = fs[-1].samples.astype(float)
+    idx = np.arange(N)
+    out = np.zeros(N)
+    for start in range(0, N, 256):
+        rows = idx[start : start + 256]
+        i = rows[:, None]
+        j = idx[None, :]
+        gap = (i - j).astype(float) * h  # x_i - y_j
+        keep = np.abs(i - j) >= pv_cutoff
+        lo = np.minimum(i, j)
+        hi = np.maximum(i, j)
+        inner = np.ones(gap.shape)
+        for cs in csums:
+            inner *= cs[hi] - cs[lo + 1]  # cells strictly between centers
+        sign = np.where((j > i) & (m % 2 == 1), -1.0, 1.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            vals = sign * inner / gap ** (m + 1)
+        vals = np.where(keep, vals, 0.0)
+        out[rows] = vals @ flast * h
+    return out
+
+
+def first_order_commutator_kernel(
+    b: GridFunction, f: GridFunction, pv_cutoff: int = 1
+) -> GridFunction:
+    """Direct O(N^2) evaluation of (1/pi) sum (b_i - b_j) f_j / (i - j):
+    the independent oracle for the expansion path."""
+    N = f.domain.n_cells
+    i = np.arange(N)[:, None]
+    j = np.arange(N)[None, :]
+    with np.errstate(divide="ignore"):
+        ker = np.where(np.abs(i - j) >= pv_cutoff, 1.0 / np.where(i == j, 1, i - j), 0.0)
+    diff = b.samples[:, None] - b.samples[None, :]
+    return GridFunction(f.domain, (ker * diff) @ f.samples / math.pi)

@@ -21,7 +21,6 @@ from sparse_harmonics.harness import (
 )
 from sparse_harmonics.operators import (
     calderon_apply,
-    first_order_commutator_kernel,
     hilbert_transform,
     iterated_commutator,
     stein_square_function,
@@ -51,7 +50,7 @@ from sparse_harmonics.weights import (
     s_u,
 )
 
-from oracles import brute_ainfty, brute_ap
+from oracles import brute_ainfty, brute_ap, first_order_commutator_kernel
 
 DOM8 = Domain(0.0, 1.0, 8)
 ROOT8 = DyadicCube(0, 0, 0)

@@ -544,6 +544,23 @@ p = 1
     assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 0
 
 
+def test_run_calderon_order_three_on_4096_cells_exits_without_traceback(tmp_path):
+    # a 4-linear Calderon form at l > 10 was refused with a traceback
+    cfg = write_config(tmp_path, """
+[experiment]
+kind = cf
+l = 12
+
+[operator]
+kind = calderon
+m = 3
+
+[functions]
+bank = random
+""")
+    assert main(["run", cfg, "--out", str(tmp_path / "o")]) in (0, 3, 4)
+
+
 def test_seed_env_override(tmp_path, monkeypatch):
     cfg = write_config(tmp_path, DECAY_CONFIG)
     out = tmp_path / "o"

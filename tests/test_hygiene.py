@@ -1,7 +1,8 @@
 """Source hygiene checks that need no linter: every name a module under
 src/ or tests/ imports is used in that module, every parameter of a def
 under src/ is read in its body, every name in a src/ module's __all__ is
-defined in that module, and the benchmark tracer still finds every name
+defined in that module and read by other src/ code (or is on the list of
+names only tests reach), and the benchmark tracer still finds every name
 and parameter it traces."""
 
 import ast
@@ -177,6 +178,91 @@ def test_checker_sees_undefined_exports():
 def test_no_undefined_exports_in_src():
     found = _findings_under(SRC, undefined_exports)
     assert not found, "names in __all__ not defined in their module:\n" + "\n".join(found)
+
+
+def unreachable_exports(sources: dict[str, str]) -> list[str]:
+    """"module.name" for each name in a module's __all__ that no code in
+    sources reads outside the name's own definition: neither another
+    module nor another top-level statement of its module.  A read is a
+    name or an attribute; imports and __all__ itself are not reads."""
+    exports, reads = {}, []
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                exports[module] = [elt.value for elt in node.value.elts]
+                continue
+            owner = getattr(node, "name", None)
+            read = {
+                n.id if isinstance(n, ast.Name) else n.attr
+                for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))
+            }
+            reads.append((module, owner, read))
+    return [
+        f"{module}.{name}"
+        for module, names in exports.items()
+        for name in names
+        if not any(name in read and (m, o) != (module, name) for m, o, read in reads)
+    ]
+
+
+def test_checker_sees_unreachable_exports():
+    sources = {
+        "a": (
+            "__all__ = ['f', 'g', 'h', 'K']\n"
+            "def f():\n"
+            "    return g()\n"
+            "def g():\n"
+            "    return g()\n"
+            "def h():\n"
+            "    pass\n"
+            "class K:\n"
+            "    pass\n"
+        ),
+        "b": (
+            "from a import K, h\n"
+            "__all__ = ['u']\n"
+            "def u():\n"
+            "    return K()\n"
+        ),
+    }
+    assert unreachable_exports(sources) == ["a.f", "a.h", "b.u"]
+
+
+# Exported names that only tests reach, each with the criterion or test
+# that uses it
+TEST_ONLY = {
+    "grid.children": "criteria 1 and 2; tests/oracles.py::brute_stopping_cubes",
+    "operators.weighted_bmo_norm": "test_operators.py::test_weighted_bmo_*",
+    "operators.log_dini_norm": "test_operators.py::test_log_dini_*",
+    "orlicz.power_over_p": "criterion 10",
+    "orlicz.generalized_holder": "test_orlicz.py::test_holder_*",
+    "orlicz.young_pair_checks": "criterion 10",
+    "orlicz.delta2_constant": "criterion 10",
+    "sparse.verify_sparse": "criteria 2 and 3",
+    "sparse.optimal_eta": "test_sparse.py::test_sparse_carleson_equivalence_brute_force",
+    "sparse.oscillation_sparse": "criterion 3",
+    "sparse.counting_decay": "criteria 1 and 2",
+    "weights.multi_ap_constant": "test_weights.py::test_multi_ap_*",
+    "weights.reverse_holder_check": "criterion 5",
+    "weights.rubio_de_francia": "criterion 6",
+    "weights.k0_p0": "criteria 6 and 8",
+    "weights.k0_p0_remark": "test_weights.py::test_k0_p0_remark_shape",
+    "weights.lemma51_check": "test_weights.py::test_lemma51_*",
+}
+
+
+def test_every_export_in_src_is_reached_or_listed():
+    package = SRC / "sparse_harmonics"
+    sources = {path.stem: path.read_text() for path in sorted(package.glob("*.py"))}
+    found = set(unreachable_exports(sources))
+    assert not found - TEST_ONLY.keys(), (
+        "exported names no src code reads:\n" + "\n".join(sorted(found - TEST_ONLY.keys()))
+    )
+    assert not TEST_ONLY.keys() - found, (
+        "listed as test-only but read in src:\n" + "\n".join(sorted(TEST_ONLY.keys() - found))
+    )
 
 
 def test_benchmark_tracer_binds_every_traced_name():

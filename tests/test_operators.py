@@ -3,15 +3,13 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.signal import fftconvolve
 
 from sparse_harmonics.grid import Domain, DyadicCube, GridFunction, Interval
 from sparse_harmonics.operators import (
-    CostError,
     KernelOperator,
     bmo_norm,
     calderon_apply,
-    calderon_kernel,
-    first_order_commutator_kernel,
     hilbert_transform,
     iterated_commutator,
     log_dini_norm,
@@ -21,7 +19,13 @@ from sparse_harmonics.operators import (
 from sparse_harmonics.orlicz import Measure, exp_power, luxemburg_norm
 from sparse_harmonics.weights import Weight, ainfty_constants
 
-from oracles import brute_weighted_bmo, direct_kernel_apply
+from oracles import (
+    brute_weighted_bmo,
+    calderon_kernel,
+    dense_calderon_apply,
+    direct_kernel_apply,
+    first_order_commutator_kernel,
+)
 
 DOM = Domain(0.0, 1.0, 8)
 
@@ -59,6 +63,33 @@ def test_hilbert_linear():
     b = hilbert_transform(g).samples
     ab = hilbert_transform(f + g).samples
     np.testing.assert_allclose(ab, a + b, atol=1e-12)
+
+
+def _complex_parts_agree(apply, f, g):
+    """apply(f + ig) against apply(f) + i apply(g), with no ComplexWarning
+    on the way."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = apply(f + 1j * g)
+        want = apply(f) + 1j * apply(g)
+    assert np.iscomplexobj(got)
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13 * np.abs(want).max())
+
+
+def test_hilbert_is_linear_over_complex_inputs():
+    dom = Domain(0.0, 1.0, 6)
+    f, g = rand_f(20, dom), rand_f(21, dom)
+    _complex_parts_agree(lambda u: hilbert_transform(GridFunction(dom, u)).samples,
+                         f.samples, g.samples)
+
+
+def test_hilbert_of_a_real_input_is_the_plain_convolution():
+    f = rand_f(22)
+    N = DOM.n_cells
+    k = np.arange(-(N - 1), N)
+    ker = np.where(k != 0, 1.0 / np.where(k == 0, 1, k), 0.0)
+    want = fftconvolve(f.samples, ker)[N - 1 : 2 * N - 1] / math.pi
+    assert np.array_equal(hilbert_transform(f).samples, want)
 
 
 # -- calderon ----------------------------------------------------------------
@@ -105,11 +136,67 @@ def test_calderon_constant_slot_reduces_to_hilbert_shape():
     assert np.linalg.norm(c - hf) / np.linalg.norm(hf) <= 0.03
 
 
-def test_calderon_cost_guard():
-    dom = Domain(0.0, 1.0, 11)
-    fs = [GridFunction.constant(dom, 1.0)] * 4
-    with pytest.raises(CostError):
-        calderon_apply(fs)
+def _fft_error(fs, pv_cutoff):
+    dense = dense_calderon_apply(fs, pv_cutoff)
+    fast = calderon_apply(fs, pv_cutoff).samples
+    return np.abs(fast - dense).max() / np.abs(dense).max()
+
+
+@pytest.mark.parametrize("L", [6, 10])
+@pytest.mark.parametrize("pv_cutoff", [1, 3])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_calderon_fft_matches_dense_oracle(m, pv_cutoff, L):
+    dom = Domain(0.0, 1.0, L)
+    fs = [rand_f(100 + 10 * m + s, dom) for s in range(m + 1)]
+    assert _fft_error(fs, pv_cutoff) <= 1e-12
+
+
+def test_calderon_fft_matches_dense_oracle_at_order_two_on_4096_cells():
+    dom = Domain(0.0, 1.0, 12)
+    assert _fft_error([rand_f(130 + s, dom) for s in range(3)], 1) <= 1e-12
+
+
+class _DenseCalderon:
+    """The Calderon operator through the dense oracle, for
+    iterated_commutator."""
+
+    def apply(self, fs):
+        return GridFunction(fs[0].domain, dense_calderon_apply(fs))
+
+
+@pytest.mark.parametrize("slots", [[0], [1], [0, 0], [0, 1]])
+def test_calderon_commutators_with_a_log_symbol_match_dense_oracle(slots):
+    # [b, C] and [b, [b, C]] with b = log|x - 1/2|
+    dom = Domain(0.0, 1.0, 10)
+    b = GridFunction.from_callable(dom, lambda x: np.log(np.abs(x - 0.5)))
+    fs = [rand_f(140, dom), rand_f(141, dom)]
+    bs = [b] * len(slots)
+    fast = iterated_commutator(KernelOperator("calderon"), bs, slots, fs).samples
+    dense = iterated_commutator(_DenseCalderon(), bs, slots, fs).samples
+    assert np.abs(fast - dense).max() <= 1e-12 * np.abs(dense).max()
+
+
+def test_calderon_order_three_runs_on_16384_cells():
+    dom = Domain(0.0, 1.0, 14)
+    f1, f2, f3, g, u = (rand_f(150 + s, dom) for s in range(5))
+    out = calderon_apply([f1, f2, f3, g]).samples
+    assert np.all(np.isfinite(out))
+    combo = calderon_apply([f1, f2, f3, 2.0 * g + u]).samples
+    want = 2.0 * out + calderon_apply([f1, f2, f3, u]).samples
+    assert np.abs(combo - want).max() <= 1e-12 * np.abs(want).max()
+    combo = calderon_apply([f1, 3.0 * f2 - g, f3, g]).samples
+    want = 3.0 * out - calderon_apply([f1, g, f3, g]).samples
+    assert np.abs(combo - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_calderon_is_linear_over_complex_inputs():
+    dom = Domain(0.0, 1.0, 6)
+    one = GridFunction.constant(dom, 1.0)
+    f, g = rand_f(23, dom), rand_f(24, dom)
+    _complex_parts_agree(lambda u: calderon_apply([one, GridFunction(dom, u)]).samples,
+                         f.samples, g.samples)
+    _complex_parts_agree(lambda u: calderon_apply([GridFunction(dom, u), f]).samples,
+                         f.samples, g.samples)
 
 
 # -- stein -------------------------------------------------------------------
@@ -192,6 +279,18 @@ def test_second_order_equals_iterated_first_order():
         - iterated_commutator(H, [b], [0], [b * f]).samples
     )
     np.testing.assert_allclose(second, twice, atol=1e-10)
+
+
+def test_commutator_is_linear_over_complex_inputs():
+    # [b, H](f + ig) was off by 0.13 when H dropped the imaginary part
+    dom = Domain(0.0, 1.0, 6)
+    H = KernelOperator("hilbert")
+    b = GridFunction.from_callable(dom, lambda x: np.log(np.abs(x - 0.5)))
+    f, g = rand_f(25, dom), rand_f(26, dom)
+    _complex_parts_agree(
+        lambda u: iterated_commutator(H, [b], [0], [GridFunction(dom, u)]).samples,
+        f.samples, g.samples,
+    )
 
 
 def test_commutator_validation():
