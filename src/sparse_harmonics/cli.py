@@ -40,6 +40,22 @@ from .harness import (
 from .orlicz import exp_power, llog, power
 from .weights import Weight, write_constants_csv
 
+__all__ = [
+    "ConfigError",
+    "parse_config",
+    "make_weight",
+    "make_symbol",
+    "make_function",
+    "make_phi",
+    "run_experiment",
+    "constants_rows",
+    "write_svg_plot",
+    "fixtures_dir",
+    "list_fixtures",
+    "diff_fixture_file",
+    "main",
+]
+
 
 class ConfigError(ValueError):
     pass

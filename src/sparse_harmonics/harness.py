@@ -31,6 +31,30 @@ from .orlicz import Measure, YoungFunction, dilation_indices, phi_power
 from .sparse import SparseFamily, commutator_sparse_form, sparse_operator, stopping_cubes
 from .weights import DimensionalConstants, Weight, ap_constant, log_k0_p0
 
+__all__ = [
+    "VerificationReport",
+    "DecayCurve",
+    "verdict_from",
+    "environment",
+    "OperatorBundle",
+    "hilbert_bundle",
+    "calderon_bundle",
+    "stein_bundle",
+    "lorentz_quasinorm",
+    "lorentz_l1_norm",
+    "fit_exponent",
+    "model_values",
+    "principal_cubes",
+    "default_t_grid",
+    "local_decay_experiment",
+    "sharpness_experiment",
+    "coifman_fefferman_experiment",
+    "mixed_weak_experiment",
+    "fefferman_stein_experiment",
+    "quasiconvex_alpha",
+    "modular_experiment",
+]
+
 DEFAULT_SLACK = 10.0
 
 
@@ -649,7 +673,7 @@ def modular_experiment(
     h = dom.h
     tf = np.abs(bundle.apply(fs).samples)
     lhs = float(np.sum(np.asarray(phi(tf), dtype=float) * w.samples) * h)
-    alpha = quasiconvex_alpha(phi.complementary() if phi.complementary_fn else phi)
+    alpha = quasiconvex_alpha(phi)
     c1 = phi.delta2_C1
     if c1 is None or not math.isfinite(c1):
         raise ValueError("growth function must satisfy the doubling condition")

@@ -210,23 +210,38 @@ def ainfty_constants(w: Weight) -> tuple[float, float]:
     inside the domain (ValueError when there is none, as at L <= 2).  The
     inner M runs over the same cube family.
 
-    One sweep per pair of levels (e, e') of the family.  The cubes Q of e
-    tile the grid, and for a cell x of Q, M(w chi_Q)(x) is the max over e'
-    of w(P ∩ Q) / |P|, with P the cube of e' holding x and |P| the measure
-    `CubeFamily.means` divides by.  Every sum is local: w(P ∩ Q) and w(Q)
-    come from a cumulative sum of w that restarts at each Q (one padded row
-    per cube: the additions `maximal` makes on w chi_Q), w(2Q) from
-    `_double_sums`, so a cube holding a tiny share of the mass keeps its
-    digits.  The inner levels go in chunks of about _SWEEP_CELLS cells; the
-    cost is O(E^2 N) for E levels and N cells.
+    One sweep per outer level e of the family.  The cubes Q of e tile the
+    grid, and for a cell x of Q, M(w chi_Q)(x) is the max over the levels
+    e' of w(P ∩ Q) / |P|, with P the cube of e' holding x and |P| the
+    measure `CubeFamily.means` divides by.  Every sum is local: w(P ∩ Q)
+    and w(Q) come from a cumulative sum of w that restarts at each Q (one
+    padded row per cube: the additions `maximal` makes on w chi_Q), w(2Q)
+    from `_double_sums`, so a cube holding a tiny share of the mass keeps
+    its digits.
+
+    Only the inner levels narrower than Q are swept: about half of the E^2
+    level pairs, for E levels; the cost is O(E^2 N) for N cells.  A P at
+    least as wide as Q gives w(P ∩ Q) / |P| <= w(Q) / |Q|, the value of
+    P = Q, so the max starts there.  The skip is exact in floating point
+    too: a row of the cumulative sum adds non-negative terms, so it never
+    decreases; rounding is monotone, so the difference over P ∩ Q is at
+    most the one over Q, and dividing it by the wider |P| gives at most the
+    same quotient.  The per-cell starts of every level are gathered once
+    per call, and the inner levels go in chunks of about _SWEEP_CELLS
+    cells; clipping P ∩ Q to Q also clips it to the domain.
     """
     dom = w.domain
     fam = family_for(dom)
     N = dom.n_cells
     ws = w.samples.astype(float)
     cells = np.arange(N)
+    inner = sorted(fam.entries, key=lambda f: f.width)
+    widths = np.array([f.width for f in inner])
+    # row i: the unclipped start of the cube of inner[i] holding each cell
+    starts = np.empty((len(inner), N), dtype=np.int32)
+    for row, f in zip(starts, inner):
+        row[:] = f.starts[f.cell_to_cube]
     step = max(1, _SWEEP_CELLS // N)
-    chunks = [fam.entries[k:k + step] for k in range(0, len(fam.entries), step)]
     fw = weak = -np.inf
     for e in fam.entries:
         q = e.cell_to_cube
@@ -238,13 +253,12 @@ def ainfty_constants(w: Weight) -> tuple[float, float]:
         csum.flat[at + cells + 1] = ws
         np.cumsum(csum, axis=1, out=csum)
         flat = csum.ravel()
-        m = np.zeros(N)
-        for inner in chunks:
-            # the unclipped start and the width of the inner cube holding each cell
-            s = np.stack([f.starts[f.cell_to_cube] for f in inner])
-            wd = np.array([[f.width] for f in inner])
-            lo, hi = np.maximum(s, 0), np.minimum(s + wd, N)
-            vals = flat[at + np.minimum(hi, qhi)] - flat[at + np.maximum(lo, qlo)]
+        m = (flat[at + qhi] - flat[at + qlo]) / e.width  # P = Q
+        narrower = int(np.searchsorted(widths, e.width))
+        for a in range(0, narrower, step):
+            b = min(a + step, narrower)
+            s, wd = starts[a:b], widths[a:b, None]
+            vals = flat[at + np.minimum(s + wd, qhi)] - flat[at + np.maximum(s, qlo)]
             vals /= wd
             np.maximum(m, vals.max(axis=0), out=m)
         per_cube = np.zeros((e.n_cubes, span))

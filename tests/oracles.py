@@ -1,7 +1,8 @@
 """Brute-force oracles for the fast kernels: one slice sum per cube, one
-maximal function per cube, one cube at a time in the stopping-time walk,
-dense O(N^2) sums for the convolution kernels, a literal nested sum for
-kernel quadrature, little or no vectorisation.  Slow on purpose."""
+maximal function per cube, every pair of levels in the A_infty sweep, one
+cube at a time in the stopping-time walk, dense O(N^2) sums for the
+convolution kernels, a literal nested sum for kernel quadrature, little or
+no vectorisation.  Slow on purpose."""
 
 import math
 from typing import Callable, Sequence
@@ -10,6 +11,7 @@ import numpy as np
 
 from sparse_harmonics.grid import CubeFamily, GridFunction, children, cube_cells
 from sparse_harmonics.maximal import family_for
+from sparse_harmonics.weights import _SWEEP_CELLS, _double_sums
 
 
 def brute_ap(w, p):
@@ -58,6 +60,56 @@ def brute_ainfty(w):
                 if lo2 >= 0 and hi2 <= N:
                     weak = max(weak, num / w.samples[lo2:hi2].sum())
     return fw, weak
+
+
+def all_pairs_ainfty(w):
+    """(Fujii-Wilson, weak) constants of w by the sweep over all E^2 pairs
+    of family levels, outer and inner: the route `ainfty_constants` took
+    before it skipped the inner cubes at least as wide as the outer one.
+    For a cell x of an outer cube Q, M(w chi_Q)(x) is the max over every
+    inner level of w(P ∩ Q) / |P|, from a cumulative sum of w restarting at
+    each Q; the per-cell starts of each inner level are gathered once per
+    outer level."""
+    dom = w.domain
+    fam = family_for(dom)
+    N = dom.n_cells
+    ws = w.samples.astype(float)
+    cells = np.arange(N)
+    step = max(1, _SWEEP_CELLS // N)
+    chunks = [fam.entries[k:k + step] for k in range(0, len(fam.entries), step)]
+    fw = weak = -np.inf
+    for e in fam.entries:
+        q = e.cell_to_cube
+        qlo, qhi = e.lo[q], e.hi[q]
+        span = int((e.hi - e.lo).max())  # cells of the longest clipped cube
+        # row i of csum: csum[i, k] = w over the first k cells of Q_i
+        csum = np.zeros((e.n_cubes, span + 1))
+        at = q * (span + 1) - qlo  # csum.flat[at + y] = w over [lo, y) of x's cube
+        csum.flat[at + cells + 1] = ws
+        np.cumsum(csum, axis=1, out=csum)
+        flat = csum.ravel()
+        m = np.zeros(N)
+        for inner in chunks:
+            # the unclipped start and the width of the inner cube holding each cell
+            s = np.stack([f.starts[f.cell_to_cube] for f in inner])
+            wd = np.array([[f.width] for f in inner])
+            lo, hi = np.maximum(s, 0), np.minimum(s + wd, N)
+            vals = flat[at + np.minimum(hi, qhi)] - flat[at + np.maximum(lo, qlo)]
+            vals /= wd
+            np.maximum(m, vals.max(axis=0), out=m)
+        per_cube = np.zeros((e.n_cubes, span))
+        per_cube.flat[q * span + cells - qlo] = m
+        num = per_cube.sum(axis=1)
+        fw = max(fw, float((num / csum[:, -1]).max()))
+        idx, _, w2q = _double_sums(e, ws)
+        if len(idx):
+            weak = max(weak, float((num[idx] / w2q).max()))
+    if weak == -np.inf:
+        raise ValueError(
+            f"no cube has its double inside the domain at L = {dom.resolution_log2}, "
+            "so the weak A_inf constant is a sup over no cubes"
+        )
+    return float(fw), float(weak)
 
 
 def brute_weighted_maximal(samples, weight, dom):

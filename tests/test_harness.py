@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from sparse_harmonics import orlicz
 from sparse_harmonics.cli import fixtures_dir
 from sparse_harmonics.grid import (
     Domain,
@@ -446,6 +447,38 @@ def test_modular_rejects_non_submultiplicative():
 
 def test_quasiconvex_alpha_quadratic():
     assert quasiconvex_alpha(power(2.0)) == pytest.approx(1.0)
+
+
+def _count_numeric_conjugates(monkeypatch) -> list:
+    calls = []
+    numeric = orlicz._conjugate_eval
+    monkeypatch.setattr(
+        orlicz, "_conjugate_eval", lambda *a: calls.append(a) or numeric(*a)
+    )
+    return calls
+
+
+@pytest.mark.parametrize("p", [1.1, 1.5, 2.0, 3.0, 5.0])
+def test_quasiconvex_alpha_of_a_power_takes_the_closed_form_conjugate(p, monkeypatch):
+    # passing phi tests the closed-form conjugate of phi; passing
+    # phi.complementary() tests the conjugate of that, phi again, through
+    # two numeric conjugates, and gives the same alpha
+    calls = _count_numeric_conjugates(monkeypatch)
+    phi = power(p)
+    via_numeric = quasiconvex_alpha(phi.complementary())
+    assert calls
+    calls.clear()
+    assert quasiconvex_alpha(phi) == via_numeric
+    assert not calls
+
+
+@pytest.mark.parametrize("p, q, r", [(2.0, 1.2, 1.5), (1.2, 1.1, 2.0)])
+def test_modular_alpha_takes_no_numeric_conjugate_for_a_power(p, q, r, monkeypatch):
+    calls = _count_numeric_conjugates(monkeypatch)
+    phi = power(p)
+    rep = modular_experiment(hilbert_bundle([SYMBOL]), [rand_f(5)], phi, q, r, ONE)
+    assert not calls
+    assert rep.constants["alpha"] == quasiconvex_alpha(phi.complementary())
 
 
 # -- report plumbing ---------------------------------------------------------

@@ -1,12 +1,13 @@
 """Source hygiene checks that need no linter: every name a module under
 src/ or tests/ imports is used in that module, every parameter of a def
 under src/ is read in its body, every name in a src/ module's __all__ is
-defined in that module and read by other src/ code (or is on the list of
-names only tests reach), and the benchmark tracer still finds every name
-and parameter it traces."""
+defined in that module and read by other src/ code, run as a console
+script or on the list of names only tests reach, and the benchmark tracer
+still finds every name and parameter it traces."""
 
 import ast
 import importlib.util
+import re
 from pathlib import Path
 
 import numpy as np
@@ -180,11 +181,13 @@ def test_no_undefined_exports_in_src():
     assert not found, "names in __all__ not defined in their module:\n" + "\n".join(found)
 
 
-def unreachable_exports(sources: dict[str, str]) -> list[str]:
+def unreachable_exports(sources: dict[str, str], entry_points=()) -> list[str]:
     """"module.name" for each name in a module's __all__ that no code in
     sources reads outside the name's own definition: neither another
     module nor another top-level statement of its module.  A read is a
-    name or an attribute; imports and __all__ itself are not reads."""
+    name or an attribute; imports and __all__ itself are not reads.  The
+    "module.name" entries of entry_points (console scripts) count as
+    reached."""
     exports, reads = {}, []
     for module, source in sources.items():
         for node in ast.parse(source).body:
@@ -203,8 +206,19 @@ def unreachable_exports(sources: dict[str, str]) -> list[str]:
         f"{module}.{name}"
         for module, names in exports.items()
         for name in names
-        if not any(name in read and (m, o) != (module, name) for m, o, read in reads)
+        if f"{module}.{name}" not in entry_points
+        and not any(name in read and (m, o) != (module, name) for m, o, read in reads)
     ]
+
+
+def console_scripts(pyproject: str) -> set[str]:
+    """"module.function" for each entry of [project.scripts], as
+    "package.module:function" names it."""
+    section = pyproject.partition("[project.scripts]")[2].split("\n[", 1)[0]
+    return {
+        ref.rsplit(".", 1)[-1].replace(":", ".")
+        for ref in re.findall(r'=\s*"([\w.]+:\w+)"', section)
+    }
 
 
 def test_checker_sees_unreachable_exports():
@@ -226,14 +240,27 @@ def test_checker_sees_unreachable_exports():
             "def u():\n"
             "    return K()\n"
         ),
+        "c": (
+            "__all__ = ['main', 'v']\n"
+            "def main():\n"
+            "    return 0\n"
+            "def v():\n"
+            "    pass\n"
+        ),
     }
-    assert unreachable_exports(sources) == ["a.f", "a.h", "b.u"]
+    assert unreachable_exports(sources) == ["a.f", "a.h", "b.u", "c.main", "c.v"]
+    # a console script reaches its own function, and no other
+    assert unreachable_exports(sources, {"c.main"}) == ["a.f", "a.h", "b.u", "c.v"]
+    toml = '[tool.y]\nz = "a.b:c"\n\n[project.scripts]\nx = "pkg.mod:run"\n\n[tool.z]\n'
+    assert console_scripts(toml) == {"mod.run"}
+    assert console_scripts('[tool.y]\nz = "a.b:c"\n') == set()
 
 
 # Exported names that only tests reach, each with the criterion or test
 # that uses it
 TEST_ONLY = {
     "grid.children": "criteria 1 and 2; tests/oracles.py::brute_stopping_cubes",
+    "harness.lorentz_l1_norm": "criterion 6; test_harness.py::test_lorentz_l1_dominates_weak",
     "operators.weighted_bmo_norm": "test_operators.py::test_weighted_bmo_*",
     "operators.log_dini_norm": "test_operators.py::test_log_dini_*",
     "orlicz.power_over_p": "criterion 10",
@@ -256,7 +283,9 @@ TEST_ONLY = {
 def test_every_export_in_src_is_reached_or_listed():
     package = SRC / "sparse_harmonics"
     sources = {path.stem: path.read_text() for path in sorted(package.glob("*.py"))}
-    found = set(unreachable_exports(sources))
+    scripts = console_scripts((ROOT / "pyproject.toml").read_text())
+    assert "cli.main" in scripts
+    found = set(unreachable_exports(sources, scripts))
     assert not found - TEST_ONLY.keys(), (
         "exported names no src code reads:\n" + "\n".join(sorted(found - TEST_ONLY.keys()))
     )

@@ -25,7 +25,7 @@ from sparse_harmonics.weights import (
     s_u,
 )
 
-from oracles import brute_ainfty, brute_ap
+from oracles import all_pairs_ainfty, brute_ainfty, brute_ap
 
 DOM = Domain(0.0, 1.0, 6)
 
@@ -185,6 +185,30 @@ def test_ainfty_matches_brute_oracle(L, spec):
     bfw, bweak = brute_ainfty(w)
     assert fw == pytest.approx(bfw, rel=1e-12)
     assert weak == pytest.approx(bweak, rel=1e-12)
+
+
+def _ainfty_bank(dom):
+    x, h = dom.cell_centers(), dom.h
+    return {
+        "one": np.ones(dom.n_cells),
+        "cusp": np.abs(x - 0.5) ** (1.0 / 3.0),
+        "pole": np.abs(x - 0.5) ** (-1.0 / 3.0),
+        "exp20": np.exp(20.0 * x),
+        "step1e3": np.where(x < 0.3, 1.0, 1e3),
+        "near-pole": (np.abs(x - 0.37) + h / 4.0) ** -0.99,
+        "lognormal": np.exp(np.random.default_rng(13).standard_normal(dom.n_cells)),
+        "flat-60": np.abs(x - 0.5) ** 60 + 1e-300,
+    }
+
+
+@pytest.mark.parametrize("L", [3, 5, 7, 9, 10])
+def test_ainfty_equals_all_pairs_oracle_bit_for_bit(L):
+    # skipping the inner cubes at least as wide as the outer cube is exact,
+    # not approximate: no tolerance
+    dom = Domain(0.0, 1.0, L)
+    for name, s in _ainfty_bank(dom).items():
+        w = Weight(GridFunction(dom, s), name)
+        assert ainfty_constants(w) == all_pairs_ainfty(w), name
 
 
 def test_reverse_holder_constant_weight():
