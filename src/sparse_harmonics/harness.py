@@ -1,10 +1,10 @@
 """Experiment drivers: evaluate both sides of the main inequalities on
 concrete operators, fit decay exponents, and emit verification reports.
 
-Every experiment is deterministic given (seed, grid resolution, dimensional
-constants).  The ~ in each inequality is absorbed into a recorded slack
-factor, default 10: the artifact checks structure and parameter scaling,
-not unknowable absolute constants.
+Every experiment is deterministic given the seed and the grid resolution;
+the dimensional constants are those of n = 1.  The ~ in each inequality
+is absorbed into a recorded slack factor, default 10: the artifact checks
+structure and parameter scaling, not unknowable absolute constants.
 """
 
 from __future__ import annotations
@@ -25,11 +25,11 @@ from .grid import (
     dilate,
     write_csv,
 )
-from .maximal import MaximalVariant, maximal, multilinear_maximal
+from .maximal import maximal, multilinear_maximal
 from .operators import KernelOperator, bmo_norm, iterated_commutator
 from .orlicz import Measure, YoungFunction, dilation_indices, phi_power
 from .sparse import SparseFamily, commutator_sparse_form, sparse_operator, stopping_cubes
-from .weights import DimensionalConstants, Weight, ap_constant, log_k0_p0
+from .weights import C_N, N_DIM, TAU_N, Weight, ap_constant, log_k0_p0
 
 __all__ = [
     "VerificationReport",
@@ -110,14 +110,14 @@ def verdict_from(ratio: float, slack: float) -> str:
     return "violated"
 
 
-def environment(domain: Domain, dc: DimensionalConstants, seed: int, pv_cutoff: int = 1) -> dict:
+def environment(domain: Domain, seed: int, pv_cutoff: int = 1) -> dict:
     return {
         "L": domain.resolution_log2,
         "pv_cutoff": pv_cutoff,
-        "n": dc.n,
-        "tau_n": dc.tau,
-        "C_n": dc.C_n,
-        "c_n": dc.c_n,
+        "n": N_DIM,
+        "tau_n": TAU_N,
+        "C_n": C_N,
+        "c_n": 1.0,  # the paper's c_n, which no formula here uses
         "seed": seed,
     }
 
@@ -334,7 +334,7 @@ def _comparator_llogl(bundle: OperatorBundle, fs: Sequence[GridFunction]) -> Gri
     out = np.ones(dom.n_cells)
     for i, f in enumerate(fs):
         k = 1 + sum(1 for s in bundle.slots if s == i)
-        out *= maximal(f, MaximalVariant("iterated", k=k)).samples
+        out *= maximal(f, k).samples
     return GridFunction(dom, out)
 
 
@@ -346,7 +346,6 @@ def local_decay_experiment(
     comparator: str = "mixed-min",
     w: Optional[Weight] = None,
     seed: int = 0,
-    dc: DimensionalConstants = DimensionalConstants(),
     experiment_id: str = "local-decay",
 ) -> tuple[DecayCurve, VerificationReport]:
     """Measures |{x in Q0 : |T_b f| > t comparator}| / |Q0| on a t grid and
@@ -399,7 +398,7 @@ def local_decay_experiment(
         rep = VerificationReport(
             experiment_id, {"comparator": comparator}, math.nan, math.nan,
             constants, math.nan, fit, "degenerate",
-            environment(dom, dc, seed, bundle.operator.pv_cutoff),
+            environment(dom, seed, bundle.operator.pv_cutoff),
         )
         return curve, rep
 
@@ -430,7 +429,7 @@ def local_decay_experiment(
         {"comparator": comparator, "m": bundle.m, "l": bundle.l,
          "weighted": w is not None},
         float(measures[0]), float(measures[-1]), constants, ratio, fit, verdict,
-        environment(dom, dc, seed, bundle.operator.pv_cutoff),
+        environment(dom, seed, bundle.operator.pv_cutoff),
     )
     return curve, rep
 
@@ -470,7 +469,6 @@ def coifman_fefferman_experiment(
     w: Weight,
     slack: float = DEFAULT_SLACK,
     seed: int = 0,
-    dc: DimensionalConstants = DimensionalConstants(),
     experiment_id: str = "coifman-fefferman",
 ) -> VerificationReport:
     """int |T_b f|^p w against the L log L maximal side with the tracked
@@ -496,7 +494,7 @@ def coifman_fefferman_experiment(
         {"ainfty_fw": fw, "symbol_norm_product": bprod, "constant": const,
          "slack": slack},
         ratio, None, verdict_from(ratio, slack),
-        environment(dom, dc, seed, bundle.operator.pv_cutoff),
+        environment(dom, seed, bundle.operator.pv_cutoff),
     )
 
 
@@ -508,7 +506,6 @@ def mixed_weak_experiment(
     t: float = 2.0,
     slack: float = DEFAULT_SLACK,
     seed: int = 0,
-    dc: DimensionalConstants = DimensionalConstants(),
     experiment_id: str = "mixed-weak",
 ) -> VerificationReport:
     """Weak (1/m, inf) bound for T_b f / v against u v^{1/m}, with the
@@ -535,7 +532,7 @@ def mixed_weak_experiment(
     )
     a1_u = ap_constant(u, 1.0)
     at_v = ap_constant(v_m, t)
-    p0, log_k0 = log_k0_p0(t, a1_u, at_v, dc)
+    p0, log_k0 = log_k0_p0(t, a1_u, at_v)
     l = bundle.l
     bprod = bundle.symbol_norm_product
     log_const = (2 * l + 6 * m) * log_k0 + (2 * l + 4 * m) * math.log(at_v)
@@ -551,7 +548,7 @@ def mixed_weak_experiment(
     # endpoint specialization v = 1 with its doubly exponential constant
     lhs1 = lorentz_quasinorm(GridFunction(dom, np.abs(tf.samples)), 1.0 / m, Measure(u.f))
     rhs1 = lorentz_quasinorm(mf, 1.0 / m, Measure(u.f))
-    log_c1 = 2.0 ** (dc.n + 7) * m * a1_u * math.log(2.0 * a1_u)
+    log_c1 = 2.0 ** (N_DIM + 7) * m * a1_u * math.log(2.0 * a1_u)
     if bprod > 0:
         log_c1 += math.log(bprod)
     log_ratio1 = (math.log(lhs1) if lhs1 > 0 else -math.inf) - log_c1 - (
@@ -572,7 +569,7 @@ def mixed_weak_experiment(
          "log10_endpoint_constant": log_c1 / math.log(10.0),
          "endpoint_ratio": ratio1, "log10_ratio": log10_ratio, "slack": slack},
         worst, None, verdict_from(worst, 1.0 + slack),
-        environment(dom, dc, seed, bundle.operator.pv_cutoff),
+        environment(dom, seed, bundle.operator.pv_cutoff),
     )
 
 
@@ -583,7 +580,6 @@ def fefferman_stein_experiment(
     ws: Sequence[Weight],
     slack: float = DEFAULT_SLACK,
     seed: int = 0,
-    dc: DimensionalConstants = DimensionalConstants(),
     experiment_id: str = "fefferman-stein",
 ) -> VerificationReport:
     """||T_b f||_{L^p(nu)} against prod ||f_s||_{L^{p_s}(M w_s)} for
@@ -619,7 +615,7 @@ def fefferman_stein_experiment(
         {"weak_ainfty": weak_consts,
          "symbol_norm_product": bundle.symbol_norm_product, "slack": slack},
         ratio, None, verdict_from(ratio, slack),
-        environment(dom, dc, seed, bundle.operator.pv_cutoff),
+        environment(dom, seed, bundle.operator.pv_cutoff),
     )
 
 
@@ -649,7 +645,6 @@ def modular_experiment(
     w: Weight,
     slack: float = DEFAULT_SLACK,
     seed: int = 0,
-    dc: DimensionalConstants = DimensionalConstants(),
     experiment_id: str = "modular",
 ) -> VerificationReport:
     """int phi(|T_b f|) w against the product of modulars of the inputs,
@@ -698,5 +693,5 @@ def modular_experiment(
         {"i_phi": i_phi, "alpha": alpha, "C1": c1, "exponent": exponent,
          "ainfty_fw": fw, "aq": aq, "slack": slack},
         ratio, None, verdict_from(ratio, slack),
-        environment(dom, dc, seed, bundle.operator.pv_cutoff),
+        environment(dom, seed, bundle.operator.pv_cutoff),
     )

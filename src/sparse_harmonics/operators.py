@@ -28,7 +28,6 @@ __all__ = [
     "stein_square_function",
     "iterated_commutator",
     "bmo_norm",
-    "weighted_bmo_norm",
     "log_dini_norm",
 ]
 
@@ -163,24 +162,6 @@ def bmo_norm(b: GridFunction) -> float:
         osc = fam.means(e, dev, clip=True)
         best = max(best, float(osc.max()))
     return best
-
-
-def weighted_bmo_norm(b: GridFunction, w: GridFunction, p: float) -> float:
-    """sup_Q ((1/w(Q)) int_Q |b - <b>_Q|^p w)^{1/p}; the recentering mean
-    is unweighted, as in the defining display."""
-    if p <= 0:
-        raise ValueError("need p > 0")
-    fam = family_for(b.domain)
-    bs = b.samples.astype(float)
-    ws = w.samples.astype(float)
-    best = 0.0
-    for e in fam.entries:
-        means = fam.means(e, bs, clip=True)
-        dev = np.abs(b.samples - means[e.cell_to_cube]) ** p * w.samples
-        num = fam.segment_sums(e, dev)
-        den = fam.segment_sums(e, ws)
-        best = max(best, float((num / den).max()))
-    return best ** (1.0 / p)
 
 
 def iterated_commutator(

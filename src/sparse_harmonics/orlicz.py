@@ -1,4 +1,5 @@
-"""Young functions, Luxemburg norms and the growth-index toolkit.
+"""Young functions, the monotone root solve of the Luxemburg norms, and the
+growth-index toolkit.
 
 Built-in growth functions carry closed-form inverses and complementary
 functions where they exist; everything else falls back on a monotone
@@ -10,11 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
-from .grid import GridFunction, cube_cells
+from .grid import GridFunction
 
 __all__ = [
     "YoungFunction",
@@ -24,9 +25,7 @@ __all__ = [
     "llog",
     "exp_power",
     "phi_power",
-    "luxemburg_norm",
     "monotone_root",
-    "generalized_holder",
     "young_pair_checks",
     "dilation_indices",
     "delta2_constant",
@@ -267,76 +266,6 @@ class Measure:
     @property
     def is_lebesgue(self) -> bool:
         return self.weight is None
-
-
-LEBESGUE = Measure()
-
-
-def luxemburg_norm(
-    f: GridFunction,
-    phi: YoungFunction,
-    q,
-    mu: Measure = LEBESGUE,
-) -> float:
-    """inf lambda with (1/mu(Q)) int_Q phi(|f|/lambda) dmu <= 1.
-
-    Bracketed by the Jensen lower bound <|f|>/phi^-1(1) and the sup bound
-    max|f|/phi^-1(1), then solved by `monotone_root`; both brackets are
-    exact for constants.
-    """
-    lo_c, hi_c, full = cube_cells(f.domain, q)
-    if hi_c <= lo_c:
-        raise ValueError("cube does not meet the domain")
-    v = np.abs(f.samples[lo_c:hi_c]).astype(float)
-    if mu.is_lebesgue:
-        wts = np.ones_like(v)
-        denom = float(full)
-    else:
-        wts = mu.weight.samples[lo_c:hi_c].astype(float)
-        denom = wts.sum()
-    inv1 = float(np.atleast_1d(phi.inverse(np.array([1.0])))[0])
-    vmean = float((v * wts).sum() / denom)
-    return float(monotone_root(
-        vmean / inv1, v.max(initial=0.0) / inv1,
-        lambda lam: (phi(v / lam) * wts).sum() / denom - 1.0,
-    ))
-
-
-def generalized_holder(
-    fs: Sequence[GridFunction],
-    g: GridFunction,
-    q,
-    w: GridFunction,
-    s_vec: Sequence[float],
-) -> tuple[float, float, float]:
-    """Multilinear product bound against exp L^{s_i} and L(log L)^{1/s} norms.
-
-    Returns (lhs, rhs, lhs/rhs) with
-    lhs = (1/w(Q)) int_Q |f_1 ... f_m g| w and
-    rhs = 2^{1/s}(1+1/s)^{1/s} prod ||f_i||_{expL^{s_i}(w),Q} ||g||_{LlogL^{1/s}(w),Q},
-    1/s = sum 1/s_i.
-    """
-    if len(fs) != len(s_vec) or not fs:
-        raise ValueError("need one exponent per factor")
-    if any(si < 1 for si in s_vec):
-        raise ValueError("exponents must be >= 1")
-    dom = g.domain
-    mu = Measure(w)
-    lo, hi, _ = cube_cells(dom, q)
-    wq = w.samples[lo:hi].sum()
-    prod = np.abs(g.samples[lo:hi]).astype(float)
-    for f in fs:
-        prod = prod * np.abs(f.samples[lo:hi])
-    lhs = float((prod * w.samples[lo:hi]).sum() / wq)
-    inv_s = sum(1.0 / si for si in s_vec)
-    const = 2.0 ** inv_s * (1.0 + inv_s) ** inv_s
-    rhs = const
-    for f, si in zip(fs, s_vec):
-        rhs *= luxemburg_norm(f, exp_power(si), q, mu)
-    rhs *= luxemburg_norm(g, llog(inv_s), q, mu)
-    if rhs == 0.0:
-        return lhs, rhs, 0.0 if lhs == 0.0 else np.inf
-    return lhs, rhs, lhs / rhs
 
 
 def young_pair_checks(phi: YoungFunction, t_grid: np.ndarray) -> dict:

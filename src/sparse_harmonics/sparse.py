@@ -27,7 +27,6 @@ from .maximal import family_for
 __all__ = [
     "SparseFamily",
     "verify_sparse",
-    "optimal_eta",
     "sparse_operator",
     "commutator_sparse_form",
     "oscillation_sparse",
@@ -106,49 +105,6 @@ def verify_sparse(fam: SparseFamily) -> tuple[bool, float, float]:
         best_eta = min(best_eta, float((~covered).sum()) / sizes[i])
         carleson = max(carleson, packing / sizes[i])
     return best_eta >= fam.eta - 1e-12, best_eta, carleson
-
-
-def optimal_eta(fam: SparseFamily) -> float:
-    """Best achievable sparseness over all disjoint choices E(Q) subset Q.
-
-    Solved as a linear program on fractional cell masses: maximize eta
-    subject to sum_c x[Q,c] >= eta |Q|, sum_Q x[Q,c] <= 1, support in Q.
-    Independent of verify_sparse; used to cross-check the packing bound.
-    """
-    from scipy.optimize import linprog
-
-    cells = fam.cell_sets()
-    lo_all = min(lo for lo, _ in cells)
-    hi_all = max(hi for _, hi in cells)
-    width = hi_all - lo_all
-    k = len(cells)
-    nvar = k * width + 1  # x[Q, c] row-major, then eta
-    c_obj = np.zeros(nvar)
-    c_obj[-1] = -1.0
-    a_ub = []
-    b_ub = []
-    for i, (lo, hi) in enumerate(cells):  # eta |Q| - sum_c x <= 0
-        row = np.zeros(nvar)
-        row[i * width + (lo - lo_all) : i * width + (hi - lo_all)] = -1.0
-        row[-1] = float(hi - lo)
-        a_ub.append(row)
-        b_ub.append(0.0)
-    for c in range(width):  # sum_Q x[Q,c] <= 1
-        row = np.zeros(nvar)
-        for i in range(k):
-            row[i * width + c] = 1.0
-        a_ub.append(row)
-        b_ub.append(1.0)
-    bounds = []
-    for i, (lo, hi) in enumerate(cells):
-        for c in range(width):
-            inside = lo - lo_all <= c < hi - lo_all
-            bounds.append((0.0, 1.0 if inside else 0.0))
-    bounds.append((0.0, 1.0))
-    res = linprog(c_obj, A_ub=np.array(a_ub), b_ub=np.array(b_ub), bounds=bounds)
-    if not res.success:
-        raise RuntimeError(f"packing LP failed: {res.message}")
-    return float(res.x[-1])
 
 
 def sparse_operator(

@@ -21,7 +21,6 @@ from .maximal import family_for, maximal
 __all__ = [
     "Weight",
     "MultiWeight",
-    "DimensionalConstants",
     "ap_constant",
     "multi_ap_constant",
     "ainfty_constants",
@@ -31,35 +30,21 @@ __all__ = [
     "IterationError",
     "k0_p0",
     "log_k0_p0",
-    "k0_p0_remark",
-    "lemma51_check",
     "write_constants_csv",
 ]
 
 _EXP_CLAMP = 690.0  # keeps exp() within ~1e300
 _SWEEP_CELLS = 1 << 14  # (inner level, cell) pairs per step of the A_infty sweep
 
+# The paper's dimensional constants in R^n, at n = 1: every cube of the grid
+# is an interval
+N_DIM = 1
+TAU_N = 2.0 ** N_DIM
+C_N = 1.0
+
 
 class IterationError(RuntimeError):
     pass
-
-
-@dataclass(frozen=True)
-class DimensionalConstants:
-    n: int = 1
-    tau_n: Optional[float] = None  # defaults to 2**n
-    C_n: float = 1.0
-    c_n: float = 1.0
-
-    def __post_init__(self):
-        if self.n < 1 or self.C_n <= 0 or self.c_n <= 0:
-            raise ValueError("dimensional constants must be positive")
-        if self.tau_n is not None and self.tau_n <= 0:
-            raise ValueError("tau_n must be positive")
-
-    @property
-    def tau(self) -> float:
-        return 2.0 ** self.n if self.tau_n is None else self.tau_n
 
 
 class Weight:
@@ -70,6 +55,14 @@ class Weight:
             raise ValueError("weights are real")
         if np.any(f.samples <= 0) or not np.all(np.isfinite(f.samples)):
             raise ValueError("weight samples must be positive and finite")
+        # every cube sum adds a subset of these positive terms, so the total
+        # bounds it: an infinite total means some cube sum overflows
+        with np.errstate(over="ignore"):
+            total = float(np.sum(f.samples, dtype=float))
+        if not math.isfinite(total):
+            raise ValueError(
+                "weight samples sum to inf: their cube sums overflow float64"
+            )
         self.f = f
         self.name = name
         self._ap_cache: dict[float, float] = {}
@@ -99,12 +92,6 @@ class Weight:
     def power(self, a: float, name: str | None = None) -> "Weight":
         s = clamped_power(self.samples, a)
         return Weight(GridFunction(self.domain, s), name or f"{self.name}^{a:g}")
-
-    def __mul__(self, other: "Weight") -> "Weight":
-        return Weight(
-            GridFunction(self.domain, self.samples * other.samples),
-            f"{self.name}*{other.name}",
-        )
 
 
 def clamped_power(samples: np.ndarray, a: float) -> np.ndarray:
@@ -276,14 +263,14 @@ def ainfty_constants(w: Weight) -> tuple[float, float]:
     return float(fw), float(weak)
 
 
-def reverse_holder_check(w: Weight, dc: DimensionalConstants = DimensionalConstants()) -> dict:
+def reverse_holder_check(w: Weight) -> dict:
     """With r = 1 + 1/(tau_n * weak), check (<w^r>_Q)^{1/r} <= (2/|2Q|) int_{2Q} w
     on every cube whose double stays inside the domain.  The worst cube is
     the first, in family order, whose ratio is within 1e-12 relative of the
     largest: cubes that tie (mirror images under a symmetric weight) differ
     only by rounding."""
     _, weak = w.ainfty()
-    r = 1.0 + 1.0 / (dc.tau * weak)
+    r = 1.0 + 1.0 / (TAU_N * weak)
     wr = clamped_power(w.samples, r)
     per_level = []
     for e in family_for(w.domain).entries:
@@ -346,12 +333,7 @@ def rubio_de_francia(
     return GridFunction(h.domain, acc)
 
 
-def k0_p0(
-    t: float,
-    a1_u: float,
-    at_v: float,
-    dc: DimensionalConstants = DimensionalConstants(),
-) -> tuple[float, float]:
+def k0_p0(t: float, a1_u: float, at_v: float) -> tuple[float, float]:
     """p0 = 2^{n+3}(t-1) a1_u + 1 and the companion constant
 
     K0 = 4 C_n p0 p0' (a1_u + 2^{p0-1} C_n^t at_v^2 a1_u^{p0-1}) + 1.
@@ -361,65 +343,26 @@ def k0_p0(
     """
     if t <= 1 or a1_u < 1 or at_v < 1:
         raise ValueError("need t > 1 and constants >= 1")
-    p0 = 2.0 ** (dc.n + 3) * (t - 1.0) * a1_u + 1.0
+    p0 = 2.0 ** (N_DIM + 3) * (t - 1.0) * a1_u + 1.0
     p0p = p0 / (p0 - 1.0)
     k0 = (
-        4.0 * dc.C_n * p0 * p0p
-        * (a1_u + 2.0 ** (p0 - 1.0) * dc.C_n ** t * at_v ** 2 * a1_u ** (p0 - 1.0))
+        4.0 * C_N * p0 * p0p
+        * (a1_u + 2.0 ** (p0 - 1.0) * C_N ** t * at_v ** 2 * a1_u ** (p0 - 1.0))
         + 1.0
     )
     return p0, k0
 
 
-def log_k0_p0(
-    t: float,
-    a1_u: float,
-    at_v: float,
-    dc: DimensionalConstants = DimensionalConstants(),
-) -> tuple[float, float]:
+def log_k0_p0(t: float, a1_u: float, at_v: float) -> tuple[float, float]:
     """(p0, ln K0) of k0_p0, summed in log space: K0 leaves the float range
     once 2^{p0-1} a1_u^{p0-1} does, which an A_1 constant of a few hundred
     already forces."""
     if t <= 1 or a1_u < 1 or at_v < 1:
         raise ValueError("need t > 1 and constants >= 1")
-    p0 = 2.0 ** (dc.n + 3) * (t - 1.0) * a1_u + 1.0
-    log_x = (p0 - 1.0) * math.log(2.0 * a1_u) + t * math.log(dc.C_n) + 2.0 * math.log(at_v)
-    log_k0 = math.log(4.0 * dc.C_n * p0 * p0 / (p0 - 1.0)) + np.logaddexp(math.log(a1_u), log_x)
+    p0 = 2.0 ** (N_DIM + 3) * (t - 1.0) * a1_u + 1.0
+    log_x = (p0 - 1.0) * math.log(2.0 * a1_u) + t * math.log(C_N) + 2.0 * math.log(at_v)
+    log_k0 = math.log(4.0 * C_N * p0 * p0 / (p0 - 1.0)) + np.logaddexp(math.log(a1_u), log_x)
     return p0, float(np.logaddexp(log_k0, 0.0))
-
-
-def k0_p0_remark(
-    p: float,
-    a1_u: float,
-    ap_v: float,
-    dc: DimensionalConstants = DimensionalConstants(),
-) -> tuple[float, float]:
-    """Variant with the integrability exponent taken at p itself:
-    p0~ = 2^{n+3}(p-1) a1_u + 1, K0~ = C_n p0~ p0~' 2^{p0~-1} ap_v^2 a1_u^{p0~}."""
-    if p <= 1 or a1_u < 1 or ap_v < 1:
-        raise ValueError("need p > 1 and constants >= 1")
-    p0 = 2.0 ** (dc.n + 3) * (p - 1.0) * a1_u + 1.0
-    p0p = p0 / (p0 - 1.0)
-    k0 = dc.C_n * p0 * p0p * 2.0 ** (p0 - 1.0) * ap_v ** 2 * a1_u ** p0
-    return p0, k0
-
-
-def lemma51_check(
-    u: Weight,
-    v: Weight,
-    p: float,
-    eps: float,
-    dc: DimensionalConstants = DimensionalConstants(),
-) -> dict:
-    """Check [u v^eps]_{A_p} <= 2 [u]_{A_1} [v]_{A_p}^eps for admissible eps."""
-    a1u = u.a1()
-    cap = 1.0 / (2.0 ** (dc.n + 2) * a1u)
-    if not (0.0 < eps < cap):
-        raise ValueError(f"eps must lie in (0, {cap:g})")
-    mixed = u * v.power(eps)
-    lhs = ap_constant(mixed, p)
-    rhs = 2.0 * a1u * v.ap(p) ** eps
-    return {"lhs": lhs, "rhs": rhs, "ratio": lhs / rhs, "ok": lhs <= rhs * (1 + 1e-12)}
 
 
 def write_constants_csv(path, rows: Sequence[dict]) -> None:

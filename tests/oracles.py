@@ -1,6 +1,7 @@
 """Brute-force oracles for the fast kernels: one slice sum per cube, one
 maximal function per cube, every pair of levels in the A_infty sweep, one
-cube at a time in the stopping-time walk, dense O(N^2) sums for the
+Luxemburg root solve per cube, one cube at a time in the stopping-time
+walk, a linear program for the best sparseness, dense O(N^2) sums for the
 convolution kernels, a literal nested sum for kernel quadrature, little or
 no vectorisation.  Slow on purpose."""
 
@@ -11,6 +12,8 @@ import numpy as np
 
 from sparse_harmonics.grid import CubeFamily, GridFunction, children, cube_cells
 from sparse_harmonics.maximal import family_for
+from sparse_harmonics.orlicz import Measure, YoungFunction, monotone_root
+from sparse_harmonics.sparse import SparseFamily
 from sparse_harmonics.weights import _SWEEP_CELLS, _double_sums
 
 
@@ -112,30 +115,34 @@ def all_pairs_ainfty(w):
     return float(fw), float(weak)
 
 
-def brute_weighted_maximal(samples, weight, dom):
-    """Weighted dyadic M: sup over the base-lattice cubes Q containing each
-    cell of w(|f| chi_Q) / w(Q), both slice sums."""
-    fam = family_for(dom)
-    out = np.zeros(dom.n_cells)
-    for e in fam.entries:
-        if e.lattice_id:
-            continue
-        for lo, hi in zip(e.lo, e.hi):
-            avg = (np.abs(samples[lo:hi]) * weight[lo:hi]).sum() / weight[lo:hi].sum()
-            out[lo:hi] = np.maximum(out[lo:hi], avg)
-    return out
+def luxemburg_norm(
+    f: GridFunction,
+    phi: YoungFunction,
+    q,
+    mu: Measure = Measure(),
+) -> float:
+    """inf lambda with (1/mu(Q)) int_Q phi(|f|/lambda) dmu <= 1.
 
-
-def brute_weighted_bmo(b, w, p, dom):
-    """sup over every clipped family cube Q of
-    ((1/w(Q)) int_Q |b - <b>_Q|^p w)^{1/p}, every sum a slice sum."""
-    fam = family_for(dom)
-    best = 0.0
-    for e in fam.entries:
-        for lo, hi in zip(e.lo, e.hi):
-            dev = np.abs(b[lo:hi] - b[lo:hi].mean()) ** p * w[lo:hi]
-            best = max(best, dev.sum() / w[lo:hi].sum())
-    return best ** (1.0 / p)
+    Bracketed by the Jensen lower bound <|f|>/phi^-1(1) and the sup bound
+    max|f|/phi^-1(1), then solved by `monotone_root`; both brackets are
+    exact for constants.
+    """
+    lo_c, hi_c, full = cube_cells(f.domain, q)
+    if hi_c <= lo_c:
+        raise ValueError("cube does not meet the domain")
+    v = np.abs(f.samples[lo_c:hi_c]).astype(float)
+    if mu.is_lebesgue:
+        wts = np.ones_like(v)
+        denom = float(full)
+    else:
+        wts = mu.weight.samples[lo_c:hi_c].astype(float)
+        denom = wts.sum()
+    inv1 = float(np.atleast_1d(phi.inverse(np.array([1.0])))[0])
+    vmean = float((v * wts).sum() / denom)
+    return float(monotone_root(
+        vmean / inv1, v.max(initial=0.0) / inv1,
+        lambda lam: (phi(v / lam) * wts).sum() / denom - 1.0,
+    ))
 
 
 def brute_stopping_cubes(roots, value, factor, domain):
@@ -169,6 +176,49 @@ def brute_stopping_cubes(roots, value, factor, domain):
                 else:
                     stack.append(r)
     return out
+
+
+def optimal_eta(fam: SparseFamily) -> float:
+    """Best achievable sparseness over all disjoint choices E(Q) subset Q.
+
+    Solved as a linear program on fractional cell masses: maximize eta
+    subject to sum_c x[Q,c] >= eta |Q|, sum_Q x[Q,c] <= 1, support in Q.
+    Independent of verify_sparse; used to cross-check the packing bound.
+    """
+    from scipy.optimize import linprog
+
+    cells = fam.cell_sets()
+    lo_all = min(lo for lo, _ in cells)
+    hi_all = max(hi for _, hi in cells)
+    width = hi_all - lo_all
+    k = len(cells)
+    nvar = k * width + 1  # x[Q, c] row-major, then eta
+    c_obj = np.zeros(nvar)
+    c_obj[-1] = -1.0
+    a_ub = []
+    b_ub = []
+    for i, (lo, hi) in enumerate(cells):  # eta |Q| - sum_c x <= 0
+        row = np.zeros(nvar)
+        row[i * width + (lo - lo_all) : i * width + (hi - lo_all)] = -1.0
+        row[-1] = float(hi - lo)
+        a_ub.append(row)
+        b_ub.append(0.0)
+    for c in range(width):  # sum_Q x[Q,c] <= 1
+        row = np.zeros(nvar)
+        for i in range(k):
+            row[i * width + c] = 1.0
+        a_ub.append(row)
+        b_ub.append(1.0)
+    bounds = []
+    for i, (lo, hi) in enumerate(cells):
+        for c in range(width):
+            inside = lo - lo_all <= c < hi - lo_all
+            bounds.append((0.0, 1.0 if inside else 0.0))
+    bounds.append((0.0, 1.0))
+    res = linprog(c_obj, A_ub=np.array(a_ub), b_ub=np.array(b_ub), bounds=bounds)
+    if not res.success:
+        raise RuntimeError(f"packing LP failed: {res.message}")
+    return float(res.x[-1])
 
 
 def direct_kernel_apply(

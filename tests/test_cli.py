@@ -23,7 +23,7 @@ from sparse_harmonics.cli import (
 )
 from sparse_harmonics.grid import Domain
 from sparse_harmonics.harness import fit_exponent
-from sparse_harmonics.maximal import MaximalVariant, maximal
+from sparse_harmonics.maximal import maximal
 from sparse_harmonics.operators import stein_square_function
 
 FIX = fixtures_dir()
@@ -257,6 +257,34 @@ t = 2
     assert rep["constants"]["log10_ratio"] < -1e5
 
 
+def test_run_mixed_reports_the_constants_of_dimension_one(tmp_path):
+    # n = 1: tau_n = 2^n, and the endpoint constant is
+    # 2^{n+7} m [u]_{A_1} ln(2 [u]_{A_1}) with m = 1 and no symbols
+    cfg = write_config(tmp_path, """
+[experiment]
+kind = mixed
+l = 8
+
+[operator]
+kind = hilbert
+
+[functions]
+bank = random
+
+[weights]
+w = power:-0.3
+""")
+    out = tmp_path / "o"
+    assert main(["run", cfg, "--out", str(out)]) == 0
+    rep = json.loads((out / "report.json").read_text())["reports"][0]
+    assert {k: rep["env"][k] for k in ("n", "tau_n", "C_n", "c_n")} == {
+        "n": 1, "tau_n": 2.0, "C_n": 1.0, "c_n": 1.0,
+    }
+    a1_u = rep["constants"]["a1_u"]
+    want = 2.0 ** 8 * 1 * a1_u * math.log(2.0 * a1_u) / math.log(10.0)
+    assert rep["constants"]["log10_endpoint_constant"] == want
+
+
 def test_run_bad_stein_alpha_exits_2(tmp_path):
     cfg = write_config(tmp_path, """
 [experiment]
@@ -454,7 +482,7 @@ def test_stein_decay_matches_square_function_oracle(tmp_path, comparator):
     dom = Domain(0.0, 1.0, 8)
     f = make_function("bump", dom, 0)
     g = stein_square_function(f, 0.75).samples
-    comp = maximal(f, MaximalVariant("iterated", k=1)).samples
+    comp = maximal(f).samples
     ts = np.logspace(math.log10(0.5), math.log10(50.0), 24)
     meas = np.array([float(np.mean(np.abs(g) > t * comp)) for t in ts])
     fit = fit_exponent(ts, meas)
@@ -610,6 +638,24 @@ p_grid = 2
 """)
     assert main(["constants", cfg, "--out", str(tmp_path / "o")]) == 2
     assert "double" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "constants.csv").exists()
+
+
+def test_constants_on_a_weight_whose_sums_overflow_exits_2(tmp_path, capsys):
+    # |x - 1/2|^-113.7 holds 1.1e308 in each of the two cells beside 1/2:
+    # their sum overflows, which used to give ap = a1 = ainfty_fw = inf
+    cfg = write_config(tmp_path, """
+[experiment]
+kind = constants
+l = 8
+
+[bank]
+weights = power:-113.7
+p_grid = 2
+""")
+    assert main(["constants", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "overflow" in err
     assert not (tmp_path / "o" / "constants.csv").exists()
 
 

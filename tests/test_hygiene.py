@@ -2,20 +2,20 @@
 src/ or tests/ imports is used in that module, every parameter of a def
 under src/ is read in its body, every name in a src/ module's __all__ is
 defined in that module and read by other src/ code, run as a console
-script or on the list of names only tests reach, and the benchmark tracer
-still finds every name and parameter it traces."""
+script or on the list of names only tests reach, every oracle in
+tests/oracles.py is read by a test or another oracle, and the benchmark
+tracer still finds every name and parameter it traces."""
 
 import ast
 import importlib.util
 import re
+from collections import OrderedDict
 from pathlib import Path
 
 import numpy as np
 
 from sparse_harmonics import maximal as maximal_module
 from sparse_harmonics.grid import Domain, GridFunction
-from sparse_harmonics.maximal import MaximalVariant
-from sparse_harmonics.orlicz import llog
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -221,6 +221,15 @@ def console_scripts(pyproject: str) -> set[str]:
     }
 
 
+def unreachable_oracles(sources: dict[str, str]) -> list[str]:
+    """"oracles.name" for each top-level function of the oracles module that
+    neither a test module nor another oracle reads: the export check, with
+    every such function taken as exported."""
+    oracles = sources["oracles"]
+    names = [n.name for n in ast.parse(oracles).body if isinstance(n, ast.FunctionDef)]
+    return unreachable_exports({**sources, "oracles": f"__all__ = {names!r}\n{oracles}"})
+
+
 def test_checker_sees_unreachable_exports():
     sources = {
         "a": (
@@ -254,6 +263,28 @@ def test_checker_sees_unreachable_exports():
     toml = '[tool.y]\nz = "a.b:c"\n\n[project.scripts]\nx = "pkg.mod:run"\n\n[tool.z]\n'
     assert console_scripts(toml) == {"mod.run"}
     assert console_scripts('[tool.y]\nz = "a.b:c"\n') == set()
+    # an oracle counts as read when a test or another oracle reads it, and
+    # not when it only calls itself
+    tests = {
+        "oracles": (
+            "import numpy as np\n"
+            "X = 1\n"
+            "def brute(x):\n"
+            "    return brute(x)\n"
+            "def helper(x):\n"
+            "    return np.abs(x)\n"
+            "def outer(x):\n"
+            "    return helper(x)\n"
+            "def unused(x):\n"
+            "    return X\n"
+        ),
+        "test_a": (
+            "from oracles import brute, outer\n"
+            "def test_a():\n"
+            "    assert outer(1)\n"
+        ),
+    }
+    assert unreachable_oracles(tests) == ["oracles.brute", "oracles.unused"]
 
 
 # Exported names that only tests reach, each with the criterion or test
@@ -261,22 +292,17 @@ def test_checker_sees_unreachable_exports():
 TEST_ONLY = {
     "grid.children": "criteria 1 and 2; tests/oracles.py::brute_stopping_cubes",
     "harness.lorentz_l1_norm": "criterion 6; test_harness.py::test_lorentz_l1_dominates_weak",
-    "operators.weighted_bmo_norm": "test_operators.py::test_weighted_bmo_*",
     "operators.log_dini_norm": "test_operators.py::test_log_dini_*",
     "orlicz.power_over_p": "criterion 10",
-    "orlicz.generalized_holder": "test_orlicz.py::test_holder_*",
     "orlicz.young_pair_checks": "criterion 10",
     "orlicz.delta2_constant": "criterion 10",
     "sparse.verify_sparse": "criteria 2 and 3",
-    "sparse.optimal_eta": "test_sparse.py::test_sparse_carleson_equivalence_brute_force",
     "sparse.oscillation_sparse": "criterion 3",
     "sparse.counting_decay": "criteria 1 and 2",
     "weights.multi_ap_constant": "test_weights.py::test_multi_ap_*",
     "weights.reverse_holder_check": "criterion 5",
     "weights.rubio_de_francia": "criterion 6",
     "weights.k0_p0": "criteria 6 and 8",
-    "weights.k0_p0_remark": "test_weights.py::test_k0_p0_remark_shape",
-    "weights.lemma51_check": "test_weights.py::test_lemma51_*",
 }
 
 
@@ -294,8 +320,14 @@ def test_every_export_in_src_is_reached_or_listed():
     )
 
 
-def test_benchmark_tracer_binds_every_traced_name():
-    # install() fails on a traced name bound nowhere; a traced Orlicz call
+def test_every_oracle_is_read_by_a_test_or_another_oracle():
+    sources = {path.stem: path.read_text() for path in sorted(TESTS.glob("*.py"))}
+    found = unreachable_oracles(sources)
+    assert not found, "oracles that no test and no other oracle reads:\n" + "\n".join(found)
+
+
+def test_benchmark_tracer_binds_every_traced_name(monkeypatch):
+    # install() fails on a traced name bound nowhere; a traced L log L call
     # fails when luxemburg_per_cube renames a parameter the tracer reads
     spec = importlib.util.spec_from_file_location("tracing", ROOT / "perfbench" / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
@@ -303,11 +335,12 @@ def test_benchmark_tracer_binds_every_traced_name():
     dom = Domain(0.0, 1.0, 5)
     f = GridFunction(dom, np.linspace(0.1, 2.0, dom.n_cells))
     tracer = tracing.Tracer()
+    monkeypatch.setattr(maximal_module, "_PRODUCT_MEMO", OrderedDict())
     try:
         tracer.install()
-        maximal_module.maximal(f, MaximalVariant("orlicz", phi=llog(1.0)))
+        maximal_module.multilinear_maximal([f], "llogl")
     finally:
         tracer.uninstall()
     n_entries = len(maximal_module.family_for(dom).entries)
-    assert tracer.calls["maximal.maximal"] == 1
+    assert tracer.calls["maximal.multilinear_maximal"] == 1
     assert tracer.calls["maximal.luxemburg_per_cube"] == n_entries

@@ -14,17 +14,16 @@ from sparse_harmonics.operators import (
     iterated_commutator,
     log_dini_norm,
     stein_square_function,
-    weighted_bmo_norm,
 )
-from sparse_harmonics.orlicz import Measure, exp_power, luxemburg_norm
+from sparse_harmonics.orlicz import Measure, exp_power
 from sparse_harmonics.weights import Weight, ainfty_constants
 
 from oracles import (
-    brute_weighted_bmo,
     calderon_kernel,
     dense_calderon_apply,
     direct_kernel_apply,
     first_order_commutator_kernel,
+    luxemburg_norm,
 )
 
 DOM = Domain(0.0, 1.0, 8)
@@ -328,24 +327,6 @@ def test_bmo_log_stability_across_resolutions():
         sups.append(np.abs(b.samples).max())
     assert max(norms) / min(norms) <= 1.10
     assert sups[2] > sups[1] > sups[0]  # sup norm keeps growing with L
-
-
-def test_weighted_bmo_reduces_to_classical():
-    b = rand_f(12)
-    one = GridFunction.constant(DOM, 1.0)
-    assert weighted_bmo_norm(b, one, 1.0) == pytest.approx(bmo_norm(b), rel=1e-12)
-
-
-def test_weighted_bmo_steep_weight_matches_slice_sums():
-    # w = |x - 0.37|^6: differences of a global prefix sum gave w(Q) <= 0
-    # on the cubes near 0.37, and the norm came out inf
-    dom = Domain(0.0, 1.0, 7)
-    b = GridFunction.from_callable(dom, lambda x: np.sin(7 * x))
-    w = GridFunction.from_callable(dom, lambda x: np.abs(x - 0.37) ** 6)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        got = weighted_bmo_norm(b, w, 2.0)
-    assert got == pytest.approx(brute_weighted_bmo(b.samples, w.samples, 2.0, dom), rel=1e-13)
 
 
 def test_weighted_john_nirenberg():

@@ -1,4 +1,5 @@
 import math
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -8,21 +9,21 @@ from scipy.optimize import brentq
 
 import sparse_harmonics.maximal as maximal_module
 from sparse_harmonics.grid import Domain, DyadicCube, GridFunction, average, cube_cells
-from sparse_harmonics.maximal import MaximalVariant, family_for, maximal
+from sparse_harmonics.maximal import family_for, multilinear_maximal
 from sparse_harmonics.orlicz import (
     Measure,
     delta2_constant,
     dilation_indices,
     exp_power,
-    generalized_holder,
     llog,
-    luxemburg_norm,
     monotone_root,
     phi_power,
     power,
     power_over_p,
     young_pair_checks,
 )
+
+from oracles import luxemburg_norm
 
 DOM = Domain(0.0, 1.0, 8)
 ROOT = DyadicCube(0, 0, 0)
@@ -133,7 +134,8 @@ def test_luxemburg_matches_brentq_on_spike(L, phi):
             assert luxemburg_norm(f, phi, q) == pytest.approx(want, rel=2e-12)
 
 
-def test_orlicz_maximal_matches_brute_brentq_on_spike():
+def test_orlicz_maximal_matches_brute_brentq_on_spike(monkeypatch):
+    monkeypatch.setattr(maximal_module, "_PRODUCT_MEMO", OrderedDict())
     dom = Domain(0.0, 1.0, 7)
     f = _spike(dom)
     phi = llog(1.0)
@@ -144,7 +146,7 @@ def test_orlicz_maximal_matches_brute_brentq_on_spike():
             lo, hi, full = cube_cells(dom, q)
             norm = _brentq_norm(f.samples[lo:hi], full, phi, inv1)
             want[lo:hi] = np.maximum(want[lo:hi], norm)
-    got = maximal(f, MaximalVariant("orlicz", phi=phi)).samples
+    got = multilinear_maximal([f], "llogl").samples
     np.testing.assert_allclose(got, want, rtol=2e-12, atol=0.0)
 
 
@@ -169,8 +171,9 @@ def test_orlicz_maximal_solves_every_entry_in_16_evaluations(monkeypatch):
     dom = Domain(0.0, 1.0, 10)
     f = rand_f(7, lo=-1.0, hi=1.0, dom=dom)
     solves = []
+    monkeypatch.setattr(maximal_module, "_PRODUCT_MEMO", OrderedDict())
     monkeypatch.setattr(maximal_module, "monotone_root", _counting(solves))
-    maximal(f, MaximalVariant("orlicz", phi=llog(1.0)))
+    multilinear_maximal([f], "llogl")
     assert len(solves) == len(family_for(dom).entries)
     rng = np.random.default_rng(0)
     for lo, hi, excess, got, calls in solves:
@@ -217,52 +220,6 @@ def test_monotone_root_keeps_a_zero_bracket_and_bisects_an_infinite_excess():
     assert got[0] == 0.0
     assert got[1] == pytest.approx(1.0, rel=1e-12)
     assert excess(got)[1] <= 0.0
-
-
-# -- generalized Hölder ------------------------------------------------------
-
-def test_holder_constant_functions():
-    one = GridFunction.constant(DOM, 1.0)
-    lhs, rhs, ratio = generalized_holder([one], one, ROOT, one, [1.0])
-    assert lhs == pytest.approx(1.0)
-    ephi, lphi = exp_power(1.0), llog(1.0)
-    want = (
-        2.0 * 2.0
-        * (1.0 / ephi.inverse(np.array([1.0]))[0])
-        * (1.0 / lphi.inverse(np.array([1.0]))[0])
-    )
-    assert rhs == pytest.approx(want, rel=1e-8)
-    assert rhs >= 1.0 and ratio <= 1.0
-
-
-def test_holder_zero_g():
-    one = GridFunction.constant(DOM, 1.0)
-    zero = GridFunction.constant(DOM, 0.0)
-    lhs, rhs, _ = generalized_holder([one], zero, ROOT, one, [1.0])
-    assert lhs == 0.0 and lhs <= rhs
-
-
-def test_holder_random_bilinear():
-    # m = 2, s1 = s2 = 1 so s = 1/2; inequality should hold every time
-    dom = Domain(0.0, 1.0, 6)
-    root = DyadicCube(0, 0, 0)
-    rng = np.random.default_rng(42)
-    for trial in range(200):
-        edges = np.sort(rng.integers(1, dom.n_cells, size=3))
-        f1 = np.repeat(
-            rng.uniform(0.0, 3.0, size=4), np.diff([0, *edges, dom.n_cells])
-        )
-        f2 = rng.uniform(0.0, 2.0, size=dom.n_cells)
-        g = rng.uniform(0.0, 2.0, size=dom.n_cells)
-        w = rng.uniform(0.2, 2.0, size=dom.n_cells)
-        _, _, ratio = generalized_holder(
-            [GridFunction(dom, f1), GridFunction(dom, f2)],
-            GridFunction(dom, g),
-            root,
-            GridFunction(dom, w),
-            [1.0, 1.0],
-        )
-        assert ratio <= 1.0 + 1e-9
 
 
 # -- young pair identities ---------------------------------------------------

@@ -16,13 +16,12 @@ from sparse_harmonics.sparse import (
     SparseFamily,
     commutator_sparse_form,
     counting_decay,
-    optimal_eta,
     oscillation_sparse,
     sparse_operator,
     verify_sparse,
 )
 
-from oracles import brute_stopping_cubes
+from oracles import brute_stopping_cubes, optimal_eta
 
 DOM = Domain(0.0, 1.0, 6)
 ROOT = DyadicCube(0, 0, 0)
