@@ -260,7 +260,7 @@ class LevelEntry:
     level: int
     t0: int                 # first enumerated cube index
     starts: np.ndarray      # unclipped cell starts, ascending
-    width: int              # cells per (unclipped) cube
+    width: int | np.ndarray  # cells per (unclipped) cube; per cube in a stack
     lo: np.ndarray          # clipped starts
     hi: np.ndarray          # clipped ends
     cell_to_cube: np.ndarray
@@ -314,6 +314,29 @@ class CubeFamily:
                     LevelEntry(lid, level, int(ts[0]), starts, w, lo, hi, c2c)
                 )
 
+    def stack(self, entries: Sequence[LevelEntry]) -> LevelEntry:
+        """The cubes of several entries as one entry over their cells tiled
+        end to end: entry k's cells are N k .. N (k + 1) - 1 and its cubes
+        follow those of entry k - 1, so `means` and `segment_max` of values
+        tiled the same way reduce each cube over the same cells in the same
+        order as per entry.  The width is per cube; the lattice, level and
+        first index are the first entry's.  One entry is returned as it is."""
+        if len(entries) == 1:
+            return entries[0]
+        N = self.domain.n_cells
+        cells = np.arange(len(entries)) * N
+        first_cube = np.cumsum([0] + [e.n_cubes for e in entries[:-1]])
+        return LevelEntry(
+            entries[0].lattice_id,
+            entries[0].level,
+            entries[0].t0,
+            np.concatenate([e.starts + c for e, c in zip(entries, cells)]),
+            np.concatenate([np.full(e.n_cubes, e.width) for e in entries]),
+            np.concatenate([e.lo + c for e, c in zip(entries, cells)]),
+            np.concatenate([e.hi + c for e, c in zip(entries, cells)]),
+            np.concatenate([e.cell_to_cube + t for e, t in zip(entries, first_cube)]),
+        )
+
     # -- reductions ---------------------------------------------------------
 
     @staticmethod
@@ -344,10 +367,15 @@ class CubeFamily:
     def scatter_max(
         self, entries: Iterable[LevelEntry], per_entry_values: Iterable[np.ndarray]
     ) -> np.ndarray:
-        """Pointwise max over all cubes containing each cell."""
-        out = np.full(self.domain.n_cells, -np.inf)
+        """Pointwise max over all cubes containing each cell; an entry may
+        be a `stack` of entries, whose levels are folded first."""
+        N = self.domain.n_cells
+        out = np.full(N, -np.inf)
         for entry, vals in zip(entries, per_entry_values):
-            np.maximum(out, vals[entry.cell_to_cube], out=out)
+            spread = vals[entry.cell_to_cube]
+            if len(spread) > N:
+                spread = spread.reshape(-1, N).max(axis=0)
+            np.maximum(out, spread, out=out)
         return out
 
 

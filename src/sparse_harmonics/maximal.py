@@ -10,6 +10,7 @@ are ratio-based so the proxy constant is tracked, not hidden.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from collections import OrderedDict
 from typing import Sequence
@@ -22,6 +23,12 @@ from .orlicz import YoungFunction, llog, monotone_root
 __all__ = ["maximal", "multilinear_maximal", "family_for"]
 
 _FAMILIES: dict[Domain, CubeFamily] = {}
+_LEVEL_GROUPS: dict[Domain, list[LevelEntry]] = {}
+
+# stacked cells per level group of the multilinear maximal: one root solve
+# runs every cube of a group, and past about 2**14 cells its temporaries run
+# slower per element than the interpreter overhead the stacking saves
+_GROUP_CELLS = 1 << 14
 
 # multilinear_maximal outputs keyed by the content of their inputs, least
 # recently used first; the function is pure, so a hit returns the same numbers
@@ -43,8 +50,9 @@ def luxemburg_per_cube(
     phi: YoungFunction,
     inv1: float,
 ) -> np.ndarray:
-    """Luxemburg norms of f over every cube of one level, solved in bulk
-    from the [mean, max] / phi^-1(1) brackets."""
+    """Luxemburg norms of f over every cube of one family entry, or of one
+    stack of entries with absf tiled to match, solved in bulk from the
+    [mean, max] / phi^-1(1) brackets."""
     cell_cube = entry.cell_to_cube
 
     def excess(lam: np.ndarray) -> np.ndarray:
@@ -90,18 +98,42 @@ def multilinear_maximal(fs: Sequence[GridFunction], flavor: str = "plain") -> Gr
     return GridFunction(dom, out.copy())
 
 
+def level_groups(fam: CubeFamily) -> list[LevelEntry]:
+    """The family's entries, in order, stacked into groups of at most
+    _GROUP_CELLS cells (a single entry where N exceeds that); built once
+    per domain."""
+    groups = _LEVEL_GROUPS.get(fam.domain)
+    if groups is None:
+        per = max(1, _GROUP_CELLS // fam.domain.n_cells)
+        entries = fam.entries
+        groups = _LEVEL_GROUPS[fam.domain] = [
+            fam.stack(entries[k:k + per]) for k in range(0, len(entries), per)
+        ]
+    return groups
+
+
+@functools.cache
+def _llogl_young() -> tuple[YoungFunction, float]:
+    """phi(t) = t log(e + t) and phi^-1(1), solved once per process."""
+    phi = llog(1.0)
+    return phi, float(np.atleast_1d(phi.inverse(np.array([1.0])))[0])
+
+
 def _product_maximal(dom: Domain, absfs: list[np.ndarray], flavor: str) -> np.ndarray:
     fam = family_for(dom)
-    phi = llog(1.0)
-    inv1 = float(np.atleast_1d(phi.inverse(np.array([1.0])))[0])
+    if flavor == "llogl":
+        phi, inv1 = _llogl_young()
 
-    def product(e: LevelEntry) -> np.ndarray:
-        prod = np.ones(e.n_cubes)
+    def product(group: LevelEntry) -> np.ndarray:
+        levels = len(group.cell_to_cube) // dom.n_cells
+        prod = np.ones(group.n_cubes)
         for af in absfs:
+            tiled = np.tile(af, levels)
             if flavor == "llogl":
-                prod *= luxemburg_per_cube(fam, e, af, phi, inv1)
+                prod *= luxemburg_per_cube(fam, group, tiled, phi, inv1)
             else:
-                prod *= fam.means(e, af)
+                prod *= fam.means(group, tiled)
         return prod
 
-    return fam.scatter_max(fam.entries, map(product, fam.entries))
+    groups = level_groups(fam)
+    return fam.scatter_max(groups, map(product, groups))

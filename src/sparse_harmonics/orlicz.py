@@ -210,9 +210,11 @@ def llog(alpha: float, p: float = 1.0) -> YoungFunction:
     """phi(t) = t**p * log(e + t)**alpha, the L^p(log L)^alpha scale."""
     if alpha < 0 or p < 1:
         raise ValueError("need alpha >= 0 and p >= 1")
+    # x ** 1.0 == x, so an identity power is left out rather than copied
+    log = (lambda t: np.log(np.e + t)) if alpha == 1 else (lambda t: np.log(np.e + t) ** alpha)
     return YoungFunction(
         f"t^{p:g} log(e+t)^{alpha:g}" if p != 1 else f"t log(e+t)^{alpha:g}",
-        lambda t: t ** p * np.log(np.e + t) ** alpha,
+        (lambda t: t * log(t)) if p == 1 else (lambda t: t ** p * log(t)),
         i_lower=p,
         I_upper=p,
         # log(e + lam t) <= lam log(e + t) for lam >= 1, so C1 = p + alpha

@@ -1,9 +1,9 @@
 """Brute-force oracles for the fast kernels: one slice sum per cube, one
 maximal function per cube, every pair of levels in the A_infty sweep, one
-Luxemburg root solve per cube, one cube at a time in the stopping-time
-walk, a linear program for the best sparseness, dense O(N^2) sums for the
-convolution kernels, a literal nested sum for kernel quadrature, little or
-no vectorisation.  Slow on purpose."""
+Luxemburg root solve per cube or per family level, one cube at a time in
+the stopping-time walk, a linear program for the best sparseness, dense
+O(N^2) sums for the convolution kernels, a literal nested sum for kernel
+quadrature, little or no vectorisation.  Slow on purpose."""
 
 import math
 from typing import Callable, Sequence
@@ -11,8 +11,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from sparse_harmonics.grid import CubeFamily, GridFunction, children, cube_cells
-from sparse_harmonics.maximal import family_for
-from sparse_harmonics.orlicz import Measure, YoungFunction, monotone_root
+from sparse_harmonics.maximal import family_for, luxemburg_per_cube
+from sparse_harmonics.orlicz import Measure, YoungFunction, llog, monotone_root
 from sparse_harmonics.sparse import SparseFamily
 from sparse_harmonics.weights import _SWEEP_CELLS, _double_sums
 
@@ -143,6 +143,28 @@ def luxemburg_norm(
         vmean / inv1, v.max(initial=0.0) / inv1,
         lambda lam: (phi(v / lam) * wts).sum() / denom - 1.0,
     ))
+
+
+def per_level_maximal(fs: Sequence[GridFunction], flavor: str) -> np.ndarray:
+    """`multilinear_maximal` one family entry at a time: the route it took
+    before it stacked the entries into level groups, with one root solve
+    per entry for "llogl" and the sup taken entry by entry."""
+    dom = fs[0].domain
+    fam = family_for(dom)
+    phi = llog(1.0)
+    inv1 = float(np.atleast_1d(phi.inverse(np.array([1.0])))[0])
+    absfs = [np.abs(f.samples).astype(float) for f in fs]
+
+    def product(e):
+        prod = np.ones(e.n_cubes)
+        for af in absfs:
+            if flavor == "llogl":
+                prod *= luxemburg_per_cube(fam, e, af, phi, inv1)
+            else:
+                prod *= fam.means(e, af)
+        return prod
+
+    return fam.scatter_max(fam.entries, map(product, fam.entries))
 
 
 def brute_stopping_cubes(roots, value, factor, domain):

@@ -5,8 +5,10 @@ import pytest
 
 import sparse_harmonics.maximal as maximal_module
 from sparse_harmonics.grid import Domain, DyadicCube, GridFunction
-from sparse_harmonics.maximal import maximal, multilinear_maximal
+from sparse_harmonics.maximal import family_for, level_groups, maximal, multilinear_maximal
 from sparse_harmonics.orlicz import llog
+
+from oracles import per_level_maximal
 
 DOM = Domain(0.0, 1.0, 8)
 
@@ -169,6 +171,72 @@ def test_multilinear_memo_stays_within_its_size(lux_calls):
     assert len(lux_calls) == n_each * len(fs)
     multilinear_maximal(fs[0], flavor="llogl")
     assert len(lux_calls) == n_each * (len(fs) + 1)
+
+
+def _bank(dom):
+    """Inputs of different shapes: uniform, a log singularity, heavy
+    Cauchy tails, sparse steps, zeros and a spike."""
+    rng = np.random.default_rng(dom.resolution_log2)
+    x = dom.cell_centers()
+    N = dom.n_cells
+    steps = np.zeros(N)
+    steps[rng.choice(N, size=max(1, N // 16), replace=False)] = rng.uniform(1.0, 9.0, max(1, N // 16))
+    spike = np.ones(N)
+    spike[N // 3] = 1e3
+    return [
+        rng.uniform(-1.0, 1.0, N),
+        np.log(np.abs(x - 0.5)),
+        1e3 * rng.standard_cauchy(N),
+        np.cumsum(steps) * (rng.uniform(size=N) < 0.25),
+        np.zeros(N),
+        spike,
+    ]
+
+
+@pytest.mark.parametrize("L", range(3, 13))
+def test_level_groups_equal_the_per_level_oracle_bit_for_bit(L, empty_memo):
+    # at L = 12 four levels make a group, so groups split each lattice's 13
+    dom = Domain(0.0, 1.0, L)
+    bank = [GridFunction(dom, s) for s in _bank(dom)]
+    cases = [[f] for f in bank] + [[f, g] for f, g in zip(bank, bank[1:] + bank[:1])]
+    for fs in cases:
+        want = per_level_maximal(fs, "llogl")
+        np.testing.assert_array_equal(multilinear_maximal(fs, "llogl").samples, want)
+    for fs in cases[::3]:
+        want = per_level_maximal(fs, "plain")
+        np.testing.assert_array_equal(multilinear_maximal(fs, "plain").samples, want)
+
+
+@pytest.mark.parametrize("L, n_groups", [(5, 1), (8, 1), (10, 3), (12, 13), (14, 60)])
+def test_level_groups_cover_the_family_in_order(L, n_groups):
+    dom = Domain(0.0, 1.0, L)
+    N = dom.n_cells
+    fam = family_for(dom)
+    groups = level_groups(fam)
+    assert len(groups) == n_groups
+    assert level_groups(fam) is groups  # built once per domain
+    at = 0
+    for g in groups:
+        levels = len(g.cell_to_cube) // N
+        assert len(g.cell_to_cube) == levels * N
+        assert levels * N <= maximal_module._GROUP_CELLS or levels == 1
+        part = fam.entries[at:at + levels]
+        assert len(part) == levels
+        assert (g.lattice_id, g.level) == (part[0].lattice_id, part[0].level)
+        cells = N * np.arange(levels)
+        first = np.cumsum([0] + [e.n_cubes for e in part[:-1]])
+        np.testing.assert_array_equal(g.lo, np.concatenate([e.lo + c for e, c in zip(part, cells)]))
+        np.testing.assert_array_equal(g.hi, np.concatenate([e.hi + c for e, c in zip(part, cells)]))
+        np.testing.assert_array_equal(
+            np.broadcast_to(g.width, (g.n_cubes,)),
+            np.concatenate([np.full(e.n_cubes, e.width) for e in part]),
+        )
+        np.testing.assert_array_equal(
+            g.cell_to_cube,
+            np.concatenate([e.cell_to_cube + t for e, t in zip(part, first)]),
+        )
+        at += levels
+    assert at == len(fam.entries)
 
 
 def test_variant_validation():

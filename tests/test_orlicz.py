@@ -9,7 +9,7 @@ from scipy.optimize import brentq
 
 import sparse_harmonics.maximal as maximal_module
 from sparse_harmonics.grid import Domain, DyadicCube, GridFunction, average, cube_cells
-from sparse_harmonics.maximal import family_for, multilinear_maximal
+from sparse_harmonics.maximal import family_for, level_groups, multilinear_maximal
 from sparse_harmonics.orlicz import (
     Measure,
     delta2_constant,
@@ -174,22 +174,39 @@ def test_orlicz_maximal_solves_every_entry_in_16_evaluations(monkeypatch):
     monkeypatch.setattr(maximal_module, "_PRODUCT_MEMO", OrderedDict())
     monkeypatch.setattr(maximal_module, "monotone_root", _counting(solves))
     multilinear_maximal([f], "llogl")
-    assert len(solves) == len(family_for(dom).entries)
+    groups = level_groups(family_for(dom))
+    # one solve per level group: 3 groups of the 44 family entries
+    assert len(solves) == len(groups) == 3
     rng = np.random.default_rng(0)
-    for lo, hi, excess, got, calls in solves:
+    for group, (lo, hi, excess, got, calls) in zip(groups, solves):
         assert calls <= 16
         # every norm meets the Luxemburg condition, also where the bracket
         # is closed from the start (one cell) and returned as it is
         assert np.all(excess(got) <= 0.0)
         open_ = np.flatnonzero(hi - lo > 1e-12 * hi)
-        # the root of a few open brackets of this entry, one cube at a time
-        for j in rng.choice(open_, size=min(3, len(open_)), replace=False):
+        # the root of a few open brackets per entry of this group, one cube
+        # at a time
+        levels = len(group.cell_to_cube) // dom.n_cells
+        for j in rng.choice(open_, size=min(3 * levels, len(open_)), replace=False):
             def one_cube(lam):
                 lams = got.copy()
                 lams[j] = lam
                 return excess(lams)[j]
             want = brentq(one_cube, lo[j], hi[j], xtol=1e-300)
             assert abs(got[j] - want) <= 1e-12 * got[j]
+
+
+def test_llog_one_leaves_out_identity_powers_bit_for_bit():
+    rng = np.random.default_rng(3)
+    t = np.concatenate([[0.0, 1e-300, 1e300], rng.uniform(0.0, 10.0, 200),
+                        np.exp(rng.uniform(-30.0, 30.0, 200))])
+    want = t ** 1.0 * np.log(np.e + t) ** 1.0
+    np.testing.assert_array_equal(llog(1.0)(t), want)
+    # p and alpha other than 1 keep the generic formula; 1e300 ** 1.5 is inf
+    with np.errstate(over="ignore"):
+        for alpha, p in ((2.0, 1.5), (2.0, 1.0), (1.0, 1.5)):
+            want = t ** p * np.log(np.e + t) ** alpha
+            np.testing.assert_array_equal(llog(alpha, p)(t), want)
 
 
 @pytest.mark.parametrize("end", ["hi", "lo"])
