@@ -140,9 +140,19 @@ def make_symbol(spec: str, dom: Domain) -> GridFunction:
         return GridFunction.from_callable(dom, lambda x: x)
     if spec.startswith("steps:"):
         rng = np.random.default_rng(int(spec.split(":", 1)[1]))
-        blocks = rng.uniform(-1.0, 1.0, 16)
-        return GridFunction(dom, np.repeat(blocks, dom.n_cells // 16))
+        return _blocks(spec, rng.uniform(-1.0, 1.0, 16), dom)
     raise ConfigError(f"unknown symbol spec {spec!r}")
+
+
+def _blocks(spec: str, blocks: np.ndarray, dom: Domain) -> GridFunction:
+    """Each block held over N / len(blocks) cells; a grid with fewer cells
+    than blocks is a config error."""
+    if dom.n_cells < len(blocks):
+        raise ConfigError(
+            f"spec {spec!r} holds {len(blocks)} blocks, so it needs "
+            f"l >= {len(blocks).bit_length() - 1}, got l = {dom.resolution_log2}"
+        )
+    return GridFunction(dom, np.repeat(blocks, dom.n_cells // len(blocks)))
 
 
 def make_function(spec: str, dom: Domain, seed: int) -> GridFunction:
@@ -154,9 +164,7 @@ def make_function(spec: str, dom: Domain, seed: int) -> GridFunction:
             dom, lambda x: np.exp(-120.0 * (x - 0.5) ** 2)
         )
     if spec == "steps":
-        rng = np.random.default_rng(seed)
-        blocks = rng.uniform(0.1, 1.0, 32)
-        return GridFunction(dom, np.repeat(blocks, dom.n_cells // 32))
+        return _blocks(spec, np.random.default_rng(seed).uniform(0.1, 1.0, 32), dom)
     if spec.startswith("wave:"):
         k = int(spec.split(":", 1)[1])
         return GridFunction.from_callable(dom, lambda x: np.sin(2 * math.pi * k * x))

@@ -13,6 +13,7 @@ the 3**n-lattice theorem).
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
@@ -25,6 +26,8 @@ __all__ = [
     "Interval",
     "DyadicCube",
     "CubeFamily",
+    "GROUP_CELLS",
+    "family_for",
     "children",
     "cube_cells",
     "dilate",
@@ -80,9 +83,6 @@ class Domain:
     def cell_centers(self) -> np.ndarray:
         return self.left + (np.arange(self.n_cells) + 0.5) * self.h
 
-    def cell_edges(self) -> np.ndarray:
-        return self.left + np.arange(self.n_cells + 1) * self.h
-
     def cell_range(self, iv: Interval) -> tuple[int, int]:
         """Cells whose centers lie in [iv.left, iv.right), clipped to the grid."""
         lo = int(math.ceil((iv.left - self.left) / self.h - 0.5 - 1e-9))
@@ -121,9 +121,6 @@ class GridFunction:
     def constant(cls, domain: Domain, c: float) -> "GridFunction":
         return cls(domain, np.full(domain.n_cells, float(c)))
 
-    def integral(self) -> float:
-        return self.domain.h * self.samples.sum()
-
     def __abs__(self) -> "GridFunction":
         return GridFunction(self.domain, np.abs(self.samples))
 
@@ -147,24 +144,6 @@ class GridFunction:
 
     def __truediv__(self, other):
         return GridFunction(self.domain, self.samples / self._lift(other))
-
-    def to_csv(self, path) -> None:
-        if np.iscomplexobj(self.samples):
-            raise ValueError("CSV serialization is for real-valued functions")
-        xs = self.domain.cell_centers()
-        write_csv(path, ["x", "value"], zip(xs, self.samples.astype(float)))
-
-    @classmethod
-    def from_csv(cls, domain: Domain, path) -> "GridFunction":
-        vals = []
-        with open(path, newline="") as fh:
-            r = csv.reader(fh)
-            header = next(r)
-            if header[:2] != ["x", "value"]:
-                raise ValueError("expected 'x,value' header")
-            for row in r:
-                vals.append(float(row[1]))
-        return cls(domain, np.asarray(vals))
 
 
 def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
@@ -254,6 +233,12 @@ def dilate(q: DyadicCube, r: float, domain: Domain) -> Interval:
 # vectorised per-level reductions
 # ---------------------------------------------------------------------------
 
+# cells per vector pass of a family sweep (a level group, or a chunk of the
+# A_infty inner levels): past about 2**14 cells the temporaries run slower
+# per element than the interpreter overhead that the stacking saves
+GROUP_CELLS = 1 << 14
+
+
 @dataclass
 class LevelEntry:
     lattice_id: int
@@ -264,10 +249,16 @@ class LevelEntry:
     lo: np.ndarray          # clipped starts
     hi: np.ndarray          # clipped ends
     cell_to_cube: np.ndarray
+    levels: int = 1         # entries stacked into this one
 
     @property
     def n_cubes(self) -> int:
         return len(self.starts)
+
+    def tile(self, values: np.ndarray) -> np.ndarray:
+        """Cell values repeated once per stacked level, as `means` and
+        `segment_max` of a stack read them; one level gets them uncopied."""
+        return values if self.levels == 1 else np.tile(values, self.levels)
 
     def clipped_sizes(self) -> np.ndarray:
         return self.hi - self.lo
@@ -318,9 +309,10 @@ class CubeFamily:
         """The cubes of several entries as one entry over their cells tiled
         end to end: entry k's cells are N k .. N (k + 1) - 1 and its cubes
         follow those of entry k - 1, so `means` and `segment_max` of values
-        tiled the same way reduce each cube over the same cells in the same
-        order as per entry.  The width is per cube; the lattice, level and
-        first index are the first entry's.  One entry is returned as it is."""
+        tiled by `LevelEntry.tile` reduce each cube over the same cells in
+        the same order as per entry.  The width is per cube; the lattice,
+        level and first index are the first entry's.  One entry is returned
+        as it is."""
         if len(entries) == 1:
             return entries[0]
         N = self.domain.n_cells
@@ -335,7 +327,16 @@ class CubeFamily:
             np.concatenate([e.lo + c for e, c in zip(entries, cells)]),
             np.concatenate([e.hi + c for e, c in zip(entries, cells)]),
             np.concatenate([e.cell_to_cube + t for e, t in zip(entries, first_cube)]),
+            len(entries),
         )
+
+    @functools.cached_property
+    def groups(self) -> list[LevelEntry]:
+        """The entries, in order, stacked into groups of at most GROUP_CELLS
+        cells (one entry each where N exceeds that): the sweep that every
+        sup over the family runs, one vector pass per group."""
+        per = max(1, GROUP_CELLS // self.domain.n_cells)
+        return [self.stack(self.entries[k:k + per]) for k in range(0, len(self.entries), per)]
 
     # -- reductions ---------------------------------------------------------
 
@@ -373,10 +374,21 @@ class CubeFamily:
         out = np.full(N, -np.inf)
         for entry, vals in zip(entries, per_entry_values):
             spread = vals[entry.cell_to_cube]
-            if len(spread) > N:
-                spread = spread.reshape(-1, N).max(axis=0)
+            if entry.levels > 1:
+                spread = spread.reshape(entry.levels, N).max(axis=0)
             np.maximum(out, spread, out=out)
         return out
+
+    def sup(self, per_cube: Callable[[LevelEntry], np.ndarray]) -> float:
+        """max over every cube of the family of per_cube(group), the values
+        of one level group's cubes, taken group by group."""
+        return max(float(per_cube(g).max()) for g in self.groups)
+
+
+@functools.cache
+def family_for(domain: Domain) -> CubeFamily:
+    """The cube family of a domain, built once per process."""
+    return CubeFamily(domain)
 
 
 def cube_cells(domain: Domain, q) -> tuple[int, int, int]:

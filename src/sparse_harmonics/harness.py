@@ -10,7 +10,6 @@ structure and parameter scaling, not unknowable absolute constants.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -84,9 +83,6 @@ class VerificationReport:
             "verdict": self.verdict,
             "env": self.env,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
 
 @dataclass

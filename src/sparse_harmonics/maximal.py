@@ -17,30 +17,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .grid import CubeFamily, Domain, GridFunction, LevelEntry
+from .grid import CubeFamily, Domain, GridFunction, LevelEntry, family_for
 from .orlicz import YoungFunction, llog, monotone_root
 
-__all__ = ["maximal", "multilinear_maximal", "family_for"]
-
-_FAMILIES: dict[Domain, CubeFamily] = {}
-_LEVEL_GROUPS: dict[Domain, list[LevelEntry]] = {}
-
-# stacked cells per level group of the multilinear maximal: one root solve
-# runs every cube of a group, and past about 2**14 cells its temporaries run
-# slower per element than the interpreter overhead the stacking saves
-_GROUP_CELLS = 1 << 14
+__all__ = ["maximal", "multilinear_maximal"]
 
 # multilinear_maximal outputs keyed by the content of their inputs, least
 # recently used first; the function is pure, so a hit returns the same numbers
 _PRODUCT_MEMO_SIZE = 32
 _PRODUCT_MEMO: OrderedDict[tuple, np.ndarray] = OrderedDict()
-
-
-def family_for(domain: Domain) -> CubeFamily:
-    fam = _FAMILIES.get(domain)
-    if fam is None:
-        fam = _FAMILIES[domain] = CubeFamily(domain)
-    return fam
 
 
 def luxemburg_per_cube(
@@ -70,7 +55,7 @@ def maximal(f: GridFunction, k: int = 1) -> GridFunction:
     fam = family_for(f.domain)
     out = np.abs(f.samples).astype(float)
     for _ in range(k):
-        out = fam.scatter_max(fam.entries, (fam.means(e, out) for e in fam.entries))
+        out = fam.scatter_max(fam.groups, (fam.means(g, g.tile(out)) for g in fam.groups))
     return GridFunction(f.domain, out)
 
 
@@ -98,20 +83,6 @@ def multilinear_maximal(fs: Sequence[GridFunction], flavor: str = "plain") -> Gr
     return GridFunction(dom, out.copy())
 
 
-def level_groups(fam: CubeFamily) -> list[LevelEntry]:
-    """The family's entries, in order, stacked into groups of at most
-    _GROUP_CELLS cells (a single entry where N exceeds that); built once
-    per domain."""
-    groups = _LEVEL_GROUPS.get(fam.domain)
-    if groups is None:
-        per = max(1, _GROUP_CELLS // fam.domain.n_cells)
-        entries = fam.entries
-        groups = _LEVEL_GROUPS[fam.domain] = [
-            fam.stack(entries[k:k + per]) for k in range(0, len(entries), per)
-        ]
-    return groups
-
-
 @functools.cache
 def _llogl_young() -> tuple[YoungFunction, float]:
     """phi(t) = t log(e + t) and phi^-1(1), solved once per process."""
@@ -125,15 +96,13 @@ def _product_maximal(dom: Domain, absfs: list[np.ndarray], flavor: str) -> np.nd
         phi, inv1 = _llogl_young()
 
     def product(group: LevelEntry) -> np.ndarray:
-        levels = len(group.cell_to_cube) // dom.n_cells
         prod = np.ones(group.n_cubes)
         for af in absfs:
-            tiled = np.tile(af, levels)
+            tiled = group.tile(af)
             if flavor == "llogl":
                 prod *= luxemburg_per_cube(fam, group, tiled, phi, inv1)
             else:
                 prod *= fam.means(group, tiled)
         return prod
 
-    groups = level_groups(fam)
-    return fam.scatter_max(groups, map(product, groups))
+    return fam.scatter_max(fam.groups, map(product, fam.groups))

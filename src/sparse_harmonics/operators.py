@@ -18,8 +18,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.signal import fftconvolve
 
-from .grid import CubeFamily, GridFunction
-from .maximal import family_for
+from .grid import CubeFamily, GridFunction, LevelEntry, family_for
 
 __all__ = [
     "KernelOperator",
@@ -155,13 +154,12 @@ def bmo_norm(b: GridFunction) -> float:
     """sup_Q <|b - <b>_Q|>_Q over the full cube family."""
     fam = family_for(b.domain)
     bs = b.samples.astype(float)
-    best = 0.0
-    for e in fam.entries:
-        means = fam.means(e, bs, clip=True)
-        dev = np.abs(b.samples - means[e.cell_to_cube])
-        osc = fam.means(e, dev, clip=True)
-        best = max(best, float(osc.max()))
-    return best
+
+    def per_cube(g: LevelEntry) -> np.ndarray:
+        tb = g.tile(bs)
+        dev = np.abs(tb - fam.means(g, tb, clip=True)[g.cell_to_cube])
+        return fam.means(g, dev, clip=True)
+    return fam.sup(per_cube)
 
 
 def iterated_commutator(

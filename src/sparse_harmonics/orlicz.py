@@ -44,7 +44,6 @@ class YoungFunction:
     I_upper: Optional[float] = None
     delta2_C1: Optional[float] = None
     submultiplicative: bool = False
-    is_nfunction: bool = True
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
@@ -184,7 +183,6 @@ def power(p: float) -> YoungFunction:
         I_upper=p,
         delta2_C1=p,
         submultiplicative=True,
-        is_nfunction=p > 1,
     )
 
 
@@ -202,7 +200,6 @@ def power_over_p(p: float) -> YoungFunction:
         I_upper=p,
         delta2_C1=p,
         submultiplicative=False,
-        is_nfunction=True,
     )
 
 
@@ -220,7 +217,6 @@ def llog(alpha: float, p: float = 1.0) -> YoungFunction:
         # log(e + lam t) <= lam log(e + t) for lam >= 1, so C1 = p + alpha
         delta2_C1=p + alpha,
         submultiplicative=(p == 1.0),
-        is_nfunction=False,
     )
 
 
@@ -233,7 +229,6 @@ def exp_power(s: float) -> YoungFunction:
         lambda t: np.expm1(t ** s),
         inverse_fn=lambda t: np.log1p(t) ** (1.0 / s),
         submultiplicative=False,
-        is_nfunction=s > 1,  # s = 1 has phi(t)/t -> 1 at 0
     )
 
 
@@ -251,7 +246,6 @@ def phi_power(phi: YoungFunction, m: int) -> YoungFunction:
         else None,
         i_lower=None if phi.i_lower is None else m * phi.i_lower,
         I_upper=None if phi.I_upper is None else m * phi.I_upper,
-        is_nfunction=True,
     )
 
 

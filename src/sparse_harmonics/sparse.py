@@ -7,7 +7,6 @@ measures are exact cell counts.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -20,9 +19,8 @@ from .grid import (
     average,
     cube_cells,
     dilate,
-    write_csv,
+    family_for,
 )
-from .maximal import family_for
 
 __all__ = [
     "SparseFamily",
@@ -58,22 +56,6 @@ class SparseFamily:
     def cell_sets(self) -> list[tuple[int, int]]:
         """Clipped (lo, hi) cell ranges, in family order."""
         return [cube_cells(self.domain, q)[:2] for q in self.cubes]
-
-    def to_csv(self, path) -> None:
-        write_csv(path, ["lattice_id", "level", "index"],
-                  ([q.lattice_id, q.level, q.index] for q in self.cubes))
-
-    @classmethod
-    def from_csv(cls, path, eta: float, domain: Domain) -> "SparseFamily":
-        cubes = []
-        with open(path, newline="") as fh:
-            r = csv.reader(fh)
-            header = next(r)
-            if header != ["lattice_id", "level", "index"]:
-                raise ValueError("expected 'lattice_id,level,index' header")
-            for row in r:
-                cubes.append(DyadicCube(int(row[0]), int(row[1]), int(row[2])))
-        return cls.make(cubes, eta, domain)
 
 
 def verify_sparse(fam: SparseFamily) -> tuple[bool, float, float]:

@@ -15,8 +15,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .grid import Domain, GridFunction, LevelEntry, write_csv
-from .maximal import family_for, maximal
+from .grid import GROUP_CELLS, Domain, GridFunction, LevelEntry, family_for, write_csv
+from .maximal import maximal
 
 __all__ = [
     "Weight",
@@ -34,7 +34,6 @@ __all__ = [
 ]
 
 _EXP_CLAMP = 690.0  # keeps exp() within ~1e300
-_SWEEP_CELLS = 1 << 14  # (inner level, cell) pairs per step of the A_infty sweep
 
 # The paper's dimensional constants in R^n, at n = 1: every cube of the grid
 # is an interval
@@ -89,10 +88,6 @@ class Weight:
             self._ainfty = ainfty_constants(self)
         return self._ainfty
 
-    def power(self, a: float, name: str | None = None) -> "Weight":
-        s = clamped_power(self.samples, a)
-        return Weight(GridFunction(self.domain, s), name or f"{self.name}^{a:g}")
-
 
 def clamped_power(samples: np.ndarray, a: float) -> np.ndarray:
     """samples**a through log-space, clamped to the float range."""
@@ -132,17 +127,17 @@ def ap_constant(w: Weight, p: float) -> float:
         raise ValueError("need p >= 1")
     fam = family_for(w.domain)
     ws = w.samples.astype(float)
-    best = -np.inf
     if p == 1.0:
-        for e in fam.entries:
-            vals = fam.means(e, ws, clip=True) / fam.segment_min(e, w.samples)
-            best = max(best, float(vals.max()))
-        return best
-    dual = clamped_power(w.samples, 1.0 - p / (p - 1.0))
-    for e in fam.entries:
-        vals = fam.means(e, ws, clip=True) * fam.means(e, dual, clip=True) ** (p - 1.0)
-        best = max(best, float(vals.max()))
-    return best
+        def per_cube(g: LevelEntry) -> np.ndarray:
+            tw = g.tile(ws)
+            return fam.means(g, tw, clip=True) / fam.segment_min(g, tw)
+    else:
+        dual = clamped_power(w.samples, 1.0 - p / (p - 1.0))
+
+        def per_cube(g: LevelEntry) -> np.ndarray:
+            dual_mean = fam.means(g, g.tile(dual), clip=True)
+            return fam.means(g, g.tile(ws), clip=True) * dual_mean ** (p - 1.0)
+    return fam.sup(per_cube)
 
 
 def multi_ap_constant(mw: MultiWeight) -> float:
@@ -156,17 +151,17 @@ def multi_ap_constant(mw: MultiWeight) -> float:
         None if pj == 1.0 else clamped_power(w.samples, 1.0 - pj / (pj - 1.0))
         for w, pj in zip(mw.weights, mw.exponents)
     ]
-    best = -np.inf
-    for e in fam.entries:
-        vals = fam.means(e, nu, clip=True)
+
+    def per_cube(g: LevelEntry) -> np.ndarray:
+        vals = fam.means(g, g.tile(nu), clip=True)
         for w, pj, dual in zip(mw.weights, mw.exponents, duals):
             if dual is None:
-                vals = vals * fam.segment_min(e, w.samples) ** (-p)
+                vals = vals * fam.segment_min(g, g.tile(w.samples)) ** (-p)
             else:
                 ppj = pj / (pj - 1.0)
-                vals = vals * fam.means(e, dual, clip=True) ** (p / ppj)
-        best = max(best, float(vals.max()))
-    return best
+                vals = vals * fam.means(g, g.tile(dual), clip=True) ** (p / ppj)
+        return vals
+    return fam.sup(per_cube)
 
 
 def _double_sums(e: LevelEntry, values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -214,7 +209,7 @@ def ainfty_constants(w: Weight) -> tuple[float, float]:
     decreases; rounding is monotone, so the difference over P ∩ Q is at
     most the one over Q, and dividing it by the wider |P| gives at most the
     same quotient.  The per-cell starts of every level are gathered once
-    per call, and the inner levels go in chunks of about _SWEEP_CELLS
+    per call, and the inner levels go in chunks of about GROUP_CELLS
     cells; clipping P ∩ Q to Q also clips it to the domain.
     """
     dom = w.domain
@@ -228,7 +223,7 @@ def ainfty_constants(w: Weight) -> tuple[float, float]:
     starts = np.empty((len(inner), N), dtype=np.int32)
     for row, f in zip(starts, inner):
         row[:] = f.starts[f.cell_to_cube]
-    step = max(1, _SWEEP_CELLS // N)
+    step = max(1, GROUP_CELLS // N)
     fw = weak = -np.inf
     for e in fam.entries:
         q = e.cell_to_cube

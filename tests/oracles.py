@@ -1,4 +1,5 @@
 """Brute-force oracles for the fast kernels: one slice sum per cube, one
+family entry at a time where the kernels sweep level groups, one
 maximal function per cube, every pair of levels in the A_infty sweep, one
 Luxemburg root solve per cube or per family level, one cube at a time in
 the stopping-time walk, a linear program for the best sparseness, dense
@@ -10,11 +11,18 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from sparse_harmonics.grid import CubeFamily, GridFunction, children, cube_cells
-from sparse_harmonics.maximal import family_for, luxemburg_per_cube
+from sparse_harmonics.grid import (
+    GROUP_CELLS,
+    CubeFamily,
+    GridFunction,
+    children,
+    cube_cells,
+    family_for,
+)
+from sparse_harmonics.maximal import luxemburg_per_cube
 from sparse_harmonics.orlicz import Measure, YoungFunction, llog, monotone_root
 from sparse_harmonics.sparse import SparseFamily
-from sparse_harmonics.weights import _SWEEP_CELLS, _double_sums
+from sparse_harmonics.weights import _double_sums, clamped_power
 
 
 def brute_ap(w, p):
@@ -41,6 +49,65 @@ def brute_maximal(samples, dom):
             avg = samples[lo:hi].sum() / e.width
             out[lo:hi] = np.maximum(out[lo:hi], avg)
     return out
+
+
+def per_entry_maximal(f, k=1):
+    """M^k f one family entry at a time: the route `maximal` took before it
+    swept level groups."""
+    fam = family_for(f.domain)
+    out = np.abs(f.samples).astype(float)
+    for _ in range(k):
+        out = fam.scatter_max(fam.entries, (fam.means(e, out) for e in fam.entries))
+    return out
+
+
+def per_entry_bmo(b):
+    """sup_Q <|b - <b>_Q|>_Q one family entry at a time."""
+    fam = family_for(b.domain)
+    bs = b.samples.astype(float)
+    best = 0.0
+    for e in fam.entries:
+        means = fam.means(e, bs, clip=True)
+        dev = np.abs(b.samples - means[e.cell_to_cube])
+        best = max(best, float(fam.means(e, dev, clip=True).max()))
+    return best
+
+
+def per_entry_ap(w, p):
+    """[w]_{A_p} one family entry at a time."""
+    fam = family_for(w.domain)
+    ws = w.samples.astype(float)
+    best = -np.inf
+    if p == 1.0:
+        for e in fam.entries:
+            vals = fam.means(e, ws, clip=True) / fam.segment_min(e, w.samples)
+            best = max(best, float(vals.max()))
+        return best
+    dual = clamped_power(w.samples, 1.0 - p / (p - 1.0))
+    for e in fam.entries:
+        vals = fam.means(e, ws, clip=True) * fam.means(e, dual, clip=True) ** (p - 1.0)
+        best = max(best, float(vals.max()))
+    return best
+
+
+def per_entry_multi_ap(mw):
+    """The multiple-weight constant of `multi_ap_constant` one family entry
+    at a time."""
+    fam = family_for(mw.weights[0].domain)
+    p = mw.p
+    nu = mw.nu().samples
+    best = -np.inf
+    for e in fam.entries:
+        vals = fam.means(e, nu, clip=True)
+        for w, pj in zip(mw.weights, mw.exponents):
+            if pj == 1.0:
+                vals = vals * fam.segment_min(e, w.samples) ** (-p)
+            else:
+                ppj = pj / (pj - 1.0)
+                dual = clamped_power(w.samples, 1.0 - ppj)
+                vals = vals * fam.means(e, dual, clip=True) ** (p / ppj)
+        best = max(best, float(vals.max()))
+    return best
 
 
 def brute_ainfty(w):
@@ -78,7 +145,7 @@ def all_pairs_ainfty(w):
     N = dom.n_cells
     ws = w.samples.astype(float)
     cells = np.arange(N)
-    step = max(1, _SWEEP_CELLS // N)
+    step = max(1, GROUP_CELLS // N)
     chunks = [fam.entries[k:k + step] for k in range(0, len(fam.entries), step)]
     fw = weak = -np.inf
     for e in fam.entries:

@@ -301,6 +301,27 @@ bank = bump
     assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize("section, spec, smallest_l", [
+    ("[functions]\nbank", "steps", 5),
+    ("[symbols]\nb", "steps:3", 4),
+])
+def test_run_steps_on_too_few_cells_names_the_spec(tmp_path, capsys, section, spec, smallest_l):
+    # 32 function blocks or 16 symbol blocks need at least as many cells
+    cfg = write_config(tmp_path, f"""
+[experiment]
+kind = decay
+l = {smallest_l - 1}
+
+[operator]
+kind = hilbert
+
+{section} = {spec}
+""")
+    assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert f"spec {spec!r}" in err and f"needs l >= {smallest_l}" in err
+
+
 @pytest.mark.parametrize("t_points", ["0", "-3"])
 def test_run_t_points_below_one_exits_2(tmp_path, capsys, t_points):
     cfg = write_config(tmp_path, f"""

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sparse_harmonics.grid import (
+    GROUP_CELLS,
     CubeFamily,
     Domain,
     DyadicCube,
@@ -16,6 +17,7 @@ from sparse_harmonics.grid import (
     children,
     cube_cells,
     dilate,
+    family_for,
 )
 
 
@@ -30,31 +32,12 @@ def test_domain_basic():
         Domain(0.0, 1.0, 0)
 
 
-def test_gridfunction_integral_exact():
-    dom = Domain(0.0, 2.0, 7)
-    f = GridFunction.constant(dom, 3.0)
-    assert f.integral() == pytest.approx(6.0, abs=1e-14)
-    g = GridFunction.indicator(dom, Interval(0.0, 0.5))
-    assert g.integral() == pytest.approx(0.5, abs=1e-14)
-
-
 def test_gridfunction_rejects_bad_samples():
     dom = Domain(0.0, 1.0, 3)
     with pytest.raises(ValueError):
         GridFunction(dom, np.zeros(7))
     with pytest.raises(ValueError):
         GridFunction(dom, np.array([np.nan] + [0.0] * 7))
-
-
-def test_gridfunction_csv_roundtrip(tmp_path):
-    dom = Domain(-1.0, 3.0, 5)
-    rng = np.random.default_rng(0)
-    f = GridFunction(dom, rng.normal(size=dom.n_cells))
-    p = tmp_path / "f.csv"
-    f.to_csv(p)
-    assert p.read_text().splitlines()[0] == "x,value"
-    g = GridFunction.from_csv(dom, p)
-    np.testing.assert_array_equal(f.samples, g.samples)
 
 
 # -- children ----------------------------------------------------------------
@@ -151,6 +134,43 @@ def test_cell_to_cube_consistent():
     for entry in fam.entries:
         for i, (lo, hi) in enumerate(zip(entry.lo, entry.hi)):
             assert np.all(entry.cell_to_cube[lo:hi] == i)
+
+
+@pytest.mark.parametrize("L, n_groups", [(5, 1), (8, 1), (10, 3), (12, 13), (14, 60)])
+def test_level_groups_cover_the_family_in_order(L, n_groups):
+    dom = Domain(0.0, 1.0, L)
+    N = dom.n_cells
+    fam = family_for(dom)
+    assert family_for(dom) is fam  # built once per domain
+    groups = fam.groups
+    assert len(groups) == n_groups
+    assert fam.groups is groups  # built once per family
+    v = np.arange(N, dtype=float)
+    at = 0
+    for g in groups:
+        levels = g.levels
+        assert len(g.cell_to_cube) == levels * N
+        assert levels * N <= GROUP_CELLS or levels == 1
+        tiled = g.tile(v)
+        np.testing.assert_array_equal(tiled, np.tile(v, levels))
+        assert (tiled is v) == (levels == 1)  # one level is not copied
+        part = fam.entries[at:at + levels]
+        assert len(part) == levels
+        assert (g.lattice_id, g.level) == (part[0].lattice_id, part[0].level)
+        cells = N * np.arange(levels)
+        first = np.cumsum([0] + [e.n_cubes for e in part[:-1]])
+        np.testing.assert_array_equal(g.lo, np.concatenate([e.lo + c for e, c in zip(part, cells)]))
+        np.testing.assert_array_equal(g.hi, np.concatenate([e.hi + c for e, c in zip(part, cells)]))
+        np.testing.assert_array_equal(
+            np.broadcast_to(g.width, (g.n_cubes,)),
+            np.concatenate([np.full(e.n_cubes, e.width) for e in part]),
+        )
+        np.testing.assert_array_equal(
+            g.cell_to_cube,
+            np.concatenate([e.cell_to_cube + t for e, t in zip(part, first)]),
+        )
+        at += levels
+    assert at == len(fam.entries)
 
 
 def test_segment_sums_match_direct():

@@ -1,10 +1,11 @@
 """Source hygiene checks that need no linter: every name a module under
 src/ or tests/ imports is used in that module, every parameter of a def
 under src/ is read in its body, every name in a src/ module's __all__ is
-defined in that module and read by other src/ code, run as a console
-script or on the list of names only tests reach, every oracle in
-tests/oracles.py is read by a test or another oracle, and the benchmark
-tracer still finds every name and parameter it traces."""
+defined in that module, every such name and every public method of an
+exported class is read by other src/ code, run as a console script or on
+the list of names only tests reach, every oracle in tests/oracles.py is
+read by a test or another oracle, and the benchmark tracer still finds
+every name and parameter it traces."""
 
 import ast
 import importlib.util
@@ -35,6 +36,16 @@ def _imported_names(tree: ast.AST) -> dict[str, int]:
     return out
 
 
+def _is_all(node: ast.AST) -> bool:
+    return isinstance(node, ast.Assign) and any(
+        isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+    )
+
+
+def _names(value: ast.AST) -> list[str]:
+    return [elt.value for elt in value.elts if isinstance(elt, ast.Constant)]
+
+
 def _used_names(tree: ast.AST) -> set[str]:
     """Names read anywhere, plus the strings listed in __all__."""
     used = set()
@@ -47,12 +58,8 @@ def _used_names(tree: ast.AST) -> set[str]:
                 base = base.value
             if isinstance(base, ast.Name):
                 used.add(base.id)
-        elif isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            used.update(
-                elt.value for elt in node.value.elts if isinstance(elt, ast.Constant)
-            )
+        elif _is_all(node):
+            used.update(_names(node.value))
     return used
 
 
@@ -187,27 +194,41 @@ def unreachable_exports(sources: dict[str, str], entry_points=()) -> list[str]:
     module nor another top-level statement of its module.  A read is a
     name or an attribute; imports and __all__ itself are not reads.  The
     "module.name" entries of entry_points (console scripts) count as
-    reached."""
-    exports, reads = {}, []
+    reached.  The public methods of an exported class are checked the same
+    way, as "module.Class.method": a read inside another method of the
+    class counts, one inside the method itself does not."""
+    defs, reads = [], []  # (module, path, name checked); (module, path, names read)
     for module, source in sources.items():
-        for node in ast.parse(source).body:
-            if isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-            ):
-                exports[module] = [elt.value for elt in node.value.elts]
+        tree = ast.parse(source)
+        exported = next((_names(n.value) for n in tree.body if _is_all(n)), [])
+        defs += [(module, (name,), name) for name in exported]
+        for node in tree.body:
+            if _is_all(node):
                 continue
             owner = getattr(node, "name", None)
-            read = {
-                n.id if isinstance(n, ast.Name) else n.attr
-                for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))
-            }
-            reads.append((module, owner, read))
+            parts = [((owner,), node)]
+            if isinstance(node, ast.ClassDef):
+                parts = [((owner,), n) for n in (*node.decorator_list, *node.bases)]
+                parts += [((owner, getattr(n, "name", None)), n) for n in node.body]
+                if owner in exported:
+                    defs += [
+                        (module, (owner, n.name), n.name) for n in node.body
+                        if isinstance(n, ast.FunctionDef) and not n.name.startswith("_")
+                    ]
+            reads += [
+                (module, path, {
+                    n.id if isinstance(n, ast.Name) else n.attr
+                    for n in ast.walk(part) if isinstance(n, (ast.Name, ast.Attribute))
+                })
+                for path, part in parts
+            ]
     return [
-        f"{module}.{name}"
-        for module, names in exports.items()
-        for name in names
-        if f"{module}.{name}" not in entry_points
-        and not any(name in read and (m, o) != (module, name) for m, o, read in reads)
+        ".".join((module, *path))
+        for module, path, name in defs
+        if ".".join((module, *path)) not in entry_points
+        and not any(
+            name in read and (m, p[:len(path)]) != (module, path) for m, p, read in reads
+        )
     ]
 
 
@@ -260,6 +281,32 @@ def test_checker_sees_unreachable_exports():
     assert unreachable_exports(sources) == ["a.f", "a.h", "b.u", "c.main", "c.v"]
     # a console script reaches its own function, and no other
     assert unreachable_exports(sources, {"c.main"}) == ["a.f", "a.h", "b.u", "c.v"]
+    # a public method of an exported class is reached by a read in another
+    # method, not by one in itself; a class read only in its own methods is
+    # not reached, and the methods of a class left out of __all__ are not
+    # checked
+    methods = {
+        "a": (
+            "__all__ = ['K']\n"
+            "class K:\n"
+            "    def used(self):\n"
+            "        return self.helper()\n"
+            "    def helper(self):\n"
+            "        return 1\n"
+            "    def lonely(self):\n"
+            "        return self.lonely()\n"
+            "    def _private(self):\n"
+            "        pass\n"
+            "    @property\n"
+            "    def size(self):\n"
+            "        return K\n"
+            "class Hidden:\n"
+            "    def m(self):\n"
+            "        pass\n"
+        ),
+        "b": "__all__ = ['u']\ndef u(k):\n    return k.size\n",
+    }
+    assert unreachable_exports(methods) == ["a.K", "a.K.used", "a.K.lonely", "b.u"]
     toml = '[tool.y]\nz = "a.b:c"\n\n[project.scripts]\nx = "pkg.mod:run"\n\n[tool.z]\n'
     assert console_scripts(toml) == {"mod.run"}
     assert console_scripts('[tool.y]\nz = "a.b:c"\n') == set()
@@ -287,8 +334,9 @@ def test_checker_sees_unreachable_exports():
     assert unreachable_oracles(tests) == ["oracles.brute", "oracles.unused"]
 
 
-# Exported names that only tests reach, each with the criterion or test
-# that uses it
+# Exported names (and public methods of exported classes, as
+# "module.Class.method") that only tests reach, each with the criterion or
+# test that uses it
 TEST_ONLY = {
     "grid.children": "criteria 1 and 2; tests/oracles.py::brute_stopping_cubes",
     "harness.lorentz_l1_norm": "criterion 6; test_harness.py::test_lorentz_l1_dominates_weak",
@@ -341,7 +389,7 @@ def test_benchmark_tracer_binds_every_traced_name(monkeypatch):
         maximal_module.multilinear_maximal([f], "llogl")
     finally:
         tracer.uninstall()
-    n_groups = len(maximal_module.level_groups(maximal_module.family_for(dom)))
+    n_groups = len(maximal_module.family_for(dom).groups)
     assert tracer.calls["maximal.multilinear_maximal"] == 1
     # one call per level group; at L = 5 the 24 family entries make one group
     assert tracer.calls["maximal.luxemburg_per_cube"] == n_groups == 1

@@ -5,10 +5,10 @@ import pytest
 
 import sparse_harmonics.maximal as maximal_module
 from sparse_harmonics.grid import Domain, DyadicCube, GridFunction
-from sparse_harmonics.maximal import family_for, level_groups, maximal, multilinear_maximal
+from sparse_harmonics.maximal import maximal, multilinear_maximal
 from sparse_harmonics.orlicz import llog
 
-from oracles import per_level_maximal
+from oracles import per_entry_maximal, per_level_maximal
 
 DOM = Domain(0.0, 1.0, 8)
 
@@ -193,6 +193,14 @@ def _bank(dom):
     ]
 
 
+@pytest.mark.parametrize("L", [3, 5, 8, 9, 10, 12])
+def test_maximal_over_level_groups_equals_the_per_entry_oracle(L):
+    dom = Domain(0.0, 1.0, L)
+    f = GridFunction(dom, np.random.default_rng(L).standard_cauchy(dom.n_cells))
+    for k in (1, 3):
+        np.testing.assert_array_equal(maximal(f, k).samples, per_entry_maximal(f, k))
+
+
 @pytest.mark.parametrize("L", range(3, 13))
 def test_level_groups_equal_the_per_level_oracle_bit_for_bit(L, empty_memo):
     # at L = 12 four levels make a group, so groups split each lattice's 13
@@ -205,38 +213,6 @@ def test_level_groups_equal_the_per_level_oracle_bit_for_bit(L, empty_memo):
     for fs in cases[::3]:
         want = per_level_maximal(fs, "plain")
         np.testing.assert_array_equal(multilinear_maximal(fs, "plain").samples, want)
-
-
-@pytest.mark.parametrize("L, n_groups", [(5, 1), (8, 1), (10, 3), (12, 13), (14, 60)])
-def test_level_groups_cover_the_family_in_order(L, n_groups):
-    dom = Domain(0.0, 1.0, L)
-    N = dom.n_cells
-    fam = family_for(dom)
-    groups = level_groups(fam)
-    assert len(groups) == n_groups
-    assert level_groups(fam) is groups  # built once per domain
-    at = 0
-    for g in groups:
-        levels = len(g.cell_to_cube) // N
-        assert len(g.cell_to_cube) == levels * N
-        assert levels * N <= maximal_module._GROUP_CELLS or levels == 1
-        part = fam.entries[at:at + levels]
-        assert len(part) == levels
-        assert (g.lattice_id, g.level) == (part[0].lattice_id, part[0].level)
-        cells = N * np.arange(levels)
-        first = np.cumsum([0] + [e.n_cubes for e in part[:-1]])
-        np.testing.assert_array_equal(g.lo, np.concatenate([e.lo + c for e, c in zip(part, cells)]))
-        np.testing.assert_array_equal(g.hi, np.concatenate([e.hi + c for e, c in zip(part, cells)]))
-        np.testing.assert_array_equal(
-            np.broadcast_to(g.width, (g.n_cubes,)),
-            np.concatenate([np.full(e.n_cubes, e.width) for e in part]),
-        )
-        np.testing.assert_array_equal(
-            g.cell_to_cube,
-            np.concatenate([e.cell_to_cube + t for e, t in zip(part, first)]),
-        )
-        at += levels
-    assert at == len(fam.entries)
 
 
 def test_variant_validation():

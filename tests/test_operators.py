@@ -24,6 +24,7 @@ from oracles import (
     direct_kernel_apply,
     first_order_commutator_kernel,
     luxemburg_norm,
+    per_entry_bmo,
 )
 
 DOM = Domain(0.0, 1.0, 8)
@@ -327,6 +328,16 @@ def test_bmo_log_stability_across_resolutions():
         sups.append(np.abs(b.samples).max())
     assert max(norms) / min(norms) <= 1.10
     assert sups[2] > sups[1] > sups[0]  # sup norm keeps growing with L
+
+
+@pytest.mark.parametrize("L", [3, 5, 8, 9, 10, 12])
+def test_bmo_over_level_groups_equals_the_per_entry_oracle(L):
+    # at L = 12 a level group stacks four entries, so groups split lattices
+    dom = Domain(0.0, 1.0, L)
+    cauchy = np.random.default_rng(L).standard_cauchy(dom.n_cells)
+    for s in (np.log(np.abs(dom.cell_centers() - 0.5)), cauchy):
+        b = GridFunction(dom, s)
+        assert bmo_norm(b) == per_entry_bmo(b)
 
 
 def test_weighted_john_nirenberg():

@@ -9,7 +9,8 @@ from scipy.optimize import brentq
 
 import sparse_harmonics.maximal as maximal_module
 from sparse_harmonics.grid import Domain, DyadicCube, GridFunction, average, cube_cells
-from sparse_harmonics.maximal import family_for, level_groups, multilinear_maximal
+from sparse_harmonics.grid import family_for
+from sparse_harmonics.maximal import multilinear_maximal
 from sparse_harmonics.orlicz import (
     Measure,
     delta2_constant,
@@ -174,7 +175,7 @@ def test_orlicz_maximal_solves_every_entry_in_16_evaluations(monkeypatch):
     monkeypatch.setattr(maximal_module, "_PRODUCT_MEMO", OrderedDict())
     monkeypatch.setattr(maximal_module, "monotone_root", _counting(solves))
     multilinear_maximal([f], "llogl")
-    groups = level_groups(family_for(dom))
+    groups = family_for(dom).groups
     # one solve per level group: 3 groups of the 44 family entries
     assert len(solves) == len(groups) == 3
     rng = np.random.default_rng(0)
@@ -186,8 +187,7 @@ def test_orlicz_maximal_solves_every_entry_in_16_evaluations(monkeypatch):
         open_ = np.flatnonzero(hi - lo > 1e-12 * hi)
         # the root of a few open brackets per entry of this group, one cube
         # at a time
-        levels = len(group.cell_to_cube) // dom.n_cells
-        for j in rng.choice(open_, size=min(3 * levels, len(open_)), replace=False):
+        for j in rng.choice(open_, size=min(3 * group.levels, len(open_)), replace=False):
             def one_cube(lam):
                 lams = got.copy()
                 lams[j] = lam
@@ -319,7 +319,6 @@ def test_phi_class_basics():
 
 def test_nfunction_limits():
     for phi in (power(2.0), power_over_p(3.0), exp_power(2.0)):
-        assert phi.is_nfunction
         small = phi(np.array([1e-8]))[0] / 1e-8
         big = phi(np.array([1e6]))[0] / 1e6
         assert small < 1e-4 and big > 1e4

@@ -268,10 +268,3 @@ def test_counting_decay_single_cube_degenerate():
     res = counting_decay(fam, ROOT)
     assert res["degenerate"]
 
-
-def test_family_csv_roundtrip(tmp_path):
-    fam = random_family(9)
-    p = tmp_path / "fam.csv"
-    fam.to_csv(p)
-    back = SparseFamily.from_csv(p, fam.eta, DOM)
-    assert set(back.cubes) == set(fam.cubes)

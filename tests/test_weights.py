@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from sparse_harmonics.grid import Domain, GridFunction, Interval
+from sparse_harmonics.grid import Domain, GridFunction, Interval, family_for
 from sparse_harmonics.maximal import maximal
 from sparse_harmonics.weights import (
     IterationError,
@@ -14,6 +14,7 @@ from sparse_harmonics.weights import (
     Weight,
     ainfty_constants,
     ap_constant,
+    clamped_power,
     k0_p0,
     log_k0_p0,
     multi_ap_constant,
@@ -22,7 +23,7 @@ from sparse_harmonics.weights import (
     s_u,
 )
 
-from oracles import all_pairs_ainfty, brute_ainfty, brute_ap
+from oracles import all_pairs_ainfty, brute_ainfty, brute_ap, per_entry_ap, per_entry_multi_ap
 
 DOM = Domain(0.0, 1.0, 6)
 
@@ -81,8 +82,6 @@ def test_multi_ap_one_and_brute_force():
     mw2 = MultiWeight((w, w), (2.0, 2.0))
     got = multi_ap_constant(mw2)
     # literal definition sweep
-    from sparse_harmonics.maximal import family_for
-
     fam = family_for(DOM)
     p = 1.0
     best = -np.inf
@@ -102,11 +101,28 @@ def test_multi_ap_characterization_trend():
         mw = MultiWeight((w1, w2), (2.0, 2.0))
         c = multi_ap_constant(mw)
         p = mw.p
-        comp1 = ap_constant(w1.power(1.0 - 2.0), 2.0 * 2.0)
-        comp2 = ap_constant(w2.power(1.0 - 2.0), 2.0 * 2.0)
+        comp1, comp2 = (
+            ap_constant(Weight(GridFunction(DOM, clamped_power(w.samples, 1.0 - 2.0))), 2.0 * 2.0)
+            for w in (w1, w2)
+        )
         nu = ap_constant(mw.nu(), 2.0 * p)
         # step weights keep everything finite; all four agree on that
         assert all(map(math.isfinite, (c, comp1, comp2, nu)))
+
+
+@pytest.mark.parametrize("L", [3, 5, 8, 9, 10, 12])
+def test_ap_over_level_groups_equals_the_per_entry_oracles(L):
+    dom = Domain(0.0, 1.0, L)
+    x = dom.cell_centers()
+    rng = np.random.default_rng(L)
+    lognormal = Weight(GridFunction(dom, np.exp(2.0 * rng.standard_normal(dom.n_cells))))
+    step = Weight(GridFunction(dom, np.where(x < 0.3, 1e-8, 1e8)))
+    for w in (lognormal, step):
+        for p in (1.0, 1.5, 2.0, 4.0):
+            assert ap_constant(w, p) == per_entry_ap(w, p)
+    for exponents in ((1.0, 2.0), (1.5, 4.0), (1.0, 1.0)):
+        mw = MultiWeight((lognormal, step), exponents)
+        assert multi_ap_constant(mw) == per_entry_multi_ap(mw)
 
 
 def test_ainfty_of_one():
