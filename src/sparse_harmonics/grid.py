@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import csv
 import functools
+import hashlib
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -28,6 +30,8 @@ __all__ = [
     "CubeFamily",
     "GROUP_CELLS",
     "family_for",
+    "MEMO",
+    "digest",
     "children",
     "cube_cells",
     "dilate",
@@ -389,6 +393,50 @@ class CubeFamily:
 def family_for(domain: Domain) -> CubeFamily:
     """The cube family of a domain, built once per process."""
     return CubeFamily(domain)
+
+
+# ---------------------------------------------------------------------------
+# memo of pure kernels
+# ---------------------------------------------------------------------------
+
+def digest(a: np.ndarray) -> tuple:
+    """An array's content as part of a memo key: its dtype, its shape and a
+    hash of its bytes.  Equal values of another dtype (a real f and the same
+    values as complex) make another key."""
+    return a.dtype.str, a.shape, hashlib.blake2b(a.tobytes(), digest_size=16).digest()
+
+
+class Memo:
+    """Outputs of pure kernels keyed by what they are computed from: a key
+    names the kernel and holds its parameters and the `digest` of each input
+    array.  At most `size` entries are kept, the least recently used dropped
+    first.  An array output is handed out as a copy, on a hit and on a miss,
+    so a caller that writes into it leaves the entry as it was."""
+
+    def __init__(self, size: int):
+        self.size = size
+        self._entries: OrderedDict = OrderedDict()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def clear(self) -> None:
+        self._entries.clear()
+
+    def get(self, key: tuple, compute: Callable[[], object]):
+        """The output stored under key, or compute() stored under it."""
+        out = self._entries.get(key)
+        if out is None:
+            out = self._entries[key] = compute()
+            if len(self._entries) > self.size:
+                self._entries.popitem(last=False)
+        else:
+            self._entries.move_to_end(key)
+        return out.copy() if isinstance(out, np.ndarray) else out
+
+
+# one memo for every kernel: a few dozen N-cell arrays, and scalars
+MEMO = Memo(64)
 
 
 def cube_cells(domain: Domain, q) -> tuple[int, int, int]:

@@ -11,21 +11,14 @@ are ratio-based so the proxy constant is tracked, not hidden.
 from __future__ import annotations
 
 import functools
-import hashlib
-from collections import OrderedDict
 from typing import Sequence
 
 import numpy as np
 
-from .grid import CubeFamily, Domain, GridFunction, LevelEntry, family_for
+from .grid import MEMO, CubeFamily, Domain, GridFunction, LevelEntry, digest, family_for
 from .orlicz import YoungFunction, llog, monotone_root
 
 __all__ = ["maximal", "multilinear_maximal"]
-
-# multilinear_maximal outputs keyed by the content of their inputs, least
-# recently used first; the function is pure, so a hit returns the same numbers
-_PRODUCT_MEMO_SIZE = 32
-_PRODUCT_MEMO: OrderedDict[tuple, np.ndarray] = OrderedDict()
 
 
 def luxemburg_per_cube(
@@ -51,36 +44,32 @@ def luxemburg_per_cube(
 
 def maximal(f: GridFunction, k: int = 1) -> GridFunction:
     """M^k f: the Hardy-Littlewood maximal function over the full cube
-    family, applied k times."""
-    fam = family_for(f.domain)
-    out = np.abs(f.samples).astype(float)
+    family, applied k times; computed once per |f| and k (see `grid.MEMO`)."""
+    absf = np.abs(f.samples).astype(float)
+    key = ("maximal", f.domain, k, digest(absf))
+    return GridFunction(f.domain, MEMO.get(key, lambda: _iterated_maximal(f.domain, absf, k)))
+
+
+def _iterated_maximal(dom: Domain, out: np.ndarray, k: int) -> np.ndarray:
+    fam = family_for(dom)
     for _ in range(k):
         out = fam.scatter_max(fam.groups, (fam.means(g, g.tile(out)) for g in fam.groups))
-    return GridFunction(f.domain, out)
+    return out
 
 
 def multilinear_maximal(fs: Sequence[GridFunction], flavor: str = "plain") -> GridFunction:
     """sup over the cubes Q containing x of a product over the m inputs:
     of the averages <|f_i|>_Q (flavor "plain") or of the L log L norms
-    ||f_i||_{L log L, Q} (flavor "llogl")."""
+    ||f_i||_{L log L, Q} (flavor "llogl"); computed once per flavor and
+    tuple of |f_i| (see `grid.MEMO`)."""
     if not fs:
         raise ValueError("need at least one function")
     if flavor not in ("plain", "llogl"):
         raise ValueError(f"unknown flavor {flavor!r}")
     dom = fs[0].domain
     absfs = [np.abs(f.samples).astype(float) for f in fs]
-    key = (dom, flavor) + tuple(
-        hashlib.blake2b(af.tobytes(), digest_size=16).digest() for af in absfs
-    )
-    out = _PRODUCT_MEMO.get(key)
-    if out is None:
-        out = _product_maximal(dom, absfs, flavor)
-        _PRODUCT_MEMO[key] = out
-        if len(_PRODUCT_MEMO) > _PRODUCT_MEMO_SIZE:
-            _PRODUCT_MEMO.popitem(last=False)
-    else:
-        _PRODUCT_MEMO.move_to_end(key)
-    return GridFunction(dom, out.copy())
+    key = ("multilinear_maximal", dom, flavor, *map(digest, absfs))
+    return GridFunction(dom, MEMO.get(key, lambda: _product_maximal(dom, absfs, flavor)))
 
 
 @functools.cache

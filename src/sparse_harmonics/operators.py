@@ -18,7 +18,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.signal import fftconvolve
 
-from .grid import CubeFamily, GridFunction, LevelEntry, family_for
+from .grid import MEMO, CubeFamily, GridFunction, LevelEntry, digest, family_for
 
 __all__ = [
     "KernelOperator",
@@ -174,12 +174,28 @@ def iterated_commutator(
     exact combination of plain T applications with b multiplied into the
     corresponding slots; on cell quadrature the identity is exact, so this
     is the kernel form evaluated slot by slot.  A factor of order k is the
-    same symbol passed k times in one slot.
+    same symbol passed k times in one slot; with no symbol this is T f.
+    Computed once per operator, slots and content of the symbols and
+    inputs (see `grid.MEMO`).
     """
     if len(bs) != len(slots):
         raise ValueError("need one slot per symbol")
     if any(not (0 <= s < len(fs)) for s in slots):
         raise ValueError("slot out of range")
+    dom = fs[0].domain
+    key = ("iterated_commutator", T, tuple(slots), dom,
+           *(digest(g.samples) for g in (*bs, *fs)))
+    return GridFunction(dom, MEMO.get(key, lambda: _expanded_commutator(T, bs, slots, fs)))
+
+
+def _expanded_commutator(
+    T: KernelOperator,
+    bs: Sequence[GridFunction],
+    slots: Sequence[int],
+    fs: Sequence[GridFunction],
+) -> np.ndarray:
+    if not bs:
+        return T.apply(fs).samples
     dom = fs[0].domain
     out = np.zeros(dom.n_cells, dtype=complex)
 
@@ -201,7 +217,7 @@ def iterated_commutator(
     rec(0, 1.0, np.ones(dom.n_cells), [np.ones(dom.n_cells)] * len(fs))
     if not any(np.iscomplexobj(f.samples) for f in fs):
         out = out.real
-    return GridFunction(dom, out)
+    return out
 
 
 def log_dini_norm(omega: Callable[[float], float], a: float, m: int) -> float:

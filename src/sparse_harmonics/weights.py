@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .grid import GROUP_CELLS, Domain, GridFunction, LevelEntry, family_for, write_csv
+from .grid import GROUP_CELLS, MEMO, Domain, GridFunction, LevelEntry, digest, family_for, write_csv
 from .maximal import maximal
 
 __all__ = [
@@ -47,7 +47,8 @@ class IterationError(RuntimeError):
 
 
 class Weight:
-    """Strictly positive grid function with lazily cached class constants."""
+    """Strictly positive grid function with lazily computed class constants:
+    A_p through the memo of `ap_constant`, A_infty cached here."""
 
     def __init__(self, f: GridFunction, name: str = "w"):
         if np.iscomplexobj(f.samples):
@@ -64,7 +65,6 @@ class Weight:
             )
         self.f = f
         self.name = name
-        self._ap_cache: dict[float, float] = {}
         self._ainfty: Optional[tuple[float, float]] = None
 
     @property
@@ -76,9 +76,7 @@ class Weight:
         return self.f.samples
 
     def ap(self, p: float) -> float:
-        if p not in self._ap_cache:
-            self._ap_cache[p] = ap_constant(self, p)
-        return self._ap_cache[p]
+        return ap_constant(self, p)
 
     def a1(self) -> float:
         return self.ap(1.0)
@@ -122,9 +120,14 @@ class MultiWeight:
 
 
 def ap_constant(w: Weight, p: float) -> float:
-    """sup_Q <w>_Q <w^{1-p'}>_Q^{p-1}, or <w>_Q / inf_Q w for p = 1."""
+    """sup_Q <w>_Q <w^{1-p'}>_Q^{p-1}, or <w>_Q / inf_Q w for p = 1;
+    computed once per p and content of w (see `grid.MEMO`)."""
     if p < 1:
         raise ValueError("need p >= 1")
+    return MEMO.get(("ap_constant", w.domain, p, digest(w.samples)), lambda: _ap_sup(w, p))
+
+
+def _ap_sup(w: Weight, p: float) -> float:
     fam = family_for(w.domain)
     ws = w.samples.astype(float)
     if p == 1.0:

@@ -10,13 +10,12 @@ every name and parameter it traces."""
 import ast
 import importlib.util
 import re
-from collections import OrderedDict
 from pathlib import Path
 
 import numpy as np
 
 from sparse_harmonics import maximal as maximal_module
-from sparse_harmonics.grid import Domain, GridFunction
+from sparse_harmonics.grid import MEMO, Domain, GridFunction
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -188,6 +187,30 @@ def test_no_undefined_exports_in_src():
     assert not found, "names in __all__ not defined in their module:\n" + "\n".join(found)
 
 
+def _import_owners(tree: ast.AST, modules) -> tuple[dict[str, str], dict[str, str]]:
+    """What the imports of tree bind: each name imported from one of
+    modules -> "module.name", and each name bound to an imported module ->
+    the module (its last dotted part), whether or not it is in modules."""
+    names, mods = {}, {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.asname:
+                    mods[alias.asname] = alias.name.rsplit(".", 1)[-1]
+                else:  # import a.b binds a
+                    top = alias.name.split(".")[0]
+                    mods[top] = top
+        elif isinstance(node, ast.ImportFrom):
+            source = (node.module or "").rsplit(".", 1)[-1]
+            for alias in node.names:
+                local = alias.asname or alias.name
+                if source in modules:
+                    names[local] = f"{source}.{alias.name}"
+                elif alias.name in modules:
+                    mods[local] = alias.name
+    return names, mods
+
+
 def unreachable_exports(sources: dict[str, str], entry_points=()) -> list[str]:
     """"module.name" for each name in a module's __all__ that no code in
     sources reads outside the name's own definition: neither another
@@ -196,12 +219,24 @@ def unreachable_exports(sources: dict[str, str], entry_points=()) -> list[str]:
     "module.name" entries of entry_points (console scripts) count as
     reached.  The public methods of an exported class are checked the same
     way, as "module.Class.method": a read inside another method of the
-    class counts, one inside the method itself does not."""
-    defs, reads = [], []  # (module, path, name checked); (module, path, names read)
+    class counts, one inside the method itself does not.  A read has an
+    owner where the imports name one: a name imported from a module of
+    sources, or an attribute of an imported module (`orlicz.power`), reads
+    that module's top-level name and no method of the same name."""
+    defs, reads = [], []  # (module, path, reads that reach it); (module, path, reads)
     for module, source in sources.items():
         tree = ast.parse(source)
+        names, mods = _import_owners(tree, sources)
+
+        def read(n: ast.AST) -> str:
+            if isinstance(n, ast.Name):
+                return names.get(n.id, n.id)
+            if isinstance(n.value, ast.Name) and n.value.id in mods:
+                return f"{mods[n.value.id]}.{n.attr}"
+            return n.attr
+
         exported = next((_names(n.value) for n in tree.body if _is_all(n)), [])
-        defs += [(module, (name,), name) for name in exported]
+        defs += [(module, (name,), {name, f"{module}.{name}"}) for name in exported]
         for node in tree.body:
             if _is_all(node):
                 continue
@@ -212,22 +247,21 @@ def unreachable_exports(sources: dict[str, str], entry_points=()) -> list[str]:
                 parts += [((owner, getattr(n, "name", None)), n) for n in node.body]
                 if owner in exported:
                     defs += [
-                        (module, (owner, n.name), n.name) for n in node.body
+                        (module, (owner, n.name), {n.name}) for n in node.body
                         if isinstance(n, ast.FunctionDef) and not n.name.startswith("_")
                     ]
             reads += [
                 (module, path, {
-                    n.id if isinstance(n, ast.Name) else n.attr
-                    for n in ast.walk(part) if isinstance(n, (ast.Name, ast.Attribute))
+                    read(n) for n in ast.walk(part) if isinstance(n, (ast.Name, ast.Attribute))
                 })
                 for path, part in parts
             ]
     return [
         ".".join((module, *path))
-        for module, path, name in defs
+        for module, path, keys in defs
         if ".".join((module, *path)) not in entry_points
         and not any(
-            name in read and (m, p[:len(path)]) != (module, path) for m, p, read in reads
+            keys & read and (m, p[:len(path)]) != (module, path) for m, p, read in reads
         )
     ]
 
@@ -307,6 +341,30 @@ def test_checker_sees_unreachable_exports():
         "b": "__all__ = ['u']\ndef u(k):\n    return k.size\n",
     }
     assert unreachable_exports(methods) == ["a.K", "a.K.used", "a.K.lonely", "b.u"]
+    # a name imported from a module, or an attribute read on an imported
+    # module, reaches that module's top-level name and no method named
+    # like it; an attribute of a module outside sources reaches nothing
+    owners = {
+        "a": (
+            "__all__ = ['power', 'W']\n"
+            "class W:\n"
+            "    def power(self):\n"
+            "        pass\n"
+            "    def ap(self):\n"
+            "        pass\n"
+            "def power():\n"
+            "    pass\n"
+        ),
+        "b": "from a import power\n__all__ = ['u']\ndef u():\n    return power()\n",
+        "c": (
+            "import a\n"
+            "import numpy as np\n"
+            "__all__ = ['v']\n"
+            "def v():\n"
+            "    return a.W, np.ap\n"
+        ),
+    }
+    assert unreachable_exports(owners) == ["a.W.power", "a.W.ap", "b.u", "c.v"]
     toml = '[tool.y]\nz = "a.b:c"\n\n[project.scripts]\nx = "pkg.mod:run"\n\n[tool.z]\n'
     assert console_scripts(toml) == {"mod.run"}
     assert console_scripts('[tool.y]\nz = "a.b:c"\n') == set()
@@ -374,7 +432,7 @@ def test_every_oracle_is_read_by_a_test_or_another_oracle():
     assert not found, "oracles that no test and no other oracle reads:\n" + "\n".join(found)
 
 
-def test_benchmark_tracer_binds_every_traced_name(monkeypatch):
+def test_benchmark_tracer_binds_every_traced_name():
     # install() fails on a traced name bound nowhere; a traced L log L call
     # fails when luxemburg_per_cube renames a parameter the tracer reads
     spec = importlib.util.spec_from_file_location("tracing", ROOT / "perfbench" / "tracing.py")
@@ -383,7 +441,7 @@ def test_benchmark_tracer_binds_every_traced_name(monkeypatch):
     dom = Domain(0.0, 1.0, 5)
     f = GridFunction(dom, np.linspace(0.1, 2.0, dom.n_cells))
     tracer = tracing.Tracer()
-    monkeypatch.setattr(maximal_module, "_PRODUCT_MEMO", OrderedDict())
+    MEMO.clear()
     try:
         tracer.install()
         maximal_module.multilinear_maximal([f], "llogl")

@@ -1,12 +1,14 @@
-from collections import OrderedDict
-
 import numpy as np
 import pytest
 
 import sparse_harmonics.maximal as maximal_module
-from sparse_harmonics.grid import Domain, DyadicCube, GridFunction
+import sparse_harmonics.operators as operators_module
+import sparse_harmonics.weights as weights_module
+from sparse_harmonics.grid import MEMO, Domain, DyadicCube, GridFunction
+from sparse_harmonics.harness import calderon_bundle, hilbert_bundle, stein_bundle
 from sparse_harmonics.maximal import maximal, multilinear_maximal
 from sparse_harmonics.orlicz import llog
+from sparse_harmonics.weights import Weight, ap_constant
 
 from oracles import per_entry_maximal, per_level_maximal
 
@@ -101,14 +103,14 @@ def test_multilinear_llogl_constant_value():
 
 
 @pytest.fixture
-def empty_memo(monkeypatch):
-    """An empty product memo: every multilinear_maximal input is a miss."""
-    monkeypatch.setattr(maximal_module, "_PRODUCT_MEMO", OrderedDict())
+def empty_memo():
+    """An empty kernel memo: every multilinear_maximal input is a miss."""
+    MEMO.clear()
 
 
 @pytest.fixture
 def lux_calls(empty_memo, monkeypatch):
-    """An empty product memo, and a list that counts luxemburg_per_cube calls."""
+    """An empty kernel memo, and a list that counts luxemburg_per_cube calls."""
     calls = []
     solve = maximal_module.luxemburg_per_cube
 
@@ -158,12 +160,12 @@ def test_multilinear_memo_keys_on_content(lux_calls):
 
 
 def test_multilinear_memo_stays_within_its_size(lux_calls):
-    size = maximal_module._PRODUCT_MEMO_SIZE
+    size = MEMO.size
     dom = Domain(0.0, 1.0, 5)
     fs = [[rand_f(100 + i, dom)] for i in range(size + 5)]
     for f in fs:
         multilinear_maximal(f, flavor="llogl")
-        assert len(maximal_module._PRODUCT_MEMO) <= size
+        assert len(MEMO) <= size
     n_each = len(lux_calls) // len(fs)
     assert len(lux_calls) == n_each * len(fs)
     # the newest input is a hit; the least recently used one went first
@@ -171,6 +173,110 @@ def test_multilinear_memo_stays_within_its_size(lux_calls):
     assert len(lux_calls) == n_each * len(fs)
     multilinear_maximal(fs[0], flavor="llogl")
     assert len(lux_calls) == n_each * (len(fs) + 1)
+
+
+# -- the same memo serves M^k, T_b f and A_p ------------------------------------
+
+def _counted(monkeypatch, module, *names) -> list:
+    """A list that gets the name of each call of module.name, for names."""
+    calls = []
+    for name in names:
+        def counted(*args, _name=name, _fn=getattr(module, name), **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_maximal_memo_keys_on_abs_f_and_k(empty_memo, monkeypatch):
+    calls = _counted(monkeypatch, maximal_module, "_iterated_maximal")
+    f = rand_f(9, lo=-1.0, hi=1.0)
+    first = maximal(f, 2).samples
+    # -f has the same |f|: a hit, equal byte for byte
+    assert maximal(-1.0 * f, 2).samples.tobytes() == first.tobytes()
+    assert len(calls) == 1
+    assert not np.array_equal(maximal(f, 1).samples, first)
+    assert len(calls) == 2
+
+
+SYMBOL = rand_f(20, lo=-1.0, hi=1.0)
+
+
+@pytest.mark.parametrize("make", [
+    lambda b: hilbert_bundle(),
+    lambda b: hilbert_bundle([b]),
+    lambda b: calderon_bundle(1, [b, b], [0, 1]),
+])
+def test_bundle_apply_memo_repeats_bit_for_bit(make, empty_memo, monkeypatch):
+    calls = _counted(monkeypatch, operators_module, "calderon_apply", "hilbert_transform")
+    bundle = make(SYMBOL)
+    fs = [rand_f(21 + i, lo=-1.0, hi=1.0) for i in range(bundle.m)]
+    first = bundle.apply(fs)
+    n_first = len(calls)
+    assert n_first > 0
+    # a fresh bundle over fresh arrays of the same content is a hit
+    again = make(GridFunction(DOM, SYMBOL.samples.copy())).apply(
+        [GridFunction(DOM, f.samples.copy()) for f in fs])
+    assert len(calls) == n_first
+    assert again.samples.tobytes() == first.samples.tobytes()
+
+
+def test_bundle_apply_memo_hands_out_copies(empty_memo):
+    bundle = hilbert_bundle([SYMBOL])
+    fs = [rand_f(22, lo=-1.0, hi=1.0)]
+    first = bundle.apply(fs)
+    kept = first.samples.copy()
+    first.samples[:] = -1.0
+    second = bundle.apply(fs)
+    np.testing.assert_array_equal(second.samples, kept)
+    second.samples[0] = 0.0
+    np.testing.assert_array_equal(bundle.apply(fs).samples, kept)
+
+
+_BUMPED = GridFunction(DOM, SYMBOL.samples + np.eye(DOM.n_cells)[7])
+
+
+@pytest.mark.parametrize("a, b", [
+    (hilbert_bundle([SYMBOL], pv_cutoff=1), hilbert_bundle([SYMBOL], pv_cutoff=2)),
+    (calderon_bundle(1, [SYMBOL], [0]), calderon_bundle(1, [SYMBOL], [1])),
+    (hilbert_bundle([SYMBOL]), hilbert_bundle([_BUMPED])),
+    (stein_bundle(0.75), stein_bundle(1.0)),
+], ids=["pv_cutoff", "slots", "symbol-sample", "stein-alpha"])
+def test_bundle_apply_memo_never_shares_an_entry(a, b, empty_memo):
+    fs = [rand_f(23 + i, lo=-1.0, hi=1.0) for i in range(a.m)]
+    alone = b.apply(fs).samples
+    assert not np.array_equal(a.apply(fs).samples, alone)
+    MEMO.clear()
+    a.apply(fs)
+    assert b.apply(fs).samples.tobytes() == alone.tobytes()
+
+
+def test_bundle_apply_memo_keys_on_dtype(empty_memo):
+    f = rand_f(24, lo=-1.0, hi=1.0)
+    bundle = hilbert_bundle([SYMBOL])
+    real = bundle.apply([f]).samples
+    # a shared entry would hand back a real array for the complex input
+    cplx = bundle.apply([GridFunction(DOM, f.samples.astype(np.complex128))]).samples
+    assert real.dtype == np.float64
+    assert cplx.dtype == np.complex128
+    # complex arithmetic rounds otherwise than real arithmetic
+    np.testing.assert_allclose(cplx.real, real, rtol=1e-12, atol=1e-15)
+    # the same bytes read as int64 are other numbers: only the dtype tells
+    # the two inputs apart
+    ints = GridFunction(DOM, f.samples.view(np.int64))
+    got = bundle.apply([ints]).samples
+    MEMO.clear()
+    assert bundle.apply([ints]).samples.tobytes() == got.tobytes()
+
+
+def test_ap_constant_memo_keys_on_content_and_p(empty_memo, monkeypatch):
+    calls = _counted(monkeypatch, weights_module, "_ap_sup")
+    samples = rand_f(25, lo=0.5, hi=2.0).samples
+    first = ap_constant(Weight(GridFunction(DOM, samples)), 2.0)
+    assert ap_constant(Weight(GridFunction(DOM, samples.copy()), "fresh"), 2.0) == first
+    assert len(calls) == 1
+    ap_constant(Weight(GridFunction(DOM, samples)), 3.0)
+    assert len(calls) == 2
 
 
 def _bank(dom):

@@ -1,5 +1,4 @@
 import math
-from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -9,7 +8,7 @@ from scipy.optimize import brentq
 
 import sparse_harmonics.maximal as maximal_module
 from sparse_harmonics.grid import Domain, DyadicCube, GridFunction, average, cube_cells
-from sparse_harmonics.grid import family_for
+from sparse_harmonics.grid import MEMO, family_for
 from sparse_harmonics.maximal import multilinear_maximal
 from sparse_harmonics.orlicz import (
     Measure,
@@ -135,8 +134,8 @@ def test_luxemburg_matches_brentq_on_spike(L, phi):
             assert luxemburg_norm(f, phi, q) == pytest.approx(want, rel=2e-12)
 
 
-def test_orlicz_maximal_matches_brute_brentq_on_spike(monkeypatch):
-    monkeypatch.setattr(maximal_module, "_PRODUCT_MEMO", OrderedDict())
+def test_orlicz_maximal_matches_brute_brentq_on_spike():
+    MEMO.clear()
     dom = Domain(0.0, 1.0, 7)
     f = _spike(dom)
     phi = llog(1.0)
@@ -172,7 +171,7 @@ def test_orlicz_maximal_solves_every_entry_in_16_evaluations(monkeypatch):
     dom = Domain(0.0, 1.0, 10)
     f = rand_f(7, lo=-1.0, hi=1.0, dom=dom)
     solves = []
-    monkeypatch.setattr(maximal_module, "_PRODUCT_MEMO", OrderedDict())
+    MEMO.clear()
     monkeypatch.setattr(maximal_module, "monotone_root", _counting(solves))
     multilinear_maximal([f], "llogl")
     groups = family_for(dom).groups
