@@ -617,15 +617,7 @@ def fefferman_stein_experiment(
 
 def quasiconvex_alpha(phi: YoungFunction, n_alpha: int = 20) -> float:
     """Largest sampled alpha in (0, 1] for which the alpha-th power of the
-    complementary function passes a midpoint convexity test; computed once
-    per phi instance and n_alpha."""
-    key = ("quasiconvex_alpha", n_alpha)
-    if key not in phi.cache:
-        phi.cache[key] = _quasiconvex_alpha(phi, n_alpha)
-    return phi.cache[key]
-
-
-def _quasiconvex_alpha(phi: YoungFunction, n_alpha: int) -> float:
+    complementary function passes a midpoint convexity test."""
     ts = np.logspace(-2.0, 2.0, 40)
     bar = phi.conjugate_eval(ts)
     mid = phi.conjugate_eval((ts[:-1] + ts[1:]) / 2.0)

@@ -216,7 +216,8 @@ def _expanded_commutator(
 
     rec(0, 1.0, np.ones(dom.n_cells), [np.ones(dom.n_cells)] * len(fs))
     if not any(np.iscomplexobj(f.samples) for f in fs):
-        out = out.real
+        # a copy, so the memo entry does not hold the complex array too
+        out = out.real.copy()
     return out
 
 

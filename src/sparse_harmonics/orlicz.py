@@ -10,7 +10,7 @@ backstop for the closed forms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -44,9 +44,6 @@ class YoungFunction:
     I_upper: Optional[float] = None
     delta2_C1: Optional[float] = None
     submultiplicative: bool = False
-    # values that depend on phi alone, stored by the functions that compute
-    # them on first use; a field the dataclass neither takes nor compares
-    cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)

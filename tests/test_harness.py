@@ -482,18 +482,6 @@ def test_modular_alpha_takes_no_numeric_conjugate_for_a_power(p, q, r, monkeypat
     assert rep.constants["alpha"] == quasiconvex_alpha(phi.complementary())
 
 
-def test_modular_alpha_of_llog_is_computed_once_per_phi(monkeypatch):
-    # llog(1) has no closed-form conjugate: the first call takes two
-    # numeric conjugates, a second call with the same phi none
-    calls = _count_numeric_conjugates(monkeypatch)
-    phi = llog(1.0)
-    first = modular_experiment(hilbert_bundle([SYMBOL]), [rand_f(5)], phi, 1.5, 0.5, ONE)
-    assert len(calls) == 2
-    second = modular_experiment(hilbert_bundle([SYMBOL]), [rand_f(6)], phi, 1.5, 0.5, ONE)
-    assert len(calls) == 2
-    assert second.constants["alpha"] == first.constants["alpha"]
-
-
 # -- report plumbing ---------------------------------------------------------
 
 def test_report_determinism():
