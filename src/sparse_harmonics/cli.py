@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .grid import Domain, GridFunction, Interval
+from .grid import Domain, GridFunction
 from .harness import (
     DecayCurve,
     OperatorBundle,
@@ -119,7 +119,7 @@ def make_weight(spec: str, dom: Domain) -> Weight:
     if spec == "exp":
         return Weight(GridFunction.from_callable(dom, lambda x: np.exp(x)), spec)
     if spec == "step":
-        g = GridFunction.indicator(dom, Interval(dom.left, dom.left + dom.length / 2))
+        g = GridFunction.indicator(dom, dom.left, dom.left + dom.length / 2)
         return Weight(GridFunction(dom, 1.0 + 3.0 * g.samples), spec)
     if spec == "spike":
         s = np.ones(dom.n_cells)
@@ -239,6 +239,8 @@ def run_experiment(cfg: dict, out_dir: Path) -> list[VerificationReport]:
     L = int(exp.get("l", "10"))
     seed = _resolve_seed(cfg)
     slack = float(exp.get("slack", "10"))
+    if not 1.0 <= slack < math.inf:
+        raise ConfigError(f"[experiment] slack must be finite and at least 1, got {slack}")
     dom = Domain(0.0, 1.0, L)
     params = cfg.get("params", {})
     reports: list[VerificationReport] = []
@@ -341,8 +343,9 @@ def _write_report(path: Path, cfg: dict, reports: list[VerificationReport]) -> N
 
 # -- svg ---------------------------------------------------------------------
 
-def write_svg_plot(path: Path, curve: DecayCurve, width=640, height=420) -> None:
+def write_svg_plot(path: Path, curve: DecayCurve) -> None:
     """Self-contained log-linear decay plot with the fitted model overlaid."""
+    width, height = 640, 420
     t = np.asarray(curve.t_grid, dtype=float)
     m = np.asarray(curve.measures, dtype=float)
     mo = np.asarray(curve.model, dtype=float)
@@ -412,6 +415,11 @@ def list_fixtures() -> list[str]:
     return sorted(p.name for p in d.iterdir() if p.is_file())
 
 
+# largest relative difference, against max(|a|, |b|, 1), that diff-fixtures
+# lets pass
+FIXTURE_TOL = 1e-9
+
+
 def _num(x):
     try:
         return float(x)
@@ -419,41 +427,41 @@ def _num(x):
         return None
 
 
-def _diff_values(path, a, b, tol, diffs):
+def _diff_values(path, a, b, diffs):
     na, nb = _num(a), _num(b)
     if na is not None and nb is not None:
         if math.isnan(na) and math.isnan(nb):
             return
         scale = max(abs(na), abs(nb), 1.0)
-        if abs(na - nb) > tol * scale:
+        if abs(na - nb) > FIXTURE_TOL * scale:
             diffs.append(f"{path}: {a!r} != {b!r}")
         return
     if a != b:
         diffs.append(f"{path}: {a!r} != {b!r}")
 
 
-def _diff_json(path, a, b, tol, diffs):
+def _diff_json(path, a, b, diffs):
     if isinstance(a, dict) and isinstance(b, dict):
         for k in sorted(set(a) | set(b)):
             if k not in a or k not in b:
                 diffs.append(f"{path}.{k}: missing on one side")
             else:
-                _diff_json(f"{path}.{k}", a[k], b[k], tol, diffs)
+                _diff_json(f"{path}.{k}", a[k], b[k], diffs)
     elif isinstance(a, list) and isinstance(b, list):
         if len(a) != len(b):
             diffs.append(f"{path}: length {len(a)} != {len(b)}")
             return
         for i, (x, y) in enumerate(zip(a, b)):
-            _diff_json(f"{path}[{i}]", x, y, tol, diffs)
+            _diff_json(f"{path}[{i}]", x, y, diffs)
     else:
-        _diff_values(path, a, b, tol, diffs)
+        _diff_values(path, a, b, diffs)
 
 
-def diff_fixture_file(golden: Path, candidate: Path, tol: float = 1e-9) -> list[str]:
+def diff_fixture_file(golden: Path, candidate: Path) -> list[str]:
     diffs: list[str] = []
     if golden.suffix == ".json":
         _diff_json(golden.name, json.loads(golden.read_text()),
-                   json.loads(candidate.read_text()), tol, diffs)
+                   json.loads(candidate.read_text()), diffs)
     elif golden.suffix == ".csv":
         ga = list(csv.reader(golden.read_text().splitlines()))
         cb = list(csv.reader(candidate.read_text().splitlines()))
@@ -464,7 +472,7 @@ def diff_fixture_file(golden: Path, candidate: Path, tol: float = 1e-9) -> list[
                 diffs.append(f"{golden.name}:{i}: column count differs")
                 continue
             for j, (a, b) in enumerate(zip(ra, rb)):
-                _diff_values(f"{golden.name}:{i}:{j}", a, b, tol, diffs)
+                _diff_values(f"{golden.name}:{i}:{j}", a, b, diffs)
     else:
         if golden.read_bytes() != candidate.read_bytes():
             diffs.append(f"{golden.name}: binary contents differ")

@@ -15,7 +15,6 @@ from __future__ import annotations
 import csv
 import functools
 import hashlib
-import math
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
@@ -25,7 +24,6 @@ import numpy as np
 __all__ = [
     "Domain",
     "GridFunction",
-    "Interval",
     "DyadicCube",
     "CubeFamily",
     "GROUP_CELLS",
@@ -34,7 +32,6 @@ __all__ = [
     "digest",
     "children",
     "cube_cells",
-    "dilate",
     "ResolutionError",
     "write_csv",
 ]
@@ -42,20 +39,6 @@ __all__ = [
 
 class ResolutionError(ValueError):
     """Requested cubes finer than the grid floor."""
-
-
-@dataclass(frozen=True)
-class Interval:
-    left: float
-    right: float
-
-    @property
-    def length(self) -> float:
-        return self.right - self.left
-
-    @property
-    def center(self) -> float:
-        return 0.5 * (self.left + self.right)
 
 
 @dataclass(frozen=True)
@@ -80,18 +63,8 @@ class Domain:
     def h(self) -> float:
         return self.length / self.n_cells
 
-    @property
-    def right(self) -> float:
-        return self.left + self.length
-
     def cell_centers(self) -> np.ndarray:
         return self.left + (np.arange(self.n_cells) + 0.5) * self.h
-
-    def cell_range(self, iv: Interval) -> tuple[int, int]:
-        """Cells whose centers lie in [iv.left, iv.right), clipped to the grid."""
-        lo = int(math.ceil((iv.left - self.left) / self.h - 0.5 - 1e-9))
-        hi = int(math.ceil((iv.right - self.left) / self.h - 0.5 - 1e-9))
-        return max(lo, 0), min(hi, self.n_cells)
 
 
 class GridFunction:
@@ -115,11 +88,10 @@ class GridFunction:
         return cls(domain, np.asarray(fn(domain.cell_centers()), dtype=float))
 
     @classmethod
-    def indicator(cls, domain: Domain, iv: Interval) -> "GridFunction":
-        lo, hi = domain.cell_range(iv)
-        s = np.zeros(domain.n_cells)
-        s[lo:hi] = 1.0
-        return cls(domain, s)
+    def indicator(cls, domain: Domain, left: float, right: float) -> "GridFunction":
+        """1 on the cells whose centres lie in [left, right), 0 elsewhere."""
+        x = domain.cell_centers()
+        return cls(domain, ((x >= left) & (x < right)).astype(float))
 
     @classmethod
     def constant(cls, domain: Domain, c: float) -> "GridFunction":
@@ -193,12 +165,6 @@ class DyadicCube:
             return self.index, 1
         return 3 * self.index + ((self.lattice_id - 1) << self.level) % 3, 3
 
-    def interval(self, domain: Domain) -> Interval:
-        start, k = self._units()
-        s = 2.0 ** (-self.level)
-        left = domain.left + start * s * domain.length
-        return Interval(left, left + k * s * domain.length)
-
     def cell_bounds(self, domain: Domain) -> tuple[int, int, int]:
         """(start, end, full) in cell units; start/end unclipped, full = width."""
         L = domain.resolution_log2
@@ -221,15 +187,6 @@ def children(q: DyadicCube, domain: Domain | None = None) -> list[DyadicCube]:
     # shifted cube's index is its start divided by 3, rounded down
     first = 2 * start // k
     return [DyadicCube(q.lattice_id, q.level + 1, i) for i in (first, first + 1)]
-
-
-def dilate(q: DyadicCube, r: float, domain: Domain) -> Interval:
-    """The interval rQ: same center, side r * l(Q).  Not generally dyadic."""
-    if r <= 0:
-        raise ValueError("dilation factor must be positive")
-    iv = q.interval(domain)
-    half = 0.5 * r * iv.length
-    return Interval(iv.center - half, iv.center + half)
 
 
 # ---------------------------------------------------------------------------
@@ -439,25 +396,29 @@ class Memo:
 MEMO = Memo(64)
 
 
-def cube_cells(domain: Domain, q) -> tuple[int, int, int]:
-    """(lo, hi, full) for a DyadicCube or an Interval: the cells [lo, hi) of
-    Q inside the domain and the full width of Q in cells."""
-    if isinstance(q, DyadicCube):
-        start, end, full = q.cell_bounds(domain)
-        return max(start, 0), min(end, domain.n_cells), full
-    lo, hi = domain.cell_range(q)
-    return lo, hi, max(int(round(q.length / domain.h)), hi - lo)
+def cube_cells(domain: Domain, q: DyadicCube, dilation: int = 1) -> tuple[int, int, int]:
+    """(lo, hi, full) for dQ, the cube with Q's centre and d = dilation times
+    its side: the cells [lo, hi) whose centres lie in dQ, clipped to the
+    domain, and the full width d |Q| in cells.  dQ reaches (d - 1) |Q| / 2
+    cells past each end of Q, a whole number of half cells; where it ends on
+    a cell centre (2Q of a cube of odd width), the cell at its left end is
+    in and the one at its right end is out."""
+    if not isinstance(dilation, int) or dilation < 1:
+        raise ValueError("dilation must be a positive integer")
+    start, end, full = q.cell_bounds(domain)
+    pad = (dilation - 1) * full
+    return (max(start - (pad + 1) // 2, 0), min(end + pad // 2, domain.n_cells),
+            dilation * full)
 
 
-def average(f: GridFunction, q, r: float = 1.0) -> float:
-    """<|f|^r>_Q ** (1/r), exact cell-weighted mean over Q.
-
-    Q may be a DyadicCube or an Interval.  The mean is taken over the full
-    |Q| even when Q sticks out of the domain.
+def average(f: GridFunction, q: DyadicCube, r: float = 1.0, dilation: int = 1) -> float:
+    """<|f|^r>_{dQ} ** (1/r), exact cell-weighted mean over dQ, d the
+    dilation.  The mean is taken over the full |dQ| even when dQ sticks out
+    of the domain.
     """
     if r <= 0:
         raise ValueError("power must be positive")
-    lo, hi, full = cube_cells(f.domain, q)
+    lo, hi, full = cube_cells(f.domain, q, dilation)
     if hi <= lo:
         raise ValueError("cube does not meet the domain")
     m = np.sum(np.abs(f.samples[lo:hi]) ** r) / full

@@ -21,7 +21,6 @@ from .grid import (
     DyadicCube,
     GridFunction,
     cube_cells,
-    dilate,
     write_csv,
 )
 from .maximal import maximal, multilinear_maximal
@@ -364,7 +363,7 @@ def local_decay_experiment(
         fs0 = []
         for i, f in enumerate(fs):
             if i in bundle.slots:
-                fs0.append(sparse_operator(sf, 1.0, f, dilation=3.0))
+                fs0.append(sparse_operator(sf, 1.0, f, dilation=3))
             else:
                 fs0.append(f)
         alt = multilinear_maximal(fs0, "plain")
@@ -403,7 +402,7 @@ def local_decay_experiment(
         total = (e0 - s0) * dom.h
     else:
         cellmass = w.samples[s0:e0] * dom.h
-        lo, hi, _ = cube_cells(dom, dilate(q0, 2.0, dom))
+        lo, hi, _ = cube_cells(dom, q0, 2)
         total = float(np.sum(w.samples[lo:hi]) * dom.h)
     measures = np.array([
         float(np.sum(cellmass[gvals > t * cvals])) / total for t in t_grid
@@ -434,7 +433,6 @@ def sharpness_experiment(
     L: int = 14,
     bounded_symbol: bool = False,
     seed: int = 0,
-    n_points: int = 24,
 ) -> tuple[DecayCurve, VerificationReport]:
     """Fixed scenario: Hilbert commutator with a log singularity against the
     flat comparator M^2 chi = 1; the measured decay exponent should sit
@@ -443,11 +441,11 @@ def sharpness_experiment(
     if bounded_symbol:
         b = GridFunction.from_callable(dom, lambda x: np.sin(2 * math.pi * x))
         # bounded symbols die fast: sample the narrow band around the sup
-        lo, hi, n_points = 0.4, 1.6, max(n_points, 40)
+        lo, hi, n_points = 0.4, 1.6, 40
     else:
         b = GridFunction.from_callable(dom, lambda x: np.log(x))
         # fit past the low-t transient, where the square-root regime holds
-        lo, hi = 3.0, 18.0
+        lo, hi, n_points = 3.0, 18.0, 24
     f = GridFunction.constant(dom, 1.0)
     bundle = hilbert_bundle([b])
     t_grid = default_t_grid(bundle.symbol_norm_product, n_points, lo, hi)
@@ -465,7 +463,6 @@ def coifman_fefferman_experiment(
     w: Weight,
     slack: float = DEFAULT_SLACK,
     seed: int = 0,
-    experiment_id: str = "coifman-fefferman",
 ) -> VerificationReport:
     """int |T_b f|^p w against the L log L maximal side with the tracked
     A_inf powers.  The symbol norms carry the exponent p so the ratio is
@@ -484,7 +481,7 @@ def coifman_fefferman_experiment(
     rhs = const * base
     ratio = lhs / rhs if rhs > 0 else (0.0 if lhs == 0 else math.inf)
     return VerificationReport(
-        experiment_id,
+        "coifman-fefferman",
         {"p": p, "m": bundle.m, "l": bundle.l, "weight": w.name},
         lhs, rhs,
         {"ainfty_fw": fw, "symbol_norm_product": bprod, "constant": const,
@@ -502,7 +499,6 @@ def mixed_weak_experiment(
     t: float = 2.0,
     slack: float = DEFAULT_SLACK,
     seed: int = 0,
-    experiment_id: str = "mixed-weak",
 ) -> VerificationReport:
     """Weak (1/m, inf) bound for T_b f / v against u v^{1/m}, with the
     explicit K0, p0 constants; the constant side is handled in log space
@@ -557,7 +553,7 @@ def mixed_weak_experiment(
 
     worst = max(ratio, ratio1)
     return VerificationReport(
-        experiment_id,
+        "mixed-weak",
         {"m": m, "l": l, "t": t, "weights": [w.name for w in ws], "v": v.name},
         lhs, rhs_norm,
         {"p0": p0, "log10_K0": log_k0 / math.log(10.0), "a1_u": a1_u, "at_v": at_v,
@@ -576,7 +572,6 @@ def fefferman_stein_experiment(
     ws: Sequence[Weight],
     slack: float = DEFAULT_SLACK,
     seed: int = 0,
-    experiment_id: str = "fefferman-stein",
 ) -> VerificationReport:
     """||T_b f||_{L^p(nu)} against prod ||f_s||_{L^{p_s}(M w_s)} for
     arbitrary positive weights, 1/p = sum 1/p_s <= 1."""
@@ -604,7 +599,7 @@ def fefferman_stein_experiment(
         weak_consts.append(weak)
     ratio = lhs / rhs if rhs > 0 else (0.0 if lhs == 0 else math.inf)
     return VerificationReport(
-        experiment_id,
+        "fefferman-stein",
         {"p": p, "ps": list(ps), "m": m, "l": bundle.l,
          "weights": [w.name for w in ws]},
         lhs, rhs,
@@ -615,9 +610,10 @@ def fefferman_stein_experiment(
     )
 
 
-def quasiconvex_alpha(phi: YoungFunction, n_alpha: int = 20) -> float:
-    """Largest sampled alpha in (0, 1] for which the alpha-th power of the
-    complementary function passes a midpoint convexity test."""
+def quasiconvex_alpha(phi: YoungFunction) -> float:
+    """Largest alpha of the grid 1/20, 2/20, ..., 1 for which the alpha-th
+    power of the complementary function passes a midpoint convexity test."""
+    n_alpha = 20
     ts = np.logspace(-2.0, 2.0, 40)
     bar = phi.conjugate_eval(ts)
     mid = phi.conjugate_eval((ts[:-1] + ts[1:]) / 2.0)
@@ -641,7 +637,6 @@ def modular_experiment(
     w: Weight,
     slack: float = DEFAULT_SLACK,
     seed: int = 0,
-    experiment_id: str = "modular",
 ) -> VerificationReport:
     """int phi(|T_b f|) w against the product of modulars of the inputs,
     with branch gating on the lower dilation index of phi."""
@@ -683,7 +678,7 @@ def modular_experiment(
     rhs = fw ** exponent * prod ** (1.0 / m)
     ratio = lhs / rhs if rhs > 0 else (0.0 if lhs == 0 else math.inf)
     return VerificationReport(
-        experiment_id,
+        "modular",
         {"q": q, "r": r, "m": m, "l": l, "weight": w.name, "branch": branch},
         lhs, rhs,
         {"i_phi": i_phi, "alpha": alpha, "C1": c1, "exponent": exponent,

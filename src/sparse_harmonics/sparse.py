@@ -8,7 +8,7 @@ measures are exact cell counts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -18,7 +18,6 @@ from .grid import (
     GridFunction,
     average,
     cube_cells,
-    dilate,
     family_for,
 )
 
@@ -90,18 +89,17 @@ def verify_sparse(fam: SparseFamily) -> tuple[bool, float, float]:
 
 
 def sparse_operator(
-    fam: SparseFamily, r: float, f: GridFunction, dilation: float = 1.0
+    fam: SparseFamily, r: float, f: GridFunction, dilation: int = 1
 ) -> GridFunction:
     """sum_Q <|f|^r>_{dQ}^{1/r} chi_Q, with d the dilation (1 or 3)."""
     if r < 1:
         raise ValueError("need r >= 1")
-    if dilation not in (1.0, 3.0):
+    if dilation not in (1, 3):
         raise ValueError("dilation must be 1 or 3")
     dom = fam.domain
     out = np.zeros(dom.n_cells)
     for q, (lo, hi) in zip(fam.cubes, fam.cell_sets()):
-        target = q if dilation == 1.0 else dilate(q, 3.0, dom)
-        out[lo:hi] += average(f, target, r)
+        out[lo:hi] += average(f, q, r, dilation)
     return GridFunction(dom, out)
 
 
@@ -126,34 +124,35 @@ def commutator_sparse_form(
     if variant not in ("global", "local3Q"):
         raise ValueError(f"unknown variant {variant!r}")
     dom = fam.domain
+    d = 1 if variant == "global" else 3
     out = np.zeros(dom.n_cells)
     for q, (lo, hi) in zip(fam.cubes, fam.cell_sets()):
-        avg_target = q if variant == "global" else dilate(q, 3.0, dom)
         chunk = np.ones(hi - lo)
         scalar = 1.0
         for s in range(l):
             b, g = bs[s], gammas[s]
-            b_avg = _signed_average(b, avg_target, dom)
+            b_avg = _signed_average(b, q, dom, d)
             if g == 1:
                 chunk = chunk * np.abs(b.samples[lo:hi] - b_avg)
-                scalar *= average(fs[s], avg_target, 1.0)
+                scalar *= average(fs[s], q, 1.0, d)
             else:
                 osc = GridFunction(dom, np.abs(b.samples - b_avg) * np.abs(fs[s].samples))
-                scalar *= average(osc, avg_target, 1.0)
+                scalar *= average(osc, q, 1.0, d)
         for s in range(l, m):
-            scalar *= average(fs[s], avg_target, 1.0)
+            scalar *= average(fs[s], q, 1.0, d)
         out[lo:hi] += scalar * chunk
     return GridFunction(dom, out)
 
 
-def _signed_average(f: GridFunction, q, dom: Domain) -> float:
-    """<f>_Q with sign, over Q intersected with the domain.
+def _signed_average(f: GridFunction, q: DyadicCube, dom: Domain, dilation: int = 1) -> float:
+    """<f>_{dQ} with sign, d the dilation, over dQ intersected with the
+    domain.
 
     Used for recentering symbols b: a symbol is defined everywhere, so a
     cube leaking past the boundary averages what is actually known, rather
     than zero-padding (which would make constants non-constant).
     """
-    lo, hi, _ = cube_cells(dom, q)
+    lo, hi, _ = cube_cells(dom, q, dilation)
     return float(f.samples[lo:hi].sum() / (hi - lo))
 
 
@@ -236,13 +235,12 @@ def _certify_oscillation(b: GridFunction, fam: SparseFamily) -> dict:
     return {"checked": True, "ok": worst <= 1e-10, "worst_gap": worst}
 
 
-def counting_decay(
-    fam: SparseFamily, q0: DyadicCube, t_grid: Optional[np.ndarray] = None
-) -> dict:
+def counting_decay(fam: SparseFamily, q0: DyadicCube) -> dict:
     """Super-level measures of the counting function on Q0 and their decay.
 
-    Measures |{x in Q0 : sum_{Q' in S, Q' subset Q0} chi_{Q'} > t}| exactly,
-    then fits log measure = log c - alpha t on the strictly positive range.
+    Measures |{x in Q0 : sum_{Q' in S, Q' subset Q0} chi_{Q'} > t}| exactly
+    at t = 0, 1, ..., max count, then fits log measure = log c - alpha t on
+    the strictly positive range.
     """
     dom = fam.domain
     lo0, hi0, _ = cube_cells(dom, q0)
@@ -254,9 +252,7 @@ def counting_decay(
             inside += 1
     if inside == 0:
         raise ValueError("family has no cubes inside the root cube")
-    if t_grid is None:
-        t_grid = np.arange(0.0, count.max() + 1.0)
-    t_grid = np.asarray(t_grid, dtype=float)
+    t_grid = np.arange(0.0, count.max() + 1.0)
     h = dom.h
     measures = np.array([(count > t).sum() * h for t in t_grid])
     pos = measures > 0

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from sparse_harmonics.cli import fixtures_dir, main
-from sparse_harmonics.grid import Domain, DyadicCube, GridFunction, Interval, children
+from sparse_harmonics.grid import Domain, DyadicCube, GridFunction, children
 from sparse_harmonics.harness import (
     calderon_bundle,
     coifman_fefferman_experiment,
@@ -418,7 +418,7 @@ def test_criterion_11_operator_cross_validation():
 
     # closed form for the indicator transform
     dom14 = Domain(-1.0, 3.0, 14)
-    chi = GridFunction.indicator(dom14, Interval(0.0, 1.0))
+    chi = GridFunction.indicator(dom14, 0.0, 1.0)
     hval = hilbert_transform(chi).samples
     x = dom14.cell_centers()
     want = np.log(np.abs(x / (x - 1.0))) / math.pi

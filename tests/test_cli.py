@@ -385,6 +385,30 @@ ps = {ps}
     assert "config error: [params] ps must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("slack", ["nan", "inf", "-1", "0.5"])
+def test_run_slack_not_finite_or_below_one_exits_2(tmp_path, capsys, slack):
+    # nan, -1 and 0.5 made every ratio read "violated" (exit 4); with inf no
+    # finite ratio could be violated
+    cfg = write_config(tmp_path, f"""
+[experiment]
+kind = fs
+l = 7
+slack = {slack}
+
+[operator]
+kind = hilbert
+
+[symbols]
+b = x
+
+[functions]
+bank = steps
+""")
+    assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "config error: [experiment] slack must be finite and at least 1" in (
+        capsys.readouterr().err)
+
+
 @pytest.mark.parametrize("t_lo, t_hi", [
     ("5", "1"), ("2", "2"), ("0", "1"), ("-1", "3"), ("1", "inf"), ("nan", "3"),
 ])

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,12 +12,10 @@ from sparse_harmonics.grid import (
     Domain,
     DyadicCube,
     GridFunction,
-    Interval,
     ResolutionError,
     average,
     children,
     cube_cells,
-    dilate,
     family_for,
 )
 
@@ -46,8 +45,7 @@ def test_children_bisects_unit_interval():
     dom = Domain(0.0, 1.0, 4)
     root = DyadicCube(0, 0, 0)
     kids = children(root, dom)
-    ivs = [k.interval(dom) for k in kids]
-    assert [(iv.left, iv.right) for iv in ivs] == [(0.0, 0.5), (0.5, 1.0)]
+    assert [cube_cells(dom, k) for k in kids] == [(0, 8, 8), (8, 16, 8)]
 
 
 def test_children_resolution_floor():
@@ -76,20 +74,51 @@ def test_children_partition_shifted_exhaustive():
                 assert b == c
 
 
-# -- dilate ------------------------------------------------------------------
+# -- dilated cubes -----------------------------------------------------------
 
 def test_dilate_examples():
     dom = Domain(0.0, 1.0, 4)
     root = DyadicCube(0, 0, 0)
-    iv = dilate(root, 3.0, dom)
-    assert (iv.left, iv.right) == pytest.approx((-1.0, 2.0))
+    assert cube_cells(dom, root, 3) == (0, 16, 48)  # [-1, 2)
     q = DyadicCube(0, 2, 1)  # [1/4, 1/2)
-    iv2 = dilate(q, 2.0, dom)
-    assert (iv2.left, iv2.right) == pytest.approx((0.125, 0.625))
-    iv3 = dilate(q, 1.0, dom)
-    assert (iv3.left, iv3.right) == pytest.approx((0.25, 0.5))
-    with pytest.raises(ValueError):
-        dilate(q, 0.0, dom)
+    assert cube_cells(dom, q, 2) == (2, 10, 8)  # [1/8, 5/8)
+    assert cube_cells(dom, q, 1) == cube_cells(dom, q) == (4, 8, 4)
+    # 2Q of a 3-cell cube ends on cell centres: the left one is in, the
+    # right one out
+    odd = DyadicCube(1, 4, 1)  # cells [3, 6), 2Q = [1.5, 7.5) in cells
+    assert cube_cells(dom, odd, 2) == (1, 7, 6)
+    for bad in (0, 3.0):
+        with pytest.raises(ValueError):
+            cube_cells(dom, q, bad)
+
+
+def _exact_cube(q: DyadicCube) -> tuple[Fraction, Fraction]:
+    """(left end, side) of q in units of the base length, from the lattice
+    definitions in DyadicCube's docstring."""
+    unit = Fraction(1, 2 ** q.level)
+    if q.lattice_id == 0:
+        return q.index * unit, unit
+    r = ((q.lattice_id - 1) * 2 ** q.level) % 3
+    return (3 * q.index + r) * unit, 3 * unit
+
+
+@pytest.mark.parametrize("L", range(1, 9))
+def test_cube_cells_of_dilated_cubes_match_exact_centres(L):
+    # dQ, with Q's centre and d times its side, holds the cells whose
+    # centres lie in it, clipped to the domain; its full width is d |Q|
+    dom = Domain(0.0, 1.0, L)
+    N = dom.n_cells
+    centres = [Fraction(2 * i + 1, 2 * N) for i in range(N)]
+    for entry in CubeFamily(dom).entries:
+        for q in entry.cubes():
+            left, side = _exact_cube(q)
+            assert side * N == entry.width
+            for d in (1, 2, 3):
+                lo = left + side / 2 - d * side / 2
+                hi = lo + d * side
+                inside = [i for i, x in enumerate(centres) if lo <= x < hi]
+                assert inside == list(range(inside[0], inside[-1] + 1))
+                assert cube_cells(dom, q, d) == (inside[0], inside[-1] + 1, d * entry.width)
 
 
 # -- cube family -------------------------------------------------------------
@@ -215,12 +244,14 @@ def test_cube_cells_shifted_cube_with_negative_start():
     assert cube_cells(dom, q) == (0, 16, 24)
 
 
-def test_cube_cells_interval_past_right_edge():
+def test_cube_cells_dilated_cube_past_right_edge():
     dom = Domain(0.0, 1.0, 6)
-    lo, hi, full = cube_cells(dom, Interval(0.75, 1.25))
-    assert (lo, hi, full) == (48, 64, 32)
+    q = DyadicCube(0, 2, 3)  # [3/4, 1): 2Q = [5/8, 9/8), 3Q = [1/2, 5/4)
+    assert cube_cells(dom, q, 2) == (40, 64, 32)
+    assert cube_cells(dom, q, 3) == (32, 64, 48)
     f = GridFunction(dom, np.arange(dom.n_cells, dtype=float))
-    assert average(f, Interval(0.75, 1.25)) == pytest.approx(f.samples[48:].sum() / 32)
+    assert average(f, q, 1.0, 2) == pytest.approx(f.samples[40:].sum() / 32)
+    assert average(f, q, 1.0, 3) == pytest.approx(f.samples[32:].sum() / 48)
 
 
 @settings(max_examples=60, deadline=None)
@@ -252,7 +283,7 @@ def test_average_constant():
 def test_average_half_indicator():
     dom = Domain(0.0, 1.0, 6)
     q = DyadicCube(0, 1, 0)  # [0, 1/2)
-    f = GridFunction.indicator(dom, Interval(0.0, 0.25))
+    f = GridFunction.indicator(dom, 0.0, 0.25)
     assert average(f, q, 1.0) == pytest.approx(0.5, abs=1e-14)
 
 

@@ -10,7 +10,6 @@ from sparse_harmonics.grid import (
     Domain,
     DyadicCube,
     GridFunction,
-    Interval,
     ResolutionError,
     average,
 )
@@ -59,7 +58,7 @@ SYMBOL = GridFunction.from_callable(DOM, lambda x: np.sin(3 * x) + 0.2 * x)
 # -- lorentz -----------------------------------------------------------------
 
 def test_lorentz_indicator():
-    f = GridFunction.indicator(DOM, Interval(0.25, 0.75))
+    f = GridFunction.indicator(DOM, 0.25, 0.75)
     assert lorentz_quasinorm(f, 2.0) == pytest.approx(math.sqrt(0.5), rel=1e-12)
     assert lorentz_quasinorm(f, 0.5) == pytest.approx(0.25, rel=1e-12)
 
@@ -367,8 +366,8 @@ def test_mixed_weak_hilbert_unweighted():
 
 def test_mixed_weak_bilinear_step_weights():
     dom = DOM
-    w1 = Weight(GridFunction(dom, 1.0 + GridFunction.indicator(dom, Interval(0.0, 0.5)).samples), "s1")
-    w2 = Weight(GridFunction(dom, 2.0 - GridFunction.indicator(dom, Interval(0.25, 0.75)).samples * 0.5), "s2")
+    w1 = Weight(GridFunction(dom, 1.0 + GridFunction.indicator(dom, 0.0, 0.5).samples), "s1")
+    w2 = Weight(GridFunction(dom, 2.0 - GridFunction.indicator(dom, 0.25, 0.75).samples * 0.5), "s2")
     v = Weight(GridFunction.from_callable(dom, lambda x: np.abs(x - 0.5) ** 0.25), "v")
     bundle = calderon_bundle(1, [SYMBOL], [0])
     fs = [bump(0.4), bump(0.6)]

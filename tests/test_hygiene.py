@@ -4,11 +4,13 @@ under src/ is read in its body, every name in a src/ module's __all__ is
 defined in that module, every such name and every public method of an
 exported class is read by other src/ code, run as a console script or on
 the list of names only tests reach, every oracle in tests/oracles.py is
-read by a test or another oracle, and the benchmark tracer still finds
-every name and parameter it traces."""
+read by a test or another oracle, every defaulted parameter of a src/
+function is set by some call, and the benchmark tracer still finds every
+name and parameter it traces."""
 
 import ast
 import importlib.util
+import math
 import re
 from pathlib import Path
 
@@ -430,6 +432,84 @@ def test_every_oracle_is_read_by_a_test_or_another_oracle():
     sources = {path.stem: path.read_text() for path in sorted(TESTS.glob("*.py"))}
     found = unreachable_oracles(sources)
     assert not found, "oracles that no test and no other oracle reads:\n" + "\n".join(found)
+
+
+def unset_defaults(sources: dict[str, str], callers) -> list[str]:
+    """"module.function(parameter)" for each defaulted parameter of a def in
+    sources that no call in callers sets, by keyword or by position: a knob
+    that every caller leaves at its default.  A call is matched to a def by
+    name (`f(...)` or `x.f(...)`), and a call of a class to its __init__,
+    reported as "module.Class(parameter)"; the self or cls of a method takes
+    no position, and a call with *args sets every positional parameter."""
+    positions: dict[str, float] = {}
+    keywords: dict[str, set] = {}
+    for source in callers:
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, ast.Call) or not isinstance(node.func, (ast.Name, ast.Attribute)):
+                continue
+            name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+            n = math.inf if any(isinstance(a, ast.Starred) for a in node.args) else len(node.args)
+            positions[name] = max(positions.get(name, 0), n)
+            keywords.setdefault(name, set()).update(k.arg for k in node.keywords)
+    out = []
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        owner = {
+            n: c.name for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for n in c.body
+        }
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            name = owner[node] if node.name == "__init__" else node.name
+            where = f"{owner[node]}.{node.name}" if node in owner and name == node.name else name
+            a = node.args
+            params = [*a.posonlyargs, *a.args]
+            skip = int(node in owner and bool(params) and params[0].arg in ("self", "cls"))
+            defaulted = list(enumerate(params))[len(params) - len(a.defaults):]
+            defaulted += [(math.inf, p) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+            out += [
+                f"{module}.{where}({p.arg})" for i, p in defaulted
+                if i - skip >= positions.get(name, 0) and p.arg not in keywords.get(name, ())
+            ]
+    return out
+
+
+def test_checker_sees_unset_defaults():
+    sources = {
+        "a": (
+            "def f(x, y=1, *, z=2):\n"
+            "    pass\n"
+            "def g(x=1):\n"
+            "    pass\n"
+            "def h(u=1, v=2):\n"
+            "    pass\n"
+            "class K:\n"
+            "    def __init__(self, a=0, b=0):\n"
+            "        pass\n"
+            "    def m(self, c=1, e=2):\n"
+            "        pass\n"
+        ),
+    }
+    callers = [
+        "f(1, 2)\n"  # y by position; the keyword-only z never
+        "h(*args)\n"  # every positional parameter
+        "K(b=3)\n"  # b by keyword, a never
+        "k.m(5)\n",  # c by position after self, e never
+    ]
+    assert unset_defaults(sources, callers) == ["a.f(z)", "a.g(x)", "a.K(a)", "a.K.m(e)"]
+    assert unset_defaults(sources, callers + ["f(z=0)\ng(x=0)\nK(1)\nk.m(e=0)\n"]) == []
+
+
+def test_every_defaulted_parameter_is_set_by_a_caller():
+    sources = {path.stem: path.read_text() for path in sorted((SRC / "sparse_harmonics").glob("*.py"))}
+    callers = [
+        path.read_text() for tree in (SRC, TESTS, ROOT / "perfbench")
+        for path in sorted(tree.rglob("*.py"))
+    ]
+    found = unset_defaults(sources, callers)
+    assert not found, (
+        "defaulted parameters no caller sets (make them constants):\n" + "\n".join(found)
+    )
 
 
 def test_benchmark_tracer_binds_every_traced_name():

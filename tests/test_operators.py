@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.signal import fftconvolve
 
-from sparse_harmonics.grid import Domain, DyadicCube, GridFunction, Interval
+from sparse_harmonics.grid import Domain, DyadicCube, GridFunction
 from sparse_harmonics.operators import (
     KernelOperator,
     bmo_norm,
@@ -48,7 +48,7 @@ def test_hilbert_odd_symmetry():
 def test_hilbert_indicator_closed_form():
     L = 14
     dom = Domain(-1.0, 3.0, L)
-    f = GridFunction.indicator(dom, Interval(0.0, 1.0))
+    f = GridFunction.indicator(dom, 0.0, 1.0)
     hf = hilbert_transform(f).samples
     x = dom.cell_centers()
     want = np.log(np.abs(x / (x - 1.0))) / math.pi

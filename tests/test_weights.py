@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from sparse_harmonics.grid import Domain, GridFunction, Interval, family_for
+from sparse_harmonics.grid import Domain, GridFunction, family_for
 from sparse_harmonics.maximal import maximal
 from sparse_harmonics.weights import (
     IterationError,
@@ -271,7 +271,7 @@ def test_s_u_of_one_dominates_one():
 
 def test_s_u_brute_force_fixture():
     u = step_weight(3)
-    f = GridFunction.indicator(DOM, Interval(0.0, 0.25))
+    f = GridFunction.indicator(DOM, 0.0, 0.25)
     got = s_u(f, u).samples
     fu = GridFunction(DOM, f.samples * u.samples)
     want = maximal(fu).samples / u.samples
@@ -279,7 +279,7 @@ def test_s_u_brute_force_fixture():
 
 
 def test_rubio_de_francia_properties():
-    h = GridFunction.indicator(DOM, Interval(0.0, 0.5))
+    h = GridFunction.indicator(DOM, 0.0, 0.5)
     k0 = 10.0
     rh = rubio_de_francia(h, ONE, k0, 20)
     assert np.all(rh.samples >= h.samples - 1e-12)
