@@ -20,12 +20,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .grid import Domain, GridFunction
+from .grid import Domain, DyadicCube, GridFunction
 from .harness import (
     DecayCurve,
     OperatorBundle,
     VerificationReport,
-    _root_cube,
     calderon_bundle,
     coifman_fefferman_experiment,
     default_t_grid,
@@ -105,6 +104,21 @@ def parse_config(path) -> dict:
     return out
 
 
+def _number(text: str, what: str, cast: type = float):
+    """text read by cast, int or float; a config error that names what (the
+    key, the variable or the spec) if it does not parse."""
+    try:
+        return cast(text)
+    except ValueError:
+        noun = "an integer" if cast is int else "a number"
+        raise ConfigError(f"{what}: {text!r} is not {noun}") from None
+
+
+def _spec_number(spec: str, cast: type = float):
+    """The number after the colon of a spec such as power:2."""
+    return _number(spec.split(":", 1)[1], f"spec {spec!r}", cast)
+
+
 # -- named generators --------------------------------------------------------
 
 def make_weight(spec: str, dom: Domain) -> Weight:
@@ -112,7 +126,7 @@ def make_weight(spec: str, dom: Domain) -> Weight:
     if spec == "one":
         return Weight(GridFunction.constant(dom, 1.0), "one")
     if spec.startswith("power:"):
-        a = float(spec.split(":", 1)[1])
+        a = _spec_number(spec)
         return Weight(
             GridFunction.from_callable(dom, lambda x: np.abs(x - 0.5) ** a), spec
         )
@@ -139,7 +153,7 @@ def make_symbol(spec: str, dom: Domain) -> GridFunction:
     if spec == "x":
         return GridFunction.from_callable(dom, lambda x: x)
     if spec.startswith("steps:"):
-        rng = np.random.default_rng(int(spec.split(":", 1)[1]))
+        rng = np.random.default_rng(_spec_number(spec, int))
         return _blocks(spec, rng.uniform(-1.0, 1.0, 16), dom)
     raise ConfigError(f"unknown symbol spec {spec!r}")
 
@@ -166,7 +180,7 @@ def make_function(spec: str, dom: Domain, seed: int) -> GridFunction:
     if spec == "steps":
         return _blocks(spec, np.random.default_rng(seed).uniform(0.1, 1.0, 32), dom)
     if spec.startswith("wave:"):
-        k = int(spec.split(":", 1)[1])
+        k = _spec_number(spec, int)
         return GridFunction.from_callable(dom, lambda x: np.sin(2 * math.pi * k * x))
     if spec == "random":
         rng = np.random.default_rng(seed)
@@ -177,11 +191,11 @@ def make_function(spec: str, dom: Domain, seed: int) -> GridFunction:
 def make_phi(spec: str):
     spec = spec.strip()
     if spec.startswith("power:"):
-        return power(float(spec.split(":", 1)[1]))
+        return power(_spec_number(spec))
     if spec.startswith("llog:"):
-        return llog(float(spec.split(":", 1)[1]))
+        return llog(_spec_number(spec))
     if spec.startswith("exp:"):
-        return exp_power(float(spec.split(":", 1)[1]))
+        return exp_power(_spec_number(spec))
     raise ConfigError(f"unknown growth function spec {spec!r}")
 
 
@@ -190,14 +204,14 @@ def make_phi(spec: str):
 def _resolve_seed(cfg: dict) -> int:
     env = os.environ.get("SPARSE_HARMONICS_SEED")
     if env is not None:
-        return int(env)
-    return int(cfg.get("experiment", {}).get("seed", "0"))
+        return _number(env, "SPARSE_HARMONICS_SEED", int)
+    return _number(cfg.get("experiment", {}).get("seed", "0"), "[experiment] seed", int)
 
 
 def _build_bundle(cfg: dict, dom: Domain) -> OperatorBundle:
     op = cfg.get("operator", {})
     kind = op.get("kind", "hilbert")
-    pv = int(op.get("pv_cutoff", "1"))
+    pv = _number(op.get("pv_cutoff", "1"), "[operator] pv_cutoff", int)
     bs = [
         make_symbol(s, dom)
         for s in cfg.get("symbols", {}).get("b", "").split(",")
@@ -206,13 +220,13 @@ def _build_bundle(cfg: dict, dom: Domain) -> OperatorBundle:
     if kind == "hilbert":
         return hilbert_bundle(bs, pv_cutoff=pv)
     if kind == "calderon":
-        m = int(op.get("m", "1"))
+        m = _number(op.get("m", "1"), "[operator] m", int)
         slots = tuple(range(len(bs)))
         return calderon_bundle(m, bs, slots, pv_cutoff=pv)
     if kind == "stein":
         if bs:
             raise ConfigError("stein operator takes no symbols")
-        return stein_bundle(float(op.get("alpha", "1.0")))
+        return stein_bundle(_number(op.get("alpha", "1.0"), "[operator] alpha"))
     raise ConfigError(f"unknown operator kind {kind!r}")
 
 
@@ -223,7 +237,7 @@ def _functions(cfg: dict, dom: Domain, seed: int, m: int) -> list[GridFunction]:
         specs = specs * m
     if len(specs) != m:
         raise ConfigError(f"need {m} function specs, got {len(specs)}")
-    fseed = int(cfg.get("functions", {}).get("seed", str(seed)))
+    fseed = _number(cfg.get("functions", {}).get("seed", str(seed)), "[functions] seed", int)
     return [make_function(s, dom, fseed + i) for i, s in enumerate(specs)]
 
 
@@ -236,25 +250,31 @@ def _weights(cfg: dict, dom: Domain, m: int) -> list[Weight]:
 def run_experiment(cfg: dict, out_dir: Path) -> list[VerificationReport]:
     exp = cfg.get("experiment", {})
     kind = exp["kind"]
-    L = int(exp.get("l", "10"))
+    L = _number(exp.get("l", "10"), "[experiment] l", int)
     seed = _resolve_seed(cfg)
-    slack = float(exp.get("slack", "10"))
+    slack = _number(exp.get("slack", "10"), "[experiment] slack")
     if not 1.0 <= slack < math.inf:
         raise ConfigError(f"[experiment] slack must be finite and at least 1, got {slack}")
     dom = Domain(0.0, 1.0, L)
     params = cfg.get("params", {})
+
+    def param(key: str, default: str, cast: type = float):
+        return _number(params.get(key, default), f"[params] {key}", cast)
+
     reports: list[VerificationReport] = []
     curve: DecayCurve | None = None
+    if kind not in ("sharpness", "constants"):
+        bundle = _build_bundle(cfg, dom)
+        fs = _functions(cfg, dom, seed, bundle.m)
 
     if kind == "sharpness":
         bounded = params.get("bounded_symbol", "no") == "yes"
         curve, rep = sharpness_experiment(L=L, bounded_symbol=bounded, seed=seed)
         reports.append(rep)
     elif kind == "decay":
-        bundle = _build_bundle(cfg, dom)
-        t_lo = float(params.get("t_lo", "0.5"))
-        t_hi = float(params.get("t_hi", "50"))
-        t_pts = int(params.get("t_points", "24"))
+        t_lo = param("t_lo", "0.5")
+        t_hi = param("t_hi", "50")
+        t_pts = param("t_points", "24", int)
         if not 0.0 < t_lo < t_hi < math.inf:
             raise ConfigError("[params] t_lo and t_hi need 0 < t_lo < t_hi, both finite")
         if t_pts < 1:
@@ -262,29 +282,20 @@ def run_experiment(cfg: dict, out_dir: Path) -> list[VerificationReport]:
         comparator = params.get("comparator", "mixed-min")
         wspec = cfg.get("weights", {}).get("w", "")
         w = make_weight(wspec, dom) if wspec.strip() else None
-        fs = _functions(cfg, dom, seed, bundle.m)
         ts = default_t_grid(bundle.symbol_norm_product, t_pts, t_lo, t_hi)
         curve, rep = local_decay_experiment(
-            bundle, fs, _root_cube(), ts, comparator=comparator, w=w, seed=seed,
+            bundle, fs, DyadicCube(0, 0, 0), ts, comparator=comparator, w=w, seed=seed,
         )
         reports.append(rep)
     elif kind == "cf":
-        bundle = _build_bundle(cfg, dom)
-        fs = _functions(cfg, dom, seed, bundle.m)
         w = make_weight(cfg.get("weights", {}).get("w", "one"), dom)
-        p = float(params.get("p", "2"))
-        reports.append(coifman_fefferman_experiment(bundle, fs, p, w, slack, seed))
+        reports.append(coifman_fefferman_experiment(bundle, fs, param("p", "2"), w, slack, seed))
     elif kind == "mixed":
-        bundle = _build_bundle(cfg, dom)
-        fs = _functions(cfg, dom, seed, bundle.m)
         ws = _weights(cfg, dom, bundle.m)
         v = make_weight(cfg.get("weights", {}).get("v", "one"), dom)
-        t = float(params.get("t", "2"))
-        reports.append(mixed_weak_experiment(bundle, fs, ws, v, t, slack, seed))
+        reports.append(mixed_weak_experiment(bundle, fs, ws, v, param("t", "2"), slack, seed))
     elif kind == "fs":
-        bundle = _build_bundle(cfg, dom)
-        fs = _functions(cfg, dom, seed, bundle.m)
-        ps = [float(s) for s in params.get("ps", "1").split(",")]
+        ps = [_number(s, "[params] ps") for s in params.get("ps", "1").split(",")]
         if not all(math.isfinite(pi) for pi in ps):
             raise ConfigError("[params] ps must be finite")
         if len(ps) == 1:
@@ -292,11 +303,9 @@ def run_experiment(cfg: dict, out_dir: Path) -> list[VerificationReport]:
         ws = _weights(cfg, dom, bundle.m)
         reports.append(fefferman_stein_experiment(bundle, fs, ps, ws, slack, seed))
     elif kind == "modular":
-        bundle = _build_bundle(cfg, dom)
-        fs = _functions(cfg, dom, seed, bundle.m)
         phi = make_phi(params.get("p", "power:2"))
-        q = float(params.get("q", "1.2"))
-        r = float(params.get("r", "1.5"))
+        q = param("q", "1.2")
+        r = param("r", "1.5")
         w = make_weight(cfg.get("weights", {}).get("w", "one"), dom)
         reports.append(modular_experiment(bundle, fs, phi, q, r, w, slack, seed))
     elif kind == "constants":
@@ -316,7 +325,7 @@ def run_experiment(cfg: dict, out_dir: Path) -> list[VerificationReport]:
 def constants_rows(cfg: dict, dom: Domain) -> list[dict]:
     bank = cfg.get("bank", {})
     specs = [s for s in bank.get("weights", "one").split(",") if s.strip()]
-    p_grid = [float(s) for s in bank.get("p_grid", "1.5,2,4").split(",")]
+    p_grid = [_number(s, "[bank] p_grid") for s in bank.get("p_grid", "1.5,2,4").split(",")]
     rows = []
     for spec in specs:
         w = make_weight(spec, dom)

@@ -138,6 +138,14 @@ def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
 # dyadic cubes
 # ---------------------------------------------------------------------------
 
+def _lattice(lattice_id: int, level: int) -> tuple[int, int]:
+    """(side, offset) of a lattice's cubes at a level, in units of
+    2**-level: cube t has its left end at side * t + offset."""
+    if lattice_id == 0:
+        return 1, 0
+    return 3, ((lattice_id - 1) << level) % 3
+
+
 @dataclass(frozen=True)
 class DyadicCube:
     """Cube of a (possibly shifted) dyadic lattice, in units of the base
@@ -161,9 +169,8 @@ class DyadicCube:
 
     def _units(self) -> tuple[int, int]:
         """(left end, side) in units of 2**-level."""
-        if self.lattice_id == 0:
-            return self.index, 1
-        return 3 * self.index + ((self.lattice_id - 1) << self.level) % 3, 3
+        side, offset = _lattice(self.lattice_id, self.level)
+        return side * self.index + offset, side
 
     def cell_bounds(self, domain: Domain) -> tuple[int, int, int]:
         """(start, end, full) in cell units; start/end unclipped, full = width."""
@@ -240,31 +247,21 @@ class CubeFamily:
         L = domain.resolution_log2
         N = domain.n_cells
         cells = np.arange(N)
-        for level in range(L + 1):
-            c = 1 << (L - level)
-            starts = np.arange(0, N, c)
-            self.entries.append(
-                LevelEntry(0, level, 0, starts, c, starts.copy(),
-                           starts + c, cells // c)
-            )
-        for lid in (1, 2, 3):
-            j = lid - 1  # shift class of the lattice
+        for lid in range(4):
             for level in range(L + 1):
+                side, offset = _lattice(lid, level)
                 c = 1 << (L - level)
-                r = (j << level) % 3
-                w = 3 * c
-                t_min = -1 if r > 0 else 0
-                t_max = ((1 << level) - 1 - r) // 3
-                ts = np.arange(t_min, t_max + 1)
-                starts = (3 * ts + r) * c
-                lo = np.clip(starts, 0, N)
-                hi = np.clip(starts + w, 0, N)
-                keep = hi > lo
-                ts, starts, lo, hi = ts[keep], starts[keep], lo[keep], hi[keep]
-                c2c = (cells - r * c) // w - ts[0]
-                self.entries.append(
-                    LevelEntry(lid, level, int(ts[0]), starts, w, lo, hi, c2c)
-                )
+                w = side * c
+                # the cubes that meet [0, N): from the one that ends past 0
+                # (t = -1 where the lattice is offset, as offset < side) to
+                # the last that starts before N
+                t0 = -1 if offset else 0
+                ts = np.arange(t0, ((1 << level) - 1 - offset) // side + 1)
+                starts = (side * ts + offset) * c
+                self.entries.append(LevelEntry(
+                    lid, level, t0, starts, w, np.maximum(starts, 0),
+                    np.minimum(starts + w, N), (cells - offset * c) // w - t0,
+                ))
 
     def stack(self, entries: Sequence[LevelEntry]) -> LevelEntry:
         """The cubes of several entries as one entry over their cells tiled

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -25,7 +25,7 @@ from .grid import (
 )
 from .maximal import maximal, multilinear_maximal
 from .operators import KernelOperator, bmo_norm, iterated_commutator
-from .orlicz import Measure, YoungFunction, dilation_indices, phi_power
+from .orlicz import YoungFunction, dilation_indices, phi_power
 from .sparse import SparseFamily, commutator_sparse_form, sparse_operator, stopping_cubes
 from .weights import C_N, N_DIM, TAU_N, Weight, ap_constant, log_k0_p0
 
@@ -71,17 +71,7 @@ class VerificationReport:
     env: dict
 
     def to_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "params": self.params,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "constants": self.constants,
-            "ratio": self.ratio,
-            "fit": self.fit,
-            "verdict": self.verdict,
-            "env": self.env,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -175,14 +165,12 @@ def stein_bundle(alpha: float) -> OperatorBundle:
 
 # -- lorentz quasinorms ------------------------------------------------------
 
-def _level_masses(f: GridFunction, mu: Measure) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct values v of |f|, ascending, and mu({|f| >= v}) for each."""
+def _level_masses(f: GridFunction, w: Optional[Weight]) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values v of |f|, ascending, and w({|f| >= v}) for each
+    (Lebesgue measure where w is None)."""
     a = np.abs(f.samples).astype(float)
     h = f.domain.h
-    if mu.is_lebesgue:
-        cell = np.full(a.shape, h)
-    else:
-        cell = mu.weight.samples * h
+    cell = np.full(a.shape, h) if w is None else w.samples * h
     order = np.argsort(a)
     a = a[order]
     cell = cell[order]
@@ -192,24 +180,25 @@ def _level_masses(f: GridFunction, mu: Measure) -> tuple[np.ndarray, np.ndarray]
     return vals, suffix[first]
 
 
-def lorentz_quasinorm(f: GridFunction, p: float, mu: Measure = Measure(None)) -> float:
-    """||f||_{L^{p,inf}(mu)} = sup_t t mu({|f| > t})^{1/p}, exact over the
-    finite set of sample values as thresholds."""
+def lorentz_quasinorm(f: GridFunction, p: float, w: Optional[Weight] = None) -> float:
+    """||f||_{L^{p,inf}(w)} = sup_t t w({|f| > t})^{1/p}, exact over the
+    finite set of sample values as thresholds; w = 1 where w is None."""
     if p <= 0:
         raise ValueError("need p > 0")
     # sup is attained approaching each sample value from below, where the
     # superlevel mass is that of {|f| >= value}
-    vals, below_mass = _level_masses(f, mu)
+    vals, below_mass = _level_masses(f, w)
     cands = vals * below_mass ** (1.0 / p)
     return float(cands.max(initial=0.0))
 
 
-def lorentz_l1_norm(f: GridFunction, p: float, mu: Measure = Measure(None)) -> float:
-    """||f||_{L^{p,1}(mu)} = int_0^inf mu({|f| > t})^{1/p} dt, exact for
-    grid functions (piecewise-constant distribution function)."""
+def lorentz_l1_norm(f: GridFunction, p: float, w: Optional[Weight] = None) -> float:
+    """||f||_{L^{p,1}(w)} = int_0^inf w({|f| > t})^{1/p} dt, exact for
+    grid functions (piecewise-constant distribution function); w = 1 where
+    w is None."""
     if p <= 0:
         raise ValueError("need p > 0")
-    vals, masses = _level_masses(f, mu)  # mu({|f| >= v}) = mu({|f| > v - })
+    vals, masses = _level_masses(f, w)  # w({|f| >= v}) = w({|f| > v - })
     levels = np.concatenate([[0.0], vals])
     total = 0.0
     for i in range(len(vals)):
@@ -308,10 +297,6 @@ def principal_cubes(g: GridFunction, q0: DyadicCube, factor: float = 2.0) -> Spa
 
 
 # -- experiments -------------------------------------------------------------
-
-def _root_cube() -> DyadicCube:
-    return DyadicCube(0, 0, 0)
-
 
 def default_t_grid(
     bnorm_product: float, n_points: int = 24, lo: float = 0.5, hi: float = 50.0
@@ -450,7 +435,7 @@ def sharpness_experiment(
     bundle = hilbert_bundle([b])
     t_grid = default_t_grid(bundle.symbol_norm_product, n_points, lo, hi)
     curve, rep = local_decay_experiment(
-        bundle, [f], _root_cube(), t_grid, comparator="llogl", seed=seed,
+        bundle, [f], DyadicCube(0, 0, 0), t_grid, comparator="llogl", seed=seed,
         experiment_id="sharpness-contrast" if bounded_symbol else "sharpness",
     )
     return curve, rep
@@ -467,8 +452,8 @@ def coifman_fefferman_experiment(
     """int |T_b f|^p w against the L log L maximal side with the tracked
     A_inf powers.  The symbol norms carry the exponent p so the ratio is
     invariant under rescaling each b_s."""
-    if p <= 0:
-        raise ValueError("need p > 0")
+    if not 0.0 < p < math.inf:
+        raise ValueError("need 0 < p < inf")
     dom = fs[0].domain
     h = dom.h
     tf = np.abs(bundle.apply(fs).samples)
@@ -506,21 +491,22 @@ def mixed_weak_experiment(
     m = bundle.m
     if len(ws) != m:
         raise ValueError("need one weight per slot")
+    if not 1.0 < t < math.inf:
+        raise ValueError("need 1 < t < inf")
     dom = fs[0].domain
     u_samp = np.ones(dom.n_cells)
     for wi in ws:
         u_samp = u_samp * wi.samples ** (1.0 / m)
     u = Weight(GridFunction(dom, u_samp), "u")
     v_m = Weight(GridFunction(dom, v.samples ** (1.0 / m)), "v^{1/m}")
-    uv = GridFunction(dom, u_samp * v_m.samples)
-    mu = Measure(uv)
+    uv = Weight(GridFunction(dom, u_samp * v_m.samples), "u v^{1/m}")
 
     tf = bundle.apply(fs)
     over_v = GridFunction(dom, np.abs(tf.samples) / v.samples)
-    lhs = lorentz_quasinorm(over_v, 1.0 / m, mu)
+    lhs = lorentz_quasinorm(over_v, 1.0 / m, uv)
     mf = multilinear_maximal(fs, "llogl")
     rhs_norm = lorentz_quasinorm(
-        GridFunction(dom, mf.samples / v.samples), 1.0 / m, mu
+        GridFunction(dom, mf.samples / v.samples), 1.0 / m, uv
     )
     a1_u = ap_constant(u, 1.0)
     at_v = ap_constant(v_m, t)
@@ -538,8 +524,8 @@ def mixed_weak_experiment(
         ratio = 0.0
 
     # endpoint specialization v = 1 with its doubly exponential constant
-    lhs1 = lorentz_quasinorm(GridFunction(dom, np.abs(tf.samples)), 1.0 / m, Measure(u.f))
-    rhs1 = lorentz_quasinorm(mf, 1.0 / m, Measure(u.f))
+    lhs1 = lorentz_quasinorm(GridFunction(dom, np.abs(tf.samples)), 1.0 / m, u)
+    rhs1 = lorentz_quasinorm(mf, 1.0 / m, u)
     log_c1 = 2.0 ** (N_DIM + 7) * m * a1_u * math.log(2.0 * a1_u)
     if bprod > 0:
         log_c1 += math.log(bprod)
@@ -644,7 +630,7 @@ def modular_experiment(
         raise ValueError("growth function must be sub-multiplicative")
     if r <= 0:
         raise ValueError("need r > 0")
-    i_phi, _ = dilation_indices(phi, numeric=phi.i_lower is None)
+    i_phi, _ = dilation_indices(phi)
     if r < i_phi and 1.0 < q < i_phi / r:
         branch = 1
     elif 1.0 < i_phi <= r and 1.0 < q < i_phi:

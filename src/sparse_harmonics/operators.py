@@ -194,30 +194,18 @@ def _expanded_commutator(
     slots: Sequence[int],
     fs: Sequence[GridFunction],
 ) -> np.ndarray:
-    if not bs:
-        return T.apply(fs).samples
-    dom = fs[0].domain
-    out = np.zeros(dom.n_cells, dtype=complex)
-
-    def rec(depth, coeff, prefactor, mults):
-        nonlocal out
-        if depth == len(bs):
-            args = []
-            for i, f in enumerate(fs):
-                args.append(GridFunction(dom, f.samples * mults[i]))
-            out = out + coeff * prefactor * T.apply(args).samples
-            return
-        # b(x) - b(y): b into the prefactor, then -b into the slot
-        b = bs[depth].samples
-        rec(depth + 1, coeff, prefactor * b, mults)
-        m2 = list(mults)
-        m2[slots[depth]] = m2[slots[depth]] * b
-        rec(depth + 1, -coeff, prefactor, m2)
-
-    rec(0, 1.0, np.ones(dom.n_cells), [np.ones(dom.n_cells)] * len(fs))
-    if not any(np.iscomplexobj(f.samples) for f in fs):
-        # a copy, so the memo entry does not hold the complex array too
-        out = out.real.copy()
+    """The sum over the 2^l ways to expand the factors b_s(x) - b_s(y): each
+    b_s(x) taken multiplies a prefactor, each b_s(y) taken multiplies the
+    input of its slot and flips the sign.  Summed in the inputs' dtype."""
+    out = np.zeros(fs[0].domain.n_cells, np.result_type(np.float64, *(f.samples for f in fs)))
+    for picks in itertools.product((False, True), repeat=len(bs)):
+        prefactor = math.prod((b.samples for b, y in zip(bs, picks) if not y), start=1.0)
+        args = [
+            GridFunction(f.domain, f.samples * math.prod(
+                (b.samples for b, s, y in zip(bs, slots, picks) if y and s == i), start=1.0))
+            for i, f in enumerate(fs)
+        ]
+        out += (-1.0) ** sum(picks) * prefactor * T.apply(args).samples
     return out
 
 

@@ -15,11 +15,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .grid import GridFunction
-
 __all__ = [
     "YoungFunction",
-    "Measure",
     "power",
     "power_over_p",
     "llog",
@@ -247,21 +244,6 @@ def phi_power(phi: YoungFunction, m: int) -> YoungFunction:
         i_lower=None if phi.i_lower is None else m * phi.i_lower,
         I_upper=None if phi.I_upper is None else m * phi.I_upper,
     )
-
-
-@dataclass(frozen=True)
-class Measure:
-    """Lebesgue measure or w dx for a positive density w."""
-
-    weight: Optional[GridFunction] = None
-
-    def __post_init__(self):
-        if self.weight is not None and np.any(self.weight.samples <= 0):
-            raise ValueError("weighted measure needs w > 0")
-
-    @property
-    def is_lebesgue(self) -> bool:
-        return self.weight is None
 
 
 def young_pair_checks(phi: YoungFunction, t_grid: np.ndarray) -> dict:

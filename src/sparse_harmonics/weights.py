@@ -122,8 +122,8 @@ class MultiWeight:
 def ap_constant(w: Weight, p: float) -> float:
     """sup_Q <w>_Q <w^{1-p'}>_Q^{p-1}, or <w>_Q / inf_Q w for p = 1;
     computed once per p and content of w (see `grid.MEMO`)."""
-    if p < 1:
-        raise ValueError("need p >= 1")
+    if not 1.0 <= p < math.inf:
+        raise ValueError("need 1 <= p < inf")
     return MEMO.get(("ap_constant", w.domain, p, digest(w.samples)), lambda: _ap_sup(w, p))
 
 

@@ -4,10 +4,11 @@ maximal function per cube, every pair of levels in the A_infty sweep, one
 Luxemburg root solve per cube or per family level, one cube at a time in
 the stopping-time walk, a linear program for the best sparseness, dense
 O(N^2) sums for the convolution kernels, a literal nested sum for kernel
-quadrature, little or no vectorisation.  Slow on purpose."""
+quadrature, a recursion over the factors of a commutator, little or no
+vectorisation.  Slow on purpose."""
 
 import math
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -20,9 +21,9 @@ from sparse_harmonics.grid import (
     family_for,
 )
 from sparse_harmonics.maximal import luxemburg_per_cube
-from sparse_harmonics.orlicz import Measure, YoungFunction, llog, monotone_root
+from sparse_harmonics.orlicz import YoungFunction, llog, monotone_root
 from sparse_harmonics.sparse import SparseFamily
-from sparse_harmonics.weights import _double_sums, clamped_power
+from sparse_harmonics.weights import Weight, _double_sums, clamped_power
 
 
 def brute_ap(w, p):
@@ -186,9 +187,10 @@ def luxemburg_norm(
     f: GridFunction,
     phi: YoungFunction,
     q,
-    mu: Measure = Measure(),
+    w: Optional[Weight] = None,
 ) -> float:
-    """inf lambda with (1/mu(Q)) int_Q phi(|f|/lambda) dmu <= 1.
+    """inf lambda with (1/w(Q)) int_Q phi(|f|/lambda) w <= 1, w = 1 (over
+    the full |Q|) when no weight is given.
 
     Bracketed by the Jensen lower bound <|f|>/phi^-1(1) and the sup bound
     max|f|/phi^-1(1), then solved by `monotone_root`; both brackets are
@@ -198,11 +200,11 @@ def luxemburg_norm(
     if hi_c <= lo_c:
         raise ValueError("cube does not meet the domain")
     v = np.abs(f.samples[lo_c:hi_c]).astype(float)
-    if mu.is_lebesgue:
+    if w is None:
         wts = np.ones_like(v)
         denom = float(full)
     else:
-        wts = mu.weight.samples[lo_c:hi_c].astype(float)
+        wts = w.samples[lo_c:hi_c].astype(float)
         denom = wts.sum()
     inv1 = float(np.atleast_1d(phi.inverse(np.array([1.0])))[0])
     vmean = float((v * wts).sum() / denom)
@@ -411,3 +413,31 @@ def first_order_commutator_kernel(
         ker = np.where(np.abs(i - j) >= pv_cutoff, 1.0 / np.where(i == j, 1, i - j), 0.0)
     diff = b.samples[:, None] - b.samples[None, :]
     return GridFunction(f.domain, (ker * diff) @ f.samples / math.pi)
+
+
+def recursive_commutator(T, bs, slots, fs) -> np.ndarray:
+    """The commutator expansion of `operators.iterated_commutator` by a
+    recursion over the factors b(x) - b(y), each step splitting into b into
+    the prefactor and -b into the slot, summed in a complex accumulator
+    whose real part is kept when every input is real."""
+    if not bs:
+        return T.apply(fs).samples
+    dom = fs[0].domain
+    out = np.zeros(dom.n_cells, dtype=complex)
+
+    def rec(depth, coeff, prefactor, mults):
+        nonlocal out
+        if depth == len(bs):
+            args = [GridFunction(dom, f.samples * mults[i]) for i, f in enumerate(fs)]
+            out = out + coeff * prefactor * T.apply(args).samples
+            return
+        b = bs[depth].samples
+        rec(depth + 1, coeff, prefactor * b, mults)
+        m2 = list(mults)
+        m2[slots[depth]] = m2[slots[depth]] * b
+        rec(depth + 1, -coeff, prefactor, m2)
+
+    rec(0, 1.0, np.ones(dom.n_cells), [np.ones(dom.n_cells)] * len(fs))
+    if not any(np.iscomplexobj(f.samples) for f in fs):
+        out = out.real.copy()
+    return out

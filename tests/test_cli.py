@@ -4,6 +4,7 @@ import math
 import shutil
 import string
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -472,6 +473,101 @@ r = 0
 """)
     assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
     assert "config error: need r > 0" in capsys.readouterr().err
+
+
+def _ini(sections: dict) -> str:
+    return "".join(
+        f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in items.items()) + "\n"
+        for name, items in sections.items()
+    )
+
+
+def _small(kind: str, **sections) -> str:
+    """A config of kind at l = 6 (random bank, Hilbert unless overridden),
+    with sections merged in key by key."""
+    base = {"experiment": {"kind": kind, "l": "6"}}
+    if kind != "constants":
+        base |= {"operator": {"kind": "hilbert"}, "functions": {"bank": "random"}}
+    for name, items in sections.items():
+        base[name] = {**base.get(name, {}), **items}
+    return _ini(base)
+
+
+# every site where a config number is read, with a value that does not
+# parse there: the message names the key, the variable or the spec
+NUMBER_SITES = [
+    (_small("cf", experiment={"l": "x7"}), "[experiment] l: 'x7' is not an integer"),
+    (_small("cf", experiment={"seed": "s1"}), "[experiment] seed: 's1' is not an integer"),
+    (_small("cf", experiment={"slack": "abc"}), "[experiment] slack: 'abc' is not a number"),
+    (_small("cf", functions={"seed": "0x"}), "[functions] seed: '0x' is not an integer"),
+    (_small("cf", operator={"kind": "calderon", "m": "two"}), "[operator] m: 'two' is not an integer"),
+    (_small("cf", operator={"pv_cutoff": "1.5"}), "[operator] pv_cutoff: '1.5' is not an integer"),
+    (_small("decay", operator={"kind": "stein", "alpha": "big"}),
+     "[operator] alpha: 'big' is not a number"),
+    (_small("decay", params={"t_lo": "lo"}), "[params] t_lo: 'lo' is not a number"),
+    (_small("decay", params={"t_hi": "hi"}), "[params] t_hi: 'hi' is not a number"),
+    (_small("decay", params={"t_points": "2.5"}), "[params] t_points: '2.5' is not an integer"),
+    (_small("cf", params={"p": "two"}), "[params] p: 'two' is not a number"),
+    (_small("mixed", params={"t": "t2"}), "[params] t: 't2' is not a number"),
+    (_small("fs", params={"ps": "2,x"}), "[params] ps: 'x' is not a number"),
+    (_small("modular", params={"q": "q"}), "[params] q: 'q' is not a number"),
+    (_small("modular", params={"r": "1,5"}), "[params] r: '1,5' is not a number"),
+    (_small("constants", bank={"p_grid": "2,abc"}), "[bank] p_grid: 'abc' is not a number"),
+    (_small("cf", weights={"w": "power:abc"}), "spec 'power:abc': 'abc' is not a number"),
+    (_small("cf", symbols={"b": "steps:x"}), "spec 'steps:x': 'x' is not an integer"),
+    (_small("cf", functions={"bank": "wave:2.5"}), "spec 'wave:2.5': '2.5' is not an integer"),
+    (_small("modular", params={"p": "llog:one"}), "spec 'llog:one': 'one' is not a number"),
+    (_small("modular", params={"p": "exp:"}), "spec 'exp:': '' is not a number"),
+]
+
+
+@pytest.mark.parametrize("text, message", NUMBER_SITES, ids=[
+    m.split(":")[0].replace("[", "").replace("] ", "-").replace("spec '", "spec-")
+    for _, m in NUMBER_SITES
+])
+def test_run_number_that_does_not_parse_names_its_key(tmp_path, capsys, text, message):
+    # these printed Python's bare conversion message, which names no key
+    cfg = write_config(tmp_path, text)
+    assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert f"config error: {message}\n" == capsys.readouterr().err
+
+
+def test_seed_env_that_does_not_parse_names_the_variable(tmp_path, capsys, monkeypatch):
+    cfg = write_config(tmp_path, DECAY_CONFIG)
+    monkeypatch.setenv("SPARSE_HARMONICS_SEED", "seven")
+    assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "config error: SPARSE_HARMONICS_SEED: 'seven' is not an integer" in (
+        capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("p_grid", ["nan,inf,2", "2,inf"])
+def test_constants_nonfinite_p_exits_2(tmp_path, capsys, p_grid):
+    # p_grid = nan,inf,2 wrote nan A_p rows and exited 0
+    cfg = write_config(tmp_path, _small(
+        "constants", experiment={"l": "5"}, bank={"weights": "step", "p_grid": p_grid}))
+    assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "config error: need 1 <= p < inf" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "constants.csv").exists()
+
+
+@pytest.mark.parametrize("p", ["nan", "inf"])
+def test_run_cf_nonfinite_p_exits_2(tmp_path, capsys, p):
+    # p = nan exited 3 as degenerate; p = inf read |T f|^inf = 0 and exited
+    # 0 as "holds (ratio 0)"
+    cfg = write_config(tmp_path, _small("cf", params={"p": p}))
+    assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "config error: need 0 < p < inf" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("t", ["nan", "inf", "1"])
+def test_run_mixed_t_outside_one_to_inf_exits_2_without_warnings(tmp_path, capsys, t):
+    # nan and inf exited 3 as degenerate, with RuntimeWarnings from the
+    # constants; t = 1 was refused only after the whole experiment ran
+    cfg = write_config(tmp_path, _small("mixed", params={"t": t}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "config error: need 1 < t < inf" in capsys.readouterr().err
 
 
 def test_run_stein_decay(tmp_path):

@@ -138,8 +138,35 @@ def test_triple_cover_exhaustive_1d():
             assert len(holders) == 1 and holders[0].width == 3 * c
 
 
+@pytest.mark.parametrize("L", range(1, 9))
+def test_family_holds_the_cubes_of_the_lattice_definitions(L):
+    # each entry holds, in index order, exactly the cubes of its lattice and
+    # level that meet [0, 1), with the cells of _exact_cube
+    dom = Domain(0.0, 1.0, L)
+    N = dom.n_cells
+    entries = CubeFamily(dom).entries
+    assert [(e.lattice_id, e.level) for e in entries] == [
+        (lid, level) for lid in range(4) for level in range(L + 1)
+    ]
+    for e in entries:
+        reach = 2 ** e.level + 1  # past every cube that can meet [0, 1)
+        exact = {t: _exact_cube(DyadicCube(e.lattice_id, e.level, t))
+                 for t in range(-reach, reach + 1)}
+        meet = [t for t, (left, side) in exact.items() if left < 1 and left + side > 0]
+        assert meet == list(range(e.t0, e.t0 + e.n_cubes))
+        for i, t in enumerate(meet):
+            left, side = exact[t]
+            assert (left * N).denominator == (side * N).denominator == 1
+            assert e.starts[i] == left * N and e.width == side * N
+            assert e.lo[i] == max(left * N, 0) and e.hi[i] == min((left + side) * N, N)
+            for cell in range(e.lo[i], e.hi[i]):
+                assert left <= Fraction(cell, N) < left + side
+                assert e.cell_to_cube[cell] == i
+
+
 def test_cube_bounds_match_family_entries():
-    # DyadicCube.cell_bounds and CubeFamily each encode the lattice geometry
+    # DyadicCube.cell_bounds and CubeFamily read one lattice rule, which
+    # the test above checks against the definitions
     dom = Domain(0.0, 1.0, 6)
     for e in CubeFamily(dom).entries:
         for i in range(e.n_cubes):

@@ -15,7 +15,6 @@ from sparse_harmonics.grid import (
 )
 from sparse_harmonics.harness import (
     OperatorBundle,
-    _root_cube,
     calderon_bundle,
     coifman_fefferman_experiment,
     default_t_grid,
@@ -33,7 +32,7 @@ from sparse_harmonics.harness import (
     stein_bundle,
 )
 from sparse_harmonics.operators import KernelOperator, bmo_norm
-from sparse_harmonics.orlicz import Measure, llog, power
+from sparse_harmonics.orlicz import llog, power
 from sparse_harmonics.sparse import verify_sparse
 from sparse_harmonics.weights import Weight, ainfty_constants
 
@@ -66,8 +65,8 @@ def test_lorentz_indicator():
 def test_lorentz_constant():
     f = GridFunction.constant(DOM, 3.0)
     assert lorentz_quasinorm(f, 2.0) == pytest.approx(3.0, rel=1e-12)
-    w = GridFunction.constant(DOM, 4.0)
-    assert lorentz_quasinorm(f, 2.0, Measure(w)) == pytest.approx(6.0, rel=1e-12)
+    w = Weight(GridFunction.constant(DOM, 4.0))
+    assert lorentz_quasinorm(f, 2.0, w) == pytest.approx(6.0, rel=1e-12)
 
 
 def test_lorentz_l1_dominates_weak():
@@ -161,7 +160,7 @@ def test_fit_exponent_is_well_conditioned_on_sharpness_curve():
 def test_principal_cubes_sparse():
     for seed in range(5):
         g = hilbert_bundle([SYMBOL]).apply([rand_f(seed)])
-        fam = principal_cubes(g, _root_cube())
+        fam = principal_cubes(g, DyadicCube(0, 0, 0))
         ok, eta, carleson = verify_sparse(fam)
         assert ok
         assert eta >= 0.5 - 1e-12
@@ -224,7 +223,7 @@ def test_decay_constant_symbol_vanishes():
 def test_decay_mixed_min_runs_and_reports_branch():
     f = bump(0.5)
     curve, rep = local_decay_experiment(
-        hilbert_bundle([SYMBOL]), [f], _root_cube(),
+        hilbert_bundle([SYMBOL]), [f], DyadicCube(0, 0, 0),
         comparator="mixed-min",
     )
     assert rep.verdict in ("holds", "holds-with-margin", "degenerate")
@@ -241,7 +240,7 @@ def test_decay_on_root_cube_sticking_out_of_domain():
     shifted = DyadicCube(2, 1, -1)
     bundle = hilbert_bundle([SYMBOL])
     curve, _ = local_decay_experiment(bundle, [bump(0.5)], shifted, comparator="llogl")
-    root, _ = local_decay_experiment(bundle, [bump(0.5)], _root_cube(), comparator="llogl")
+    root, _ = local_decay_experiment(bundle, [bump(0.5)], DyadicCube(0, 0, 0), comparator="llogl")
     np.testing.assert_array_equal(curve.measures, root.measures)
 
 
@@ -272,7 +271,7 @@ def test_decay_weighted_alpha_ordering():
             )
         _, weak = ainfty_constants(w)
         _, rep = local_decay_experiment(
-            bundle, [f], _root_cube(), ts, comparator="llogl", w=w
+            bundle, [f], DyadicCube(0, 0, 0), ts, comparator="llogl", w=w
         )
         assert rep.verdict in ("holds", "holds-with-margin")
         rows.append((weak, rep.fit["alpha"]))

@@ -1,5 +1,6 @@
 """Source hygiene checks that need no linter: every name a module under
-src/ or tests/ imports is used in that module, every parameter of a def
+src/ or tests/ imports is used in that module, no src/ module imports a
+private name from another module of the package, every parameter of a def
 under src/ is read in its body, every name in a src/ module's __all__ is
 defined in that module, every such name and every public method of an
 exported class is read by other src/ code, run as a console script or on
@@ -104,6 +105,46 @@ def test_no_unused_imports_in_src():
 def test_no_unused_imports_in_tests():
     found = _findings_under(TESTS, unused_imports)
     assert not found, "unused imports:\n" + "\n".join(found)
+
+
+def private_imports(source: str) -> list[str]:
+    """Each _name that a module imports from another module of the package:
+    by a relative import or one from sparse_harmonics."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (
+            node.level or (node.module or "").split(".")[0] == "sparse_harmonics"
+        ):
+            source_name = "." * node.level + (node.module or "")
+            out += [
+                f"{alias.name} from {source_name} (line {node.lineno})"
+                for alias in node.names if alias.name.startswith("_")
+            ]
+    return out
+
+
+def test_checker_sees_private_imports():
+    src = (
+        "from __future__ import annotations\n"
+        "import numpy as np\n"
+        "from os import _exit\n"
+        "from .grid import _lattice, Domain\n"
+        "from . import _private\n"
+        "from sparse_harmonics.harness import _root as root\n"
+        "def f():\n"
+        "    from ..pkg.mod import _inner\n"
+    )
+    assert private_imports(src) == [
+        "_lattice from .grid (line 4)",
+        "_private from . (line 5)",
+        "_root from sparse_harmonics.harness (line 6)",
+        "_inner from ..pkg.mod (line 8)",
+    ]
+
+
+def test_no_private_imports_across_src_modules():
+    found = _findings_under(SRC, private_imports)
+    assert not found, "private names imported from another module:\n" + "\n".join(found)
 
 
 def unused_parameters(source: str) -> list[str]:

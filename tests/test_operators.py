@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.signal import fftconvolve
 
-from sparse_harmonics.grid import Domain, DyadicCube, GridFunction
+from sparse_harmonics.grid import MEMO, Domain, DyadicCube, GridFunction
 from sparse_harmonics.operators import (
     KernelOperator,
     bmo_norm,
@@ -15,7 +15,7 @@ from sparse_harmonics.operators import (
     log_dini_norm,
     stein_square_function,
 )
-from sparse_harmonics.orlicz import Measure, exp_power
+from sparse_harmonics.orlicz import exp_power
 from sparse_harmonics.weights import Weight, ainfty_constants
 
 from oracles import (
@@ -25,6 +25,7 @@ from oracles import (
     first_order_commutator_kernel,
     luxemburg_norm,
     per_entry_bmo,
+    recursive_commutator,
 )
 
 DOM = Domain(0.0, 1.0, 8)
@@ -293,6 +294,33 @@ def test_commutator_is_linear_over_complex_inputs():
     )
 
 
+@pytest.mark.parametrize("is_complex", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("n_symbols", [1, 2, 3])
+@pytest.mark.parametrize("kind, n_inputs", [
+    ("hilbert", 1), ("calderon", 3), ("calderon", 4),
+], ids=["hilbert", "calderon-m2", "calderon-m3"])
+@pytest.mark.parametrize("L", [5, 8])
+def test_subset_expansion_equals_the_recursive_oracle(L, kind, n_inputs, n_symbols, is_complex):
+    # the loop over subsets sums the same terms in the same order as the
+    # recursion over factors: equal arrays of the same dtype
+    dom = Domain(0.0, 1.0, L)
+    rng = np.random.default_rng([L, n_inputs, n_symbols, is_complex])
+    T = KernelOperator(kind)
+    bs = [GridFunction(dom, rng.uniform(-1.0, 1.0, dom.n_cells)) for _ in range(n_symbols)]
+    slots = [int(s) for s in rng.integers(0, n_inputs, n_symbols)]
+    fs = [
+        GridFunction(dom, rng.uniform(-1.0, 1.0, dom.n_cells)
+                     + (1j * rng.uniform(-1.0, 1.0, dom.n_cells) if is_complex else 0.0))
+        for _ in range(n_inputs)
+    ]
+    MEMO.clear()
+    got = iterated_commutator(T, bs, slots, fs).samples
+    MEMO.clear()
+    want = recursive_commutator(T, bs, slots, fs)
+    assert got.dtype == want.dtype == (complex if is_complex else float)
+    assert np.array_equal(got, want)
+
+
 def test_commutator_validation():
     H = KernelOperator("hilbert")
     f = rand_f(10)
@@ -351,12 +379,11 @@ def test_weighted_john_nirenberg():
         w = Weight(GridFunction(dom, np.random.default_rng(wseed).uniform(0.5, 2.0, dom.n_cells)))
         fw, _ = ainfty_constants(w)
         nb = bmo_norm(b)
-        mu = Measure(w.f)
         for q in (DyadicCube(0, 0, 0), DyadicCube(0, 2, 1), DyadicCube(0, 3, 5)):
             s, e, _ = q.cell_bounds(dom)
             mean = b.samples[s:e].mean()
             dev = GridFunction(dom, np.abs(b.samples - mean))
-            lhs = luxemburg_norm(dev, phi, q, mu)
+            lhs = luxemburg_norm(dev, phi, q, w)
             worst = max(worst, lhs / (fw * nb))
     assert worst <= 8.0
 

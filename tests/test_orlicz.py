@@ -11,7 +11,6 @@ from sparse_harmonics.grid import Domain, DyadicCube, GridFunction, average, cub
 from sparse_harmonics.grid import MEMO, family_for
 from sparse_harmonics.maximal import multilinear_maximal
 from sparse_harmonics.orlicz import (
-    Measure,
     delta2_constant,
     dilation_indices,
     exp_power,
@@ -22,6 +21,7 @@ from sparse_harmonics.orlicz import (
     power_over_p,
     young_pair_checks,
 )
+from sparse_harmonics.weights import Weight
 
 from oracles import luxemburg_norm
 
@@ -92,7 +92,7 @@ def test_luxemburg_matches_lr_on_random_inputs(seed, r):
 def test_luxemburg_weighted_measure():
     f = rand_f(5)
     w = rand_f(6, 0.5, 2.0)
-    got = luxemburg_norm(f, power(2.0), ROOT, Measure(w))
+    got = luxemburg_norm(f, power(2.0), ROOT, Weight(w))
     want = math.sqrt(
         float((f.samples ** 2 * w.samples).sum() / w.samples.sum())
     )

@@ -49,6 +49,13 @@ def test_ap_of_one_is_one():
         assert ap_constant(ONE, p) == pytest.approx(1.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("p", [math.nan, math.inf, 0.5])
+def test_ap_needs_p_in_one_to_inf(p):
+    # nan and inf gave nan constants
+    with pytest.raises(ValueError, match=r"need 1 <= p < inf"):
+        ap_constant(ONE, p)
+
+
 def test_ap_matches_brute_force():
     w = weight_from(lambda x: np.abs(x - 0.5) ** 0.5)
     got = ap_constant(w, 2.0)
