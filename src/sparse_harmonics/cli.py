@@ -119,6 +119,14 @@ def _spec_number(spec: str, cast: type = float):
     return _number(spec.split(":", 1)[1], f"spec {spec!r}", cast)
 
 
+def _seed(text: str, what: str) -> int:
+    """A seed for numpy's generator, an integer >= 0; else a config error naming what."""
+    seed = _number(text, what, int)
+    if seed < 0:
+        raise ConfigError(f"{what}: {text!r} is negative; a seed is at least 0")
+    return seed
+
+
 # -- named generators --------------------------------------------------------
 
 def make_weight(spec: str, dom: Domain) -> Weight:
@@ -153,7 +161,7 @@ def make_symbol(spec: str, dom: Domain) -> GridFunction:
     if spec == "x":
         return GridFunction.from_callable(dom, lambda x: x)
     if spec.startswith("steps:"):
-        rng = np.random.default_rng(_spec_number(spec, int))
+        rng = np.random.default_rng(_seed(spec.split(":", 1)[1], f"spec {spec!r}"))
         return _blocks(spec, rng.uniform(-1.0, 1.0, 16), dom)
     raise ConfigError(f"unknown symbol spec {spec!r}")
 
@@ -204,8 +212,8 @@ def make_phi(spec: str):
 def _resolve_seed(cfg: dict) -> int:
     env = os.environ.get("SPARSE_HARMONICS_SEED")
     if env is not None:
-        return _number(env, "SPARSE_HARMONICS_SEED", int)
-    return _number(cfg.get("experiment", {}).get("seed", "0"), "[experiment] seed", int)
+        return _seed(env, "SPARSE_HARMONICS_SEED")
+    return _seed(cfg.get("experiment", {}).get("seed", "0"), "[experiment] seed")
 
 
 def _build_bundle(cfg: dict, dom: Domain) -> OperatorBundle:
@@ -237,7 +245,7 @@ def _functions(cfg: dict, dom: Domain, seed: int, m: int) -> list[GridFunction]:
         specs = specs * m
     if len(specs) != m:
         raise ConfigError(f"need {m} function specs, got {len(specs)}")
-    fseed = _number(cfg.get("functions", {}).get("seed", str(seed)), "[functions] seed", int)
+    fseed = _seed(cfg.get("functions", {}).get("seed", str(seed)), "[functions] seed")
     return [make_function(s, dom, fseed + i) for i, s in enumerate(specs)]
 
 
@@ -269,7 +277,7 @@ def run_experiment(cfg: dict, out_dir: Path) -> list[VerificationReport]:
 
     if kind == "sharpness":
         bounded = params.get("bounded_symbol", "no") == "yes"
-        curve, rep = sharpness_experiment(L=L, bounded_symbol=bounded, seed=seed)
+        curve, rep = sharpness_experiment(L=L, bounded_symbol=bounded)
         reports.append(rep)
     elif kind == "decay":
         t_lo = param("t_lo", "0.5")
@@ -284,16 +292,16 @@ def run_experiment(cfg: dict, out_dir: Path) -> list[VerificationReport]:
         w = make_weight(wspec, dom) if wspec.strip() else None
         ts = default_t_grid(bundle.symbol_norm_product, t_pts, t_lo, t_hi)
         curve, rep = local_decay_experiment(
-            bundle, fs, DyadicCube(0, 0, 0), ts, comparator=comparator, w=w, seed=seed,
+            bundle, fs, DyadicCube(0, 0, 0), ts, comparator=comparator, w=w,
         )
         reports.append(rep)
     elif kind == "cf":
         w = make_weight(cfg.get("weights", {}).get("w", "one"), dom)
-        reports.append(coifman_fefferman_experiment(bundle, fs, param("p", "2"), w, slack, seed))
+        reports.append(coifman_fefferman_experiment(bundle, fs, param("p", "2"), w, slack))
     elif kind == "mixed":
         ws = _weights(cfg, dom, bundle.m)
         v = make_weight(cfg.get("weights", {}).get("v", "one"), dom)
-        reports.append(mixed_weak_experiment(bundle, fs, ws, v, param("t", "2"), slack, seed))
+        reports.append(mixed_weak_experiment(bundle, fs, ws, v, param("t", "2"), slack))
     elif kind == "fs":
         ps = [_number(s, "[params] ps") for s in params.get("ps", "1").split(",")]
         if not all(math.isfinite(pi) for pi in ps):
@@ -301,19 +309,21 @@ def run_experiment(cfg: dict, out_dir: Path) -> list[VerificationReport]:
         if len(ps) == 1:
             ps = ps * bundle.m
         ws = _weights(cfg, dom, bundle.m)
-        reports.append(fefferman_stein_experiment(bundle, fs, ps, ws, slack, seed))
+        reports.append(fefferman_stein_experiment(bundle, fs, ps, ws, slack))
     elif kind == "modular":
         phi = make_phi(params.get("p", "power:2"))
         q = param("q", "1.2")
         r = param("r", "1.5")
         w = make_weight(cfg.get("weights", {}).get("w", "one"), dom)
-        reports.append(modular_experiment(bundle, fs, phi, q, r, w, slack, seed))
+        reports.append(modular_experiment(bundle, fs, phi, q, r, w, slack))
     elif kind == "constants":
         rows = constants_rows(cfg, dom)
         write_constants_csv(out_dir / "constants.csv", rows)
     else:  # pragma: no cover - guarded by parse_config
         raise ConfigError(f"unknown kind {kind!r}")
 
+    for rep in reports:  # the experiments draw nothing; the inputs came from seed
+        rep.env["seed"] = seed
     if reports:
         _write_report(out_dir / "report.json", cfg, reports)
     if curve is not None:

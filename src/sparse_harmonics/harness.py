@@ -1,7 +1,7 @@
 """Experiment drivers: evaluate both sides of the main inequalities on
 concrete operators, fit decay exponents, and emit verification reports.
 
-Every experiment is deterministic given the seed and the grid resolution;
+Every experiment is deterministic given its inputs and the grid resolution;
 the dimensional constants are those of n = 1.  The ~ in each inequality
 is absorbed into a recorded slack factor, default 10: the artifact checks
 structure and parameter scaling, not unknowable absolute constants.
@@ -95,7 +95,7 @@ def verdict_from(ratio: float, slack: float) -> str:
     return "violated"
 
 
-def environment(domain: Domain, seed: int, pv_cutoff: int = 1) -> dict:
+def environment(domain: Domain, pv_cutoff: int) -> dict:
     return {
         "L": domain.resolution_log2,
         "pv_cutoff": pv_cutoff,
@@ -103,8 +103,22 @@ def environment(domain: Domain, seed: int, pv_cutoff: int = 1) -> dict:
         "tau_n": TAU_N,
         "C_n": C_N,
         "c_n": 1.0,  # the paper's c_n, which no formula here uses
-        "seed": seed,
     }
+
+
+def _bound_report(
+    experiment_id: str, bundle: OperatorBundle, fs: Sequence[GridFunction], params: dict,
+    lhs: float, rhs: float, constants: dict, slack: float,
+) -> VerificationReport:
+    """The report of a bound lhs <= rhs, judged against slack: the ratio is
+    lhs / rhs, 0 where lhs is 0 and inf where only rhs is 0.  params gain
+    the bundle's m and l, and constants echo the slack."""
+    ratio = lhs / rhs if rhs > 0 else (0.0 if lhs == 0 else math.inf)
+    return VerificationReport(
+        experiment_id, {**params, "m": bundle.m, "l": bundle.l}, lhs, rhs,
+        {**constants, "slack": slack}, ratio, None, verdict_from(ratio, slack),
+        environment(fs[0].domain, bundle.operator.pv_cutoff),
+    )
 
 
 # -- operator bundles --------------------------------------------------------
@@ -325,7 +339,6 @@ def local_decay_experiment(
     t_grid: Optional[np.ndarray] = None,
     comparator: str = "mixed-min",
     w: Optional[Weight] = None,
-    seed: int = 0,
     experiment_id: str = "local-decay",
 ) -> tuple[DecayCurve, VerificationReport]:
     """Measures |{x in Q0 : |T_b f| > t comparator}| / |Q0| on a t grid and
@@ -371,17 +384,6 @@ def local_decay_experiment(
 
     cvals = comp.samples[s0:e0]
     gvals = g[s0:e0]
-    if np.mean(cvals <= 0) > 0:
-        fit = dict(_DEGENERATE_FIT)
-        curve = DecayCurve(t_grid, np.full(len(t_grid), math.nan),
-                           np.full(len(t_grid), math.nan), fit)
-        rep = VerificationReport(
-            experiment_id, {"comparator": comparator}, math.nan, math.nan,
-            constants, math.nan, fit, "degenerate",
-            environment(dom, seed, bundle.operator.pv_cutoff),
-        )
-        return curve, rep
-
     if w is None:
         cellmass = np.full(e0 - s0, dom.h)
         total = (e0 - s0) * dom.h
@@ -409,7 +411,7 @@ def local_decay_experiment(
         {"comparator": comparator, "m": bundle.m, "l": bundle.l,
          "weighted": w is not None},
         float(measures[0]), float(measures[-1]), constants, ratio, fit, verdict,
-        environment(dom, seed, bundle.operator.pv_cutoff),
+        environment(dom, bundle.operator.pv_cutoff),
     )
     return curve, rep
 
@@ -417,7 +419,6 @@ def local_decay_experiment(
 def sharpness_experiment(
     L: int = 14,
     bounded_symbol: bool = False,
-    seed: int = 0,
 ) -> tuple[DecayCurve, VerificationReport]:
     """Fixed scenario: Hilbert commutator with a log singularity against the
     flat comparator M^2 chi = 1; the measured decay exponent should sit
@@ -434,11 +435,10 @@ def sharpness_experiment(
     f = GridFunction.constant(dom, 1.0)
     bundle = hilbert_bundle([b])
     t_grid = default_t_grid(bundle.symbol_norm_product, n_points, lo, hi)
-    curve, rep = local_decay_experiment(
-        bundle, [f], DyadicCube(0, 0, 0), t_grid, comparator="llogl", seed=seed,
+    return local_decay_experiment(
+        bundle, [f], DyadicCube(0, 0, 0), t_grid, comparator="llogl",
         experiment_id="sharpness-contrast" if bounded_symbol else "sharpness",
     )
-    return curve, rep
 
 
 def coifman_fefferman_experiment(
@@ -447,15 +447,13 @@ def coifman_fefferman_experiment(
     p: float,
     w: Weight,
     slack: float = DEFAULT_SLACK,
-    seed: int = 0,
 ) -> VerificationReport:
     """int |T_b f|^p w against the L log L maximal side with the tracked
     A_inf powers.  The symbol norms carry the exponent p so the ratio is
     invariant under rescaling each b_s."""
     if not 0.0 < p < math.inf:
         raise ValueError("need 0 < p < inf")
-    dom = fs[0].domain
-    h = dom.h
+    h = fs[0].domain.h
     tf = np.abs(bundle.apply(fs).samples)
     lhs = float(np.sum(tf ** p * w.samples) * h)
     mf = multilinear_maximal(fs, "llogl").samples
@@ -463,16 +461,10 @@ def coifman_fefferman_experiment(
     fw, _ = w.ainfty()
     bprod = bundle.symbol_norm_product
     const = bprod ** p * fw ** (p * bundle.l) * fw ** max(2.0, p)
-    rhs = const * base
-    ratio = lhs / rhs if rhs > 0 else (0.0 if lhs == 0 else math.inf)
-    return VerificationReport(
-        "coifman-fefferman",
-        {"p": p, "m": bundle.m, "l": bundle.l, "weight": w.name},
-        lhs, rhs,
-        {"ainfty_fw": fw, "symbol_norm_product": bprod, "constant": const,
-         "slack": slack},
-        ratio, None, verdict_from(ratio, slack),
-        environment(dom, seed, bundle.operator.pv_cutoff),
+    return _bound_report(
+        "coifman-fefferman", bundle, fs, {"p": p, "weight": w.name},
+        lhs, const * base,
+        {"ainfty_fw": fw, "symbol_norm_product": bprod, "constant": const}, slack,
     )
 
 
@@ -483,7 +475,6 @@ def mixed_weak_experiment(
     v: Weight,
     t: float = 2.0,
     slack: float = DEFAULT_SLACK,
-    seed: int = 0,
 ) -> VerificationReport:
     """Weak (1/m, inf) bound for T_b f / v against u v^{1/m}, with the
     explicit K0, p0 constants; the constant side is handled in log space
@@ -547,7 +538,7 @@ def mixed_weak_experiment(
          "log10_endpoint_constant": log_c1 / math.log(10.0),
          "endpoint_ratio": ratio1, "log10_ratio": log10_ratio, "slack": slack},
         worst, None, verdict_from(worst, 1.0 + slack),
-        environment(dom, seed, bundle.operator.pv_cutoff),
+        environment(dom, bundle.operator.pv_cutoff),
     )
 
 
@@ -557,7 +548,6 @@ def fefferman_stein_experiment(
     ps: Sequence[float],
     ws: Sequence[Weight],
     slack: float = DEFAULT_SLACK,
-    seed: int = 0,
 ) -> VerificationReport:
     """||T_b f||_{L^p(nu)} against prod ||f_s||_{L^{p_s}(M w_s)} for
     arbitrary positive weights, 1/p = sum 1/p_s <= 1."""
@@ -583,16 +573,11 @@ def fefferman_stein_experiment(
         rhs *= float(np.sum(np.abs(f.samples) ** pi * mw) * h) ** (1.0 / pi)
         _, weak = wi.ainfty()
         weak_consts.append(weak)
-    ratio = lhs / rhs if rhs > 0 else (0.0 if lhs == 0 else math.inf)
-    return VerificationReport(
-        "fefferman-stein",
-        {"p": p, "ps": list(ps), "m": m, "l": bundle.l,
-         "weights": [w.name for w in ws]},
-        lhs, rhs,
-        {"weak_ainfty": weak_consts,
-         "symbol_norm_product": bundle.symbol_norm_product, "slack": slack},
-        ratio, None, verdict_from(ratio, slack),
-        environment(dom, seed, bundle.operator.pv_cutoff),
+    return _bound_report(
+        "fefferman-stein", bundle, fs,
+        {"p": p, "ps": list(ps), "weights": [w.name for w in ws]}, lhs, rhs,
+        {"weak_ainfty": weak_consts, "symbol_norm_product": bundle.symbol_norm_product},
+        slack,
     )
 
 
@@ -601,8 +586,9 @@ def quasiconvex_alpha(phi: YoungFunction) -> float:
     power of the complementary function passes a midpoint convexity test."""
     n_alpha = 20
     ts = np.logspace(-2.0, 2.0, 40)
-    bar = phi.conjugate_eval(ts)
-    mid = phi.conjugate_eval((ts[:-1] + ts[1:]) / 2.0)
+    phibar = phi.complementary()
+    bar = phibar(ts)
+    mid = phibar((ts[:-1] + ts[1:]) / 2.0)
     for k in range(n_alpha, 0, -1):
         a = k / n_alpha
         with np.errstate(invalid="ignore"):
@@ -622,7 +608,6 @@ def modular_experiment(
     r: float,
     w: Weight,
     slack: float = DEFAULT_SLACK,
-    seed: int = 0,
 ) -> VerificationReport:
     """int phi(|T_b f|) w against the product of modulars of the inputs,
     with branch gating on the lower dilation index of phi."""
@@ -640,16 +625,14 @@ def modular_experiment(
             f"parameters outside both branches: i_phi = {i_phi}, q = {q}, r = {r}"
         )
     m = bundle.m
-    l = bundle.l
-    dom = fs[0].domain
-    h = dom.h
+    h = fs[0].domain.h
     tf = np.abs(bundle.apply(fs).samples)
     lhs = float(np.sum(np.asarray(phi(tf), dtype=float) * w.samples) * h)
     alpha = quasiconvex_alpha(phi)
     c1 = phi.delta2_C1
     if c1 is None or not math.isfinite(c1):
         raise ValueError("growth function must satisfy the doubling condition")
-    exponent = (l + 1) * (alpha * c1 + 1.0)
+    exponent = (bundle.l + 1) * (alpha * c1 + 1.0)
     if branch == 2:
         exponent += 1.0 + m * c1
     fw, _ = w.ainfty()
@@ -661,14 +644,10 @@ def modular_experiment(
         prod *= float(
             np.sum(np.asarray(phim(scale * np.abs(f.samples)), dtype=float) * w.samples) * h
         )
-    rhs = fw ** exponent * prod ** (1.0 / m)
-    ratio = lhs / rhs if rhs > 0 else (0.0 if lhs == 0 else math.inf)
-    return VerificationReport(
-        "modular",
-        {"q": q, "r": r, "m": m, "l": l, "weight": w.name, "branch": branch},
-        lhs, rhs,
+    return _bound_report(
+        "modular", bundle, fs, {"q": q, "r": r, "weight": w.name, "branch": branch},
+        lhs, fw ** exponent * prod ** (1.0 / m),
         {"i_phi": i_phi, "alpha": alpha, "C1": c1, "exponent": exponent,
-         "ainfty_fw": fw, "aq": aq, "slack": slack},
-        ratio, None, verdict_from(ratio, slack),
-        environment(dom, seed, bundle.operator.pv_cutoff),
+         "ainfty_fw": fw, "aq": aq},
+        slack,
     )

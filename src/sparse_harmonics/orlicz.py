@@ -52,11 +52,6 @@ class YoungFunction:
             return self.inverse_fn(np.asarray(t, dtype=float))
         return _numeric_inverse(self, np.asarray(t, dtype=float))
 
-    def conjugate_eval(self, t):
-        if self.complementary_fn is not None:
-            return self.complementary_fn(np.asarray(t, dtype=float))
-        return _conjugate_eval(self, np.asarray(t, dtype=float))
-
     def complementary(self) -> "YoungFunction":
         if self.complementary_fn is not None:
             return YoungFunction(f"conj({self.name})", self.complementary_fn)

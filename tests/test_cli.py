@@ -22,8 +22,19 @@ from sparse_harmonics.cli import (
     make_function,
     parse_config,
 )
-from sparse_harmonics.grid import Domain
-from sparse_harmonics.harness import fit_exponent
+from sparse_harmonics.grid import Domain, DyadicCube, GridFunction
+from sparse_harmonics.harness import (
+    coifman_fefferman_experiment,
+    fefferman_stein_experiment,
+    fit_exponent,
+    hilbert_bundle,
+    local_decay_experiment,
+    mixed_weak_experiment,
+    modular_experiment,
+    sharpness_experiment,
+)
+from sparse_harmonics.orlicz import power
+from sparse_harmonics.weights import Weight
 from sparse_harmonics.maximal import maximal
 from sparse_harmonics.operators import stein_square_function
 
@@ -532,6 +543,29 @@ def test_run_number_that_does_not_parse_names_its_key(tmp_path, capsys, text, me
     assert f"config error: {message}\n" == capsys.readouterr().err
 
 
+# every site where a seed is read, with a negative one: numpy refused the
+# first two with a message that names no key, and the other two ran
+NEGATIVE_SEED_SITES = [
+    (_small("cf", functions={"seed": "-3"}), None, "[functions] seed: '-3'"),
+    (_small("cf", symbols={"b": "steps:-1"}), None, "spec 'steps:-1': '-1'"),
+    (_small("sharpness", experiment={"seed": "-2"}), None, "[experiment] seed: '-2'"),
+    (_small("decay", functions={"bank": "indicator"}), "-4", "SPARSE_HARMONICS_SEED: '-4'"),
+]
+
+
+@pytest.mark.parametrize("text, variable, what", NEGATIVE_SEED_SITES,
+                         ids=["functions-seed", "steps-spec", "experiment-seed", "variable"])
+def test_negative_seed_exits_2_naming_its_key(tmp_path, capsys, monkeypatch, text, variable, what):
+    if variable is None:
+        monkeypatch.delenv("SPARSE_HARMONICS_SEED", raising=False)
+    else:
+        monkeypatch.setenv("SPARSE_HARMONICS_SEED", variable)
+    cfg = write_config(tmp_path, text)
+    assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"config error: {what} is negative; a seed is at least 0\n"
+    assert not (tmp_path / "o" / "report.json").exists()
+
+
 def test_seed_env_that_does_not_parse_names_the_variable(tmp_path, capsys, monkeypatch):
     cfg = write_config(tmp_path, DECAY_CONFIG)
     monkeypatch.setenv("SPARSE_HARMONICS_SEED", "seven")
@@ -568,6 +602,21 @@ def test_run_mixed_t_outside_one_to_inf_exits_2_without_warnings(tmp_path, capsy
         warnings.simplefilter("error")
         assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
     assert "config error: need 1 < t < inf" in capsys.readouterr().err
+
+
+def test_run_decay_zero_input_is_degenerate(tmp_path):
+    # wave:0 is identically 0, and so is M f: the report says degenerate
+    # with every measure 0, through the same path as any other decay
+    cfg = write_config(tmp_path, _small(
+        "decay", symbols={"b": "sin"}, functions={"bank": "wave:0"}))
+    out = tmp_path / "o"
+    assert main(["run", cfg, "--out", str(out)]) == 3
+    rep = json.loads((out / "report.json").read_text())["reports"][0]
+    assert rep["verdict"] == "degenerate"
+    assert rep["lhs"] == rep["rhs"] == 0.0
+    assert rep["params"] == {"comparator": "mixed-min", "m": 1, "l": 1, "weighted": False}
+    with open(out / "curves.csv") as fh:
+        assert {float(row["measure"]) for row in csv.DictReader(fh)} == {0.0}
 
 
 def test_run_stein_decay(tmp_path):
@@ -730,13 +779,39 @@ bank = random
     assert main(["run", cfg, "--out", str(tmp_path / "o")]) in (0, 3, 4)
 
 
+def _library_report(kind: str):
+    """The report of kind from a direct harness call at l = 6."""
+    dom = Domain(0.0, 1.0, 6)
+    bundle = hilbert_bundle()
+    f = GridFunction(dom, np.random.default_rng(0).uniform(-1.0, 1.0, dom.n_cells))
+    one = Weight(GridFunction.constant(dom, 1.0), "one")
+    if kind == "decay":
+        return local_decay_experiment(bundle, [f], DyadicCube(0, 0, 0))[1]
+    if kind == "sharpness":
+        return sharpness_experiment(L=6)[1]
+    if kind == "cf":
+        return coifman_fefferman_experiment(bundle, [f], 2.0, one)
+    if kind == "mixed":
+        return mixed_weak_experiment(bundle, [f], [one], one)
+    if kind == "fs":
+        return fefferman_stein_experiment(bundle, [f], [1.0], [one])
+    return modular_experiment(bundle, [f], power(2.0), 1.2, 1.5, one)
+
+
 def test_seed_env_override(tmp_path, monkeypatch):
-    cfg = write_config(tmp_path, DECAY_CONFIG)
-    out = tmp_path / "o"
-    monkeypatch.setenv("SPARSE_HARMONICS_SEED", "77")
-    main(["run", cfg, "--out", str(out)])
-    payload = json.loads((out / "report.json").read_text())
-    assert payload["reports"][0]["env"]["seed"] == 77
+    # the harness draws no random number: the CLI, which drew the inputs,
+    # records the seed, and a report from a library call has none
+    for kind in ("decay", "sharpness", "cf", "mixed", "fs", "modular"):
+        cfg = write_config(tmp_path, _small(kind, experiment={"seed": "5"}), f"{kind}.ini")
+        monkeypatch.delenv("SPARSE_HARMONICS_SEED", raising=False)
+        for variable, seed in ((None, 5), ("77", 77)):
+            if variable is not None:
+                monkeypatch.setenv("SPARSE_HARMONICS_SEED", variable)
+            out = tmp_path / f"{kind}-{seed}"
+            main(["run", cfg, "--out", str(out)])
+            payload = json.loads((out / "report.json").read_text())
+            assert [r["env"]["seed"] for r in payload["reports"]] == [seed], kind
+        assert "seed" not in _library_report(kind).env, kind
 
 
 # -- constants ---------------------------------------------------------------

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from sparse_harmonics import orlicz
+from sparse_harmonics import harness, orlicz
 from sparse_harmonics.cli import fixtures_dir
 from sparse_harmonics.grid import (
     Domain,
@@ -233,6 +233,21 @@ def test_decay_mixed_min_runs_and_reports_branch():
     m = curve.measures
     assert np.all(np.diff(m) <= 1e-12)
     assert np.all((m >= 0) & (m <= 1))
+
+
+@pytest.mark.parametrize("comparator", ["mixed-min", "llogl"])
+@pytest.mark.parametrize("w", [None, ONE])
+def test_decay_zero_input(comparator, w):
+    # M f = 0 on every cell: nothing exceeds t times it, every measure is
+    # 0 and the fit is degenerate; the report is built like any other
+    z = GridFunction.constant(DOM, 0.0)
+    curve, rep = local_decay_experiment(
+        hilbert_bundle([SYMBOL]), [z], DyadicCube(0, 0, 0), comparator=comparator, w=w)
+    assert rep.verdict == "degenerate"
+    assert rep.lhs == rep.rhs == 0.0
+    assert math.isnan(rep.ratio)
+    assert rep.params == {"comparator": comparator, "m": 1, "l": 1, "weighted": w is not None}
+    np.testing.assert_array_equal(curve.measures, np.zeros(len(curve.t_grid)))
 
 
 def test_decay_on_root_cube_sticking_out_of_domain():
@@ -481,6 +496,27 @@ def test_modular_alpha_takes_no_numeric_conjugate_for_a_power(p, q, r, monkeypat
 
 
 # -- report plumbing ---------------------------------------------------------
+
+@pytest.mark.parametrize("lhs, rhs, ratio, verdict", [
+    (0.0, 0.0, 0.0, "holds"),
+    (0.0, 2.0, 0.0, "holds"),
+    (3.0, 0.0, math.inf, "degenerate"),
+    (3.0, 2.0, 1.5, "holds-with-margin"),
+    (30.0, 2.0, 15.0, "violated"),
+])
+def test_bound_report_ratio_and_verdict(lhs, rhs, ratio, verdict):
+    bundle = calderon_bundle(1, [SYMBOL], [0], pv_cutoff=2)
+    rep = harness._bound_report(
+        "bound", bundle, [rand_f(0), rand_f(1)], {"p": 2.0}, lhs, rhs, {"c": 1.0}, 10.0)
+    assert (rep.ratio, rep.verdict) == (ratio, verdict)
+    assert (rep.lhs, rep.rhs) == (lhs, rhs)
+    assert rep.params == {"p": 2.0, "m": 2, "l": 1}
+    assert rep.constants == {"c": 1.0, "slack": 10.0}
+    assert rep.fit is None
+    assert rep.env["L"] == DOM.resolution_log2
+    assert rep.env["pv_cutoff"] == 2
+    assert "seed" not in rep.env
+
 
 def test_report_determinism():
     f = rand_f(7)

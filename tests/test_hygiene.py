@@ -260,9 +260,10 @@ def unreachable_exports(sources: dict[str, str], entry_points=()) -> list[str]:
     module nor another top-level statement of its module.  A read is a
     name or an attribute; imports and __all__ itself are not reads.  The
     "module.name" entries of entry_points (console scripts) count as
-    reached.  The public methods of an exported class are checked the same
-    way, as "module.Class.method": a read inside another method of the
-    class counts, one inside the method itself does not.  A read has an
+    reached.  The public methods of every top-level class, exported or
+    not, are checked the same way, as "module.Class.method": a read inside
+    another method of the class counts, one inside the method itself does
+    not.  A read has an
     owner where the imports name one: a name imported from a module of
     sources, or an attribute of an imported module (`orlicz.power`), reads
     that module's top-level name and no method of the same name."""
@@ -288,11 +289,10 @@ def unreachable_exports(sources: dict[str, str], entry_points=()) -> list[str]:
             if isinstance(node, ast.ClassDef):
                 parts = [((owner,), n) for n in (*node.decorator_list, *node.bases)]
                 parts += [((owner, getattr(n, "name", None)), n) for n in node.body]
-                if owner in exported:
-                    defs += [
-                        (module, (owner, n.name), {n.name}) for n in node.body
-                        if isinstance(n, ast.FunctionDef) and not n.name.startswith("_")
-                    ]
+                defs += [
+                    (module, (owner, n.name), {n.name}) for n in node.body
+                    if isinstance(n, ast.FunctionDef) and not n.name.startswith("_")
+                ]
             reads += [
                 (module, path, {
                     read(n) for n in ast.walk(part) if isinstance(n, (ast.Name, ast.Attribute))
@@ -358,10 +358,9 @@ def test_checker_sees_unreachable_exports():
     assert unreachable_exports(sources) == ["a.f", "a.h", "b.u", "c.main", "c.v"]
     # a console script reaches its own function, and no other
     assert unreachable_exports(sources, {"c.main"}) == ["a.f", "a.h", "b.u", "c.v"]
-    # a public method of an exported class is reached by a read in another
-    # method, not by one in itself; a class read only in its own methods is
-    # not reached, and the methods of a class left out of __all__ are not
-    # checked
+    # a public method of a class is reached by a read in another method,
+    # not by one in itself; a class read only in its own methods is not
+    # reached; the methods of a class left out of __all__ are checked too
     methods = {
         "a": (
             "__all__ = ['K']\n"
@@ -383,7 +382,24 @@ def test_checker_sees_unreachable_exports():
         ),
         "b": "__all__ = ['u']\ndef u(k):\n    return k.size\n",
     }
-    assert unreachable_exports(methods) == ["a.K", "a.K.used", "a.K.lonely", "b.u"]
+    assert unreachable_exports(methods) == [
+        "a.K", "a.K.used", "a.K.lonely", "a.Hidden.m", "b.u"]
+    # a method of a class outside __all__ is reached by a read in another
+    # module, like one of an exported class
+    hidden = {
+        "a": (
+            "__all__ = ['make']\n"
+            "def make():\n"
+            "    return _Box()\n"
+            "class _Box:\n"
+            "    def open(self):\n"
+            "        pass\n"
+            "    def close(self):\n"
+            "        pass\n"
+        ),
+        "b": "from a import make\n__all__ = ['u']\ndef u():\n    return make().open()\n",
+    }
+    assert unreachable_exports(hidden) == ["a._Box.close", "b.u"]
     # a name imported from a module, or an attribute read on an imported
     # module, reaches that module's top-level name and no method named
     # like it; an attribute of a module outside sources reaches nothing
@@ -435,11 +451,12 @@ def test_checker_sees_unreachable_exports():
     assert unreachable_oracles(tests) == ["oracles.brute", "oracles.unused"]
 
 
-# Exported names (and public methods of exported classes, as
+# Exported names (and public methods of top-level classes, as
 # "module.Class.method") that only tests reach, each with the criterion or
 # test that uses it
 TEST_ONLY = {
     "grid.children": "criteria 1 and 2; tests/oracles.py::brute_stopping_cubes",
+    "grid.Memo.clear": "test_maximal.py, test_operators.py and test_orlicz.py, for a cold memo",
     "harness.lorentz_l1_norm": "criterion 6; test_harness.py::test_lorentz_l1_dominates_weak",
     "operators.log_dini_norm": "test_operators.py::test_log_dini_*",
     "orlicz.power_over_p": "criterion 10",
