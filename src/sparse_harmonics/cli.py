@@ -101,6 +101,8 @@ def parse_config(path) -> dict:
         raise ConfigError(f"experiment kind must be one of {KINDS}")
     if "slack" in exp and exp["kind"] not in SLACK_KINDS:
         raise ConfigError(f"[experiment] slack does not apply to kind {exp['kind']!r}")
+    if "seed" in exp and exp["kind"] == "constants":  # its banks draw nothing
+        raise ConfigError("[experiment] seed does not apply to kind 'constants'")
     return out
 
 

@@ -15,8 +15,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.signal import fftconvolve
+from scipy.fft import irfft, next_fast_len, rfft
 
 from .grid import MEMO, CubeFamily, GridFunction, LevelEntry, digest, family_for
 
@@ -70,13 +69,17 @@ def hilbert_transform(f: GridFunction, pv_cutoff: int = 1) -> GridFunction:
 
 
 def _toeplitz_apply(g: np.ndarray, ker: np.ndarray) -> np.ndarray:
-    """sum_j ker[i - j + N - 1] g_j for every i, ker indexed by the offset
-    i - j from -(N - 1) to N - 1.  A complex g is convolved part by part,
-    so the map is linear over the complex numbers."""
+    """sum_j ker[i - j + N - 1] g_j for every i and every row of g, ker
+    indexed by the offset i - j from -(N - 1) to N - 1.  One real FFT of
+    the kernel, one of all the rows and one inverse, at the padded length
+    fftconvolve takes.  A complex g is convolved part by part, so the map
+    is linear over the complex numbers."""
     if np.iscomplexobj(g):
         return _toeplitz_apply(g.real, ker) + 1j * _toeplitz_apply(g.imag, ker)
-    N = len(g)
-    return fftconvolve(g.astype(float), ker)[N - 1 : 2 * N - 1]
+    N = g.shape[-1]
+    n = next_fast_len(N + len(ker) - 1, real=True)
+    conv = irfft(rfft(g.astype(float), n) * rfft(ker, n), n)
+    return conv[..., N - 1 : 2 * N - 1]
 
 
 # Diagonals |i - j| <= _NEAR_BAND of the Calderon form are summed directly:
@@ -93,8 +96,9 @@ def calderon_apply(fs: Sequence[GridFunction], pv_cutoff: int = 1) -> GridFuncti
 
     Off the band |i - j| <= max(_NEAR_BAND, cutoff - 1), each product
     expands into 2^m terms a(i) g(j), and each term is a one-sided Toeplitz
-    convolution with 1/(kh)^{m+1}: 2^{m+1} FFT convolutions in all.  The
-    band is summed one diagonal at a time.
+    convolution with 1/(kh)^{m+1}: the 2^m terms of each side run as the
+    rows of one batched FFT convolution.  The band is summed one diagonal
+    at a time.
     """
     if len(fs) < 2:
         raise ValueError("need m+1 >= 2 inputs")
@@ -113,13 +117,16 @@ def calderon_apply(fs: Sequence[GridFunction], pv_cutoff: int = 1) -> GridFuncti
     lower, upper = np.where(k > 0, ker, 0.0), np.where(k < 0, ker, 0.0)
     # prod_s (c_s[max] - c_s[min + 1]) is the sum, over the 2^m ways to pick
     # one term of each factor, of p(max) q(min): p multiplies the picked
-    # c_s[x] and q the picked -c_s[x + 1]
+    # c_s[x] and q the picked -c_s[x + 1]; row k of ps and qs is pick k
     ends = [(cs[:-1], -cs[1:]) for cs in csums]
+    picks = list(itertools.product((0, 1), repeat=m))
+    ps, qs = (np.stack([
+        math.prod((e[side] for e, pick in zip(ends, pk) if pick == side), start=np.ones(N))
+        for pk in picks]) for side in (0, 1))
+    below, above = _toeplitz_apply(qs * flast, lower), _toeplitz_apply(ps * flast, upper)
     out = np.zeros(N, dtype=np.result_type(flast, *csums))
-    for picks in itertools.product((0, 1), repeat=m):
-        p = math.prod((e[0] for e, pick in zip(ends, picks) if pick == 0), start=1.0)
-        q = math.prod((e[1] for e, pick in zip(ends, picks) if pick == 1), start=1.0)
-        out += p * _toeplitz_apply(q * flast, lower) - q * _toeplitz_apply(p * flast, upper)
+    for k in range(len(picks)):
+        out += ps[k] * below[k] - qs[k] * above[k]
     for d in range(pv_cutoff, min(band, N - 1) + 1):
         diag = math.prod((cs[d:N] - cs[1 : N - d + 1] for cs in csums), start=1.0)
         diag = diag / (d * h) ** (m + 1)
@@ -128,26 +135,46 @@ def calderon_apply(fs: Sequence[GridFunction], pv_cutoff: int = 1) -> GridFuncti
     return GridFunction(dom, out * h)
 
 
+# wave number-scale pairs per batched Stein transform: about 4 MiB of
+# complex spectra, and as much of real output, per chunk of scales
+_STEIN_CHUNK = 1 << 18
+
+
 def stein_square_function(
     f: GridFunction, alpha: float, n_scales: int = 128
 ) -> GridFunction:
     """Square function over log-spaced scales of the band-edge multiplier
-    (|xi|^2/t^2)(1 - |xi|^2/t^2)_+^{alpha-1} on the periodized grid."""
+    (|xi|^2/t^2)(1 - |xi|^2/t^2)_+^{alpha-1} on the periodized grid.
+
+    Each multiplier is real and even, so the spectrum of a real f is taken
+    once by a real FFT, and a chunk of scales runs as the rows of one
+    inverse real FFT over the wave numbers 0..N/2.  The kernels are real,
+    so a complex f has S f = |(S Re f, S Im f)|."""
     if alpha <= 0.5:
         raise ValueError("need alpha > 1/2")
+    if np.iscomplexobj(f.samples):
+        re, im = (stein_square_function(GridFunction(f.domain, part), alpha, n_scales).samples
+                  for part in (f.samples.real, f.samples.imag))
+        return GridFunction(f.domain, np.hypot(re, im))
     N = f.domain.n_cells
-    xi = np.abs(np.fft.fftfreq(N) * N)  # integer wave numbers
     ts = np.logspace(0.0, math.log10(N / 2.0), n_scales)
     dlog = math.log(ts[-1] / ts[0]) / (n_scales - 1)
-    fhat = np.fft.fft(f.samples)
+    fhat = rfft(f.samples)
     acc = np.zeros(N)
-    for t in ts:
-        s2 = (xi / t) ** 2
-        with np.errstate(divide="ignore", invalid="ignore"):
-            mult = np.where(s2 < 1.0, s2 * np.maximum(1.0 - s2, 0.0) ** (alpha - 1.0), 0.0)
-        conv = np.fft.ifft(fhat * mult)
-        acc += np.abs(conv) ** 2 * dlog
-    return GridFunction(f.domain, np.sqrt(acc))
+    for chunk in np.array_split(ts, math.ceil(n_scales * len(fhat) / _STEIN_CHUNK)):
+        # every multiplier of the chunk vanishes from wave number max t on
+        k = min(len(fhat), math.ceil(chunk[-1]))
+        conv = irfft(fhat[:k] * _stein_multipliers(chunk, k, alpha), N)
+        acc += np.einsum("ij,ij->j", conv, conv)
+    return GridFunction(f.domain, np.sqrt(acc * dlog))
+
+
+def _stein_multipliers(ts: np.ndarray, n_freq: int, alpha: float) -> np.ndarray:
+    """Row k: the multiplier of scale ts[k] at the wave numbers 0..n_freq - 1."""
+    s2 = (np.arange(n_freq) / ts[:, None]) ** 2
+    mult = np.zeros_like(s2)
+    np.power(1.0 - s2, alpha - 1.0, out=mult, where=s2 < 1.0)
+    return np.multiply(mult, s2, out=mult)
 
 
 def bmo_norm(b: GridFunction) -> float:
@@ -214,6 +241,7 @@ def log_dini_norm(omega: Callable[[float], float], a: float, m: int) -> float:
     t = e^{-u}; reports inf when the integrand fails to decay."""
     if a <= 0 or m < 0:
         raise ValueError("need a > 0 and m >= 0")
+    from scipy.integrate import quad  # here, so that importing the package skips scipy.integrate
 
     def g(u):
         return omega(math.exp(-u)) ** a * (1.0 + u) ** m

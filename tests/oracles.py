@@ -4,13 +4,16 @@ maximal function per cube, every pair of levels in the A_infty sweep, one
 Luxemburg root solve per cube or per family level, one cube at a time in
 the stopping-time walk, a linear program for the best sparseness, dense
 O(N^2) sums for the convolution kernels, a literal nested sum for kernel
-quadrature, a recursion over the factors of a commutator, little or no
-vectorisation.  Slow on purpose."""
+quadrature, one FFT convolution per expanded Calderon product, one
+complex inverse FFT per Stein scale, a recursion over the factors of a
+commutator, little or no vectorisation.  Slow on purpose."""
 
+import itertools
 import math
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+from scipy.signal import fftconvolve
 
 from sparse_harmonics.grid import (
     GROUP_CELLS,
@@ -21,6 +24,7 @@ from sparse_harmonics.grid import (
     family_for,
 )
 from sparse_harmonics.maximal import luxemburg_per_cube
+from sparse_harmonics.operators import _NEAR_BAND
 from sparse_harmonics.orlicz import YoungFunction, llog, monotone_root
 from sparse_harmonics.sparse import SparseFamily
 from sparse_harmonics.weights import Weight, _double_sums, clamped_power
@@ -399,6 +403,60 @@ def dense_calderon_apply(fs: Sequence[GridFunction], pv_cutoff: int = 1) -> np.n
         vals = np.where(keep, vals, 0.0)
         out[rows] = vals @ flast * h
     return out
+
+
+def per_pick_calderon(fs: Sequence[GridFunction], pv_cutoff: int = 1) -> np.ndarray:
+    """`calderon_apply` with one `fftconvolve` call per expanded product and
+    side, 2^{m+1} in all: the route it took before the products of each
+    side ran as the rows of one batched convolution."""
+    dom = fs[0].domain
+    m = len(fs) - 1
+    N = dom.n_cells
+    h = dom.h
+
+    def toeplitz(g, ker):
+        if np.iscomplexobj(g):
+            return toeplitz(g.real, ker) + 1j * toeplitz(g.imag, ker)
+        return fftconvolve(g.astype(float), ker)[N - 1 : 2 * N - 1]
+
+    csums = [cs - cs.mean() for cs in (CubeFamily.prefix(f.samples) * h for f in fs[:-1])]
+    flast = fs[-1].samples
+    band = max(_NEAR_BAND, pv_cutoff - 1)
+    k = np.arange(-(N - 1), N)
+    far = np.abs(k) > band
+    ker = np.where(far, 1.0 / (np.where(far, np.abs(k), 1) * h) ** (m + 1), 0.0)
+    lower, upper = np.where(k > 0, ker, 0.0), np.where(k < 0, ker, 0.0)
+    ends = [(cs[:-1], -cs[1:]) for cs in csums]
+    out = np.zeros(N, dtype=np.result_type(flast, *csums))
+    for picks in itertools.product((0, 1), repeat=m):
+        p = math.prod((e[0] for e, pick in zip(ends, picks) if pick == 0), start=1.0)
+        q = math.prod((e[1] for e, pick in zip(ends, picks) if pick == 1), start=1.0)
+        out += p * toeplitz(q * flast, lower) - q * toeplitz(p * flast, upper)
+    for d in range(pv_cutoff, min(band, N - 1) + 1):
+        diag = math.prod((cs[d:N] - cs[1 : N - d + 1] for cs in csums), start=1.0)
+        diag = diag / (d * h) ** (m + 1)
+        out[d:] += diag * flast[: N - d]
+        out[: N - d] -= diag * flast[d:]
+    return out * h
+
+
+def per_scale_stein(f: GridFunction, alpha: float, n_scales: int = 128) -> np.ndarray:
+    """`stein_square_function` with one complex inverse FFT per scale over
+    all N wave numbers: the route it took before the scales ran as the
+    rows of batched inverse real FFTs."""
+    N = f.domain.n_cells
+    xi = np.abs(np.fft.fftfreq(N) * N)  # integer wave numbers
+    ts = np.logspace(0.0, math.log10(N / 2.0), n_scales)
+    dlog = math.log(ts[-1] / ts[0]) / (n_scales - 1)
+    fhat = np.fft.fft(f.samples)
+    acc = np.zeros(N)
+    for t in ts:
+        s2 = (xi / t) ** 2
+        with np.errstate(divide="ignore", invalid="ignore"):
+            mult = np.where(s2 < 1.0, s2 * np.maximum(1.0 - s2, 0.0) ** (alpha - 1.0), 0.0)
+        conv = np.fft.ifft(fhat * mult)
+        acc += np.abs(conv) ** 2 * dlog
+    return np.sqrt(acc)
 
 
 def first_order_commutator_kernel(

@@ -145,6 +145,16 @@ def test_slack_on_a_kind_without_slack_exits_2(tmp_path, capsys, kind):
         capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("command", ["run", "constants"])
+def test_seed_on_constants_exits_2(tmp_path, capsys, command):
+    # the seed was read and ignored: seeds 5 and 6 wrote the same table
+    cfg = write_config(tmp_path, _small("constants", experiment={"seed": "5"}))
+    assert main([command, cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == (
+        "config error: [experiment] seed does not apply to kind 'constants'\n")
+    assert not (tmp_path / "o" / "constants.csv").exists()
+
+
 # -- run ---------------------------------------------------------------------
 
 def test_run_decay_writes_artifacts(tmp_path):

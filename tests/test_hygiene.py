@@ -6,13 +6,17 @@ defined in that module, every such name and every public method of an
 exported class is read by other src/ code, run as a console script or on
 the list of names only tests reach, every oracle in tests/oracles.py is
 read by a test or another oracle, every defaulted parameter of a src/
-function is set by some call, and the benchmark tracer still finds every
-name and parameter it traces."""
+function is set by some call, the benchmark tracer still finds every
+name and parameter it traces, and importing the CLI loads none of the
+scipy subpackages that only the tests use."""
 
 import ast
 import importlib.util
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -589,3 +593,18 @@ def test_benchmark_tracer_binds_every_traced_name():
     assert tracer.calls["maximal.multilinear_maximal"] == 1
     # one call per level group; at L = 5 the 24 family entries make one group
     assert tracer.calls["maximal.luxemburg_per_cube"] == n_groups == 1
+
+
+def test_importing_the_cli_loads_no_test_only_scipy_subpackage():
+    # scipy.signal and scipy.integrate made up most of the start-up time;
+    # the package imports only scipy.fft up front, the tests the rest as oracles
+    probe = (
+        "import sys, sparse_harmonics.cli\n"
+        "print(' '.join(sorted(m for m in sys.modules\n"
+        "    if m.split('.')[:2] in (['scipy', 'signal'], ['scipy', 'integrate'], ['scipy', 'optimize']))))"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == []

@@ -25,6 +25,8 @@ from oracles import (
     first_order_commutator_kernel,
     luxemburg_norm,
     per_entry_bmo,
+    per_pick_calderon,
+    per_scale_stein,
     recursive_commutator,
 )
 
@@ -190,6 +192,16 @@ def test_calderon_order_three_runs_on_16384_cells():
     assert np.abs(combo - want).max() <= 1e-12 * np.abs(want).max()
 
 
+@pytest.mark.parametrize("L", [6, 8, 10])
+@pytest.mark.parametrize("pv_cutoff", [1, 20], ids=["inside-band", "past-band"])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_batched_calderon_equals_the_per_pick_oracle(m, pv_cutoff, L):
+    # the band is max(16, pv_cutoff - 1) diagonals: cutoff 20 widens it
+    dom = Domain(0.0, 1.0, L)
+    fs = [rand_f(200 + 10 * m + s, dom) for s in range(m + 1)]
+    assert np.array_equal(calderon_apply(fs, pv_cutoff).samples, per_pick_calderon(fs, pv_cutoff))
+
+
 def test_calderon_is_linear_over_complex_inputs():
     dom = Domain(0.0, 1.0, 6)
     one = GridFunction.constant(dom, 1.0)
@@ -234,6 +246,24 @@ def test_stein_alpha_below_one_warns_nothing():
         warnings.simplefilter("error")
         g = stein_square_function(f, 0.75).samples
     assert np.all(np.isfinite(g))
+
+
+@pytest.mark.parametrize("n_scales", [128, 2048])
+@pytest.mark.parametrize("alpha", [0.75, 1.0, 1.5])
+def test_batched_stein_matches_the_per_scale_oracle(alpha, n_scales):
+    for L, seed in ((8, 60), (10, 61), (12, 62)):
+        f = rand_f(seed, Domain(0.0, 1.0, L))
+        old = per_scale_stein(f, alpha, n_scales)
+        new = stein_square_function(f, alpha, n_scales).samples
+        assert np.abs(new - old).max() <= 1e-13 * np.abs(old).max()
+
+
+def test_stein_of_a_complex_input_matches_the_per_scale_oracle():
+    # the kernels are real: S f is the l2 norm of S Re f and S Im f
+    dom = Domain(0.0, 1.0, 10)
+    f = GridFunction(dom, rand_f(63, dom).samples + 1j * rand_f(64, dom).samples)
+    old = per_scale_stein(f, 1.5)
+    assert np.abs(stein_square_function(f, 1.5).samples - old).max() <= 1e-13 * np.abs(old).max()
 
 
 def test_stein_alpha_validation():
