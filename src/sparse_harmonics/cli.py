@@ -1,9 +1,9 @@
 """Command-line front end: experiment configs, fixture management, CSV/JSON
 reports and static SVG plots.
 
-Configs are flat INI files, one experiment per file; unknown sections or
-keys are rejected so fixtures stay diff-friendly.  Exit codes: 0 all
-verdicts acceptable, 2 config error, 3 degenerate experiment, 4 violated.
+Configs are flat INI files, one experiment per file; `KEYS` holds every key
+each kind reads, with its default, and any other key is rejected.  Exit
+codes: 0 all verdicts acceptable, 2 config error, 3 degenerate, 4 violated.
 """
 
 from __future__ import annotations
@@ -61,54 +61,75 @@ class ConfigError(ValueError):
 
 
 KINDS = ("decay", "cf", "mixed", "fs", "modular", "constants", "sharpness")
-# the kinds whose verdicts allow a slack factor
-SLACK_KINDS = ("cf", "mixed", "fs", "modular")
 
-SCHEMA = {
-    "experiment": {"kind", "l", "seed", "slack"},
-    "operator": {"kind", "m", "alpha", "pv_cutoff"},
-    "symbols": {"b"},
-    "functions": {"bank", "seed"},
-    "weights": {"w", "v"},
-    "params": {
-        "p", "ps", "q", "r", "t", "comparator", "t_lo", "t_hi", "t_points",
-        "bounded_symbol",
-    },
-    "bank": {"weights", "p_grid"},
-    "output": {"dir"},
+# kind -> {(section, key): default}; a kind that reads [operator] kind also
+# reads the rows of that operator kind.  A default of None: [experiment] kind
+# is required, and [functions] seed defaults to the experiment seed.
+_EVERY = {("experiment", "kind"): None, ("experiment", "l"): "10", ("output", "dir"): "."}
+_OPERATOR = _EVERY | {
+    ("experiment", "seed"): "0", ("operator", "kind"): "hilbert", ("symbols", "b"): "",
+    ("functions", "bank"): "indicator", ("functions", "seed"): None}
+_BOUND = _OPERATOR | {("experiment", "slack"): "10", ("weights", "w"): "one"}
+KEYS = {
+    "decay": _OPERATOR | {
+        ("weights", "w"): "", ("params", "comparator"): "mixed-min", ("params", "t_lo"): "0.5",
+        ("params", "t_hi"): "50", ("params", "t_points"): "24"},
+    "cf": _BOUND | {("params", "p"): "2"},
+    "mixed": _BOUND | {("weights", "v"): "one", ("params", "t"): "2"},
+    "fs": _BOUND | {("params", "ps"): "1"},
+    "modular": _BOUND | {
+        ("params", "p"): "power:2", ("params", "q"): "1.2", ("params", "r"): "1.5"},
+    "constants": _EVERY | {("bank", "weights"): "one", ("bank", "p_grid"): "1.5,2,4"},
+    "sharpness": _EVERY | {("experiment", "seed"): "0", ("params", "bounded_symbol"): "no"},
+    "hilbert": {("operator", "pv_cutoff"): "1"},
+    "calderon": {("operator", "m"): "1", ("operator", "pv_cutoff"): "1"},
+    "stein": {("operator", "alpha"): "1.0"},
 }
+
+
+def _rows(cfg: dict) -> dict:
+    """The KEYS rows of cfg's kind, with those of its operator kind."""
+    rows = KEYS[cfg["experiment"]["kind"]]
+    if ("operator", "kind") not in rows:
+        return rows
+    op = cfg.get("operator", {}).get("kind", rows["operator", "kind"])
+    if op not in ("hilbert", "calderon", "stein"):
+        raise ConfigError(f"unknown operator kind {op!r}")
+    return rows | KEYS[op]
+
+
+def _value(cfg: dict, section: str, key: str, cast: type = str):
+    """[section] key of cfg, else its default from KEYS, read by cast."""
+    text = cfg.get(section, {}).get(key, _rows(cfg)[section, key])
+    return text if text is None else _number(text, f"[{section}] {key}", cast)
 
 
 def parse_config(path) -> dict:
     cp = configparser.ConfigParser()
     try:
         read = cp.read(path)
-        sections = {s: cp.items(s) for s in cp.sections()}
+        cfg = {s: dict(cp.items(s)) for s in cp.sections()}
     except configparser.Error as e:  # no section header, a duplicate, a bad %
         raise ConfigError(str(e)) from e
     if not read:
         raise ConfigError(f"cannot read config {path}")
-    out: dict = {}
-    for section, items in sections.items():
-        if section not in SCHEMA:
-            raise ConfigError(f"unknown section [{section}]")
-        for key, _ in items:
-            if key not in SCHEMA[section]:
-                raise ConfigError(f"unknown key {key!r} in [{section}]")
-        out[section] = dict(items)
-    exp = out.get("experiment", {})
-    if exp.get("kind") not in KINDS:
+    kind = cfg.get("experiment", {}).get("kind")
+    if kind not in KINDS:
         raise ConfigError(f"experiment kind must be one of {KINDS}")
-    if "slack" in exp and exp["kind"] not in SLACK_KINDS:
-        raise ConfigError(f"[experiment] slack does not apply to kind {exp['kind']!r}")
-    if "seed" in exp and exp["kind"] == "constants":  # its banks draw nothing
-        raise ConfigError("[experiment] seed does not apply to kind 'constants'")
-    return out
+    rows = _rows(cfg)
+    for section, items in cfg.items():
+        for key in items:
+            if (section, key) not in rows:  # named after its section's kind, if it has one
+                owner = _value(cfg, section, "kind") if (section, "kind") in rows else kind
+                raise ConfigError(f"[{section}] {key} does not apply to kind {owner!r}")
+        if section not in {s for s, _ in rows}:
+            raise ConfigError(f"[{section}] does not apply to kind {kind!r}")
+    return cfg
 
 
 def _number(text: str, what: str, cast: type = float):
-    """text read by cast, int or float; a config error that names what (the
-    key, the variable or the spec) if it does not parse."""
+    """text read by cast (str, int or float); a config error that names what
+    (the key, the variable or the spec) if it does not parse."""
     try:
         return cast(text)
     except ValueError:
@@ -215,129 +236,110 @@ def _resolve_seed(cfg: dict) -> int:
     env = os.environ.get("SPARSE_HARMONICS_SEED")
     if env is not None:
         return _seed(env, "SPARSE_HARMONICS_SEED")
-    return _seed(cfg.get("experiment", {}).get("seed", "0"), "[experiment] seed")
+    return _seed(_value(cfg, "experiment", "seed"), "[experiment] seed")
 
 
 def _build_bundle(cfg: dict, dom: Domain) -> OperatorBundle:
-    op = cfg.get("operator", {})
-    kind = op.get("kind", "hilbert")
-    pv = _number(op.get("pv_cutoff", "1"), "[operator] pv_cutoff", int)
-    bs = [
-        make_symbol(s, dom)
-        for s in cfg.get("symbols", {}).get("b", "").split(",")
-        if s.strip()
-    ]
+    kind = _value(cfg, "operator", "kind")
+    pv = None if kind == "stein" else _value(cfg, "operator", "pv_cutoff", int)
+    bs = [make_symbol(s, dom) for s in _value(cfg, "symbols", "b").split(",") if s.strip()]
     if kind == "hilbert":
         return hilbert_bundle(bs, pv_cutoff=pv)
     if kind == "calderon":
-        m = _number(op.get("m", "1"), "[operator] m", int)
         slots = tuple(range(len(bs)))
-        return calderon_bundle(m, bs, slots, pv_cutoff=pv)
-    if kind == "stein":
-        if bs:
-            raise ConfigError("stein operator takes no symbols")
-        return stein_bundle(_number(op.get("alpha", "1.0"), "[operator] alpha"))
-    raise ConfigError(f"unknown operator kind {kind!r}")
+        return calderon_bundle(_value(cfg, "operator", "m", int), bs, slots, pv_cutoff=pv)
+    if bs:
+        raise ConfigError("stein operator takes no symbols")
+    return stein_bundle(_value(cfg, "operator", "alpha", float))
 
 
 def _functions(cfg: dict, dom: Domain, seed: int, m: int) -> list[GridFunction]:
-    bank = cfg.get("functions", {}).get("bank", "indicator")
-    specs = [s for s in bank.split(",") if s.strip()]
+    specs = [s for s in _value(cfg, "functions", "bank").split(",") if s.strip()]
     if len(specs) == 1:
         specs = specs * m
     if len(specs) != m:
         raise ConfigError(f"need {m} function specs, got {len(specs)}")
-    fseed = _seed(cfg.get("functions", {}).get("seed", str(seed)), "[functions] seed")
+    fseed = _value(cfg, "functions", "seed")
+    fseed = seed if fseed is None else _seed(fseed, "[functions] seed")
     return [make_function(s, dom, fseed + i) for i, s in enumerate(specs)]
 
 
 def _weights(cfg: dict, dom: Domain, m: int) -> list[Weight]:
-    specs = cfg.get("weights", {}).get("w", "one").split(",")
-    ws = [make_weight(s, dom) for s in specs]
+    ws = [make_weight(s, dom) for s in _value(cfg, "weights", "w").split(",")]
     return ws * m if len(ws) == 1 else ws
 
 
 def run_experiment(cfg: dict, out_dir: Path) -> list[VerificationReport]:
-    exp = cfg.get("experiment", {})
-    kind = exp["kind"]
-    L = _number(exp.get("l", "10"), "[experiment] l", int)
+    kind = cfg["experiment"]["kind"]
+    rows = _rows(cfg)
+    L = _value(cfg, "experiment", "l", int)
+    if kind == "constants":  # its banks draw nothing, so it reads no seed
+        write_constants_csv(out_dir / "constants.csv", constants_rows(cfg, Domain(0.0, 1.0, L)))
+        return []
     seed = _resolve_seed(cfg)
-    slack = _number(exp.get("slack", "10"), "[experiment] slack")
-    if not 1.0 <= slack < math.inf:
-        raise ConfigError(f"[experiment] slack must be finite and at least 1, got {slack}")
+    if ("experiment", "slack") in rows:
+        slack = _value(cfg, "experiment", "slack", float)
+        if not 1.0 <= slack < math.inf:
+            raise ConfigError(f"[experiment] slack must be finite and at least 1, got {slack}")
     dom = Domain(0.0, 1.0, L)
-    params = cfg.get("params", {})
 
-    def param(key: str, default: str, cast: type = float):
-        return _number(params.get(key, default), f"[params] {key}", cast)
-
-    reports: list[VerificationReport] = []
     curve: DecayCurve | None = None
-    if kind not in ("sharpness", "constants"):
+    if ("operator", "kind") in rows:
         bundle = _build_bundle(cfg, dom)
         fs = _functions(cfg, dom, seed, bundle.m)
 
     if kind == "sharpness":
-        bounded = params.get("bounded_symbol", "no") == "yes"
-        curve, rep = sharpness_experiment(L=L, bounded_symbol=bounded)
-        reports.append(rep)
+        bounded = _value(cfg, "params", "bounded_symbol")
+        if bounded not in ("yes", "no"):
+            raise ConfigError(f"[params] bounded_symbol must be yes or no, got {bounded!r}")
+        curve, rep = sharpness_experiment(L=L, bounded_symbol=bounded == "yes")
     elif kind == "decay":
-        t_lo = param("t_lo", "0.5")
-        t_hi = param("t_hi", "50")
-        t_pts = param("t_points", "24", int)
+        t_lo, t_hi = (_value(cfg, "params", k, float) for k in ("t_lo", "t_hi"))
+        t_pts = _value(cfg, "params", "t_points", int)
         if not 0.0 < t_lo < t_hi < math.inf:
             raise ConfigError("[params] t_lo and t_hi need 0 < t_lo < t_hi, both finite")
         if t_pts < 1:
             raise ConfigError("[params] t_points must be at least 1")
-        comparator = params.get("comparator", "mixed-min")
-        wspec = cfg.get("weights", {}).get("w", "")
+        wspec = _value(cfg, "weights", "w")
         w = make_weight(wspec, dom) if wspec.strip() else None
         ts = default_t_grid(bundle.symbol_norm_product, t_pts, t_lo, t_hi)
         curve, rep = local_decay_experiment(
-            bundle, fs, DyadicCube(0, 0, 0), ts, comparator=comparator, w=w,
+            bundle, fs, DyadicCube(0, 0, 0), ts,
+            comparator=_value(cfg, "params", "comparator"), w=w,
         )
-        reports.append(rep)
     elif kind == "cf":
-        w = make_weight(cfg.get("weights", {}).get("w", "one"), dom)
-        reports.append(coifman_fefferman_experiment(bundle, fs, param("p", "2"), w, slack))
+        w = make_weight(_value(cfg, "weights", "w"), dom)
+        rep = coifman_fefferman_experiment(bundle, fs, _value(cfg, "params", "p", float), w, slack)
     elif kind == "mixed":
         ws = _weights(cfg, dom, bundle.m)
-        v = make_weight(cfg.get("weights", {}).get("v", "one"), dom)
-        reports.append(mixed_weak_experiment(bundle, fs, ws, v, param("t", "2"), slack))
+        v = make_weight(_value(cfg, "weights", "v"), dom)
+        rep = mixed_weak_experiment(bundle, fs, ws, v, _value(cfg, "params", "t", float), slack)
     elif kind == "fs":
-        ps = [_number(s, "[params] ps") for s in params.get("ps", "1").split(",")]
+        ps = [_number(s, "[params] ps") for s in _value(cfg, "params", "ps").split(",")]
         if not all(math.isfinite(pi) for pi in ps):
             raise ConfigError("[params] ps must be finite")
         if len(ps) == 1:
             ps = ps * bundle.m
         ws = _weights(cfg, dom, bundle.m)
-        reports.append(fefferman_stein_experiment(bundle, fs, ps, ws, slack))
+        rep = fefferman_stein_experiment(bundle, fs, ps, ws, slack)
     elif kind == "modular":
-        phi = make_phi(params.get("p", "power:2"))
-        q = param("q", "1.2")
-        r = param("r", "1.5")
-        w = make_weight(cfg.get("weights", {}).get("w", "one"), dom)
-        reports.append(modular_experiment(bundle, fs, phi, q, r, w, slack))
-    elif kind == "constants":
-        rows = constants_rows(cfg, dom)
-        write_constants_csv(out_dir / "constants.csv", rows)
-    else:  # pragma: no cover - guarded by parse_config
-        raise ConfigError(f"unknown kind {kind!r}")
+        phi = make_phi(_value(cfg, "params", "p"))
+        q = _value(cfg, "params", "q", float)
+        r = _value(cfg, "params", "r", float)
+        w = make_weight(_value(cfg, "weights", "w"), dom)
+        rep = modular_experiment(bundle, fs, phi, q, r, w, slack)
 
-    for rep in reports:  # the experiments draw nothing; the inputs came from seed
-        rep.env["seed"] = seed
-    if reports:
-        _write_report(out_dir / "report.json", cfg, reports)
+    rep.env["seed"] = seed  # the experiments draw nothing; the inputs came from seed
+    _write_report(out_dir / "report.json", cfg, [rep])
     if curve is not None:
         curve.write_csv(out_dir / "curves.csv")
         write_svg_plot(out_dir / "plot.svg", curve)
-    return reports
+    return [rep]
 
 
 def constants_rows(cfg: dict, dom: Domain) -> list[dict]:
-    bank = cfg.get("bank", {})
-    specs = [s for s in bank.get("weights", "one").split(",") if s.strip()]
-    p_grid = [_number(s, "[bank] p_grid") for s in bank.get("p_grid", "1.5,2,4").split(",")]
+    specs = [s for s in _value(cfg, "bank", "weights").split(",") if s.strip()]
+    p_grid = [_number(s, "[bank] p_grid") for s in _value(cfg, "bank", "p_grid").split(",")]
     rows = []
     for spec in specs:
         w = make_weight(spec, dom)
@@ -544,7 +546,7 @@ def main(argv=None) -> int:
         cfg = parse_config(args.config if args.command == "run" else args.bank)
         if args.command == "constants" and cfg["experiment"]["kind"] != "constants":
             raise ConfigError("constants command needs kind = constants")
-        out_dir = Path(args.out or cfg.get("output", {}).get("dir", "."))
+        out_dir = Path(args.out or _value(cfg, "output", "dir"))
         out_dir.mkdir(parents=True, exist_ok=True)
         reports = run_experiment(cfg, out_dir)
     except ValueError as e:  # ConfigError is a ValueError

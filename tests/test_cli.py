@@ -1,8 +1,11 @@
 import csv
+import importlib.util
 import json
 import math
+import re
 import shutil
 import string
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -13,7 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sparse_harmonics.cli import (
-    SCHEMA,
+    KEYS,
+    KINDS,
     ConfigError,
     diff_fixture_file,
     fixtures_dir,
@@ -39,6 +43,7 @@ from sparse_harmonics.maximal import maximal
 from sparse_harmonics.operators import stein_square_function
 
 FIX = fixtures_dir()
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def write_config(tmp_path, text, name="exp.ini"):
@@ -116,9 +121,10 @@ def test_config_not_utf8_exits_2(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
-_KEYS = sorted({key for keys in SCHEMA.values() for key in keys})
+_KEYS = sorted({key for rows in KEYS.values() for _, key in rows})
 _INI_LINE = st.one_of(
-    st.sampled_from(sorted(SCHEMA)).map(lambda section: f"[{section}]"),
+    st.sampled_from(sorted({s for rows in KEYS.values() for s, _ in rows})).map(
+        lambda section: f"[{section}]"),
     st.tuples(st.sampled_from(_KEYS), st.text(string.printable, max_size=12)).map(
         lambda kv: f"{kv[0]} = {kv[1]}"),
     st.text(string.printable, max_size=30),
@@ -504,14 +510,102 @@ def _ini(sections: dict) -> str:
 
 
 def _small(kind: str, **sections) -> str:
-    """A config of kind at l = 6 (random bank, Hilbert unless overridden),
-    with sections merged in key by key."""
+    """A config of kind at l = 6 (random bank, Hilbert unless overridden,
+    for the kinds that read an operator), with sections merged in key by
+    key."""
     base = {"experiment": {"kind": kind, "l": "6"}}
-    if kind != "constants":
+    if kind not in ("constants", "sharpness"):
         base |= {"operator": {"kind": "hilbert"}, "functions": {"bank": "random"}}
     for name, items in sections.items():
         base[name] = {**base.get(name, {}), **items}
     return _ini(base)
+
+
+# every row of KEYS, tried on every experiment kind (at the operator kind
+# hilbert, where it reads one) and on a decay config of each other operator
+# kind; the refusal names the operator kind for an [operator] key.  Among
+# them: m and alpha on hilbert ran a cf config as "holds", and a stein
+# decay parsed pv_cutoff and dropped it
+_ROWS = sorted({row for rows in KEYS.values() for row in rows})
+_KIND_OPERATORS = [
+    (kind, "hilbert" if ("operator", "kind") in KEYS[kind] else None) for kind in KINDS
+] + [("decay", "calderon"), ("decay", "stein")]
+
+
+@pytest.mark.parametrize("section, key", _ROWS, ids=[f"{s}-{k}" for s, k in _ROWS])
+@pytest.mark.parametrize("kind, operator", _KIND_OPERATORS,
+                         ids=[f"{k}-{o}" if o else k for k, o in _KIND_OPERATORS])
+def test_a_key_parses_exactly_when_its_kinds_read_it(tmp_path, capsys, kind, operator,
+                                                      section, key):
+    sections = {"experiment": {"kind": kind}}
+    if operator:
+        sections["operator"] = {"kind": operator}
+    sections.setdefault(section, {}).setdefault(key, "1")
+    cfg = write_config(tmp_path, _ini(sections))
+    if (section, key) in KEYS[kind] | KEYS.get(operator, {}):
+        assert parse_config(cfg) == sections
+        return
+    owner = operator if section == "operator" and operator else kind
+    assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: [{section}] {key} does not apply to kind {owner!r}\n")
+
+
+@pytest.mark.parametrize("kind", ["sharpness", "constants"])
+def test_an_empty_section_that_the_kind_does_not_read_exits_2(tmp_path, capsys, kind):
+    cfg = write_config(tmp_path, _small(kind) + "[operator]\n")
+    assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: [operator] does not apply to kind {kind!r}\n")
+
+
+@pytest.mark.parametrize("value", ["true", "Yes", "1", ""])
+def test_sharpness_bounded_symbol_other_than_yes_or_no_exits_2(tmp_path, capsys, value):
+    # every value but yes was read as no and ran the unbounded experiment
+    cfg = write_config(tmp_path, _small(
+        "sharpness", experiment={"l": "8"}, params={"bounded_symbol": value}))
+    assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: [params] bounded_symbol must be yes or no, got {value!r}\n")
+    assert not (tmp_path / "o" / "report.json").exists()
+
+
+def _readme_keys() -> dict:
+    """The per-kind key list of README's CLI section, read back into the
+    form of KEYS: `[section] key = default`, with no `=` for a None default."""
+    cli_section = (ROOT / "README.md").read_text().split("## CLI", 1)[1].split("\n## ", 1)[0]
+    return {
+        kind: {(section, key): default if eq else None
+               for section, key, eq, default in re.findall(r"`\[(\w+)\] (\w+)( = ?([^`]*))?`", body)}
+        for kind, body in re.findall(r"^- `(\w+)`:(.*\n(?:  .*\n)*)", cli_section, re.M)
+    }
+
+
+def test_readme_lists_every_key_of_every_kind_with_its_default():
+    assert _readme_keys() == KEYS
+
+
+def _workloads():
+    """perfbench/workloads.py, loaded from its file."""
+    spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look a class's module up here
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_benchmark_config_parses(tmp_path):
+    # the benchmark runs these through the CLI: a key that its kind does not
+    # read would turn each of its ops into a failed one
+    workloads = _workloads()
+    builders = workloads.CONFIG_SLOTS + workloads.KNOWN_DEFECTS
+    for seed in (0, 1, 2):
+        for k, (name, L, build) in enumerate(builders):
+            path = workloads.write_ini(tmp_path / f"{seed}-{k}.ini",
+                                       build(L, np.random.default_rng([seed, k])))
+            parse_config(str(path))
+    for name in ("sharpness.ini", "weight_bank.ini"):
+        parse_config(str(FIX / name))
 
 
 # every site where a config number is read, with a value that does not
