@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import functools
 import json
 import math
 import os
@@ -504,7 +505,10 @@ def diff_fixture_file(golden: Path, candidate: Path) -> list[str]:
 
 # -- entry point -------------------------------------------------------------
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command line's parser, built once per process: parsing leaves it
+    as it is."""
     ap = argparse.ArgumentParser(prog="sparse-harmonics")
     sub = ap.add_subparsers(dest="command", required=True)
     p_run = sub.add_parser("run", help="run an experiment config")
@@ -516,7 +520,11 @@ def main(argv=None) -> int:
     sub.add_parser("list-fixtures", help="list shipped golden files")
     p_diff = sub.add_parser("diff-fixtures", help="diff a run dir against goldens")
     p_diff.add_argument("dir")
-    args = ap.parse_args(argv)
+    return ap
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     if args.command == "list-fixtures":
         for name in list_fixtures():

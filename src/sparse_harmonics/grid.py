@@ -27,6 +27,7 @@ __all__ = [
     "DyadicCube",
     "CubeFamily",
     "GROUP_CELLS",
+    "PRUNE_MARGIN",
     "family_for",
     "MEMO",
     "digest",
@@ -206,6 +207,29 @@ def children(q: DyadicCube, domain: Domain | None = None) -> list[DyadicCube]:
 # per element than the interpreter overhead that the stacking saves
 GROUP_CELLS = 1 << 14
 
+# The margin of the bound-and-prune sweeps of A_infty
+# (`weights.ainfty_constants`) and M_{L log L} (`maximal.multilinear_maximal`):
+# a cube is skipped only when its upper bound times 1 + PRUNE_MARGIN is below
+# a value that another cube reaches (A_infty seeds its running sups with lower
+# bounds times 1 - PRUNE_MARGIN).  The margin exceeds the relative rounding
+# of each exact route and of its bounds, so a skipped cube's computed value
+# lies strictly below the computed sup and skipping it changes no bit:
+# - A_infty, up to L = 14: the inner sums are differences of a sequential
+#   cumulative sum of at most S positive terms (S, the clipped cube width,
+#   is at most N = 2**L), each off by at most S eps w(Q); over the S cells of
+#   Q, with |P| >= 1, the integral is off by at most 2 S**2 eps w(Q), and it
+#   is at least w(Q).  At L = 14 that is 2**-24, about 6e-8, a sixteenth of
+#   the margin; the pairwise row sums, the per-cube sums of the bounds and
+#   the divisions add about 20 eps.
+# - M_{L log L}: a computed norm lies at the top of a root bracket 1e-12
+#   wide, and phi^-1(1) is 4 eps below its true value, so it exceeds the
+#   exact norm by about 1e-12 relative; the upper bound is checked in
+#   floating point at the value it returns (a few eps); the lower bound is
+#   the bracket's lower end, below the computed norm but for an ulp where a
+#   mean of equal values rounds above them.  A product of m factors
+#   multiplies these gaps by m: about 3e-12 at m = 3.
+PRUNE_MARGIN = 1e-6
+
 
 @dataclass
 class LevelEntry:
@@ -230,6 +254,25 @@ class LevelEntry:
 
     def clipped_sizes(self) -> np.ndarray:
         return self.hi - self.lo
+
+    def restrict(self, idx: np.ndarray) -> tuple["LevelEntry", np.ndarray]:
+        """The cubes idx (ascending) of this entry or stack as an entry over
+        just their cells, laid end to end, and the positions of those cells
+        among this entry's (tiled) cells.  A reduction of values[cells] over
+        the restricted entry reduces each kept cube over the same cells in
+        the same order as over this entry.  The lattice, level and first
+        index stay this entry's, so `cubes` does not name the kept cubes."""
+        lo, hi = self.lo[idx], self.hi[idx]
+        sizes = hi - lo
+        new_hi = np.cumsum(sizes)
+        new_lo = new_hi - sizes
+        shift = lo - new_lo
+        cells = np.arange(int(new_hi[-1])) + np.repeat(shift, sizes)
+        width = self.width[idx] if isinstance(self.width, np.ndarray) else self.width
+        return LevelEntry(
+            self.lattice_id, self.level, self.t0, self.starts[idx] - shift, width,
+            new_lo, new_hi, np.repeat(np.arange(len(idx)), sizes),
+        ), cells
 
     def cubes(self) -> list[DyadicCube]:
         return [
@@ -295,6 +338,19 @@ class CubeFamily:
         sup over the family runs, one vector pass per group."""
         per = max(1, GROUP_CELLS // self.domain.n_cells)
         return [self.stack(self.entries[k:k + per]) for k in range(0, len(self.entries), per)]
+
+    @functools.cached_property
+    def width_order(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(order, widths, starts): the entries' indices sorted by cube
+        width (stably), their widths in that order, and row i of starts the
+        unclipped cell start of the cube of entry order[i] that holds each
+        cell, as int32."""
+        order = np.argsort([e.width for e in self.entries], kind="stable")
+        entries = [self.entries[i] for i in order]
+        starts = np.empty((len(entries), self.domain.n_cells), dtype=np.int32)
+        for row, e in zip(starts, entries):
+            row[:] = e.starts[e.cell_to_cube]
+        return order, np.array([e.width for e in entries]), starts
 
     # -- reductions ---------------------------------------------------------
 

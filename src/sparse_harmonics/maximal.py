@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .grid import MEMO, CubeFamily, Domain, GridFunction, LevelEntry, digest, family_for
+from .grid import MEMO, PRUNE_MARGIN, CubeFamily, Domain, GridFunction, LevelEntry, digest, family_for
 from .orlicz import YoungFunction, llog, monotone_root
 
 __all__ = ["maximal", "multilinear_maximal"]
@@ -61,7 +61,17 @@ def multilinear_maximal(fs: Sequence[GridFunction], flavor: str = "plain") -> Gr
     """sup over the cubes Q containing x of a product over the m inputs:
     of the averages <|f_i|>_Q (flavor "plain") or of the L log L norms
     ||f_i||_{L log L, Q} (flavor "llogl"); computed once per flavor and
-    tuple of |f_i| (see `grid.MEMO`)."""
+    tuple of |f_i| (see `grid.MEMO`).
+
+    The "llogl" sup is bounded and pruned: every cube gets the product of
+    its Jensen ends mean |f_i| / phi^-1(1) as a lower bound and of
+    `_llogl_upper` as an upper bound; env(x) is the largest lower bound of
+    a cube holding x.  Only the cubes whose upper bound times
+    1 + `grid.PRUNE_MARGIN` reaches min env over their cells are solved, in
+    one `luxemburg_per_cube` call per level group over just their cells
+    (`LevelEntry.restrict`), and a group with none makes no call.  At every
+    cell of a skipped cube some kept cube reaches above it, so the output
+    equals that of solving every cube, bit for bit."""
     if not fs:
         raise ValueError("need at least one function")
     if flavor not in ("plain", "llogl"):
@@ -81,17 +91,66 @@ def _llogl_young() -> tuple[YoungFunction, float]:
 
 def _product_maximal(dom: Domain, absfs: list[np.ndarray], flavor: str) -> np.ndarray:
     fam = family_for(dom)
-    if flavor == "llogl":
-        phi, inv1 = _llogl_young()
-
-    def product(group: LevelEntry) -> np.ndarray:
-        prod = np.ones(group.n_cubes)
+    if flavor == "plain":
+        def product(group: LevelEntry) -> np.ndarray:
+            prod = np.ones(group.n_cubes)
+            for af in absfs:
+                prod *= fam.means(group, group.tile(af))
+            return prod
+        return fam.scatter_max(fam.groups, map(product, fam.groups))
+    phi, inv1 = _llogl_young()
+    bounds = [_llogl_bounds(fam, g, absfs, inv1) for g in fam.groups]
+    env = fam.scatter_max(fam.groups, (low for low, _ in bounds))
+    kept, values = [], []
+    for g, (_, up) in zip(fam.groups, bounds):
+        idx = np.flatnonzero(up * (1.0 + PRUNE_MARGIN) >= fam.segment_min(g, g.tile(env)))
+        if not len(idx):
+            continue
+        sub, cells = (g, slice(None)) if len(idx) == g.n_cubes else g.restrict(idx)
+        prod = np.ones(len(idx))
         for af in absfs:
-            tiled = group.tile(af)
-            if flavor == "llogl":
-                prod *= luxemburg_per_cube(fam, group, tiled, phi, inv1)
-            else:
-                prod *= fam.means(group, tiled)
-        return prod
+            prod *= luxemburg_per_cube(fam, sub, g.tile(af)[cells], phi, inv1)
+        kept.append(g)
+        values.append(np.full(g.n_cubes, -np.inf))
+        values[-1][idx] = prod
+    return fam.scatter_max(kept, values)
 
-    return fam.scatter_max(fam.groups, map(product, fam.groups))
+
+def _llogl_bounds(
+    fam: CubeFamily, group: LevelEntry, absfs: list[np.ndarray], inv1: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """(lower, upper) bounds on the product of the L log L norms over every
+    cube of a level group: the products of the Jensen ends mean |f_i| /
+    phi^-1(1) of the brackets, and of `_llogl_upper`."""
+    low, up = np.ones(group.n_cubes), np.ones(group.n_cubes)
+    for af in absfs:
+        tiled = group.tile(af)
+        mean, top = fam.means(group, tiled), fam.segment_max(group, tiled)
+        low *= mean / inv1
+        up *= _llogl_upper(mean, top, inv1)
+    return low, up
+
+
+def _llogl_upper(mean: np.ndarray, top: np.ndarray, inv1: float) -> np.ndarray:
+    """Upper bounds on the L log L norms of cubes where |f| has these means
+    m and maxima M: lambda with g(lambda) = (m / lambda) log(e + M / lambda)
+    - 1 <= 0, which bounds the norm because t log(e + t) <= t log(e + M /
+    lambda) for t <= M / lambda; max / phi^-1(1) where that fails.
+
+    With t = M / lambda and y = M / m, g <= 0 reads phi(t) = t log(e + t)
+    <= y.  phi is convex and increasing, so Newton steps from t = y phi^-1(1),
+    where phi >= y, stay at or above the root; the chord from there to
+    phi^-1(1), where phi <= 1 <= y, crosses y at or below it, so M / t is an
+    upper bound in exact arithmetic.  A Newton step alone would give a lower
+    one, so the bound is checked in floating point at the value returned."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        y = top / mean
+        t = y * inv1
+        for _ in range(2):  # the chord below takes the rest
+            lg = np.log(np.e + t)
+            t = t - (t * lg - y) / (lg + t / (np.e + t))
+        excess = t * np.log(np.e + t) - y
+        t = t - excess * (t - inv1) / (excess + y - inv1 * np.log(np.e + inv1))
+        lam = top / t
+        ok = mean / lam * np.log(np.e + top / lam) <= 1.0
+    return np.where(ok, lam, top / inv1)

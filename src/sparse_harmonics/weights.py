@@ -9,13 +9,25 @@ consider cubes whose double stays inside the domain.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .grid import GROUP_CELLS, MEMO, Domain, GridFunction, LevelEntry, digest, family_for, write_csv
+from .grid import (
+    GROUP_CELLS,
+    MEMO,
+    PRUNE_MARGIN,
+    CubeFamily,
+    Domain,
+    GridFunction,
+    LevelEntry,
+    digest,
+    family_for,
+    write_csv,
+)
 from .maximal import maximal
 
 __all__ = [
@@ -167,18 +179,25 @@ def multi_ap_constant(mw: MultiWeight) -> float:
     return fam.sup(per_cube)
 
 
-def _double_sums(e: LevelEntry, values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(idx, q_sums, double_sums): the cubes Q of e that lie in the domain
-    together with their double 2Q, as indices into e, and the sums of values
-    over Q and over 2Q.  On one level every 2Q starts on the same grid of
-    step width/2, so both are sums of whole blocks of that grid (two for Q,
-    four for 2Q) and neither is a difference of prefix sums.  Doubles of
-    odd-width cubes are not grid aligned and never count."""
-    n = len(values)
+def _doubled(e: LevelEntry, n: int) -> np.ndarray:
+    """The cubes Q of e that lie in [0, n) together with their double 2Q, as
+    indices into e: a run of e's cubes.  Doubles of odd-width cubes are not
+    grid aligned and never count."""
     half = e.width // 2
     idx = np.nonzero((e.starts >= half) & (e.starts + e.width + half <= n))[0]
-    if e.width % 2 or not len(idx):
-        return idx[:0], np.zeros(0), np.zeros(0)
+    return idx[:0] if e.width % 2 else idx
+
+
+def _double_sums(e: LevelEntry, values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(idx, q_sums, double_sums): the cubes Q of `_doubled`, and the sums of
+    values over Q and over 2Q.  On one level every 2Q starts on the same
+    grid of step width/2, so both are sums of whole blocks of that grid (two
+    for Q, four for 2Q) and neither is a difference of prefix sums."""
+    n = len(values)
+    half = e.width // 2
+    idx = _doubled(e, n)
+    if not len(idx):
+        return idx, np.zeros(0), np.zeros(0)
     o = int(e.starts[idx[0]]) - half
     n_blocks = (n - o) // half
     blocks = values[o:o + n_blocks * half].reshape(n_blocks, half).sum(axis=1)
@@ -195,70 +214,189 @@ def ainfty_constants(w: Weight) -> tuple[float, float]:
     inside the domain (ValueError when there is none, as at L <= 2).  The
     inner M runs over the same cube family.
 
-    One sweep per outer level e of the family.  The cubes Q of e tile the
-    grid, and for a cell x of Q, M(w chi_Q)(x) is the max over the levels
-    e' of w(P ∩ Q) / |P|, with P the cube of e' holding x and |P| the
-    measure `CubeFamily.means` divides by.  Every sum is local: w(P ∩ Q)
+    The exact route, `_cube_integrals`, sweeps the cubes Q of one outer
+    level e: for a cell x of Q, M(w chi_Q)(x) is the max over the inner
+    levels e' of w(P ∩ Q) / |P|, with P the cube of e' holding x and |P|
+    the measure `CubeFamily.means` divides by.  Every sum is local: w(P ∩ Q)
     and w(Q) come from a cumulative sum of w that restarts at each Q (one
     padded row per cube: the additions `maximal` makes on w chi_Q), w(2Q)
     from `_double_sums`, so a cube holding a tiny share of the mass keeps
-    its digits.
-
-    Only the inner levels narrower than Q are swept: about half of the E^2
-    level pairs, for E levels; the cost is O(E^2 N) for N cells.  A P at
+    its digits.  Only the inner levels narrower than Q are swept: a P at
     least as wide as Q gives w(P ∩ Q) / |P| <= w(Q) / |Q|, the value of
     P = Q, so the max starts there.  The skip is exact in floating point
     too: a row of the cumulative sum adds non-negative terms, so it never
     decreases; rounding is monotone, so the difference over P ∩ Q is at
     most the one over Q, and dividing it by the wider |P| gives at most the
-    same quotient.  The per-cell starts of every level are gathered once
-    per call, and the inner levels go in chunks of about GROUP_CELLS
-    cells; clipping P ∩ Q to Q also clips it to the domain.
+    same quotient.  Clipping P ∩ Q to Q also clips it to the domain.  The
+    cost is O(E^2 N) for E levels and N cells.
+
+    Bound and prune: `_ainfty_bounds` gives every cube an upper bound UB(Q)
+    = sum over x in Q of max(T(x), w(Q) / |Q|), with T(x) the largest
+    unclipped mean, over the levels narrower than Q, of the cube holding x
+    (each w(P ∩ Q) / |P| is at most P's unclipped mean), and a lower bound
+    LB(Q), the same sum over the levels of Q's own lattice from Q's down
+    (those cubes lie in Q and enter the exact max unclipped).  The running
+    sups start at max LB times 1 - PRUNE_MARGIN over w(Q), and over w(2Q);
+    the levels are visited in decreasing order of their largest UB / w(Q),
+    and a level sweeps only its cubes whose UB / w(Q) or UB / w(2Q), times
+    1 + PRUNE_MARGIN, reaches the running sup of that constant, with the
+    level's full row span, so each kept cube's value is the same floating
+    point operation as in a sweep of every cube.  A level that keeps every
+    cube is swept without gathers.  `grid.PRUNE_MARGIN` exceeds the
+    rounding of the route and of the bounds up to L = 14, so a skipped cube
+    lies strictly below the sup and the constants are those of the sweep
+    over every cube, bit for bit.  The per-cell starts of every level, in
+    width order, are built once per family (`CubeFamily.width_order`).
     """
     dom = w.domain
     fam = family_for(dom)
-    N = dom.n_cells
     ws = w.samples.astype(float)
-    cells = np.arange(N)
-    inner = sorted(fam.entries, key=lambda f: f.width)
-    widths = np.array([f.width for f in inner])
-    # row i: the unclipped start of the cube of inner[i] holding each cell
-    starts = np.empty((len(inner), N), dtype=np.int32)
-    for row, f in zip(starts, inner):
-        row[:] = f.starts[f.cell_to_cube]
-    step = max(1, GROUP_CELLS // N)
-    fw = weak = -np.inf
-    for e in fam.entries:
-        q = e.cell_to_cube
-        qlo, qhi = e.lo[q], e.hi[q]
-        span = int((e.hi - e.lo).max())  # cells of the longest clipped cube
-        # row i of csum: csum[i, k] = w over the first k cells of Q_i
-        csum = np.zeros((e.n_cubes, span + 1))
-        at = q * (span + 1) - qlo  # csum.flat[at + y] = w over [lo, y) of x's cube
-        csum.flat[at + cells + 1] = ws
-        np.cumsum(csum, axis=1, out=csum)
-        flat = csum.ravel()
-        m = (flat[at + qhi] - flat[at + qlo]) / e.width  # P = Q
-        narrower = int(np.searchsorted(widths, e.width))
-        for a in range(0, narrower, step):
-            b = min(a + step, narrower)
-            s, wd = starts[a:b], widths[a:b, None]
-            vals = flat[at + np.minimum(s + wd, qhi)] - flat[at + np.maximum(s, qlo)]
-            vals /= wd
-            np.maximum(m, vals.max(axis=0), out=m)
-        per_cube = np.zeros((e.n_cubes, span))
-        per_cube.flat[q * span + cells - qlo] = m
-        num = per_cube.sum(axis=1)
-        fw = max(fw, float((num / csum[:, -1]).max()))
-        idx, _, w2q = _double_sums(e, ws)
-        if len(idx):
-            weak = max(weak, float((num[idx] / w2q).max()))
-    if weak == -np.inf:
+    off, doubled, _, _ = _double_table(fam)
+    if not len(doubled):
         raise ValueError(
             f"no cube has its double inside the domain at L = {dom.resolution_log2}, "
             "so the weak A_inf constant is a sup over no cubes"
         )
+    fw_low, fw_up, weak_low, weak_up = _ainfty_bounds(fam, ws)
+    grow = 1.0 + PRUNE_MARGIN
+    reach_fw, reach_weak = fw_up * grow, weak_up * grow
+    bar_fw = float(fw_low.max()) * (1.0 - PRUNE_MARGIN)
+    bar_weak = float(weak_low.max()) * (1.0 - PRUNE_MARGIN)
+    # per level: the largest and the smallest reach of its cubes
+    top_fw = np.maximum.reduceat(reach_fw, off[:-1])
+    visits = np.argsort(-top_fw, kind="stable").tolist()
+    top_fw, top_weak, bottom_fw = (x.tolist() for x in (
+        top_fw, np.maximum.reduceat(reach_weak, off[:-1]), np.minimum.reduceat(reach_fw, off[:-1])))
+    fw = weak = -np.inf
+    for k in visits:
+        if top_fw[k] < bar_fw and top_weak[k] < bar_weak:
+            continue
+        e = fam.entries[k]
+        idx = None
+        if bottom_fw[k] < bar_fw:
+            cubes = slice(off[k], off[k + 1])
+            keep = (reach_fw[cubes] >= bar_fw) | (reach_weak[cubes] >= bar_weak)
+            if not keep.all():
+                idx = np.flatnonzero(keep)
+        num, w_q = _cube_integrals(fam, ws, e, idx)
+        fw = max(fw, float((num / w_q).max()))
+        doubles, _, w_2q = _double_sums(e, ws)
+        if len(doubles):
+            if idx is None:
+                num = num[doubles]
+            else:  # `_doubled` gives a run of e's cubes
+                has = (idx >= doubles[0]) & (idx <= doubles[-1])
+                num, w_2q = num[has], w_2q[idx[has] - doubles[0]]
+            if len(num):
+                weak = max(weak, float((num / w_2q).max()))
+        bar_fw, bar_weak = max(bar_fw, fw), max(bar_weak, weak)
     return float(fw), float(weak)
+
+
+@functools.cache
+def _double_table(fam: CubeFamily) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(off, doubled, left, right) of a family: entry k's cubes are
+    off[k]:off[k + 1] among the cubes of every entry in order; doubled are
+    the cubes whose double 2Q lies in the domain (those of `_doubled`),
+    and left and right the cubes of the next level of Q's lattice that
+    flank Q, so that 2Q is Q with those two."""
+    off = np.cumsum([0] + [e.n_cubes for e in fam.entries])
+    doubled, left, right = [], [], []
+    for k, e in enumerate(fam.entries):
+        idx = _doubled(e, fam.domain.n_cells)
+        if not len(idx):
+            continue
+        child = fam.entries[k + 1]  # even width: not the finest level
+        doubled.append(off[k] + idx)
+        left.append(off[k + 1] + child.cell_to_cube[e.starts[idx] - e.width // 2])
+        right.append(off[k + 1] + child.cell_to_cube[e.starts[idx] + e.width])
+    return off, *(np.concatenate(x) if x else np.zeros(0, dtype=int) for x in (doubled, left, right))
+
+
+def _ainfty_bounds(
+    fam: CubeFamily, ws: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(fw_low, fw_up, weak_low, weak_up) per cube of the family, entry after
+    entry: LB and UB of `ainfty_constants` over w(Q), bounds on the
+    Fujii-Wilson ratio of Q, and over w(2Q), bounds on its weak ratio (-inf
+    where 2Q leaves the domain).  w(2Q) is summed from the two flanking
+    cubes of `_double_table`."""
+    N = len(ws)
+    order, widths, _ = fam.width_order
+    E = len(order)
+    sums = []
+    # row k: the unclipped mean of the cube of entry k holding each cell
+    spread = np.empty((E, N))
+    k = 0
+    for g in fam.groups:
+        sums.append(fam.segment_sums(g, g.tile(ws)))
+        np.take(sums[-1] / g.width, g.cell_to_cube, out=spread[k:k + g.levels].reshape(-1))
+        k += g.levels
+    # row i of ranked: the max over the i narrowest levels (none in row 0)
+    ranked = np.zeros((E + 1, N))
+    for i, j in enumerate(order):
+        np.maximum(ranked[i], spread[j], out=ranked[i + 1])
+    narrower = np.searchsorted(widths, [e.width for e in fam.entries])
+    ub = []
+    k = 0
+    for g in fam.groups:
+        rows = slice(k, k + g.levels)
+        ub.append(fam.segment_sums(g, np.maximum(ranked[narrower[rows]], spread[rows]).reshape(-1)))
+        k += g.levels
+    # in place: each level of a lattice with the finer levels of its lattice
+    lower = spread
+    per_lattice = E // 4
+    for k in range(E - 1, -1, -1):
+        if (k + 1) % per_lattice:
+            np.maximum(lower[k], lower[k + 1], out=lower[k])
+    lb = []
+    k = 0
+    for g in fam.groups:
+        lb.append(fam.segment_sums(g, lower[k:k + g.levels].reshape(-1)))
+        k += g.levels
+    ub, lb, wq = np.concatenate(ub), np.concatenate(lb), np.concatenate(sums)
+    _, doubled, left, right = _double_table(fam)
+    w2q = wq[doubled] + wq[left] + wq[right]
+    weak_low, weak_up = np.full(len(wq), -np.inf), np.full(len(wq), -np.inf)
+    weak_low[doubled], weak_up[doubled] = lb[doubled] / w2q, ub[doubled] / w2q
+    return lb / wq, ub / wq, weak_low, weak_up
+
+
+def _cube_integrals(
+    fam: CubeFamily, ws: np.ndarray, e: LevelEntry, idx: Optional[np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """(int_Q M(w chi_Q), w(Q)) over the cubes idx of entry e, or over
+    every cube of e, without gathers, when idx is None: the exact route of
+    `ainfty_constants`.  The kept cubes' rows keep the entry's full span,
+    so each value is the same floating point operation whichever cubes are
+    kept."""
+    _, widths, starts = fam.width_order
+    if idx is None:
+        n_rows, cells, q = e.n_cubes, np.arange(len(ws)), e.cell_to_cube
+        qlo, qhi = e.lo[q], e.hi[q]
+    else:
+        sub, cells = e.restrict(idx)
+        n_rows, q = len(idx), sub.cell_to_cube
+        qlo, qhi = e.lo[idx][q], e.hi[idx][q]
+    span = int((e.hi - e.lo).max())  # cells of the longest clipped cube
+    # row i of csum: csum[i, k] = w over the first k cells of Q_i
+    csum = np.zeros((n_rows, span + 1))
+    at = q * (span + 1) - qlo  # csum.flat[at + y] = w over [lo, y) of x's cube
+    csum.flat[at + cells + 1] = ws if idx is None else ws[cells]
+    np.cumsum(csum, axis=1, out=csum)
+    flat = csum.ravel()
+    m = (flat[at + qhi] - flat[at + qlo]) / e.width  # P = Q
+    narrower = int(np.searchsorted(widths, e.width))
+    step = max(1, GROUP_CELLS // len(cells))
+    for a in range(0, narrower, step):
+        b = min(a + step, narrower)
+        s, wd = (starts[a:b] if idx is None else starts[a:b, cells]), widths[a:b, None]
+        vals = flat[at + np.minimum(s + wd, qhi)] - flat[at + np.maximum(s, qlo)]
+        vals /= wd
+        np.maximum(m, vals.max(axis=0), out=m)
+    per_cube = np.zeros((n_rows, span))
+    per_cube.flat[q * span + cells - qlo] = m
+    return per_cube.sum(axis=1), csum[:, -1]
 
 
 def reverse_holder_check(w: Weight) -> dict:

@@ -2,9 +2,11 @@ import csv
 import importlib.util
 import json
 import math
+import os
 import re
 import shutil
 import string
+import subprocess
 import sys
 import tempfile
 import warnings
@@ -1022,3 +1024,33 @@ def test_diff_tolerates_tiny_numeric_noise(tmp_path):
 
 def test_list_fixtures_cli_runs():
     assert main(["list-fixtures"]) == 0
+
+
+def test_commands_in_one_process_match_separate_processes(tmp_path, capsys, monkeypatch):
+    # the parser is built once per process: a run, a constants table and a
+    # bad command line in a row must each read as the call of a fresh process
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage to this width
+    cf = write_config(tmp_path, _small("cf"), "cf.ini")
+    bank = write_config(tmp_path, _small("constants", bank={"weights": "one,step"}), "bank.ini")
+    commands = [
+        ["run", cf, "--out", str(tmp_path / "run")],
+        ["constants", bank, "--out", str(tmp_path / "constants")],
+        ["constants"],
+        ["frobnicate", cf],
+    ]
+    in_process = []
+    for argv in commands:
+        try:
+            code = main(argv)
+        except SystemExit as e:  # argparse refuses a bad command line with exit 2
+            code = e.code
+        out = capsys.readouterr()
+        in_process.append((code, out.out, out.err))
+    assert [code for code, _, _ in in_process] == [0, 0, 2, 2]
+    env = dict(os.environ, COLUMNS="80", PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    call = "import sys; from sparse_harmonics.cli import main; sys.exit(main(sys.argv[1:]))"
+    for argv, want in zip(commands, in_process):
+        done = subprocess.run([sys.executable, "-c", call, *argv], env=env,
+                              capture_output=True, text=True)
+        assert (done.returncode, done.stdout, done.stderr) == want, argv

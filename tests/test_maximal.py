@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sparse_harmonics.maximal as maximal_module
 import sparse_harmonics.operators as operators_module
 import sparse_harmonics.weights as weights_module
-from sparse_harmonics.grid import MEMO, Domain, DyadicCube, GridFunction
+from sparse_harmonics.grid import MEMO, Domain, DyadicCube, GridFunction, family_for
 from sparse_harmonics.harness import calderon_bundle, hilbert_bundle, stein_bundle
-from sparse_harmonics.maximal import maximal, multilinear_maximal
+from sparse_harmonics.maximal import luxemburg_per_cube, maximal, multilinear_maximal
+from sparse_harmonics.maximal import _llogl_upper, _llogl_young
 from sparse_harmonics.orlicz import llog
 from sparse_harmonics.weights import Weight, ap_constant
 
@@ -319,6 +322,64 @@ def test_level_groups_equal_the_per_level_oracle_bit_for_bit(L, empty_memo):
     for fs in cases[::3]:
         want = per_level_maximal(fs, "plain")
         np.testing.assert_array_equal(multilinear_maximal(fs, "plain").samples, want)
+
+
+@pytest.fixture
+def solved_cubes(empty_memo, monkeypatch):
+    """An empty kernel memo, and a list that gets the number of cubes of
+    each luxemburg_per_cube call."""
+    cubes = []
+    solve = maximal_module.luxemburg_per_cube
+
+    def counted(fam, entry, absf, phi, inv1):
+        cubes.append(entry.n_cubes)
+        return solve(fam, entry, absf, phi, inv1)
+
+    monkeypatch.setattr(maximal_module, "luxemburg_per_cube", counted)
+    return cubes
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("L", [5, 8, 10])
+def test_pruned_llogl_equals_the_per_level_oracle_at_both_extremes(L, m, solved_cubes):
+    dom = Domain(0.0, 1.0, L)
+    fam = family_for(dom)
+    inside = sum(int(np.sum((e.lo == e.starts) & (e.hi == e.starts + e.width))) for e in fam.entries)
+    total = sum(e.n_cubes for e in fam.entries)
+    spike = np.ones(dom.n_cells)
+    spike[dom.n_cells // 3] = 1e3
+    # f = 1: every cube inside the domain ties at the sup, so only the cubes
+    # that stick out are pruned; one spike: nearly every cube is pruned
+    for s, solved in ((np.ones(dom.n_cells), lambda n: n == inside), (spike, lambda n: n < total // 5)):
+        fs = [GridFunction(dom, s)] * m
+        solved_cubes.clear()
+        got = multilinear_maximal(fs, "llogl").samples
+        assert solved(sum(solved_cubes) // m)
+        np.testing.assert_array_equal(got, per_level_maximal(fs, "llogl"))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(3, 8), st.integers(0, 2**32 - 1),
+       st.sampled_from(["uniform", "cauchy", "sparse", "lognormal"]))
+def test_llogl_upper_bound_is_at_least_the_solved_norm(L, seed, kind):
+    dom = Domain(0.0, 1.0, L)
+    fam = family_for(dom)
+    rng = np.random.default_rng(seed)
+    N = dom.n_cells
+    f = {
+        "uniform": lambda: rng.uniform(0.0, 1.0, N),
+        "cauchy": lambda: np.abs(rng.standard_cauchy(N)),
+        "sparse": lambda: rng.uniform(0.0, 9.0, N) * (rng.uniform(size=N) < 0.1),
+        "lognormal": lambda: np.exp(rng.normal(0.0, 3.0, N)),
+    }[kind]()
+    phi, inv1 = _llogl_young()
+    for g in fam.groups:
+        tiled = g.tile(f)
+        upper = _llogl_upper(fam.means(g, tiled), fam.segment_max(g, tiled), inv1)
+        # the solve returns the upper end of a bracket 1e-12 wide, and on a
+        # one-cell cube max / phi^-1(1) with phi^-1(1) 4 eps low: it may lie
+        # that far above the exact norm, which the upper bound bounds
+        assert np.all(upper >= luxemburg_per_cube(fam, g, tiled, phi, inv1) * (1.0 - 2e-12))
 
 
 def test_variant_validation():

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from sparse_harmonics.grid import Domain, GridFunction, family_for
+from sparse_harmonics.cli import make_weight
+from sparse_harmonics.grid import PRUNE_MARGIN, Domain, GridFunction, family_for
 from sparse_harmonics.maximal import maximal
 from sparse_harmonics.weights import (
     IterationError,
@@ -22,6 +23,7 @@ from sparse_harmonics.weights import (
     rubio_de_francia,
     s_u,
 )
+from sparse_harmonics.weights import _ainfty_bounds, _cube_integrals, _double_sums
 
 from oracles import all_pairs_ainfty, brute_ainfty, brute_ap, per_entry_ap, per_entry_multi_ap
 
@@ -241,6 +243,58 @@ def test_ainfty_equals_all_pairs_oracle_bit_for_bit(L):
     for name, s in _ainfty_bank(dom).items():
         w = Weight(GridFunction(dom, s), name)
         assert ainfty_constants(w) == all_pairs_ainfty(w), name
+
+
+# the CLI's weight specs: `power:a` near a = 0 is nearly constant, so
+# nearly every cube ties at the sup and the prune keeps them
+CLI_SPECS = ["one", "step", "spike", "exp", "power:-0.45", "power:-0.01", "power:0.01",
+             "power:0.3333", "power:0.9"]
+
+
+@pytest.mark.parametrize("L, spec", [(9, s) for s in CLI_SPECS] + [(12, "spike"), (12, "power:-0.45")])
+def test_pruned_ainfty_equals_all_pairs_oracle_on_cli_weights(L, spec):
+    w = make_weight(spec, Domain(0.0, 1.0, L))
+    assert ainfty_constants(w) == all_pairs_ainfty(w)
+
+
+def _exact_ratios(fam, ws):
+    """Per cube of the family, entry after entry: the Fujii-Wilson and weak
+    ratios of the exact route (-inf where 2Q leaves the domain)."""
+    fw, weak = [], []
+    for e in fam.entries:
+        num, wq = _cube_integrals(fam, ws, e, None)
+        fw.append(num / wq)
+        weak.append(np.full(e.n_cubes, -np.inf))
+        doubles, _, w2q = _double_sums(e, ws)
+        weak[-1][doubles] = num[doubles] / w2q
+    return np.concatenate(fw), np.concatenate(weak)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(3, 8),
+    st.one_of(
+        st.tuples(st.just("lognormal"), st.integers(0, 2**32 - 1), st.floats(0.1, 3.0)),
+        st.tuples(st.just("power"), st.floats(0.0, 1.0), st.floats(-0.9, 6.0)),
+    ),
+)
+def test_ainfty_bounds_hold_on_every_cube(L, spec):
+    dom = Domain(0.0, 1.0, L)
+    kind, a, b = spec
+    if kind == "lognormal":
+        s = np.exp(np.random.default_rng(a).normal(0.0, b, dom.n_cells))
+    else:
+        s = np.abs(dom.cell_centers() - a) ** b
+    assume(np.all(s > 0) and np.all(np.isfinite(s)))
+    fam = family_for(dom)
+    fw_low, fw_up, weak_low, weak_up = _ainfty_bounds(fam, s)
+    fw, weak = _exact_ratios(fam, s)
+    assert np.all(fw_low * (1.0 - PRUNE_MARGIN) <= fw)
+    assert np.all(fw <= fw_up * (1.0 + PRUNE_MARGIN))
+    has = weak > -np.inf
+    assert np.array_equal(has, weak_up > -np.inf) and np.array_equal(has, weak_low > -np.inf)
+    assert np.all(weak_low[has] * (1.0 - PRUNE_MARGIN) <= weak[has])
+    assert np.all(weak[has] <= weak_up[has] * (1.0 + PRUNE_MARGIN))
 
 
 def test_reverse_holder_constant_weight():
