@@ -28,6 +28,7 @@ __all__ = [
     "CubeFamily",
     "GROUP_CELLS",
     "PRUNE_MARGIN",
+    "MAX_RESOLUTION",
     "family_for",
     "MEMO",
     "digest",
@@ -55,6 +56,11 @@ class Domain:
             raise ValueError("domain length must be positive")
         if self.resolution_log2 < 1:
             raise ValueError("need at least 2 cells (L >= 1)")
+        if self.resolution_log2 > MAX_RESOLUTION:
+            raise ValueError(
+                f"L = {self.resolution_log2} is above the largest resolution, "
+                f"L = {MAX_RESOLUTION}, at which PRUNE_MARGIN covers the A_inf rounding"
+            )
 
     @property
     def n_cells(self) -> int:
@@ -214,13 +220,14 @@ GROUP_CELLS = 1 << 14
 # bounds times 1 - PRUNE_MARGIN).  The margin exceeds the relative rounding
 # of each exact route and of its bounds, so a skipped cube's computed value
 # lies strictly below the computed sup and skipping it changes no bit:
-# - A_infty, up to L = 14: the inner sums are differences of a sequential
-#   cumulative sum of at most S positive terms (S, the clipped cube width,
-#   is at most N = 2**L), each off by at most S eps w(Q); over the S cells of
-#   Q, with |P| >= 1, the integral is off by at most 2 S**2 eps w(Q), and it
-#   is at least w(Q).  At L = 14 that is 2**-24, about 6e-8, a sixteenth of
-#   the margin; the pairwise row sums, the per-cube sums of the bounds and
-#   the divisions add about 20 eps.
+# - A_infty, up to L = 16 (`MAX_RESOLUTION`): the inner sums are differences
+#   of a sequential cumulative sum of at most S positive terms (S, the
+#   clipped cube width, is at most N = 2**L), each off by at most S eps w(Q);
+#   over the S cells of Q, with |P| >= 1, the integral is off by at most
+#   2 S**2 eps w(Q), and it is at least w(Q).  With eps = 2**-53 that is
+#   2**(2L - 52): about 6e-8 at L = 14 and 9.5e-7 at L = 16, below the
+#   margin, but 3.8e-6 at L = 17; the pairwise row sums, the per-cube sums of
+#   the bounds and the divisions add about 20 eps.
 # - M_{L log L}: a computed norm lies at the top of a root bracket 1e-12
 #   wide, and phi^-1(1) is 4 eps below its true value, so it exceeds the
 #   exact norm by about 1e-12 relative; the upper bound is checked in
@@ -229,6 +236,10 @@ GROUP_CELLS = 1 << 14
 #   mean of equal values rounds above them.  A product of m factors
 #   multiplies these gaps by m: about 3e-12 at m = 3.
 PRUNE_MARGIN = 1e-6
+
+# The largest L of a Domain, up to which the A_infty bound above stays below
+# PRUNE_MARGIN; a config past it is refused before anything is allocated.
+MAX_RESOLUTION = 16
 
 
 @dataclass

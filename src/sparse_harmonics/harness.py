@@ -9,7 +9,6 @@ structure and parameter scaling, not unknowable absolute constants.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
@@ -144,7 +143,7 @@ class OperatorBundle:
     def l(self) -> int:
         return len(self.bs)
 
-    @functools.cached_property
+    @property
     def symbol_norm_product(self) -> float:
         out = 1.0
         for b in self.bs:
@@ -468,6 +467,15 @@ def coifman_fefferman_experiment(
     )
 
 
+def _log_ratio(lhs: float, log_const: float, rhs: float) -> tuple[float, float]:
+    """(ln lhs - log_const - ln rhs, the ratio it is the log of): the ratio
+    is 0 where lhs is 0 and inf where the log reaches 700."""
+    log_ratio = (math.log(lhs) if lhs > 0 else -math.inf) - log_const - (
+        math.log(rhs) if rhs > 0 else -math.inf
+    )
+    return log_ratio, 0.0 if lhs == 0 else (math.exp(log_ratio) if log_ratio < 700 else math.inf)
+
+
 def mixed_weak_experiment(
     bundle: OperatorBundle,
     fs: Sequence[GridFunction],
@@ -507,12 +515,7 @@ def mixed_weak_experiment(
     log_const = (2 * l + 6 * m) * log_k0 + (2 * l + 4 * m) * math.log(at_v)
     if bprod > 0:
         log_const += math.log(bprod)
-    log_ratio = (math.log(lhs) if lhs > 0 else -math.inf) - log_const - (
-        math.log(rhs_norm) if rhs_norm > 0 else -math.inf
-    )
-    ratio = math.exp(log_ratio) if log_ratio < 700 else math.inf
-    if lhs == 0:
-        ratio = 0.0
+    log_ratio, ratio = _log_ratio(lhs, log_const, rhs_norm)
 
     # endpoint specialization v = 1 with its doubly exponential constant
     lhs1 = lorentz_quasinorm(GridFunction(dom, np.abs(tf.samples)), 1.0 / m, u)
@@ -520,10 +523,7 @@ def mixed_weak_experiment(
     log_c1 = 2.0 ** (N_DIM + 7) * m * a1_u * math.log(2.0 * a1_u)
     if bprod > 0:
         log_c1 += math.log(bprod)
-    log_ratio1 = (math.log(lhs1) if lhs1 > 0 else -math.inf) - log_c1 - (
-        math.log(rhs1) if rhs1 > 0 else -math.inf
-    )
-    ratio1 = 0.0 if lhs1 == 0 else (math.exp(log_ratio1) if log_ratio1 < 700 else math.inf)
+    log_ratio1, ratio1 = _log_ratio(lhs1, log_c1, rhs1)
     # the ratio underflows to 0 once the tracked constant is astronomically
     # large; its logarithm still says by how much the bound is slack
     log10_ratio = max(log_ratio, log_ratio1) / math.log(10.0)

@@ -178,7 +178,12 @@ def _stein_multipliers(ts: np.ndarray, n_freq: int, alpha: float) -> np.ndarray:
 
 
 def bmo_norm(b: GridFunction) -> float:
-    """sup_Q <|b - <b>_Q|>_Q over the full cube family."""
+    """sup_Q <|b - <b>_Q|>_Q over the full cube family, computed once per
+    content of b (see `grid.MEMO`)."""
+    return MEMO.get(("bmo_norm", b.domain, digest(b.samples)), lambda: _bmo_sup(b))
+
+
+def _bmo_sup(b: GridFunction) -> float:
     fam = family_for(b.domain)
     bs = b.samples.astype(float)
 

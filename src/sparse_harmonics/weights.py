@@ -59,8 +59,8 @@ class IterationError(RuntimeError):
 
 
 class Weight:
-    """Strictly positive grid function with lazily computed class constants:
-    A_p through the memo of `ap_constant`, A_infty cached here."""
+    """Strictly positive grid function.  Its A_p and A_infty constants are
+    computed once per content of the samples (see `grid.MEMO`), not kept here."""
 
     def __init__(self, f: GridFunction, name: str = "w"):
         if np.iscomplexobj(f.samples):
@@ -77,7 +77,6 @@ class Weight:
             )
         self.f = f
         self.name = name
-        self._ainfty: Optional[tuple[float, float]] = None
 
     @property
     def domain(self) -> Domain:
@@ -94,9 +93,7 @@ class Weight:
         return self.ap(1.0)
 
     def ainfty(self) -> tuple[float, float]:
-        if self._ainfty is None:
-            self._ainfty = ainfty_constants(self)
-        return self._ainfty
+        return ainfty_constants(self)
 
 
 def clamped_power(samples: np.ndarray, a: float) -> np.ndarray:
@@ -207,7 +204,8 @@ def _double_sums(e: LevelEntry, values: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 
 def ainfty_constants(w: Weight) -> tuple[float, float]:
-    """(Fujii-Wilson, weak) constants.
+    """(Fujii-Wilson, weak) constants, computed once per content of w (see
+    `grid.MEMO`).
 
     fujii_wilson = sup_Q (1/w(Q)) int_Q M(w chi_Q);
     weak         = sup_Q (1/w(2Q)) int_Q M(w chi_Q), over cubes with 2Q
@@ -248,6 +246,10 @@ def ainfty_constants(w: Weight) -> tuple[float, float]:
     over every cube, bit for bit.  The per-cell starts of every level, in
     width order, are built once per family (`CubeFamily.width_order`).
     """
+    return MEMO.get(("ainfty_constants", w.domain, digest(w.samples)), lambda: _ainfty_sup(w))
+
+
+def _ainfty_sup(w: Weight) -> tuple[float, float]:
     dom = w.domain
     fam = family_for(dom)
     ws = w.samples.astype(float)

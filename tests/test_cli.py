@@ -963,6 +963,30 @@ p_grid = 2
     assert not (tmp_path / "o" / "constants.csv").exists()
 
 
+WEIGHT_BANK_AT_L = """
+[experiment]
+kind = constants
+l = {l}
+
+[bank]
+weights = one,step
+p_grid = 2
+"""
+
+
+@pytest.mark.parametrize("l", [17, 60])
+@pytest.mark.parametrize("command", ["constants", "run"])
+def test_a_resolution_above_the_limit_exits_2_and_writes_nothing(command, l, tmp_path, capsys):
+    # l = 28 used to end in a numpy memory error building the cube family
+    text = WEIGHT_BANK_AT_L.format(l=l) if command == "constants" else \
+        DECAY_CONFIG.replace("l = 10", f"l = {l}")
+    cfg = write_config(tmp_path, text)
+    assert main([command, cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and f"L = {l}" in err and "L = 16" in err
+    assert not any((tmp_path / "o").iterdir())
+
+
 def test_constants_on_a_weight_whose_sums_overflow_exits_2(tmp_path, capsys):
     # |x - 1/2|^-113.7 holds 1.1e308 in each of the two cells beside 1/2:
     # their sum overflows, which used to give ap = a1 = ainfty_fw = inf

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from sparse_harmonics.grid import (
     GROUP_CELLS,
+    MAX_RESOLUTION,
+    PRUNE_MARGIN,
     CubeFamily,
     Domain,
     DyadicCube,
@@ -29,6 +31,19 @@ def test_domain_basic():
         Domain(0.0, -1.0, 4)
     with pytest.raises(ValueError):
         Domain(0.0, 1.0, 0)
+
+
+def test_domain_resolution_stops_where_the_prune_margin_does():
+    # the A_inf rounding bound of the PRUNE_MARGIN comment, 2 * 4**L eps plus
+    # about 20 eps, is below the margin up to MAX_RESOLUTION and above it next
+    eps = 2.0 ** -53
+    below, above = (2 * 4.0 ** L * eps + 20 * eps for L in (MAX_RESOLUTION, MAX_RESOLUTION + 1))
+    assert MAX_RESOLUTION == 16
+    assert below < PRUNE_MARGIN < above
+    assert Domain(0.0, 1.0, 16).n_cells == 1 << 16
+    for L in (17, 60):
+        with pytest.raises(ValueError, match="L = 16"):
+            Domain(0.0, 1.0, L)
 
 
 def test_gridfunction_rejects_bad_samples():

@@ -6,9 +6,10 @@ defined in that module, every such name and every public method of an
 exported class is read by other src/ code, run as a console script or on
 the list of names only tests reach, every oracle in tests/oracles.py is
 read by a test or another oracle, every defaulted parameter of a src/
-function is set by some call, the benchmark tracer still finds every
-name and parameter it traces, and importing the CLI loads none of the
-scipy subpackages that only the tests use."""
+function is set by some call, no src/ object caches a computed value
+(per-input results go through `grid.MEMO`), the benchmark tracer still
+finds every name and parameter it traces, and importing the CLI loads
+none of the scipy subpackages that only the tests use."""
 
 import ast
 import importlib.util
@@ -572,6 +573,116 @@ def test_every_defaulted_parameter_is_set_by_a_caller():
     assert not found, (
         "defaulted parameters no caller sets (make them constants):\n" + "\n".join(found)
     )
+
+
+def _cache_decorator(node: ast.AST) -> str | None:
+    """The name of a functools cache that node decorates with, or None."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+    return name if name in ("cache", "lru_cache", "cached_property") else None
+
+
+def object_caches(sources: dict[str, str]) -> list[str]:
+    """"module.qualname: what" for each cache that outlives a call: a def
+    decorated with functools.cache, lru_cache or cached_property, and a
+    method other than __init__ and __post_init__ that sets an attribute of
+    self (by assignment, setattr or object.__setattr__), in a nested def
+    too."""
+    out = []
+
+    def visit(node: ast.AST, path: tuple, module: str, in_class: bool) -> None:
+        for child in ast.iter_child_nodes(node):
+            if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, path, module, in_class)
+                continue
+            name = ".".join((module, *path, child.name))
+            out.extend(
+                f"{name}: @{_cache_decorator(d)} (line {d.lineno})"
+                for d in child.decorator_list if _cache_decorator(d)
+            )
+            if in_class and not isinstance(child, ast.ClassDef) and \
+                    child.name not in ("__init__", "__post_init__"):
+                for n in ast.walk(child):
+                    if isinstance(n, ast.Call) and n.args and isinstance(n.args[0], ast.Name) \
+                            and n.args[0].id == "self" and (
+                                getattr(n.func, "id", None) == "setattr"
+                                or getattr(n.func, "attr", None) == "__setattr__"):
+                        out.append(f"{name}: sets an attribute of self (line {n.lineno})")
+                    elif isinstance(n, ast.Attribute) and isinstance(n.ctx, (ast.Store, ast.Del)) \
+                            and isinstance(n.value, ast.Name) and n.value.id == "self":
+                        out.append(f"{name}: sets self.{n.attr} (line {n.lineno})")
+            visit(child, (*path, child.name), module, isinstance(child, ast.ClassDef))
+
+    for module, source in sources.items():
+        visit(ast.parse(source), (), module, False)
+    return out
+
+
+def test_checker_sees_object_caches():
+    sources = {
+        "a": (
+            "import functools\n"
+            "from functools import lru_cache\n"
+            "@functools.cache\n"
+            "def table(n):\n"
+            "    return n\n"
+            "@lru_cache(maxsize=4)\n"
+            "def small(n):\n"
+            "    return n\n"
+            "class K:\n"
+            "    def __init__(self):\n"
+            "        self.x = 1\n"
+            "    def __post_init__(self):\n"
+            "        object.__setattr__(self, 'y', 2)\n"
+            "    @functools.cached_property\n"
+            "    def slow(self):\n"
+            "        return 3\n"
+            "    def lazy(self):\n"
+            "        if self.z is None:\n"
+            "            self.z, n = 4, 5\n"
+            "        return self.z\n"
+            "    def store(self, d):\n"
+            "        self.d[0] = d\n"
+            "        other.v = d\n"
+            "        def inner():\n"
+            "            setattr(self, 'w', d)\n"
+            "        return inner\n"
+            "def free(self):\n"
+            "    self.q = 1\n"
+        ),
+    }
+    assert object_caches(sources) == [
+        "a.table: @cache (line 3)",
+        "a.small: @lru_cache (line 6)",
+        "a.K.slow: @cached_property (line 14)",
+        "a.K.lazy: sets self.z (line 19)",
+        "a.K.store: sets an attribute of self (line 25)",
+    ]
+
+
+# The caches that src/ may keep: tables that depend only on the domain,
+# the cube family or nothing, never on a function, weight or symbol (those
+# results go through `grid.MEMO`, keyed by content)
+CACHES_ALLOWED = {
+    "grid.family_for": "one cube family per domain",
+    "grid.CubeFamily.groups": "the family's level groups",
+    "grid.CubeFamily.width_order": "the family's levels by width",
+    "weights._double_table": "the doubled cubes of a family",
+    "maximal._llogl_young": "the L log L Young function, built once",
+    "cli._parser": "the command line's parser",
+}
+
+
+def test_no_object_cache_in_src():
+    sources = {path.stem: path.read_text() for path in sorted((SRC / "sparse_harmonics").glob("*.py"))}
+    found = object_caches(sources)
+    extra = [f for f in found if f.split(":")[0] not in CACHES_ALLOWED or "@" not in f]
+    assert not extra, (
+        "caches beside grid.MEMO (memoise per content there instead):\n" + "\n".join(extra)
+    )
+    stale = CACHES_ALLOWED.keys() - {f.split(":")[0] for f in found}
+    assert not stale, "allowed caches that src no longer keeps:\n" + "\n".join(sorted(stale))
 
 
 def test_benchmark_tracer_binds_every_traced_name():

@@ -10,10 +10,11 @@ from sparse_harmonics.grid import MEMO, Domain, DyadicCube, GridFunction, family
 from sparse_harmonics.harness import calderon_bundle, hilbert_bundle, stein_bundle
 from sparse_harmonics.maximal import luxemburg_per_cube, maximal, multilinear_maximal
 from sparse_harmonics.maximal import _llogl_upper, _llogl_young
+from sparse_harmonics.operators import bmo_norm
 from sparse_harmonics.orlicz import llog
-from sparse_harmonics.weights import Weight, ap_constant
+from sparse_harmonics.weights import Weight, ainfty_constants, ap_constant
 
-from oracles import per_entry_maximal, per_level_maximal
+from oracles import all_pairs_ainfty, per_entry_bmo, per_entry_maximal, per_level_maximal
 
 DOM = Domain(0.0, 1.0, 8)
 
@@ -280,6 +281,51 @@ def test_ap_constant_memo_keys_on_content_and_p(empty_memo, monkeypatch):
     assert len(calls) == 1
     ap_constant(Weight(GridFunction(DOM, samples)), 3.0)
     assert len(calls) == 2
+
+
+def test_ainfty_memo_keys_on_content(empty_memo, monkeypatch):
+    calls = _counted(monkeypatch, weights_module, "_ainfty_sup")
+    samples = rand_f(26, lo=0.5, hi=2.0).samples
+    first = Weight(GridFunction(DOM, samples)).ainfty()
+    # a second Weight over a copy of the samples is a hit
+    assert ainfty_constants(Weight(GridFunction(DOM, samples.copy()), "fresh")) == first
+    assert len(calls) == 1
+    MEMO.clear()
+    again = Weight(GridFunction(DOM, samples)).ainfty()
+    assert len(calls) == 2
+    assert [x.hex() for x in again] == [x.hex() for x in first]
+
+
+def test_weight_changed_in_place_reads_its_new_constants(empty_memo):
+    w = Weight(GridFunction.constant(DOM, 1.0))
+    assert w.ainfty() == (1.0, 0.5)
+    assert w.ap(2.0) == 1.0
+    w.samples[:DOM.n_cells // 2] = 4.0  # the step 1 + 3 chi_[0, 1/2)
+    assert w.ap(2.0) == 1.5625
+    assert w.ainfty() == all_pairs_ainfty(w)
+    assert w.ainfty() == pytest.approx((17.0 / 12.0, 2.0 / 3.0), rel=1e-12)
+
+
+def test_bmo_memo_keys_on_content(empty_memo, monkeypatch):
+    calls = _counted(monkeypatch, operators_module, "_bmo_sup")
+    first = bmo_norm(SYMBOL)
+    assert first == per_entry_bmo(SYMBOL)
+    # a symbol passed twice, and a fresh array of its content, are hits
+    assert calderon_bundle(1, [SYMBOL, GridFunction(DOM, SYMBOL.samples.copy())], [0, 1]) \
+        .symbol_norm_product == first * first
+    assert len(calls) == 1
+    MEMO.clear()
+    assert bmo_norm(SYMBOL).hex() == first.hex()
+    assert len(calls) == 2
+
+
+def test_symbol_norm_product_follows_a_symbol_changed_in_place(empty_memo):
+    b = GridFunction(DOM, SYMBOL.samples.copy())
+    bundle = hilbert_bundle([b])
+    before = bundle.symbol_norm_product
+    b.samples[:] *= 3.0
+    assert bundle.symbol_norm_product == per_entry_bmo(b)
+    assert bundle.symbol_norm_product == pytest.approx(3.0 * before, rel=1e-12)
 
 
 def _bank(dom):
