@@ -271,11 +271,16 @@ def _weights(cfg: dict, dom: Domain, m: int) -> list[Weight]:
 
 
 def run_experiment(cfg: dict, out_dir: Path) -> list[VerificationReport]:
+    """Run the experiment of cfg and write its files into out_dir, which is
+    made only once every value was read and accepted: a config error leaves
+    no directory behind."""
     kind = cfg["experiment"]["kind"]
     rows = _rows(cfg)
     L = _value(cfg, "experiment", "l", int)
     if kind == "constants":  # its banks draw nothing, so it reads no seed
-        write_constants_csv(out_dir / "constants.csv", constants_rows(cfg, Domain(0.0, 1.0, L)))
+        table = constants_rows(cfg, Domain(0.0, 1.0, L))
+        out_dir.mkdir(parents=True, exist_ok=True)
+        write_constants_csv(out_dir / "constants.csv", table)
         return []
     seed = _resolve_seed(cfg)
     if ("experiment", "slack") in rows:
@@ -331,6 +336,7 @@ def run_experiment(cfg: dict, out_dir: Path) -> list[VerificationReport]:
         rep = modular_experiment(bundle, fs, phi, q, r, w, slack)
 
     rep.env["seed"] = seed  # the experiments draw nothing; the inputs came from seed
+    out_dir.mkdir(parents=True, exist_ok=True)
     _write_report(out_dir / "report.json", cfg, [rep])
     if curve is not None:
         curve.write_csv(out_dir / "curves.csv")
@@ -555,7 +561,6 @@ def main(argv=None) -> int:
         if args.command == "constants" and cfg["experiment"]["kind"] != "constants":
             raise ConfigError("constants command needs kind = constants")
         out_dir = Path(args.out or _value(cfg, "output", "dir"))
-        out_dir.mkdir(parents=True, exist_ok=True)
         reports = run_experiment(cfg, out_dir)
     except ValueError as e:  # ConfigError is a ValueError
         print(f"config error: {e}", file=sys.stderr)

@@ -228,13 +228,15 @@ GROUP_CELLS = 1 << 14
 #   2**(2L - 52): about 6e-8 at L = 14 and 9.5e-7 at L = 16, below the
 #   margin, but 3.8e-6 at L = 17; the pairwise row sums, the per-cube sums of
 #   the bounds and the divisions add about 20 eps.
-# - M_{L log L}: a computed norm lies at the top of a root bracket 1e-12
-#   wide, and phi^-1(1) is 4 eps below its true value, so it exceeds the
-#   exact norm by about 1e-12 relative; the upper bound is checked in
-#   floating point at the value it returns (a few eps); the lower bound is
-#   the bracket's lower end, below the computed norm but for an ulp where a
-#   mean of equal values rounds above them.  A product of m factors
-#   multiplies these gaps by m: about 3e-12 at m = 3.
+# - M_{L log L}: a computed norm is a Newton iterate below the norm times
+#   1 + 0.5e-12, checked against the Luxemburg condition (else the top of a
+#   root bracket 1e-12 wide), and phi^-1(1) is 4 eps below its true value,
+#   so it exceeds the exact norm by at most about 1e-12 relative; the upper
+#   bound is checked in floating point at the value it returns (a few eps);
+#   the lower bound is the Jensen end, which a computed norm is checked not
+#   to fall below, but for an ulp on a closed bracket where a mean of equal
+#   values rounds above them.  A product of m factors multiplies these gaps
+#   by m: about 3e-12 at m = 3.
 PRUNE_MARGIN = 1e-6
 
 # The largest L of a Domain, up to which the A_infty bound above stays below
@@ -422,9 +424,11 @@ def family_for(domain: Domain) -> CubeFamily:
 
 def digest(a: np.ndarray) -> tuple:
     """An array's content as part of a memo key: its dtype, its shape and a
-    hash of its bytes.  Equal values of another dtype (a real f and the same
-    values as complex) make another key."""
-    return a.dtype.str, a.shape, hashlib.blake2b(a.tobytes(), digest_size=16).digest()
+    hash of its bytes, the first 16 bytes of its SHA-256 (about twice as
+    fast as BLAKE2b where the CPU has SHA instructions).  Equal values of
+    another dtype (a real f and the same values as complex) make another
+    key."""
+    return a.dtype.str, a.shape, hashlib.sha256(a.tobytes()).digest()[:16]
 
 
 class Memo:

@@ -1,7 +1,8 @@
 """Brute-force oracles for the fast kernels: one slice sum per cube, one
 family entry at a time where the kernels sweep level groups, one
 maximal function per cube, every pair of levels in the A_infty sweep, one
-Luxemburg root solve per cube or per family level, one cube at a time in
+Luxemburg root solve per cube or per family level, a bracket solve in
+place of Newton steps, one cube at a time in
 the stopping-time walk, a linear program for the best sparseness, dense
 O(N^2) sums for the convolution kernels, a literal nested sum for kernel
 quadrature, one FFT convolution per expanded Calderon product, one
@@ -216,6 +217,19 @@ def luxemburg_norm(
         vmean / inv1, v.max(initial=0.0) / inv1,
         lambda lam: (phi(v / lam) * wts).sum() / denom - 1.0,
     ))
+
+
+def illinois_luxemburg_per_cube(fam, entry, absf, phi, inv1):
+    """`luxemburg_per_cube` by one Illinois bracket solve of every cube of
+    the entry from its [mean, max] |f| / phi^-1(1) bracket: the route it
+    took before its Newton steps."""
+    def excess(lam):
+        safe = np.where(lam > 0, lam, 1.0)
+        return fam.means(entry, phi(absf / safe[entry.cell_to_cube])) - 1.0
+
+    return monotone_root(
+        fam.means(entry, absf) / inv1, fam.segment_max(entry, absf) / inv1, excess
+    )
 
 
 def per_level_maximal(fs: Sequence[GridFunction], flavor: str) -> np.ndarray:

@@ -984,7 +984,20 @@ def test_a_resolution_above_the_limit_exits_2_and_writes_nothing(command, l, tmp
     assert main([command, cfg, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and f"L = {l}" in err and "L = 16" in err
-    assert not any((tmp_path / "o").iterdir())
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "constants"])
+def test_a_refused_config_makes_no_output_directory(command, tmp_path, capsys):
+    # refused while the experiment reads its values: a p_grid entry that is
+    # not a number, no t points
+    text = WEIGHT_BANK_AT_L.format(l=8).replace("p_grid = ", "p_grid = x,") \
+        if command == "constants" else DECAY_CONFIG.replace("t_points = 32", "t_points = 0")
+    cfg = write_config(tmp_path, text)
+    out = tmp_path / "deep" / "o"
+    assert main([command, cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not (tmp_path / "deep").exists()
 
 
 def test_constants_on_a_weight_whose_sums_overflow_exits_2(tmp_path, capsys):

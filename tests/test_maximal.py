@@ -14,7 +14,13 @@ from sparse_harmonics.operators import bmo_norm
 from sparse_harmonics.orlicz import llog
 from sparse_harmonics.weights import Weight, ainfty_constants, ap_constant
 
-from oracles import all_pairs_ainfty, per_entry_bmo, per_entry_maximal, per_level_maximal
+from oracles import (
+    all_pairs_ainfty,
+    illinois_luxemburg_per_cube,
+    per_entry_bmo,
+    per_entry_maximal,
+    per_level_maximal,
+)
 
 DOM = Domain(0.0, 1.0, 8)
 
@@ -402,6 +408,82 @@ def test_pruned_llogl_equals_the_per_level_oracle_at_both_extremes(L, m, solved_
         got = multilinear_maximal(fs, "llogl").samples
         assert solved(sum(solved_cubes) // m)
         np.testing.assert_array_equal(got, per_level_maximal(fs, "llogl"))
+
+
+def _extreme_bank(dom):
+    """(name, |f|) pairs from the ordinary to the edge of the float range."""
+    rng = np.random.default_rng(dom.resolution_log2)
+    N = dom.n_cells
+    spike = np.ones(N)
+    spike[N // 3] = 1e6
+    return [
+        ("uniform", rng.uniform(0.0, 1.0, N)),
+        ("steps", np.repeat(rng.uniform(0.0, 5.0, 8), N // 8)),
+        ("log", np.abs(np.log(dom.cell_centers()))),
+        ("cauchy", 1e3 * np.abs(rng.standard_cauchy(N))),
+        ("spike", spike),
+        ("zeros", rng.uniform(0.0, 1.0, N) * (rng.uniform(size=N) < 0.03)),
+        ("subnormal", rng.uniform(0.0, 1.0, N) * 1e-310),
+        ("huge", rng.uniform(0.0, 1.0, N) * 1e300),
+        ("tiny", rng.uniform(0.0, 1.0, N) * 1e-300),
+        ("mixed", np.where(rng.uniform(size=N) < 0.5, 1e300, 1e-300) * rng.uniform(0.5, 1.0, N)),
+    ]
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("L", [6, 9, 12])
+def test_newton_luxemburg_matches_the_illinois_oracle(L, m, monkeypatch):
+    # every call multilinear_maximal makes, pruned cubes and all, against the
+    # bracket solve on the same cubes: within 1e-12 and never below it; only
+    # the subnormal input (its 1 / mean overflows) takes the fallback
+    dom = Domain(0.0, 1.0, L)
+    bank = _extreme_bank(dom)
+    calls, fallbacks = [], []
+    solve, bracket = maximal_module.luxemburg_per_cube, maximal_module.monotone_root
+
+    def recorded(*args):
+        calls.append((args, solve(*args)))
+        return calls[-1][1]
+
+    def counted(*args):
+        fallbacks.append(len(args[0]))
+        return bracket(*args)
+
+    monkeypatch.setattr(maximal_module, "luxemburg_per_cube", recorded)
+    monkeypatch.setattr(maximal_module, "monotone_root", counted)
+    for i, (name, _) in enumerate(bank):
+        pair = [bank[i], bank[(i + 1) % len(bank)]][:m]
+        fs = [GridFunction(dom, f) for _, f in pair]
+        calls.clear()
+        fallbacks.clear()
+        MEMO.clear()
+        got = multilinear_maximal(fs, "llogl").samples
+        assert calls
+        for args, new in calls:
+            old = illinois_luxemburg_per_cube(*args)
+            assert np.all(np.abs(new - old) <= 1e-12 * old), name
+            assert np.all(new >= old * (1.0 - 1e-12)), name
+        assert bool(fallbacks) == any(n == "subnormal" for n, _ in pair), name
+        MEMO.clear()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(maximal_module, "luxemburg_per_cube", illinois_luxemburg_per_cube)
+            want = multilinear_maximal(fs, "llogl").samples
+        np.testing.assert_allclose(got, want, rtol=m * 1e-12, atol=0.0)
+
+
+def test_a_newton_value_that_fails_its_check_takes_the_bracket_solve(monkeypatch):
+    # Newton steps of 0 leave every cube at its Jensen end, a lower bound
+    # that fails the Luxemburg check on every open cube: each must take the
+    # bracket solve, which gives the Illinois oracle's bits
+    monkeypatch.setattr(maximal_module, "_newton_step", lambda fam, entry, absf, s: np.zeros_like(s))
+    dom = Domain(0.0, 1.0, 9)
+    fam = family_for(dom)
+    phi, inv1 = _llogl_young()
+    f = rand_f(3, dom).samples
+    for g in fam.groups:
+        tiled = g.tile(f)
+        got = luxemburg_per_cube(fam, g, tiled, phi, inv1)
+        np.testing.assert_array_equal(got, illinois_luxemburg_per_cube(fam, g, tiled, phi, inv1))
 
 
 @settings(max_examples=40, deadline=None)

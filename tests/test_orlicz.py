@@ -166,23 +166,53 @@ def _counting(solves):
     return solve
 
 
-def test_orlicz_maximal_solves_every_entry_in_16_evaluations(monkeypatch):
-    # bisection to 1e-12 takes 40 to 48; the Illinois step takes about 11
+def test_orlicz_maximal_solves_every_group_in_7_evaluations(monkeypatch):
+    # bisection to 1e-12 took 40 to 48 evaluations, the Illinois bracket
+    # solve about 11; Newton steps from the Jensen end take 3 to 5, and the
+    # check one more
     dom = Domain(0.0, 1.0, 10)
     f = rand_f(7, lo=-1.0, hi=1.0, dom=dom)
-    solves = []
+    solves, evaluations, fallbacks = [], [], []
+    solve, step, excess_of = (maximal_module.luxemburg_per_cube, maximal_module._newton_step,
+                              maximal_module._excess)
+
+    def counted_solve(fam, entry, absf, phi, inv1):
+        evaluations.append(0)
+        out = solve(fam, entry, absf, phi, inv1)
+        solves.append((fam, entry, absf, phi, inv1, out))
+        return out
+
+    def counted_step(*args):
+        evaluations[-1] += 1
+        return step(*args)
+
+    def counted_excess(*args):
+        excess = excess_of(*args)
+
+        def counted(lam):
+            evaluations[-1] += 1
+            return excess(lam)
+        return counted
+
     MEMO.clear()
-    monkeypatch.setattr(maximal_module, "monotone_root", _counting(solves))
+    monkeypatch.setattr(maximal_module, "luxemburg_per_cube", counted_solve)
+    monkeypatch.setattr(maximal_module, "_newton_step", counted_step)
+    monkeypatch.setattr(maximal_module, "_excess", counted_excess)
+    monkeypatch.setattr(maximal_module, "monotone_root", _counting(fallbacks))
     multilinear_maximal([f], "llogl")
     groups = family_for(dom).groups
     # one solve per level group: 3 groups of the 44 family entries
     assert len(solves) == len(groups) == 3
+    assert max(evaluations) <= 7
+    # no cube of the bank takes the bracket solve
+    assert fallbacks == []
     rng = np.random.default_rng(0)
-    for group, (lo, hi, excess, got, calls) in zip(groups, solves):
-        assert calls <= 16
+    for group, (fam, entry, absf, phi, inv1, got) in zip(groups, solves):
+        excess = excess_of(fam, entry, absf, phi)
         # every norm meets the Luxemburg condition, also where the bracket
         # is closed from the start (one cell) and returned as it is
         assert np.all(excess(got) <= 0.0)
+        lo, hi = fam.means(entry, absf) / inv1, fam.segment_max(entry, absf) / inv1
         open_ = np.flatnonzero(hi - lo > 1e-12 * hi)
         # the root of a few open brackets per entry of this group, one cube
         # at a time
