@@ -364,11 +364,18 @@ def constants_rows(cfg: dict, dom: Domain) -> list[dict]:
 
 
 def _write_report(path: Path, cfg: dict, reports: list[VerificationReport]) -> None:
-    payload = {
-        "config": cfg,
-        "reports": [r.to_dict() for r in reports],
-    }
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    # strict JSON: a non-finite float (a ratio of two zeros, the fit of a
+    # degenerate decay) is written as null, and json refuses any left over
+    payload = {"config": cfg, "reports": [_finite_or_null(r.to_dict()) for r in reports]}
+    path.write_text(json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n")
+
+
+def _finite_or_null(x):
+    if isinstance(x, dict):
+        return {k: _finite_or_null(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_finite_or_null(v) for v in x]
+    return None if isinstance(x, float) and not math.isfinite(x) else x
 
 
 # -- svg ---------------------------------------------------------------------

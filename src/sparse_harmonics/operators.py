@@ -12,10 +12,10 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
+from numpy.fft import irfft, rfft
 
 from .grid import MEMO, CubeFamily, GridFunction, LevelEntry, digest, family_for
 
@@ -26,7 +26,6 @@ __all__ = [
     "stein_square_function",
     "iterated_commutator",
     "bmo_norm",
-    "log_dini_norm",
 ]
 
 
@@ -72,14 +71,26 @@ def _toeplitz_apply(g: np.ndarray, ker: np.ndarray) -> np.ndarray:
     """sum_j ker[i - j + N - 1] g_j for every i and every row of g, ker
     indexed by the offset i - j from -(N - 1) to N - 1.  One real FFT of
     the kernel, one of all the rows and one inverse, at the padded length
-    fftconvolve takes.  A complex g is convolved part by part, so the map
+    `_fast_len` gives.  A complex g is convolved part by part, so the map
     is linear over the complex numbers."""
     if np.iscomplexobj(g):
         return _toeplitz_apply(g.real, ker) + 1j * _toeplitz_apply(g.imag, ker)
     N = g.shape[-1]
-    n = next_fast_len(N + len(ker) - 1, real=True)
+    n = _fast_len(N + len(ker) - 1)
     conv = irfft(rfft(g.astype(float), n) * rfft(ker, n), n)
     return conv[..., N - 1 : 2 * N - 1]
+
+
+def _fast_len(n: int) -> int:
+    """The smallest 2^a 3^b 5^c >= n: scipy's next_fast_len for a real FFT."""
+    best, p5 = 1 << (n - 1).bit_length(), 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:  # p35 times the least power of 2 that brings it to n
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 # Diagonals |i - j| <= _NEAR_BAND of the Calderon form are summed directly:
@@ -239,23 +250,3 @@ def _expanded_commutator(
         ]
         out += (-1.0) ** sum(picks) * prefactor * T.apply(args).samples
     return out
-
-
-def log_dini_norm(omega: Callable[[float], float], a: float, m: int) -> float:
-    """int_0^1 omega(t)^a / t * (1 + log(1/t))^m dt via the substitution
-    t = e^{-u}; reports inf when the integrand fails to decay."""
-    if a <= 0 or m < 0:
-        raise ValueError("need a > 0 and m >= 0")
-    from scipy.integrate import quad  # here, so that importing the package skips scipy.integrate
-
-    def g(u):
-        return omega(math.exp(-u)) ** a * (1.0 + u) ** m
-
-    tail_probe = max(g(80.0), g(120.0))
-    if not math.isfinite(tail_probe) or tail_probe > 1e-8:
-        return math.inf
-    total = 0.0
-    for lo, hi in ((0.0, 1.0), (1.0, 10.0), (10.0, 120.0)):
-        val, _ = quad(g, lo, hi, epsabs=1e-9, limit=200)
-        total += val
-    return total

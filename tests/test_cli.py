@@ -21,6 +21,7 @@ from sparse_harmonics.cli import (
     KEYS,
     KINDS,
     ConfigError,
+    _write_report,
     diff_fixture_file,
     fixtures_dir,
     list_fixtures,
@@ -723,6 +724,38 @@ def test_run_decay_zero_input_is_degenerate(tmp_path):
     assert rep["params"] == {"comparator": "mixed-min", "m": 1, "l": 1, "weighted": False}
     with open(out / "curves.csv") as fh:
         assert {float(row["measure"]) for row in csv.DictReader(fh)} == {0.0}
+
+
+def _strict_json(path: Path):
+    """The file's JSON, read by a parser that refuses NaN and Infinity."""
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
+def test_reports_write_a_non_finite_float_as_null(tmp_path):
+    # an identically zero input: the mixed weak log10_ratio is -inf + inf,
+    # and a degenerate decay has no fit and a ratio of nan
+    runs = {
+        "mixed": (_small("mixed", experiment={"l": "8"}, symbols={"b": "sin"},
+                         functions={"bank": "wave:0"}, weights={"w": "step", "v": "step"}), 0),
+        "decay": (_small("decay", symbols={"b": "sin"}, functions={"bank": "wave:0"}), 3),
+    }
+    reports = {}
+    for kind, (text, code) in runs.items():
+        out = tmp_path / kind
+        assert main(["run", write_config(tmp_path, text, f"{kind}.ini"), "--out", str(out)]) == code
+        reports[kind] = _strict_json(out / "report.json")["reports"][0]
+    mixed, decay = reports["mixed"], reports["decay"]
+    assert mixed["verdict"] == "holds" and mixed["ratio"] == 0.0
+    assert mixed["constants"]["log10_ratio"] is None
+    assert decay["verdict"] == "degenerate" and decay["ratio"] is None
+    assert decay["fit"] == {"alpha": None, "c": None, "degenerate": True, "p": None, "r2": None}
+    assert _strict_json(FIX / "report.json")["reports"]  # the golden holds no non-finite float
+    rep = _library_report("fs")  # and a list of floats, as fs reports the weak A_inf of its weights
+    rep.constants["weak_ainfty"] = [1.0, math.inf]
+    _write_report(tmp_path / "list.json", {}, [rep])
+    assert _strict_json(tmp_path / "list.json")["reports"][0]["constants"]["weak_ainfty"] == [1.0, None]
 
 
 def test_run_stein_decay(tmp_path):

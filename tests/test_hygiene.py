@@ -8,8 +8,8 @@ the list of names only tests reach, every oracle in tests/oracles.py is
 read by a test or another oracle, every defaulted parameter of a src/
 function is set by some call, no src/ object caches a computed value
 (per-input results go through `grid.MEMO`), the benchmark tracer still
-finds every name and parameter it traces, and importing the CLI loads
-none of the scipy subpackages that only the tests use."""
+finds every name and parameter it traces, no src/ module imports scipy,
+and importing the CLI loads no scipy module: only the tests use scipy."""
 
 import ast
 import importlib.util
@@ -150,6 +150,51 @@ def test_checker_sees_private_imports():
 def test_no_private_imports_across_src_modules():
     found = _findings_under(SRC, private_imports)
     assert not found, "private names imported from another module:\n" + "\n".join(found)
+
+
+def scipy_imports(source: str) -> list[str]:
+    """Each import of scipy or of a scipy module, at module level or inside
+    a function: the package runs on numpy alone."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            continue
+        out += [f"{name} (line {node.lineno})" for name in names if name.split(".")[0] == "scipy"]
+    return out
+
+
+def test_checker_sees_scipy_imports():
+    src = (
+        "import numpy as np\n"
+        "import scipy\n"
+        "from scipy.fft import rfft\n"
+        "from .scipy import x\n"
+        "import scipyx, os.path\n"
+        "def f():\n"
+        "    import scipy.integrate as si, math\n"
+    )
+    assert scipy_imports(src) == [
+        "scipy (line 2)",
+        "scipy.fft (line 3)",
+        "scipy.integrate (line 7)",
+    ]
+
+
+def test_no_scipy_import_in_src():
+    found = _findings_under(SRC, scipy_imports)
+    assert not found, "scipy imports under src/:\n" + "\n".join(found)
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    pyproject = (ROOT / "pyproject.toml").read_text()
+    runtime = pyproject.partition("\ndependencies = [")[2].split("]", 1)[0]
+    assert re.findall(r'"([\w-]+)', runtime) == ["numpy"]
+    test_extra = re.search(r"\ntest = \[(.*)\]", pyproject).group(1)
+    assert "scipy" in re.findall(r'"([\w-]+)', test_extra)
 
 
 def unused_parameters(source: str) -> list[str]:
@@ -463,7 +508,6 @@ TEST_ONLY = {
     "grid.children": "criteria 1 and 2; tests/oracles.py::brute_stopping_cubes",
     "grid.Memo.clear": "test_maximal.py, test_operators.py and test_orlicz.py, for a cold memo",
     "harness.lorentz_l1_norm": "criterion 6; test_harness.py::test_lorentz_l1_dominates_weak",
-    "operators.log_dini_norm": "test_operators.py::test_log_dini_*",
     "orlicz.power_over_p": "criterion 10",
     "orlicz.young_pair_checks": "criterion 10",
     "orlicz.delta2_constant": "criterion 10",
@@ -707,12 +751,11 @@ def test_benchmark_tracer_binds_every_traced_name():
 
 
 def test_importing_the_cli_loads_no_test_only_scipy_subpackage():
-    # scipy.signal and scipy.integrate made up most of the start-up time;
-    # the package imports only scipy.fft up front, the tests the rest as oracles
+    # scipy made up most of the start-up time; the package runs on numpy
+    # alone, and every scipy module is a test-only oracle
     probe = (
         "import sys, sparse_harmonics.cli\n"
-        "print(' '.join(sorted(m for m in sys.modules\n"
-        "    if m.split('.')[:2] in (['scipy', 'signal'], ['scipy', 'integrate'], ['scipy', 'optimize']))))"
+        "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]))

@@ -3,16 +3,19 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.fft
+from scipy.integrate import quad
 from scipy.signal import fftconvolve
 
 from sparse_harmonics.grid import MEMO, Domain, DyadicCube, GridFunction
 from sparse_harmonics.operators import (
     KernelOperator,
+    _fast_len,
+    _toeplitz_apply,
     bmo_norm,
     calderon_apply,
     hilbert_transform,
     iterated_commutator,
-    log_dini_norm,
     stein_square_function,
 )
 from sparse_harmonics.orlicz import exp_power
@@ -93,6 +96,36 @@ def test_hilbert_of_a_real_input_is_the_plain_convolution():
     ker = np.where(k != 0, 1.0 / np.where(k == 0, 1, k), 0.0)
     want = fftconvolve(f.samples, ker)[N - 1 : 2 * N - 1] / math.pi
     assert np.array_equal(hilbert_transform(f).samples, want)
+
+
+# -- the FFT route ------------------------------------------------------------
+# numpy.fft runs the same pocketfft as scipy.fft; these pin the bits of the
+# route against scipy's, so a library that moves them shows here
+
+def test_fast_len_is_scipys_next_fast_len_for_real_transforms():
+    ns = [*range(1, 4097), *(3 * 2**L - 2 for L in range(1, 17))]
+    assert [_fast_len(n) for n in ns] == [scipy.fft.next_fast_len(n, real=True) for n in ns]
+
+
+def _scipy_toeplitz_apply(g, ker):
+    """The padded convolution of `_toeplitz_apply` on scipy.fft."""
+    N = g.shape[-1]
+    n = scipy.fft.next_fast_len(N + len(ker) - 1, real=True)
+    conv = scipy.fft.irfft(scipy.fft.rfft(g, n) * scipy.fft.rfft(ker, n), n)
+    return conv[..., N - 1 : 2 * N - 1]
+
+
+@pytest.mark.parametrize("L", range(1, 15))
+@pytest.mark.parametrize("rows", [1, 4])
+def test_toeplitz_apply_equals_the_scipy_fft_convolution(L, rows):
+    rng = np.random.default_rng(L)
+    N = 2**L
+    shape = (N,) if rows == 1 else (rows, N)  # one row as Hilbert passes it
+    ker = rng.standard_normal(2 * N - 1)
+    g, h = rng.standard_normal(shape), rng.standard_normal(shape)
+    assert np.array_equal(_toeplitz_apply(g, ker), _scipy_toeplitz_apply(g, ker))
+    want = _scipy_toeplitz_apply(g, ker) + 1j * _scipy_toeplitz_apply(h, ker)
+    assert np.array_equal(_toeplitz_apply(g + 1j * h, ker), want)
 
 
 # -- calderon ----------------------------------------------------------------
@@ -419,6 +452,25 @@ def test_weighted_john_nirenberg():
 
 
 # -- log dini ----------------------------------------------------------------
+
+def log_dini_norm(omega, a: float, m: int) -> float:
+    """int_0^1 omega(t)^a / t * (1 + log(1/t))^m dt via the substitution
+    t = e^{-u}; reports inf when the integrand fails to decay."""
+    if a <= 0 or m < 0:
+        raise ValueError("need a > 0 and m >= 0")
+
+    def g(u):
+        return omega(math.exp(-u)) ** a * (1.0 + u) ** m
+
+    tail_probe = max(g(80.0), g(120.0))
+    if not math.isfinite(tail_probe) or tail_probe > 1e-8:
+        return math.inf
+    total = 0.0
+    for lo, hi in ((0.0, 1.0), (1.0, 10.0), (10.0, 120.0)):
+        val, _ = quad(g, lo, hi, epsabs=1e-9, limit=200)
+        total += val
+    return total
+
 
 def test_log_dini_zero():
     assert log_dini_norm(lambda t: 0.0, 1.0, 0) == 0.0
