@@ -37,7 +37,7 @@ from .harness import (
     sharpness_experiment,
     stein_bundle,
 )
-from .orlicz import exp_power, llog, power
+from .orlicz import llog, power
 from .weights import Weight, write_constants_csv
 
 __all__ = [
@@ -226,8 +226,6 @@ def make_phi(spec: str):
         return power(_spec_number(spec))
     if spec.startswith("llog:"):
         return llog(_spec_number(spec))
-    if spec.startswith("exp:"):
-        return exp_power(_spec_number(spec))
     raise ConfigError(f"unknown growth function spec {spec!r}")
 
 

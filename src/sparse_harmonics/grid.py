@@ -189,13 +189,9 @@ class DyadicCube:
         return start * c, (start + k) * c, k * c
 
 
-def children(q: DyadicCube, domain: Domain | None = None) -> list[DyadicCube]:
-    """The two cubes of the next level partitioning q."""
-    if domain is not None and q.level + 1 > domain.resolution_log2:
-        raise ResolutionError(
-            f"children at level {q.level + 1} exceed grid resolution "
-            f"{domain.resolution_log2}"
-        )
+def children(q: DyadicCube) -> list[DyadicCube]:
+    """The two cubes of the next level partitioning q; `DyadicCube.cell_bounds`
+    refuses them below the grid floor."""
     start, k = q._units()
     # the first child starts at 2 * start in units of 2**-(level + 1); a
     # shifted cube's index is its start divided by 3, rounded down

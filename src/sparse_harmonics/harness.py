@@ -38,7 +38,6 @@ __all__ = [
     "calderon_bundle",
     "stein_bundle",
     "lorentz_quasinorm",
-    "lorentz_l1_norm",
     "fit_exponent",
     "model_values",
     "principal_cubes",
@@ -205,20 +204,6 @@ def lorentz_quasinorm(f: GridFunction, p: float, w: Optional[Weight] = None) -> 
     return float(cands.max(initial=0.0))
 
 
-def lorentz_l1_norm(f: GridFunction, p: float, w: Optional[Weight] = None) -> float:
-    """||f||_{L^{p,1}(w)} = int_0^inf w({|f| > t})^{1/p} dt, exact for
-    grid functions (piecewise-constant distribution function); w = 1 where
-    w is None."""
-    if p <= 0:
-        raise ValueError("need p > 0")
-    vals, masses = _level_masses(f, w)  # w({|f| >= v}) = w({|f| > v - })
-    levels = np.concatenate([[0.0], vals])
-    total = 0.0
-    for i in range(len(vals)):
-        total += (levels[i + 1] - levels[i]) * masses[i] ** (1.0 / p)
-    return float(total)
-
-
 # -- decay fitting -----------------------------------------------------------
 
 _DEGENERATE_FIT = {"c": math.nan, "alpha": math.nan, "p": math.nan, "r2": math.nan,
@@ -301,12 +286,12 @@ def model_values(fit: dict, t: np.ndarray) -> np.ndarray:
 
 # -- principal cubes ---------------------------------------------------------
 
-def principal_cubes(g: GridFunction, q0: DyadicCube, factor: float = 2.0) -> SparseFamily:
+def principal_cubes(g: GridFunction, q0: DyadicCube) -> SparseFamily:
     """Stopping family on |g| starting from q0: children of the family are
-    the maximal descendants whose average exceeds factor times the parent's.
-    Chebyshev gives eta >= 1 - 1/factor, so 1/2-sparse at factor 2."""
-    cubes = stopping_cubes([q0], abs(g), factor, recenter=False)
-    return SparseFamily.make(cubes, 1.0 - 1.0 / factor, g.domain)
+    the maximal descendants whose average exceeds twice the parent's.
+    Chebyshev makes it 1/2-sparse."""
+    cubes = stopping_cubes([q0], abs(g), 2.0, recenter=False)
+    return SparseFamily.make(cubes, 0.5, g.domain)
 
 
 # -- experiments -------------------------------------------------------------

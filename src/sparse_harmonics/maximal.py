@@ -11,6 +11,7 @@ are ratio-based so the proxy constant is tracked, not hidden.
 from __future__ import annotations
 
 import functools
+import math
 from typing import Sequence
 
 import numpy as np
@@ -150,6 +151,13 @@ def _product_maximal(dom: Domain, absfs: list[np.ndarray], flavor: str) -> np.nd
             return prod
         return fam.scatter_max(fam.groups, map(product, fam.groups))
     phi, inv1 = _llogl_young()
+    # The norms are homogeneous: an input with 0 < max|f| < 1 is scaled by
+    # the power of two that brings its max into [1, 2), and the output back.
+    # Both steps are exact for a normal input, so its bits do not move, and
+    # a subnormal one is solved on normal numbers.  Nothing is scaled down:
+    # an input that holds 1e300 beside 1e-300 would underflow.
+    shifts = [1 - math.frexp(top)[1] if 0.0 < top < 1.0 else 0 for top in map(np.max, absfs)]
+    absfs = [np.ldexp(af, k) for af, k in zip(absfs, shifts)]
     bounds = [_llogl_bounds(fam, g, absfs, inv1) for g in fam.groups]
     env = fam.scatter_max(fam.groups, (low for low, _ in bounds))
     kept, values = [], []
@@ -164,7 +172,7 @@ def _product_maximal(dom: Domain, absfs: list[np.ndarray], flavor: str) -> np.nd
         kept.append(g)
         values.append(np.full(g.n_cubes, -np.inf))
         values[-1][idx] = prod
-    return fam.scatter_max(kept, values)
+    return np.ldexp(fam.scatter_max(kept, values), -sum(shifts))
 
 
 def _llogl_bounds(

@@ -1,15 +1,15 @@
-"""Young functions, the monotone root solve of the Luxemburg norms, and the
-growth-index toolkit.
+"""Young functions, the monotone root solve of the Luxemburg norms, and
+their dilation indices.
 
 Built-in growth functions carry closed-form inverses and complementary
 functions where they exist; everything else falls back on a monotone
 root solve or a refined discrete sup, so the numeric paths are only a
-backstop for the closed forms.
+backstop for the closed forms.  The dilation indices and the doubling
+constant are closed forms only.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -18,14 +18,10 @@ import numpy as np
 __all__ = [
     "YoungFunction",
     "power",
-    "power_over_p",
     "llog",
-    "exp_power",
     "phi_power",
     "monotone_root",
-    "young_pair_checks",
     "dilation_indices",
-    "delta2_constant",
 ]
 
 
@@ -178,49 +174,20 @@ def power(p: float) -> YoungFunction:
     )
 
 
-def power_over_p(p: float) -> YoungFunction:
-    """phi(t) = t**p / p, the classical conjugate pair with t**p' / p'."""
-    if p <= 1:
-        raise ValueError("need p > 1")
-    pp = p / (p - 1.0)
-    return YoungFunction(
-        f"t^{p:g}/{p:g}",
-        lambda t: t ** p / p,
-        inverse_fn=lambda t: (p * t) ** (1.0 / p),
-        complementary_fn=lambda t: t ** pp / pp,
-        i_lower=p,
-        I_upper=p,
-        delta2_C1=p,
-        submultiplicative=False,
-    )
-
-
-def llog(alpha: float, p: float = 1.0) -> YoungFunction:
-    """phi(t) = t**p * log(e + t)**alpha, the L^p(log L)^alpha scale."""
-    if alpha < 0 or p < 1:
-        raise ValueError("need alpha >= 0 and p >= 1")
+def llog(alpha: float) -> YoungFunction:
+    """phi(t) = t log(e + t)**alpha, the L(log L)^alpha scale."""
+    if alpha < 0:
+        raise ValueError("need alpha >= 0")
     # x ** 1.0 == x, so an identity power is left out rather than copied
     log = (lambda t: np.log(np.e + t)) if alpha == 1 else (lambda t: np.log(np.e + t) ** alpha)
     return YoungFunction(
-        f"t^{p:g} log(e+t)^{alpha:g}" if p != 1 else f"t log(e+t)^{alpha:g}",
-        (lambda t: t * log(t)) if p == 1 else (lambda t: t ** p * log(t)),
-        i_lower=p,
-        I_upper=p,
-        # log(e + lam t) <= lam log(e + t) for lam >= 1, so C1 = p + alpha
-        delta2_C1=p + alpha,
-        submultiplicative=(p == 1.0),
-    )
-
-
-def exp_power(s: float) -> YoungFunction:
-    """phi(t) = exp(t**s) - 1, whose Luxemburg norm is the exp L^s norm."""
-    if s < 1:
-        raise ValueError("need s >= 1 for convexity")
-    return YoungFunction(
-        f"exp(t^{s:g})-1",
-        lambda t: np.expm1(t ** s),
-        inverse_fn=lambda t: np.log1p(t) ** (1.0 / s),
-        submultiplicative=False,
+        f"t log(e+t)^{alpha:g}",
+        lambda t: t * log(t),
+        i_lower=1.0,
+        I_upper=1.0,
+        # log(e + lam t) <= lam log(e + t) for lam >= 1, so C1 = 1 + alpha
+        delta2_C1=1.0 + alpha,
+        submultiplicative=True,
     )
 
 
@@ -241,83 +208,10 @@ def phi_power(phi: YoungFunction, m: int) -> YoungFunction:
     )
 
 
-def young_pair_checks(phi: YoungFunction, t_grid: np.ndarray) -> dict:
-    """Check the conjugate-pair identities on a grid of points.
-
-    (a) t <= phi^-1(t) phibar^-1(t) <= 2t,
-    (b) phibar(phi(t)/t) <= phi(t),
-    (c) s t <= phi(s) + phibar(t) on the product grid.
-    Returns {"ok": bool, "failures": [(name, point, slack), ...]}.
-    """
-    t = np.asarray(t_grid, dtype=float)
-    bar = phi.complementary()
-    tol = 1e-9
-    failures = []
-
-    prod = np.atleast_1d(phi.inverse(t)) * np.atleast_1d(bar.inverse(t))
-    lo_bad = prod < t * (1.0 - tol) - tol
-    hi_bad = prod > 2.0 * t * (1.0 + tol) + tol
-    for i in np.nonzero(lo_bad | hi_bad)[0]:
-        failures.append(("inverse-product", float(t[i]), float(prod[i])))
-
-    pt = np.atleast_1d(phi(t))
-    lhs = np.atleast_1d(bar(pt / t))
-    bad = lhs > pt * (1.0 + tol) + tol
-    for i in np.nonzero(bad)[0]:
-        failures.append(("conjugate-of-slope", float(t[i]), float(lhs[i] - pt[i])))
-
-    ps = np.atleast_1d(phi(t))
-    bt = np.atleast_1d(bar(t))
-    st = t[:, None] * t[None, :]
-    rhs = ps[:, None] + bt[None, :]
-    bad = st > rhs * (1.0 + tol) + tol
-    for i, j in zip(*np.nonzero(bad)):
-        failures.append(("young", (float(t[i]), float(t[j])), float(st[i, j] - rhs[i, j])))
-
-    return {"ok": not failures, "failures": failures}
-
-
-_DILATION_S = np.logspace(-8.0, 8.0, 2048)
-
-
-def _h_phi(phi: YoungFunction, t: float) -> float:
-    s = _DILATION_S
-    with np.errstate(over="ignore", invalid="ignore"):
-        r = phi(s * t) / phi(s)
-    r = r[np.isfinite(r)]
-    return float(r.max()) if len(r) else np.inf
-
-
-def dilation_indices(phi: YoungFunction, numeric: bool = False) -> tuple[float, float]:
-    """(i_phi, I_phi): slopes of log h_phi at small and large dilations.
-
-    Closed forms are returned for built-ins unless numeric=True; the probes
-    sit at t0 = 1e-6 and 1e6, bounding the true indices from the monotone
-    side.
-    """
-    if not numeric and phi.i_lower is not None and phi.I_upper is not None:
-        return phi.i_lower, phi.I_upper
-    t_small, t_big = 1e-6, 1e6
-    i_est = math.log(_h_phi(phi, t_small)) / math.log(t_small)
-    h_big = _h_phi(phi, t_big)
-    I_est = np.inf if not math.isfinite(h_big) else math.log(h_big) / math.log(t_big)
-    return i_est, I_est
-
-
-def delta2_constant(phi: YoungFunction, numeric: bool = False) -> float:
-    """Smallest observed C1 with phi(lam t) <= (2 lam)^C1 phi(t), lam >= 2."""
-    if not numeric and phi.delta2_C1 is not None:
-        return phi.delta2_C1
-    ts = np.logspace(-6.0, 6.0, 400)
-    best = 0.0
-    for lam in (2.0, 3.0, 5.0, 8.0, 16.0, 64.0):
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            num = phi(lam * ts)
-            den = phi(ts)
-            pos = den > 0
-            if np.any(np.isinf(num) & pos & np.isfinite(den)):
-                return np.inf  # doubling breaks the float range: not doubling
-            ratio = num[pos] / den[pos]
-        c = np.log(ratio).max() / math.log(2.0 * lam)
-        best = max(best, float(c))
-    return best
+def dilation_indices(phi: YoungFunction) -> tuple[float, float]:
+    """(i_phi, I_phi), the slopes of log h_phi at small and large
+    dilations, from the closed forms that phi carries; ValueError for a phi
+    without them."""
+    if phi.i_lower is None or phi.I_upper is None:
+        raise ValueError(f"growth function {phi.name} has no closed-form dilation indices")
+    return phi.i_lower, phi.I_upper

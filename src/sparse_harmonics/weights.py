@@ -3,15 +3,14 @@ used by the experiment harness.
 
 All suprema run over the full shifted-dyadic cube family; averages use the
 intersection with the domain so that w = 1 hits every structural floor
-exactly.  The doubled-cube constants (weak A_infty, reverse Holder) only
-consider cubes whose double stays inside the domain.
+exactly.  The weak A_infty constant only considers cubes whose double
+stays inside the domain.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -28,19 +27,11 @@ from .grid import (
     family_for,
     write_csv,
 )
-from .maximal import maximal
 
 __all__ = [
     "Weight",
-    "MultiWeight",
     "ap_constant",
-    "multi_ap_constant",
     "ainfty_constants",
-    "reverse_holder_check",
-    "s_u",
-    "rubio_de_francia",
-    "IterationError",
-    "k0_p0",
     "log_k0_p0",
     "write_constants_csv",
 ]
@@ -52,10 +43,6 @@ _EXP_CLAMP = 690.0  # keeps exp() within ~1e300
 N_DIM = 1
 TAU_N = 2.0 ** N_DIM
 C_N = 1.0
-
-
-class IterationError(RuntimeError):
-    pass
 
 
 class Weight:
@@ -101,33 +88,6 @@ def clamped_power(samples: np.ndarray, a: float) -> np.ndarray:
     return np.exp(np.clip(a * np.log(samples), -_EXP_CLAMP, _EXP_CLAMP))
 
 
-@dataclass(frozen=True)
-class MultiWeight:
-    weights: tuple
-    exponents: tuple
-
-    def __post_init__(self):
-        if len(self.weights) != len(self.exponents) or not self.weights:
-            raise ValueError("need one exponent per weight")
-        if any(p < 1 or not math.isfinite(p) for p in self.exponents):
-            raise ValueError("exponents must lie in [1, inf)")
-
-    @property
-    def m(self) -> int:
-        return len(self.weights)
-
-    @property
-    def p(self) -> float:
-        return 1.0 / sum(1.0 / pj for pj in self.exponents)
-
-    def nu(self) -> Weight:
-        p = self.p
-        s = np.ones(self.weights[0].domain.n_cells)
-        for w, pj in zip(self.weights, self.exponents):
-            s = s * clamped_power(w.samples, p / pj)
-        return Weight(GridFunction(self.weights[0].domain, s), "nu")
-
-
 def ap_constant(w: Weight, p: float) -> float:
     """sup_Q <w>_Q <w^{1-p'}>_Q^{p-1}, or <w>_Q / inf_Q w for p = 1;
     computed once per p and content of w (see `grid.MEMO`)."""
@@ -149,30 +109,6 @@ def _ap_sup(w: Weight, p: float) -> float:
         def per_cube(g: LevelEntry) -> np.ndarray:
             dual_mean = fam.means(g, g.tile(dual), clip=True)
             return fam.means(g, g.tile(ws), clip=True) * dual_mean ** (p - 1.0)
-    return fam.sup(per_cube)
-
-
-def multi_ap_constant(mw: MultiWeight) -> float:
-    """The multiple-weight constant: sup over cubes of
-    <nu>_Q prod_j <w_j^{1-p_j'}>_Q^{p/p_j'} with the p_j = 1 slots read as
-    (inf_Q w_j)^{-p}."""
-    fam = family_for(mw.weights[0].domain)
-    p = mw.p
-    nu = mw.nu().samples
-    duals = [
-        None if pj == 1.0 else clamped_power(w.samples, 1.0 - pj / (pj - 1.0))
-        for w, pj in zip(mw.weights, mw.exponents)
-    ]
-
-    def per_cube(g: LevelEntry) -> np.ndarray:
-        vals = fam.means(g, g.tile(nu), clip=True)
-        for w, pj, dual in zip(mw.weights, mw.exponents, duals):
-            if dual is None:
-                vals = vals * fam.segment_min(g, g.tile(w.samples)) ** (-p)
-            else:
-                ppj = pj / (pj - 1.0)
-                vals = vals * fam.means(g, g.tile(dual), clip=True) ** (p / ppj)
-        return vals
     return fam.sup(per_cube)
 
 
@@ -401,100 +337,15 @@ def _cube_integrals(
     return per_cube.sum(axis=1), csum[:, -1]
 
 
-def reverse_holder_check(w: Weight) -> dict:
-    """With r = 1 + 1/(tau_n * weak), check (<w^r>_Q)^{1/r} <= (2/|2Q|) int_{2Q} w
-    on every cube whose double stays inside the domain.  The worst cube is
-    the first, in family order, whose ratio is within 1e-12 relative of the
-    largest: cubes that tie (mirror images under a symmetric weight) differ
-    only by rounding."""
-    _, weak = w.ainfty()
-    r = 1.0 + 1.0 / (TAU_N * weak)
-    wr = clamped_power(w.samples, r)
-    per_level = []
-    for e in family_for(w.domain).entries:
-        idx, wr_q, _ = _double_sums(e, wr)
-        _, _, w_2q = _double_sums(e, w.samples)
-        per_level.append((e, idx, (wr_q / e.width) ** (1.0 / r) / (w_2q / e.width)))
-    worst = max((float(ratio.max()) for _, _, ratio in per_level if len(ratio)), default=-np.inf)
-    worst_cube = None
-    for e, idx, ratio in per_level:
-        ties = np.nonzero(ratio >= worst * (1.0 - 1e-12))[0]
-        if len(ties):
-            worst_cube = (e.lattice_id, e.level, e.t0 + int(idx[ties[0]]))
-            break
-    return {
-        "r": r,
-        "worst_ratio": worst,
-        "worst_cube": worst_cube,
-        "ok": worst <= 1.0 + 1e-12,
-    }
-
-
-def s_u(f: GridFunction, u: Weight) -> GridFunction:
-    """M(f u) / u pointwise."""
-    return GridFunction(
-        f.domain, maximal(GridFunction(f.domain, f.samples * u.samples)).samples / u.samples
-    )
-
-
-def rubio_de_francia(
-    h: GridFunction, u: Weight, k0: float, n_terms: int = 20
-) -> GridFunction:
-    """R h = sum_j S_u^j h / (2 K0)^j, truncated after n_terms terms.
-
-    R h majorizes h and is nearly invariant under S_u / (2 K0); the caller
-    supplies K0 above the operating norm of S_u, which makes the tail
-    geometric.  Non-decaying terms abort with the observed growth rate.
-    """
-    if k0 <= 0 or n_terms < 1:
-        raise ValueError("need K0 > 0 and at least one term")
-    if np.any(h.samples < 0):
-        raise ValueError("input must be nonnegative")
-    term = h
-    acc = h.samples.astype(float).copy()
-    prev = float(np.max(h.samples))
-    if prev == 0.0:
-        return GridFunction(h.domain, acc)
-    growth = []
-    for _ in range(1, n_terms):
-        term = GridFunction(h.domain, s_u(term, u).samples / (2.0 * k0))
-        cur = float(term.samples.max())
-        if cur == 0.0:
-            break  # underflow: the tail is exactly zero from here on
-        growth.append(cur / prev if prev > 0 else np.inf)
-        prev = cur
-        acc += term.samples
-        if len(growth) >= 3 and min(growth[-3:]) >= 1.0:
-            raise IterationError(
-                f"series not decaying: effective norm >= {2.0 * k0 * min(growth[-3:]):.3g}"
-            )
-    return GridFunction(h.domain, acc)
-
-
-def k0_p0(t: float, a1_u: float, at_v: float) -> tuple[float, float]:
-    """p0 = 2^{n+3}(t-1) a1_u + 1 and the companion constant
-
-    K0 = 4 C_n p0 p0' (a1_u + 2^{p0-1} C_n^t at_v^2 a1_u^{p0-1}) + 1.
-
-    at_v is the A_t constant of v^{1/m}; m itself does not enter the
-    formulas.
-    """
-    if t <= 1 or a1_u < 1 or at_v < 1:
-        raise ValueError("need t > 1 and constants >= 1")
-    p0 = 2.0 ** (N_DIM + 3) * (t - 1.0) * a1_u + 1.0
-    p0p = p0 / (p0 - 1.0)
-    k0 = (
-        4.0 * C_N * p0 * p0p
-        * (a1_u + 2.0 ** (p0 - 1.0) * C_N ** t * at_v ** 2 * a1_u ** (p0 - 1.0))
-        + 1.0
-    )
-    return p0, k0
-
-
 def log_k0_p0(t: float, a1_u: float, at_v: float) -> tuple[float, float]:
-    """(p0, ln K0) of k0_p0, summed in log space: K0 leaves the float range
-    once 2^{p0-1} a1_u^{p0-1} does, which an A_1 constant of a few hundred
-    already forces."""
+    """p0 = 2^{n+3}(t-1) a1_u + 1 and ln K0 of the companion constant
+
+    K0 = 4 C_n p0 p0' (a1_u + 2^{p0-1} C_n^t at_v^2 a1_u^{p0-1}) + 1,
+
+    summed in log space: K0 leaves the float range once 2^{p0-1}
+    a1_u^{p0-1} does, which an A_1 constant of a few hundred already
+    forces.  at_v is the A_t constant of v^{1/m}; m itself does not enter
+    the formulas."""
     if t <= 1 or a1_u < 1 or at_v < 1:
         raise ValueError("need t > 1 and constants >= 1")
     p0 = 2.0 ** (N_DIM + 3) * (t - 1.0) * a1_u + 1.0

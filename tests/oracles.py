@@ -7,7 +7,9 @@ the stopping-time walk, a linear program for the best sparseness, dense
 O(N^2) sums for the convolution kernels, a literal nested sum for kernel
 quadrature, one FFT convolution per expanded Calderon product, one
 complex inverse FFT per Stein scale, a recursion over the factors of a
-commutator, little or no vectorisation.  Slow on purpose."""
+commutator, a discrete sup over dilations for the growth indices that
+the package takes in closed form, little or no vectorisation.  Slow on
+purpose."""
 
 import itertools
 import math
@@ -97,8 +99,8 @@ def per_entry_ap(w, p):
 
 
 def per_entry_multi_ap(mw):
-    """The multiple-weight constant of `multi_ap_constant` one family entry
-    at a time."""
+    """The multiple-weight constant of `criteria.multi_ap_constant` one
+    family entry at a time."""
     fam = family_for(mw.weights[0].domain)
     p = mw.p
     nu = mw.nu().samples
@@ -292,7 +294,8 @@ def optimal_eta(fam: SparseFamily) -> float:
 
     Solved as a linear program on fractional cell masses: maximize eta
     subject to sum_c x[Q,c] >= eta |Q|, sum_Q x[Q,c] <= 1, support in Q.
-    Independent of verify_sparse; used to cross-check the packing bound.
+    Independent of `criteria.verify_sparse`; used to cross-check the packing
+    bound.
     """
     from scipy.optimize import linprog
 
@@ -513,3 +516,44 @@ def recursive_commutator(T, bs, slots, fs) -> np.ndarray:
     if not any(np.iscomplexobj(f.samples) for f in fs):
         out = out.real.copy()
     return out
+
+
+_DILATION_S = np.logspace(-8.0, 8.0, 2048)
+
+
+def _h_phi(phi: YoungFunction, t: float) -> float:
+    s = _DILATION_S
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = phi(s * t) / phi(s)
+    r = r[np.isfinite(r)]
+    return float(r.max()) if len(r) else np.inf
+
+
+def numeric_dilation_indices(phi: YoungFunction) -> tuple[float, float]:
+    """(i_phi, I_phi) of `orlicz.dilation_indices` as slopes of log h_phi,
+    h_phi(t) = sup_s phi(s t) / phi(s) over a discrete s grid, probed at
+    t0 = 1e-6 and 1e6: bounds on the true indices from the monotone side."""
+    t_small, t_big = 1e-6, 1e6
+    i_est = math.log(_h_phi(phi, t_small)) / math.log(t_small)
+    h_big = _h_phi(phi, t_big)
+    I_est = np.inf if not math.isfinite(h_big) else math.log(h_big) / math.log(t_big)
+    return i_est, I_est
+
+
+def numeric_delta2_constant(phi: YoungFunction) -> float:
+    """Smallest observed C1 with phi(lam t) <= (2 lam)^C1 phi(t), lam >= 2:
+    the doubling constant that `YoungFunction.delta2_C1` gives in closed
+    form."""
+    ts = np.logspace(-6.0, 6.0, 400)
+    best = 0.0
+    for lam in (2.0, 3.0, 5.0, 8.0, 16.0, 64.0):
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            num = phi(lam * ts)
+            den = phi(ts)
+            pos = den > 0
+            if np.any(np.isinf(num) & pos & np.isfinite(den)):
+                return np.inf  # doubling breaks the float range: not doubling
+            ratio = num[pos] / den[pos]
+        c = np.log(ratio).max() / math.log(2.0 * lam)
+        best = max(best, float(c))
+    return best

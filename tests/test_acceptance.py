@@ -14,7 +14,6 @@ from sparse_harmonics.harness import (
     coifman_fefferman_experiment,
     fefferman_stein_experiment,
     hilbert_bundle,
-    lorentz_l1_norm,
     mixed_weak_experiment,
     modular_experiment,
     sharpness_experiment,
@@ -26,30 +25,27 @@ from sparse_harmonics.operators import (
     stein_square_function,
 )
 from sparse_harmonics.operators import KernelOperator
-from sparse_harmonics.orlicz import (
-    delta2_constant,
-    dilation_indices,
-    llog,
-    power,
-    power_over_p,
-    young_pair_checks,
-)
-from sparse_harmonics.sparse import (
-    SparseFamily,
+from sparse_harmonics.orlicz import dilation_indices, llog, power
+from sparse_harmonics.sparse import SparseFamily
+from sparse_harmonics.weights import Weight, ap_constant, log_k0_p0
+
+from criteria import (
     counting_decay,
+    lorentz_l1_norm,
     oscillation_sparse,
-    verify_sparse,
-)
-from sparse_harmonics.weights import (
-    Weight,
-    ap_constant,
-    k0_p0,
+    power_over_p,
     reverse_holder_check,
     rubio_de_francia,
     s_u,
+    verify_sparse,
+    young_pair_checks,
 )
-
-from oracles import brute_ainfty, brute_ap, first_order_commutator_kernel
+from oracles import (
+    brute_ainfty,
+    brute_ap,
+    first_order_commutator_kernel,
+    numeric_dilation_indices,
+)
 
 DOM8 = Domain(0.0, 1.0, 8)
 ROOT8 = DyadicCube(0, 0, 0)
@@ -88,11 +84,11 @@ def random_half_sparse(seed, dom, max_cubes=14):
         q = frontier.pop(rng.integers(len(frontier)))
         if q.level >= dom.resolution_log2 - 2:
             continue
-        kids = children(q, dom)
+        kids = children(q)
         if rng.random() < 0.5:
             picks = [kids[rng.integers(2)]]
         else:
-            picks = [children(k, dom)[rng.integers(2)] for k in kids]
+            picks = [children(k)[rng.integers(2)] for k in kids]
         for p in picks[: max_cubes - len(cubes)]:
             cubes.append(p)
             frontier.append(p)
@@ -125,14 +121,14 @@ def deep_half_sparse(seed, dom, steps=5):
         q, depth = stack.pop()
         if depth >= steps or q.level >= dom.resolution_log2 - 2:
             continue
-        kids = children(q, dom)
+        kids = children(q)
         u = rng.random()
         if u < 0.4:
             picks = [kids[rng.integers(2)]]
         elif u < 0.8:
-            picks = [children(k, dom)[rng.integers(2)] for k in kids]
+            picks = [children(k)[rng.integers(2)] for k in kids]
         else:
-            picks = [children(kids[rng.integers(2)], dom)[rng.integers(2)]]
+            picks = [children(kids[rng.integers(2)])[rng.integers(2)]]
         for p in picks:
             cubes.append(p)
             stack.append((p, depth + 1))
@@ -233,7 +229,7 @@ def test_criterion_6_rubio_de_francia():
     rp = 2.0
     for u in us:
         a1 = u.ap(1.0)
-        _, k0 = k0_p0(2.0, a1, max(a1, 1.0))
+        k0 = math.exp(log_k0_p0(2.0, a1, max(a1, 1.0))[1])
         for h in hs:
             rh = rubio_de_francia(h, u, k0)
             assert np.all(rh.samples >= h.samples - 1e-12)
@@ -297,7 +293,8 @@ def test_criterion_7_lp_ratio_suite():
 def test_criterion_8_mixed_weak_suite():
     t0 = time.time()
     # hand-computed constant check: n=1, t=2, [u]_A1 = [v^{1/m}]_A2 = 1
-    p0, k0 = k0_p0(2.0, 1.0, 1.0)
+    p0, log_k0 = log_k0_p0(2.0, 1.0, 1.0)
+    k0 = math.exp(log_k0)
     assert p0 == pytest.approx(17.0)
     assert k0 == pytest.approx(4.0 * 17.0 * (17.0 / 16.0) * (1.0 + 2.0 ** 16) + 1.0)
 
@@ -374,7 +371,7 @@ def test_criterion_10_modular_suite():
     for p in (1.2, 2.0, 3.0):
         i_closed, I_closed = dilation_indices(power(p))
         assert i_closed == p and I_closed == p
-        i_num, I_num = dilation_indices(power(p), numeric=True)
+        i_num, I_num = numeric_dilation_indices(power(p))
         assert abs(i_num - p) <= 0.05 and abs(I_num - p) <= 0.05
 
     # branch 1 and branch 2 both execute and stay within slack
@@ -394,7 +391,7 @@ def test_criterion_10_modular_suite():
     ts = np.logspace(-4.0, 4.0, 60)
     lams = np.array([2.0, 3.0, 5.0, 17.0, 128.0])
     for phi in (power(1.5), power(2.0), power(3.0), power_over_p(2.0), llog(1.0)):
-        c1 = delta2_constant(phi)
+        c1 = phi.delta2_C1
         vals = phi(np.outer(lams, ts))
         bound = (2.0 * lams)[:, None] ** c1 * phi(ts)[None, :]
         assert np.all(vals <= bound * (1.0 + 1e-12)), phi.name

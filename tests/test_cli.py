@@ -505,6 +505,14 @@ r = 0
     assert "config error: need r > 0" in capsys.readouterr().err
 
 
+def test_run_modular_exp_growth_spec_is_unknown(tmp_path, capsys):
+    # modular, the one reader of [params] p, takes only sub-multiplicative
+    # growth functions, and exp(t^s) - 1 is not one: no spec builds it
+    cfg = write_config(tmp_path, _small("modular", params={"p": "exp:1"}))
+    assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == "config error: unknown growth function spec 'exp:1'\n"
+
+
 def _ini(sections: dict) -> str:
     return "".join(
         f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in items.items()) + "\n"
@@ -635,14 +643,24 @@ NUMBER_SITES = [
     (_small("cf", symbols={"b": "steps:x"}), "spec 'steps:x': 'x' is not an integer"),
     (_small("cf", functions={"bank": "wave:2.5"}), "spec 'wave:2.5': '2.5' is not an integer"),
     (_small("modular", params={"p": "llog:one"}), "spec 'llog:one': 'one' is not a number"),
-    (_small("modular", params={"p": "exp:"}), "spec 'exp:': '' is not a number"),
+    (_small("modular", params={"p": "power:"}), "spec 'power:': '' is not a number"),
 ]
 
 
-@pytest.mark.parametrize("text, message", NUMBER_SITES, ids=[
-    m.split(":")[0].replace("[", "").replace("] ", "-").replace("spec '", "spec-")
-    for _, m in NUMBER_SITES
-])
+def _site_ids(sites) -> list[str]:
+    """One id per site, from the key or spec its message names; a name met
+    again (power: is both a weight and a growth function spec) gets its
+    count appended."""
+    ids, names = [], []
+    for _, message in sites:
+        name = message.split(":")[0].replace("[", "").replace("] ", "-").replace("spec '", "spec-")
+        names.append(name)
+        n = names.count(name)
+        ids.append(name if n == 1 else f"{name}-{n}")
+    return ids
+
+
+@pytest.mark.parametrize("text, message", NUMBER_SITES, ids=_site_ids(NUMBER_SITES))
 def test_run_number_that_does_not_parse_names_its_key(tmp_path, capsys, text, message):
     # these printed Python's bare conversion message, which names no key
     cfg = write_config(tmp_path, text)

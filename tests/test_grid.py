@@ -59,15 +59,17 @@ def test_gridfunction_rejects_bad_samples():
 def test_children_bisects_unit_interval():
     dom = Domain(0.0, 1.0, 4)
     root = DyadicCube(0, 0, 0)
-    kids = children(root, dom)
+    kids = children(root)
     assert [cube_cells(dom, k) for k in kids] == [(0, 8, 8), (8, 16, 8)]
 
 
 def test_children_resolution_floor():
+    # a child finer than the grid is refused where it is used
     dom = Domain(0.0, 1.0, 4)
     leaf = DyadicCube(0, 4, 3)
-    with pytest.raises(ResolutionError):
-        children(leaf, dom)
+    for kid in children(leaf):
+        with pytest.raises(ResolutionError):
+            kid.cell_bounds(dom)
 
 
 def test_children_partition_shifted_exhaustive():
@@ -80,7 +82,7 @@ def test_children_partition_shifted_exhaustive():
         for q in entry.cubes():
             s, e, _ = q.cell_bounds(dom)
             kid_cells = []
-            for k in children(q, dom):
+            for k in children(q):
                 ks, ke, _ = k.cell_bounds(dom)
                 kid_cells.append((ks, ke))
             kid_cells.sort()

@@ -4,12 +4,14 @@ private name from another module of the package, every parameter of a def
 under src/ is read in its body, every name in a src/ module's __all__ is
 defined in that module, every such name and every public method of an
 exported class is read by other src/ code, run as a console script or on
-the list of names only tests reach, every oracle in tests/oracles.py is
-read by a test or another oracle, every defaulted parameter of a src/
-function is set by some call, no src/ object caches a computed value
-(per-input results go through `grid.MEMO`), the benchmark tracer still
-finds every name and parameter it traces, no src/ module imports scipy,
-and importing the CLI loads no scipy module: only the tests use scipy."""
+the short list of names only tests reach, every function of
+tests/oracles.py and tests/criteria.py is read by a test or another
+function of its module, every defaulted parameter of a src/ function is
+set by some call in src/, perfbench/ or benchmarks/ (a test alone does
+not keep a knob), no src/ object caches a computed value (per-input
+results go through `grid.MEMO`), the benchmark tracer still finds every
+name and parameter it traces, no src/ module imports scipy, and importing
+the CLI loads no scipy module: only the tests use scipy."""
 
 import ast
 import importlib.util
@@ -369,13 +371,14 @@ def console_scripts(pyproject: str) -> set[str]:
     }
 
 
-def unreachable_oracles(sources: dict[str, str]) -> list[str]:
-    """"oracles.name" for each top-level function of the oracles module that
-    neither a test module nor another oracle reads: the export check, with
-    every such function taken as exported."""
-    oracles = sources["oracles"]
-    names = [n.name for n in ast.parse(oracles).body if isinstance(n, ast.FunctionDef)]
-    return unreachable_exports({**sources, "oracles": f"__all__ = {names!r}\n{oracles}"})
+def unreachable_oracles(sources: dict[str, str], module: str) -> list[str]:
+    """"module.name" for each top-level function of a test helper module
+    (the oracles, or the criteria) that neither a test module nor another
+    function of the helper reads: the export check, with every such
+    function taken as exported."""
+    helper = sources[module]
+    names = [n.name for n in ast.parse(helper).body if isinstance(n, ast.FunctionDef)]
+    return unreachable_exports({**sources, module: f"__all__ = {names!r}\n{helper}"})
 
 
 def test_checker_sees_unreachable_exports():
@@ -498,26 +501,18 @@ def test_checker_sees_unreachable_exports():
             "    assert outer(1)\n"
         ),
     }
-    assert unreachable_oracles(tests) == ["oracles.brute", "oracles.unused"]
+    assert unreachable_oracles(tests, "oracles") == ["oracles.brute", "oracles.unused"]
+    # so does a function of the criteria
+    tests["criteria"] = "def check(x):\n    return x\ndef spare(x):\n    return x\n"
+    tests["test_b"] = "from criteria import check\ndef test_b():\n    assert check(1)\n"
+    assert unreachable_oracles(tests, "criteria") == ["criteria.spare"]
 
 
 # Exported names (and public methods of top-level classes, as
-# "module.Class.method") that only tests reach, each with the criterion or
-# test that uses it
+# "module.Class.method") that no src code reads, each with what keeps it
 TEST_ONLY = {
-    "grid.children": "criteria 1 and 2; tests/oracles.py::brute_stopping_cubes",
+    "grid.children": "perfbench/tracing.py counts its calls; criteria 1-3 build families with it",
     "grid.Memo.clear": "test_maximal.py, test_operators.py and test_orlicz.py, for a cold memo",
-    "harness.lorentz_l1_norm": "criterion 6; test_harness.py::test_lorentz_l1_dominates_weak",
-    "orlicz.power_over_p": "criterion 10",
-    "orlicz.young_pair_checks": "criterion 10",
-    "orlicz.delta2_constant": "criterion 10",
-    "sparse.verify_sparse": "criteria 2 and 3",
-    "sparse.oscillation_sparse": "criterion 3",
-    "sparse.counting_decay": "criteria 1 and 2",
-    "weights.multi_ap_constant": "test_weights.py::test_multi_ap_*",
-    "weights.reverse_holder_check": "criterion 5",
-    "weights.rubio_de_francia": "criterion 6",
-    "weights.k0_p0": "criteria 6 and 8",
 }
 
 
@@ -537,8 +532,10 @@ def test_every_export_in_src_is_reached_or_listed():
 
 def test_every_oracle_is_read_by_a_test_or_another_oracle():
     sources = {path.stem: path.read_text() for path in sorted(TESTS.glob("*.py"))}
-    found = unreachable_oracles(sources)
-    assert not found, "oracles that no test and no other oracle reads:\n" + "\n".join(found)
+    found = unreachable_oracles(sources, "oracles") + unreachable_oracles(sources, "criteria")
+    assert not found, (
+        "oracles and criteria that no test and no other helper reads:\n" + "\n".join(found)
+    )
 
 
 def unset_defaults(sources: dict[str, str], callers) -> list[str]:
@@ -609,8 +606,9 @@ def test_checker_sees_unset_defaults():
 
 def test_every_defaulted_parameter_is_set_by_a_caller():
     sources = {path.stem: path.read_text() for path in sorted((SRC / "sparse_harmonics").glob("*.py"))}
+    # a knob that only a test sets is a constant: the tests are no caller
     callers = [
-        path.read_text() for tree in (SRC, TESTS, ROOT / "perfbench")
+        path.read_text() for tree in (SRC, ROOT / "perfbench", ROOT / "benchmarks")
         for path in sorted(tree.rglob("*.py"))
     ]
     found = unset_defaults(sources, callers)

@@ -434,8 +434,8 @@ def _extreme_bank(dom):
 @pytest.mark.parametrize("L", [6, 9, 12])
 def test_newton_luxemburg_matches_the_illinois_oracle(L, m, monkeypatch):
     # every call multilinear_maximal makes, pruned cubes and all, against the
-    # bracket solve on the same cubes: within 1e-12 and never below it; only
-    # the subnormal input (its 1 / mean overflows) takes the fallback
+    # bracket solve on the same cubes: within 1e-12 and never below it; no
+    # bank input takes the fallback, since a subnormal one is scaled up
     dom = Domain(0.0, 1.0, L)
     bank = _extreme_bank(dom)
     calls, fallbacks = [], []
@@ -463,12 +463,33 @@ def test_newton_luxemburg_matches_the_illinois_oracle(L, m, monkeypatch):
             old = illinois_luxemburg_per_cube(*args)
             assert np.all(np.abs(new - old) <= 1e-12 * old), name
             assert np.all(new >= old * (1.0 - 1e-12)), name
-        assert bool(fallbacks) == any(n == "subnormal" for n, _ in pair), name
+        assert fallbacks == [], name
         MEMO.clear()
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(maximal_module, "luxemburg_per_cube", illinois_luxemburg_per_cube)
             want = multilinear_maximal(fs, "llogl").samples
         np.testing.assert_allclose(got, want, rtol=m * 1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("L", [6, 9, 12])
+def test_llogl_norms_of_a_subnormal_input_meet_the_luxemburg_condition(L, monkeypatch):
+    # the prune needs every solved norm to meet its condition; solved on
+    # |f| of order 1e-310 the bracket solve missed it by up to 3e-10
+    dom = Domain(0.0, 1.0, L)
+    (_, f), = [pair for pair in _extreme_bank(dom) if pair[0] == "subnormal"]
+    calls = []
+    solve = maximal_module.luxemburg_per_cube
+
+    def recorded(*args):
+        calls.append((args, solve(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(maximal_module, "luxemburg_per_cube", recorded)
+    MEMO.clear()
+    multilinear_maximal([GridFunction(dom, f)], "llogl")
+    assert calls
+    for (fam, entry, absf, phi, _), norms in calls:
+        assert np.all(maximal_module._excess(fam, entry, absf, phi)(norms) <= 0.0)
 
 
 def test_a_newton_value_that_fails_its_check_takes_the_bracket_solve(monkeypatch):

@@ -18,9 +18,9 @@ from sparse_harmonics.operators import (
     iterated_commutator,
     stein_square_function,
 )
-from sparse_harmonics.orlicz import exp_power
 from sparse_harmonics.weights import Weight, ainfty_constants
 
+from criteria import exp_power
 from oracles import (
     calderon_kernel,
     dense_calderon_apply,

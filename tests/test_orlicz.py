@@ -11,19 +11,17 @@ from sparse_harmonics.grid import Domain, DyadicCube, GridFunction, average, cub
 from sparse_harmonics.grid import MEMO, family_for
 from sparse_harmonics.maximal import multilinear_maximal
 from sparse_harmonics.orlicz import (
-    delta2_constant,
+    YoungFunction,
     dilation_indices,
-    exp_power,
     llog,
     monotone_root,
     phi_power,
     power,
-    power_over_p,
-    young_pair_checks,
 )
 from sparse_harmonics.weights import Weight
 
-from oracles import luxemburg_norm
+from criteria import exp_power, power_over_p, young_pair_checks
+from oracles import luxemburg_norm, numeric_delta2_constant, numeric_dilation_indices
 
 DOM = Domain(0.0, 1.0, 8)
 ROOT = DyadicCube(0, 0, 0)
@@ -231,11 +229,9 @@ def test_llog_one_leaves_out_identity_powers_bit_for_bit():
                         np.exp(rng.uniform(-30.0, 30.0, 200))])
     want = t ** 1.0 * np.log(np.e + t) ** 1.0
     np.testing.assert_array_equal(llog(1.0)(t), want)
-    # p and alpha other than 1 keep the generic formula; 1e300 ** 1.5 is inf
-    with np.errstate(over="ignore"):
-        for alpha, p in ((2.0, 1.5), (2.0, 1.0), (1.0, 1.5)):
-            want = t ** p * np.log(np.e + t) ** alpha
-            np.testing.assert_array_equal(llog(alpha, p)(t), want)
+    # an alpha other than 1 keeps the generic formula
+    want = t * np.log(np.e + t) ** 2.0
+    np.testing.assert_array_equal(llog(2.0)(t), want)
 
 
 @pytest.mark.parametrize("end", ["hi", "lo"])
@@ -297,14 +293,16 @@ def test_young_pair_llog_numeric_conjugate():
 def test_dilation_power_exact():
     i, I = dilation_indices(power(2.5))
     assert (i, I) == (2.5, 2.5)
-    i_num, I_num = dilation_indices(power(2.5), numeric=True)
+    i_num, I_num = numeric_dilation_indices(power(2.5))
     assert i_num == pytest.approx(2.5, abs=1e-6)
     assert I_num == pytest.approx(2.5, abs=1e-6)
 
 
 def test_dilation_llog_numeric_lower():
-    for p, alpha in ((1.0, 1.0), (2.0, 0.5), (1.5, 2.0)):
-        i_num, _ = dilation_indices(llog(alpha, p), numeric=True)
+    p = 1.0
+    for alpha in (1.0, 0.5, 2.0):
+        assert dilation_indices(llog(alpha)) == (p, p)
+        i_num, _ = numeric_dilation_indices(llog(alpha))
         assert abs(i_num - p) < 0.05
 
 
@@ -312,26 +310,33 @@ def test_dilation_phi_power_scales():
     p, m = 1.5, 3
     phim = phi_power(power(p), m)
     assert dilation_indices(phim) == (p * m, p * m)
-    _, I_num = dilation_indices(phim, numeric=True)
+    _, I_num = numeric_dilation_indices(phim)
     assert abs(I_num - m * p) < 0.05
 
 
+def test_dilation_indices_refuse_a_phi_without_closed_forms():
+    # the numeric probe is an oracle; a phi without indices has no route
+    for phi in (exp_power(1.0), YoungFunction("t^2", lambda t: t ** 2)):
+        with pytest.raises(ValueError, match="no closed-form dilation indices"):
+            dilation_indices(phi)
+
+
 def test_delta2_power():
-    assert delta2_constant(power(3.0)) == 3.0
-    c = delta2_constant(power(3.0), numeric=True)
+    assert power(3.0).delta2_C1 == 3.0
+    c = numeric_delta2_constant(power(3.0))
     assert c <= 3.0 + 1e-9
 
 
 def test_delta2_llog_numeric_holds():
     phi = llog(1.0)
-    c1 = delta2_constant(phi, numeric=True) + 1e-9
+    c1 = numeric_delta2_constant(phi) + 1e-9
     ts = np.logspace(-4, 4, 100)
     for lam in (2.0, 4.0, 10.0):
         assert np.all(phi(lam * ts) <= 2 ** c1 * lam ** c1 * phi(ts) * (1 + 1e-9))
 
 
 def test_delta2_exp_is_infinite():
-    assert delta2_constant(exp_power(1.0), numeric=True) == np.inf
+    assert numeric_delta2_constant(exp_power(1.0)) == np.inf
 
 
 # -- structural invariants ---------------------------------------------------

@@ -10,21 +10,22 @@ from sparse_harmonics.cli import make_weight
 from sparse_harmonics.grid import PRUNE_MARGIN, Domain, GridFunction, family_for
 from sparse_harmonics.maximal import maximal
 from sparse_harmonics.weights import (
-    IterationError,
-    MultiWeight,
     Weight,
     ainfty_constants,
     ap_constant,
     clamped_power,
-    k0_p0,
     log_k0_p0,
+)
+from sparse_harmonics.weights import _ainfty_bounds, _cube_integrals, _double_sums
+
+from criteria import (
+    IterationError,
+    MultiWeight,
     multi_ap_constant,
     reverse_holder_check,
     rubio_de_francia,
     s_u,
 )
-from sparse_harmonics.weights import _ainfty_bounds, _cube_integrals, _double_sums
-
 from oracles import all_pairs_ainfty, brute_ainfty, brute_ap, per_entry_ap, per_entry_multi_ap
 
 DOM = Domain(0.0, 1.0, 6)
@@ -360,21 +361,27 @@ def test_rubio_de_francia_zero_and_divergence():
 
 
 def test_k0_p0_hand_value():
-    p0, k0 = k0_p0(2.0, 1.0, 1.0)
+    p0, log_k0 = log_k0_p0(2.0, 1.0, 1.0)
+    k0 = math.exp(log_k0)
     assert p0 == 17.0
     want = 4.0 * 1.0 * 17.0 * (17.0 / 16.0) * (1.0 + 2.0 ** 16) + 1.0
     assert k0 == pytest.approx(want, rel=1e-15)
 
 
 def test_k0_p0_limit_t_to_one():
-    p0, k0 = k0_p0(1.0 + 1e-9, 1.0, 1.0)
+    p0, log_k0 = log_k0_p0(1.0 + 1e-9, 1.0, 1.0)
+    k0 = math.exp(log_k0)
     assert p0 == pytest.approx(1.0, abs=1e-6)
     assert math.isfinite(k0) and k0 > 1.0
 
 
 def test_log_k0_p0_matches_k0_p0_and_stays_finite():
     for args in [(2.0, 1.0, 1.0), (1.5, 3.0, 2.0), (2.7, 5.5, 1.3)]:
-        p0, k0 = k0_p0(*args)
+        # the formula summed in linear space, finite for these constants
+        t, a1_u, at_v = args
+        p0 = 16.0 * (t - 1.0) * a1_u + 1.0
+        k0 = 4.0 * p0 * p0 / (p0 - 1.0) * (
+            a1_u + 2.0 ** (p0 - 1.0) * at_v ** 2 * a1_u ** (p0 - 1.0)) + 1.0
         q0, log_k0 = log_k0_p0(*args)
         assert q0 == p0
         assert log_k0 == pytest.approx(math.log(k0), rel=1e-14)
