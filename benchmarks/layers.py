@@ -4,9 +4,11 @@ L in {8, 10, 12, 14}, and the cold import of the CLI.
 Each row is the median of repeated calls (3 at L = 14), with `grid.MEMO`
 emptied before each call and the cube family of the domain built before the
 first (except in the family row itself).  Inputs: a uniform random f and a
-on [0, 1); b = log|x - 1/2| for BMO and [b,H]; a log-normal weight and the
-constant weight for A_inf.  The cold import is the wall time of a fresh
-interpreter that imports `sparse_harmonics.cli`.
+on [0, 1), and the CLI's bump exp(-120 (x - 1/2)^2) for M_{L log L}, where
+the upper bounds set how many cubes are solved; b = log|x - 1/2| for BMO
+and [b,H]; a log-normal weight and the constant weight for A_inf.  The
+cold import is the wall time of a fresh interpreter that imports
+`sparse_harmonics.cli`.
 
 Run from the repository root:
 
@@ -42,6 +44,7 @@ def _rows(dom: Domain) -> dict:
     N = dom.n_cells
     f = GridFunction(dom, rng.uniform(0.0, 1.0, N))
     a = GridFunction(dom, rng.uniform(0.0, 1.0, N))
+    bump = GridFunction.from_callable(dom, lambda x: np.exp(-120.0 * (x - 0.5) ** 2))
     b = GridFunction.from_callable(dom, lambda x: np.log(np.abs(x - 0.5)))
     bh = harness.hilbert_bundle([b])
     tbf = bh.apply([f])
@@ -52,6 +55,8 @@ def _rows(dom: Domain) -> dict:
         "CubeFamily build": lambda: grid.CubeFamily(dom),
         "M_hl": lambda: maximal.maximal(f),
         "M_{L log L}": lambda: maximal.multilinear_maximal([f], "llogl"),
+        "M_{L log L}, two inputs": lambda: maximal.multilinear_maximal([f, a], "llogl"),
+        "M_{L log L}, bump f": lambda: maximal.multilinear_maximal([bump], "llogl"),
         "Hilbert": lambda: operators.hilbert_transform(f),
         "Stein (alpha = 1.5)": lambda: operators.stein_square_function(f, 1.5),
         "Calderon m = 1": lambda: operators.calderon_apply([f, a]),

@@ -47,7 +47,6 @@ __all__ = [
     "coifman_fefferman_experiment",
     "mixed_weak_experiment",
     "fefferman_stein_experiment",
-    "quasiconvex_alpha",
     "modular_experiment",
 ]
 
@@ -566,25 +565,6 @@ def fefferman_stein_experiment(
     )
 
 
-def quasiconvex_alpha(phi: YoungFunction) -> float:
-    """Largest alpha of the grid 1/20, 2/20, ..., 1 for which the alpha-th
-    power of the complementary function passes a midpoint convexity test."""
-    n_alpha = 20
-    ts = np.logspace(-2.0, 2.0, 40)
-    phibar = phi.complementary()
-    bar = phibar(ts)
-    mid = phibar((ts[:-1] + ts[1:]) / 2.0)
-    for k in range(n_alpha, 0, -1):
-        a = k / n_alpha
-        with np.errstate(invalid="ignore"):
-            lhsv = mid ** a
-            rhsv = (bar[:-1] ** a + bar[1:] ** a) / 2.0
-        ok = np.all(lhsv <= rhsv * (1.0 + 1e-9))
-        if ok:
-            return a
-    return 1.0 / n_alpha
-
-
 def modular_experiment(
     bundle: OperatorBundle,
     fs: Sequence[GridFunction],
@@ -613,7 +593,9 @@ def modular_experiment(
     h = fs[0].domain.h
     tf = np.abs(bundle.apply(fs).samples)
     lhs = float(np.sum(np.asarray(phi(tf), dtype=float) * w.samples) * h)
-    alpha = quasiconvex_alpha(phi)
+    # the largest alpha <= 1 with phibar^alpha quasi-convex is 1 for every
+    # phi: phibar(t) = sup_s (st - phi(s)) is a sup of affine maps, so convex
+    alpha = 1.0
     c1 = phi.delta2_C1
     if c1 is None or not math.isfinite(c1):
         raise ValueError("growth function must satisfy the doubling condition")

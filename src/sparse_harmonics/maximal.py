@@ -192,24 +192,17 @@ def _llogl_bounds(
 
 def _llogl_upper(mean: np.ndarray, top: np.ndarray, inv1: float) -> np.ndarray:
     """Upper bounds on the L log L norms of cubes where |f| has these means
-    m and maxima M: lambda with g(lambda) = (m / lambda) log(e + M / lambda)
-    - 1 <= 0, which bounds the norm because t log(e + t) <= t log(e + M /
-    lambda) for t <= M / lambda; max / phi^-1(1) where that fails.
+    m and maxima M: three steps of the decreasing map lambda -> m log(e + M
+    / lambda) from the Jensen end m / phi^-1(1); max / phi^-1(1) where the
+    value fails the Luxemburg condition in floating point.
 
-    With t = M / lambda and y = M / m, g <= 0 reads phi(t) = t log(e + t)
-    <= y.  phi is convex and increasing, so Newton steps from t = y phi^-1(1),
-    where phi >= y, stay at or above the root; the chord from there to
-    phi^-1(1), where phi <= 1 <= y, crosses y at or below it, so M / t is an
-    upper bound in exact arithmetic.  A Newton step alone would give a lower
-    one, so the bound is checked in floating point at the value returned."""
+    The map's fixed point bounds the norm, since t log(e + t) <= t log(e +
+    M / lambda) for t <= M / lambda.  The Jensen end lies below the norm,
+    hence below the fixed point, and the map is decreasing, so its odd
+    iterates lie above the fixed point: an upper bound in exact arithmetic."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        y = top / mean
-        t = y * inv1
-        for _ in range(2):  # the chord below takes the rest
-            lg = np.log(np.e + t)
-            t = t - (t * lg - y) / (lg + t / (np.e + t))
-        excess = t * np.log(np.e + t) - y
-        t = t - excess * (t - inv1) / (excess + y - inv1 * np.log(np.e + inv1))
-        lam = top / t
+        lam = mean / inv1
+        for _ in range(3):
+            lam = mean * np.log(np.e + top / lam)
         ok = mean / lam * np.log(np.e + top / lam) <= 1.0
     return np.where(ok, lam, top / inv1)

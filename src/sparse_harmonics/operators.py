@@ -205,6 +205,12 @@ def _bmo_sup(b: GridFunction) -> float:
     return fam.sup(per_cube)
 
 
+# Row cells 2^(m + l) N that T_b f may expand into: 2^m Calderon rows of N
+# cells (m = 0 for Hilbert and Stein), each batch run once per subset of the
+# l symbols.  A row cell costs about 130 B at peak, so this is about 0.5 GiB.
+MAX_ROW_CELLS = 1 << 22
+
+
 def iterated_commutator(
     T: KernelOperator,
     bs: Sequence[GridFunction],
@@ -219,13 +225,18 @@ def iterated_commutator(
     is the kernel form evaluated slot by slot.  A factor of order k is the
     same symbol passed k times in one slot; with no symbol this is T f.
     Computed once per operator, slots and content of the symbols and
-    inputs (see `grid.MEMO`).
+    inputs (see `grid.MEMO`); ValueError, before anything is allocated,
+    where the expansion would exceed `MAX_ROW_CELLS`.
     """
     if len(bs) != len(slots):
         raise ValueError("need one slot per symbol")
     if any(not (0 <= s < len(fs)) for s in slots):
         raise ValueError("slot out of range")
     dom = fs[0].domain
+    m, n_sym = len(fs) - 1, len(bs)
+    if dom.n_cells << (m + n_sym) > MAX_ROW_CELLS:
+        raise ValueError(f"order m = {m} with l = {n_sym} symbols: 2^{m + n_sym} expanded rows of "
+                         f"{dom.n_cells} cells exceed the {MAX_ROW_CELLS} row cells allowed")
     key = ("iterated_commutator", T, tuple(slots), dom,
            *(digest(g.samples) for g in (*bs, *fs)))
     return GridFunction(dom, MEMO.get(key, lambda: _expanded_commutator(T, bs, slots, fs)))

@@ -2,10 +2,9 @@
 their dilation indices.
 
 Built-in growth functions carry closed-form inverses and complementary
-functions where they exist; everything else falls back on a monotone
-root solve or a refined discrete sup, so the numeric paths are only a
-backstop for the closed forms.  The dilation indices and the doubling
-constant are closed forms only.
+functions where they exist; an inverse without one falls back on a
+monotone root solve.  The dilation indices and the doubling constant are
+closed forms only, and nothing here computes a conjugate.
 """
 
 from __future__ import annotations
@@ -47,11 +46,6 @@ class YoungFunction:
         if self.inverse_fn is not None:
             return self.inverse_fn(np.asarray(t, dtype=float))
         return _numeric_inverse(self, np.asarray(t, dtype=float))
-
-    def complementary(self) -> "YoungFunction":
-        if self.complementary_fn is not None:
-            return YoungFunction(f"conj({self.name})", self.complementary_fn)
-        return YoungFunction(f"conj({self.name})", lambda t: _conjugate_eval(self, t))
 
 
 def monotone_root(lo, hi, excess, below=False):
@@ -120,33 +114,6 @@ def _numeric_inverse(phi: YoungFunction, t: np.ndarray) -> np.ndarray:
         hi[bad] *= 2.0
     lo = monotone_root(np.zeros_like(t), hi, lambda s: t - phi(s), below=True)
     return lo * (1.0 - 4.0 * np.finfo(float).eps)
-
-
-_CONJ_S = np.logspace(-9.0, 9.0, 4096)
-
-
-def _conjugate_eval(phi: YoungFunction, t: np.ndarray) -> np.ndarray:
-    """phibar(t) = sup_s (st - phi(s)): coarse grid argmax + golden refine."""
-    t = np.atleast_1d(t).astype(float)
-    s = _CONJ_S
-    vals = s[None, :] * t[:, None] - phi(s)[None, :]
-    vals = np.where(np.isfinite(vals), vals, -np.inf)
-    k = np.argmax(vals, axis=1)
-    a = s[np.maximum(k - 1, 0)]
-    b = s[np.minimum(k + 1, len(s) - 1)]
-    # ternary search: s -> st - phi(s) is concave for convex phi
-    for _ in range(120):
-        m1 = a + (b - a) / 3.0
-        m2 = b - (b - a) / 3.0
-        f1 = m1 * t - phi(m1)
-        f2 = m2 * t - phi(m2)
-        left = f1 < f2
-        a = np.where(left, m1, a)
-        b = np.where(left, b, m2)
-    mid = 0.5 * (a + b)
-    best = np.maximum(vals[np.arange(len(t)), k], mid * t - phi(mid))
-    out = np.maximum(best, 0.0)
-    return out if t.shape else float(out)
 
 
 # ---------------------------------------------------------------------------

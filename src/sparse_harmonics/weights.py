@@ -177,10 +177,11 @@ def ainfty_constants(w: Weight) -> tuple[float, float]:
     level's full row span, so each kept cube's value is the same floating
     point operation as in a sweep of every cube.  A level that keeps every
     cube is swept without gathers.  `grid.PRUNE_MARGIN` exceeds the
-    rounding of the route and of the bounds up to L = 14, so a skipped cube
-    lies strictly below the sup and the constants are those of the sweep
-    over every cube, bit for bit.  The per-cell starts of every level, in
-    width order, are built once per family (`CubeFamily.width_order`).
+    rounding of the route and of the bounds up to L = 16
+    (`grid.MAX_RESOLUTION`), so a skipped cube lies strictly below the sup
+    and the constants are those of the sweep over every cube, bit for bit.
+    The per-cell starts of every level, in width order, are built once per
+    family (`CubeFamily.width_order`).
     """
     return MEMO.get(("ainfty_constants", w.domain, digest(w.samples)), lambda: _ainfty_sup(w))
 

@@ -4,8 +4,9 @@ the best sparseness of a family, the oscillation stopping-time family
 with its certificate, counting-function decay (criteria 1-3), reverse
 Holder with the weak A_infty constant (criterion 5), the Rubio de Francia
 majorant and the Lorentz L^{p,1} norm (criterion 6), the multiple-weight
-class A_{vec p}, and the conjugate Young pairs with the exp L^s scale
-(criterion 10).  Each is built on the package's kernels."""
+class A_{vec p}, and the conjugate Young pairs, with the numeric
+conjugate and the exp L^s scale (criterion 10).  Each is built on the
+package's kernels."""
 
 import math
 from dataclasses import dataclass
@@ -283,6 +284,40 @@ def lorentz_l1_norm(f: GridFunction, p: float, w: Weight | None = None) -> float
     return float(total)
 
 
+def complementary(phi: YoungFunction) -> YoungFunction:
+    """phibar(t) = sup_s (st - phi(s)): phi's closed form where it carries
+    one, else `_conjugate_eval`."""
+    if phi.complementary_fn is not None:
+        return YoungFunction(f"conj({phi.name})", phi.complementary_fn)
+    return YoungFunction(f"conj({phi.name})", lambda t: _conjugate_eval(phi, t))
+
+
+_CONJ_S = np.logspace(-9.0, 9.0, 4096)
+
+
+def _conjugate_eval(phi: YoungFunction, t: np.ndarray) -> np.ndarray:
+    """phibar(t) = sup_s (st - phi(s)): coarse grid argmax + golden refine."""
+    t = np.atleast_1d(t).astype(float)
+    s = _CONJ_S
+    vals = s[None, :] * t[:, None] - phi(s)[None, :]
+    vals = np.where(np.isfinite(vals), vals, -np.inf)
+    k = np.argmax(vals, axis=1)
+    a = s[np.maximum(k - 1, 0)]
+    b = s[np.minimum(k + 1, len(s) - 1)]
+    # ternary search: s -> st - phi(s) is concave for convex phi
+    for _ in range(120):
+        m1 = a + (b - a) / 3.0
+        m2 = b - (b - a) / 3.0
+        f1 = m1 * t - phi(m1)
+        f2 = m2 * t - phi(m2)
+        left = f1 < f2
+        a = np.where(left, m1, a)
+        b = np.where(left, b, m2)
+    mid = 0.5 * (a + b)
+    best = np.maximum(vals[np.arange(len(t)), k], mid * t - phi(mid))
+    return np.maximum(best, 0.0)
+
+
 def power_over_p(p: float) -> YoungFunction:
     """phi(t) = t**p / p, the classical conjugate pair with t**p' / p'."""
     if p <= 1:
@@ -321,7 +356,7 @@ def young_pair_checks(phi: YoungFunction, t_grid: np.ndarray) -> dict:
     Returns {"ok": bool, "failures": [(name, point, slack), ...]}.
     """
     t = np.asarray(t_grid, dtype=float)
-    bar = phi.complementary()
+    bar = complementary(phi)
     tol = 1e-9
     failures = []
 

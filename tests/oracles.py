@@ -7,9 +7,9 @@ the stopping-time walk, a linear program for the best sparseness, dense
 O(N^2) sums for the convolution kernels, a literal nested sum for kernel
 quadrature, one FFT convolution per expanded Calderon product, one
 complex inverse FFT per Stein scale, a recursion over the factors of a
-commutator, a discrete sup over dilations for the growth indices that
-the package takes in closed form, little or no vectorisation.  Slow on
-purpose."""
+commutator, a discrete sup over dilations for the growth indices and a
+convexity search for the modular alpha that the package takes in closed
+form, little or no vectorisation.  Slow on purpose."""
 
 import itertools
 import math
@@ -31,6 +31,8 @@ from sparse_harmonics.operators import _NEAR_BAND
 from sparse_harmonics.orlicz import YoungFunction, llog, monotone_root
 from sparse_harmonics.sparse import SparseFamily
 from sparse_harmonics.weights import Weight, _double_sums, clamped_power
+
+from criteria import complementary
 
 
 def brute_ap(w, p):
@@ -557,3 +559,23 @@ def numeric_delta2_constant(phi: YoungFunction) -> float:
         c = np.log(ratio).max() / math.log(2.0 * lam)
         best = max(best, float(c))
     return best
+
+
+def quasiconvex_alpha(phi: YoungFunction) -> float:
+    """Largest alpha of the grid 1/20, 2/20, ..., 1 for which the alpha-th
+    power of the complementary function passes a midpoint convexity test:
+    the alpha that `harness.modular_experiment` takes in closed form, 1."""
+    n_alpha = 20
+    ts = np.logspace(-2.0, 2.0, 40)
+    phibar = complementary(phi)
+    bar = phibar(ts)
+    mid = phibar((ts[:-1] + ts[1:]) / 2.0)
+    for k in range(n_alpha, 0, -1):
+        a = k / n_alpha
+        with np.errstate(invalid="ignore"):
+            lhsv = mid ** a
+            rhsv = (bar[:-1] ** a + bar[1:] ** a) / 2.0
+        ok = np.all(lhsv <= rhsv * (1.0 + 1e-9))
+        if ok:
+            return a
+    return 1.0 / n_alpha

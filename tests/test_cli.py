@@ -332,6 +332,33 @@ bank = bump
     assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize("operator, m, n_sym", [
+    ("kind = calderon\nm = 40", 40, 40),
+    ("kind = calderon\nm = 40", 40, 0),
+    ("kind = hilbert", 0, 40),
+])
+def test_run_refuses_an_expansion_over_the_budget(tmp_path, capsys, operator, m, n_sym):
+    # 2^(m + l) rows of 16 cells: refused before a row is allocated
+    cfg = write_config(tmp_path, f"""
+[experiment]
+kind = cf
+l = 4
+
+[operator]
+{operator}
+
+[symbols]
+b = {",".join(["sin"] * n_sym)}
+
+[functions]
+bank = random
+""")
+    out = tmp_path / "o"
+    assert main(["run", cfg, "--out", str(out)]) == 2
+    assert f"order m = {m} with l = {n_sym} symbols" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("section, spec, smallest_l", [
     ("[functions]\nbank", "steps", 5),
     ("[symbols]\nb", "steps:3", 4),

@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from sparse_harmonics import harness, orlicz
+import criteria
+from sparse_harmonics import harness
 from sparse_harmonics.cli import fixtures_dir
 from sparse_harmonics.grid import (
     Domain,
@@ -26,17 +27,16 @@ from sparse_harmonics.harness import (
     mixed_weak_experiment,
     modular_experiment,
     principal_cubes,
-    quasiconvex_alpha,
     sharpness_experiment,
     stein_bundle,
 )
 from sparse_harmonics.operators import KernelOperator, bmo_norm
-from sparse_harmonics.orlicz import power
+from sparse_harmonics.orlicz import llog, power
 from sparse_harmonics.sparse import stopping_cubes
 from sparse_harmonics.weights import Weight, ainfty_constants
 
-from criteria import exp_power, lorentz_l1_norm, verify_sparse
-from oracles import brute_stopping_cubes
+from criteria import complementary, exp_power, lorentz_l1_norm, verify_sparse
+from oracles import brute_stopping_cubes, quasiconvex_alpha
 
 DOM = Domain(0.0, 1.0, 8)
 ONE = Weight(GridFunction.constant(DOM, 1.0), "one")
@@ -467,11 +467,21 @@ def test_quasiconvex_alpha_quadratic():
     assert quasiconvex_alpha(power(2.0)) == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("phis", [
+    [power(p) for p in np.logspace(-2.0, 3.0, 20)],
+    [llog(a) for a in np.linspace(0.0, 300.0, 12)],
+], ids=["power:0.01..1000", "llog:0..300"])
+def test_quasiconvex_alpha_is_the_closed_form_one(phis):
+    # phibar is a sup of affine maps, so convex: modular_experiment takes
+    # alpha = 1 without a search
+    assert [quasiconvex_alpha(phi) for phi in phis] == [1.0] * len(phis)
+
+
 def _count_numeric_conjugates(monkeypatch) -> list:
     calls = []
-    numeric = orlicz._conjugate_eval
+    numeric = criteria._conjugate_eval
     monkeypatch.setattr(
-        orlicz, "_conjugate_eval", lambda *a: calls.append(a) or numeric(*a)
+        criteria, "_conjugate_eval", lambda *a: calls.append(a) or numeric(*a)
     )
     return calls
 
@@ -479,11 +489,11 @@ def _count_numeric_conjugates(monkeypatch) -> list:
 @pytest.mark.parametrize("p", [1.1, 1.5, 2.0, 3.0, 5.0])
 def test_quasiconvex_alpha_of_a_power_takes_the_closed_form_conjugate(p, monkeypatch):
     # passing phi tests the closed-form conjugate of phi; passing
-    # phi.complementary() tests the conjugate of that, phi again, through
+    # complementary(phi) tests the conjugate of that, phi again, through
     # two numeric conjugates, and gives the same alpha
     calls = _count_numeric_conjugates(monkeypatch)
     phi = power(p)
-    via_numeric = quasiconvex_alpha(phi.complementary())
+    via_numeric = quasiconvex_alpha(complementary(phi))
     assert calls
     calls.clear()
     assert quasiconvex_alpha(phi) == via_numeric
@@ -496,7 +506,7 @@ def test_modular_alpha_takes_no_numeric_conjugate_for_a_power(p, q, r, monkeypat
     phi = power(p)
     rep = modular_experiment(hilbert_bundle([SYMBOL]), [rand_f(5)], phi, q, r, ONE)
     assert not calls
-    assert rep.constants["alpha"] == quasiconvex_alpha(phi.complementary())
+    assert rep.constants["alpha"] == quasiconvex_alpha(complementary(phi))
 
 
 # -- report plumbing ---------------------------------------------------------

@@ -9,7 +9,7 @@ import sparse_harmonics.weights as weights_module
 from sparse_harmonics.grid import MEMO, Domain, DyadicCube, GridFunction, family_for
 from sparse_harmonics.harness import calderon_bundle, hilbert_bundle, stein_bundle
 from sparse_harmonics.maximal import luxemburg_per_cube, maximal, multilinear_maximal
-from sparse_harmonics.maximal import _llogl_upper, _llogl_young
+from sparse_harmonics.maximal import _llogl_bounds, _llogl_upper, _llogl_young
 from sparse_harmonics.operators import bmo_norm
 from sparse_harmonics.orlicz import llog
 from sparse_harmonics.weights import Weight, ainfty_constants, ap_constant
@@ -509,18 +509,22 @@ def test_a_newton_value_that_fails_its_check_takes_the_bracket_solve(monkeypatch
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(3, 8), st.integers(0, 2**32 - 1),
-       st.sampled_from(["uniform", "cauchy", "sparse", "lognormal"]))
+       st.sampled_from(["uniform", "cauchy", "sparse", "lognormal", "constant"]))
 def test_llogl_upper_bound_is_at_least_the_solved_norm(L, seed, kind):
     dom = Domain(0.0, 1.0, L)
     fam = family_for(dom)
     rng = np.random.default_rng(seed)
     N = dom.n_cells
-    f = {
+    draw = {
         "uniform": lambda: rng.uniform(0.0, 1.0, N),
         "cauchy": lambda: np.abs(rng.standard_cauchy(N)),
         "sparse": lambda: rng.uniform(0.0, 9.0, N) * (rng.uniform(size=N) < 0.1),
         "lognormal": lambda: np.exp(rng.normal(0.0, 3.0, N)),
-    }[kind]()
+        # max / mean = 1 on every cube: the map's iterates all equal the
+        # norm in exact arithmetic, and the floating-point check decides
+        "constant": lambda: np.full(N, rng.uniform(0.1, 9.0)),
+    }[kind]
+    f, a = draw(), draw()
     phi, inv1 = _llogl_young()
     for g in fam.groups:
         tiled = g.tile(f)
@@ -528,7 +532,16 @@ def test_llogl_upper_bound_is_at_least_the_solved_norm(L, seed, kind):
         # the solve returns the upper end of a bracket 1e-12 wide, and on a
         # one-cell cube max / phi^-1(1) with phi^-1(1) 4 eps low: it may lie
         # that far above the exact norm, which the upper bound bounds
-        assert np.all(upper >= luxemburg_per_cube(fam, g, tiled, phi, inv1) * (1.0 - 2e-12))
+        norm = luxemburg_per_cube(fam, g, tiled, phi, inv1)
+        assert np.all(upper >= norm * (1.0 - 2e-12))
+        # the product bounds of two inputs hold the product of their norms
+        low, up = _llogl_bounds(fam, g, [f, a], inv1)
+        prod = norm * luxemburg_per_cube(fam, g, g.tile(a), phi, inv1)
+        assert np.all(up >= prod * (1.0 - 4e-12))
+        assert np.all(low <= prod * (1.0 + 4e-12))
+    # one-cell cubes: mean = max = |f| at each cell, and the norm is the
+    # closed bracket's end |f| / phi^-1(1)
+    assert np.all(_llogl_upper(f, f, inv1) >= f / inv1 * (1.0 - 2e-12))
 
 
 def test_variant_validation():
