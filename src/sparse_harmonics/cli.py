@@ -82,8 +82,8 @@ KEYS = {
         ("params", "p"): "power:2", ("params", "q"): "1.2", ("params", "r"): "1.5"},
     "constants": _EVERY | {("bank", "weights"): "one", ("bank", "p_grid"): "1.5,2,4"},
     "sharpness": _EVERY | {("experiment", "seed"): "0", ("params", "bounded_symbol"): "no"},
-    "hilbert": {("operator", "pv_cutoff"): "1"},
-    "calderon": {("operator", "m"): "1", ("operator", "pv_cutoff"): "1"},
+    "hilbert": {},
+    "calderon": {("operator", "m"): "1"},
     "stein": {("operator", "alpha"): "1.0"},
 }
 
@@ -240,13 +240,12 @@ def _resolve_seed(cfg: dict) -> int:
 
 def _build_bundle(cfg: dict, dom: Domain) -> OperatorBundle:
     kind = _value(cfg, "operator", "kind")
-    pv = None if kind == "stein" else _value(cfg, "operator", "pv_cutoff", int)
     bs = [make_symbol(s, dom) for s in _value(cfg, "symbols", "b").split(",") if s.strip()]
     if kind == "hilbert":
-        return hilbert_bundle(bs, pv_cutoff=pv)
+        return hilbert_bundle(bs)
     if kind == "calderon":
         slots = tuple(range(len(bs)))
-        return calderon_bundle(_value(cfg, "operator", "m", int), bs, slots, pv_cutoff=pv)
+        return calderon_bundle(_value(cfg, "operator", "m", int), bs, slots)
     if bs:
         raise ConfigError("stein operator takes no symbols")
     return stein_bundle(_value(cfg, "operator", "alpha", float))

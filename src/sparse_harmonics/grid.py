@@ -225,14 +225,14 @@ GROUP_CELLS = 1 << 14
 #   margin, but 3.8e-6 at L = 17; the pairwise row sums, the per-cube sums of
 #   the bounds and the divisions add about 20 eps.
 # - M_{L log L}: a computed norm is a Newton iterate below the norm times
-#   1 + 0.5e-12, checked against the Luxemburg condition (else the top of a
-#   root bracket 1e-12 wide), and phi^-1(1) is 4 eps below its true value,
-#   so it exceeds the exact norm by at most about 1e-12 relative; the upper
-#   bound is checked in floating point at the value it returns (a few eps);
-#   the lower bound is the Jensen end, which a computed norm is checked not
-#   to fall below, but for an ulp on a closed bracket where a mean of equal
-#   values rounds above them.  A product of m factors multiplies these gaps
-#   by m: about 3e-12 at m = 3.
+#   1 + 0.5e-12, checked against the Luxemburg condition (else the first
+#   float of its bracket that meets it), and phi^-1(1) is 4 eps below its
+#   true value, so it exceeds the exact norm by at most about 1e-12
+#   relative; the upper bound is checked in floating point at the value it
+#   returns (a few eps); the lower bound is the Jensen end, which a computed
+#   norm is checked not to fall below, but for an ulp on a closed bracket
+#   where a mean of equal values rounds above them.  A product of m factors
+#   multiplies these gaps by m: about 3e-12 at m = 3.
 PRUNE_MARGIN = 1e-6
 
 # The largest L of a Domain, up to which the A_infty bound above stays below

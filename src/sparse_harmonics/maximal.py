@@ -43,10 +43,10 @@ def luxemburg_per_cube(
     one evaluation of the Luxemburg condition at that value.  An open cube
     that fails the check, whose iterate is not finite and positive (a
     subnormal mean) or whose value falls below the Jensen end takes
-    `monotone_root` on its bracket [mean, max] |f| / phi^-1(1); a closed
-    bracket (one cell, a constant f) returns its upper end.  So every norm
-    meets the Luxemburg condition and lies at most about 1e-12 above the
-    exact one."""
+    `monotone_root` on its bracket [mean, max] |f| / phi^-1(1): the first
+    float of the bracket that meets the condition, the float just above the
+    root.  So every norm meets the Luxemburg condition and lies at most
+    about 1e-12 above the exact one."""
     mean = fam.means(entry, absf)
     lo, hi = mean / inv1, fam.segment_max(entry, absf) / inv1
     open_ = hi - lo > 1e-12 * hi

@@ -33,37 +33,31 @@ __all__ = [
 class KernelOperator:
     kind: str = "hilbert"  # hilbert | calderon | stein
     alpha: float = 1.0  # order of the Stein square function
-    pv_cutoff: int = 1
 
     def __post_init__(self):
         if self.kind not in ("hilbert", "calderon", "stein"):
             raise ValueError(f"unknown operator kind {self.kind!r}")
-        if self.pv_cutoff < 1:
-            raise ValueError("pv_cutoff must be >= 1")
         if self.kind == "stein" and self.alpha <= 0.5:
             raise ValueError("stein operator needs alpha > 1/2")
 
     def apply(self, fs: Sequence[GridFunction]) -> GridFunction:
         if self.kind == "hilbert":
             (f,) = fs
-            return hilbert_transform(f, self.pv_cutoff)
+            return hilbert_transform(f)
         if self.kind == "stein":
             (f,) = fs
             return stein_square_function(f, self.alpha)
-        return calderon_apply(fs, self.pv_cutoff)
+        return calderon_apply(fs)
 
 
-def hilbert_transform(f: GridFunction, pv_cutoff: int = 1) -> GridFunction:
-    """Discrete principal value (1/pi) sum_{|i-j| >= cutoff} f_j h/(x_i-x_j).
+def hilbert_transform(f: GridFunction) -> GridFunction:
+    """Discrete principal value (1/pi) sum_{j != i} f_j h/(x_i-x_j).
 
     The cell width cancels, leaving a Toeplitz convolution with 1/k.
     """
-    if pv_cutoff < 1:
-        raise ValueError("pv_cutoff must be >= 1")
     N = f.domain.n_cells
     k = np.arange(-(N - 1), N)
-    with np.errstate(divide="ignore"):
-        ker = np.where(np.abs(k) >= pv_cutoff, 1.0 / np.where(k == 0, 1, k), 0.0)
+    ker = 1.0 / np.where(k == 0, np.inf, k)  # 0 on the diagonal
     return GridFunction(f.domain, _toeplitz_apply(f.samples, ker) / math.pi)
 
 
@@ -98,18 +92,17 @@ def _fast_len(n: int) -> int:
 _NEAR_BAND = 16
 
 
-def calderon_apply(fs: Sequence[GridFunction], pv_cutoff: int = 1) -> GridFunction:
+def calderon_apply(fs: Sequence[GridFunction]) -> GridFunction:
     """(m+1)-linear kernel quadrature of the commutator-type kernel,
-    h sum_{|i-j| >= cutoff} sign prod_s (c_s[max(i,j)] - c_s[min(i,j)+1])
+    h sum_{j != i} sign prod_s (c_s[max(i,j)] - c_s[min(i,j)+1])
     f_{m+1}(y_j) / |x_i - y_j|^{m+1}, where c_s are the prefix sums of the
     first m inputs (the y_1..y_m integrals over the open interval between
     x and y_{m+1}) and the sign is -1 for j > i, +1 for j < i.
 
-    Off the band |i - j| <= max(_NEAR_BAND, cutoff - 1), each product
-    expands into 2^m terms a(i) g(j), and each term is a one-sided Toeplitz
-    convolution with 1/(kh)^{m+1}: the 2^m terms of each side run as the
-    rows of one batched FFT convolution.  The band is summed one diagonal
-    at a time.
+    Off the band |i - j| <= _NEAR_BAND, each product expands into 2^m terms
+    a(i) g(j), and each term is a one-sided Toeplitz convolution with
+    1/(kh)^{m+1}: the 2^m terms of each side run as the rows of one batched
+    FFT convolution.  The band is summed one diagonal at a time.
     """
     if len(fs) < 2:
         raise ValueError("need m+1 >= 2 inputs")
@@ -121,9 +114,8 @@ def calderon_apply(fs: Sequence[GridFunction], pv_cutoff: int = 1) -> GridFuncti
     # are smaller, and so are their rounding errors
     csums = [cs - cs.mean() for cs in (CubeFamily.prefix(f.samples) * h for f in fs[:-1])]
     flast = fs[-1].samples
-    band = max(_NEAR_BAND, pv_cutoff - 1)
     k = np.arange(-(N - 1), N)
-    far = np.abs(k) > band
+    far = np.abs(k) > _NEAR_BAND
     ker = np.where(far, 1.0 / (np.where(far, np.abs(k), 1) * h) ** (m + 1), 0.0)
     lower, upper = np.where(k > 0, ker, 0.0), np.where(k < 0, ker, 0.0)
     # prod_s (c_s[max] - c_s[min + 1]) is the sum, over the 2^m ways to pick
@@ -138,7 +130,7 @@ def calderon_apply(fs: Sequence[GridFunction], pv_cutoff: int = 1) -> GridFuncti
     out = np.zeros(N, dtype=np.result_type(flast, *csums))
     for k in range(len(picks)):
         out += ps[k] * below[k] - qs[k] * above[k]
-    for d in range(pv_cutoff, min(band, N - 1) + 1):
+    for d in range(1, min(_NEAR_BAND, N - 1) + 1):
         diag = math.prod((cs[d:N] - cs[1 : N - d + 1] for cs in csums), start=1.0)
         diag = diag / (d * h) ** (m + 1)
         out[d:] += diag * flast[: N - d]

@@ -1,10 +1,10 @@
-"""Young functions, the monotone root solve of the Luxemburg norms, and
-their dilation indices.
+"""Young functions, the monotone root solve, and their dilation indices.
 
 Built-in growth functions carry closed-form inverses and complementary
-functions where they exist; an inverse without one falls back on a
-monotone root solve.  The dilation indices and the doubling constant are
-closed forms only, and nothing here computes a conjugate.
+functions where they exist; an inverse without one falls back on the
+monotone root solve, a bisection to adjacent floats that the Luxemburg
+norms also fall back on.  The dilation indices and the doubling constant
+are closed forms only, and nothing here computes a conjugate.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ __all__ = [
     "YoungFunction",
     "power",
     "llog",
-    "phi_power",
     "monotone_root",
     "dilation_indices",
 ]
@@ -49,70 +48,36 @@ class YoungFunction:
 
 
 def monotone_root(lo, hi, excess, below=False):
-    """Shrink every bracket [lo, hi] of one vector at once until
-    hi - lo <= 1e-12 hi (at most 200 passes), and return hi, or lo if
-    below.  excess(x) is > 0 where the root lies above x and decreases in
-    x; a bracket with lo = hi = 0 stays 0.
+    """The first float x of every bracket [lo, hi] of one vector with
+    excess(x) <= 0, or if below the float before it (lo at the least).
+    excess(x) decreases in x and is <= 0 at hi; only its sign is read.
 
-    Each pass takes a safeguarded Illinois step (Dowell & Jarratt, BIT 11,
-    1971): the secant point of the bracket, with the excess kept at an end
-    halved when that end survives twice running.  Two safeguards:
-
-    - the step is clamped 0.4e-12 hi inside the bracket, so an end that is
-      an exact root (excess 0) ends the solve in one more pass instead of
-      stalling the secant on it;
-    - the step is the midpoint where the secant is undefined (an end's
-      excess is not finite, or both are 0) and where the bracket has not
-      halved in three passes, as when one end's excess dwarfs the other's
-      (an exponential phi) and the secant creeps along the far end.
+    A bisection of the bit patterns of the brackets' ends, which the
+    non-negative floats share in order (-0.0 reads as 0.0): each pass halves
+    the integer gap between the float before lo, which stands for an excess
+    > 0 and is never evaluated, and hi.  The gap is below 2**63, so after
+    at most 63 passes the two ends of every bracket are adjacent floats.
     """
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    if np.all(hi - lo <= 1e-12 * hi):  # spares the two end evaluations
-        return lo if below else hi
-    moved = np.zeros(lo.shape)  # +1 where lo moved last pass, -1 where hi did
-    halved_at = hi - lo  # the width when the bracket last halved ...
-    slow = np.zeros(lo.shape, dtype=int)  # ... and the passes since then
+    lo = np.asarray(lo, dtype=float) + 0.0
+    hi = np.asarray(hi, dtype=float) + 0.0
+    a, b = lo.view(np.int64) - 1, hi.view(np.int64)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        f_lo, f_hi = excess(lo), excess(hi)
-        for _ in range(200):
-            width = hi - lo
-            open_ = width > 1e-12 * hi
-            if not open_.any():
-                break
-            halved = width <= 0.5 * halved_at
-            halved_at = np.where(halved, width, halved_at)
-            slow = np.where(halved, 0, slow + 1)
-            slope = f_lo - f_hi
-            secant = (slope > 0) & (slope < np.inf) & (slow < 3)
-            x = np.where(secant, lo + width * (f_lo / slope), lo + 0.5 * width)
-            delta = 0.4e-12 * hi
-            x = np.where(open_, np.clip(x, lo + delta, hi - delta), hi)
-            f_x = excess(x)
-            up = f_x > 0
-            f_hi = np.where(up & (moved > 0), 0.5 * f_hi, f_hi)
-            f_lo = np.where(~up & (moved < 0), 0.5 * f_lo, f_lo)
-            lo, f_lo = np.where(up, x, lo), np.where(up, f_x, f_lo)
-            hi, f_hi = np.where(up, hi, x), np.where(up, f_hi, f_x)
-            moved = np.where(up, 1.0, -1.0)
-    return lo if below else hi
+        while np.any(b - a > 1):
+            mid = b - (b - a) // 2  # b itself where the gap is closed
+            up = excess(mid.view(float)) > 0
+            a, b = np.where(up, mid, a), np.where(up, b, mid)
+    return np.maximum(a, lo.view(np.int64)).view(float) if below else b.view(float)
 
 
 def _numeric_inverse(phi: YoungFunction, t: np.ndarray) -> np.ndarray:
-    """The (generalized) inverse of a monotone phi: a doubling search for
-    the upper end of each bracket, then one vector root solve.  It returns
-    the lower end, less 4 eps for the rounding of v / (v / s) and of phi,
-    so that phi(phi^-1(t)) <= t: a Luxemburg bracket [mean, max] |f| /
-    phi^-1(1) then ends where mean phi(|f| / lam) <= 1, also when it is
-    closed (a one-cell cube)."""
+    """The (generalized) inverse of a monotone phi: the last float s in
+    [0, the largest float] with phi(s) < t, less 4 eps for the rounding of
+    v / (v / s) and of phi, so that phi(phi^-1(t)) <= t: a Luxemburg
+    bracket [mean, max] |f| / phi^-1(1) then ends where mean phi(|f| /
+    lam) <= 1, also when it is closed (a one-cell cube)."""
     t = np.atleast_1d(t).astype(float)
-    hi = np.ones_like(t)
-    for _ in range(200):
-        bad = phi(hi) < t
-        if not bad.any():
-            break
-        hi[bad] *= 2.0
-    lo = monotone_root(np.zeros_like(t), hi, lambda s: t - phi(s), below=True)
+    top = np.full_like(t, np.finfo(float).max)
+    lo = monotone_root(np.zeros_like(t), top, lambda s: t - phi(s), below=True)
     return lo * (1.0 - 4.0 * np.finfo(float).eps)
 
 
@@ -155,23 +120,6 @@ def llog(alpha: float) -> YoungFunction:
         # log(e + lam t) <= lam log(e + t) for lam >= 1, so C1 = 1 + alpha
         delta2_C1=1.0 + alpha,
         submultiplicative=True,
-    )
-
-
-def phi_power(phi: YoungFunction, m: int) -> YoungFunction:
-    """phi^m(t) = phi(t)**m; h_{phi^m} = h_phi**m, so indices scale by m."""
-    if m < 1:
-        raise ValueError("need m >= 1")
-    if m == 1:
-        return phi
-    return YoungFunction(
-        f"({phi.name})^{m}",
-        lambda t: phi(t) ** m,
-        inverse_fn=(lambda t: phi.inverse_fn(t ** (1.0 / m)))
-        if phi.inverse_fn is not None
-        else None,
-        i_lower=None if phi.i_lower is None else m * phi.i_lower,
-        I_upper=None if phi.I_upper is None else m * phi.I_upper,
     )
 
 

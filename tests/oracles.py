@@ -223,10 +223,9 @@ def luxemburg_norm(
     ))
 
 
-def illinois_luxemburg_per_cube(fam, entry, absf, phi, inv1):
-    """`luxemburg_per_cube` by one Illinois bracket solve of every cube of
-    the entry from its [mean, max] |f| / phi^-1(1) bracket: the route it
-    took before its Newton steps."""
+def bracket_luxemburg_per_cube(fam, entry, absf, phi, inv1):
+    """`luxemburg_per_cube` by one bracket solve of every cube of the entry
+    from its [mean, max] |f| / phi^-1(1) bracket, with no Newton steps."""
     def excess(lam):
         safe = np.where(lam > 0, lam, 1.0)
         return fam.means(entry, phi(absf / safe[entry.cell_to_cube])) - 1.0
@@ -335,9 +334,7 @@ def optimal_eta(fam: SparseFamily) -> float:
     return float(res.x[-1])
 
 
-def direct_kernel_apply(
-    kernel: Callable, fs: Sequence[GridFunction], pv_cutoff: int
-) -> GridFunction:
+def direct_kernel_apply(kernel: Callable, fs: Sequence[GridFunction]) -> GridFunction:
     """Literal nested quadrature; only viable for tiny grids and m <= 2."""
     dom = fs[0].domain
     N = dom.n_cells
@@ -350,7 +347,7 @@ def direct_kernel_apply(
     for i, x in enumerate(xs):
         acc = 0.0
         for jlast in range(N):
-            if abs(i - jlast) < pv_cutoff:
+            if i == jlast:
                 continue
             w_last = samples[-1][jlast]
             if w_last == 0.0:
@@ -394,7 +391,7 @@ def calderon_kernel(x: float, ys: Sequence[float]) -> float:
     return sign / (x - ylast) ** (m + 1)
 
 
-def dense_calderon_apply(fs: Sequence[GridFunction], pv_cutoff: int = 1) -> np.ndarray:
+def dense_calderon_apply(fs: Sequence[GridFunction]) -> np.ndarray:
     """The Calderon form of `calderon_apply` as a dense O(N^2) sum over
     every pair (i, j), 256 rows at a time."""
     dom = fs[0].domain
@@ -410,7 +407,7 @@ def dense_calderon_apply(fs: Sequence[GridFunction], pv_cutoff: int = 1) -> np.n
         i = rows[:, None]
         j = idx[None, :]
         gap = (i - j).astype(float) * h  # x_i - y_j
-        keep = np.abs(i - j) >= pv_cutoff
+        keep = i != j
         lo = np.minimum(i, j)
         hi = np.maximum(i, j)
         inner = np.ones(gap.shape)
@@ -424,7 +421,7 @@ def dense_calderon_apply(fs: Sequence[GridFunction], pv_cutoff: int = 1) -> np.n
     return out
 
 
-def per_pick_calderon(fs: Sequence[GridFunction], pv_cutoff: int = 1) -> np.ndarray:
+def per_pick_calderon(fs: Sequence[GridFunction]) -> np.ndarray:
     """`calderon_apply` with one `fftconvolve` call per expanded product and
     side, 2^{m+1} in all: the route it took before the products of each
     side ran as the rows of one batched convolution."""
@@ -440,9 +437,8 @@ def per_pick_calderon(fs: Sequence[GridFunction], pv_cutoff: int = 1) -> np.ndar
 
     csums = [cs - cs.mean() for cs in (CubeFamily.prefix(f.samples) * h for f in fs[:-1])]
     flast = fs[-1].samples
-    band = max(_NEAR_BAND, pv_cutoff - 1)
     k = np.arange(-(N - 1), N)
-    far = np.abs(k) > band
+    far = np.abs(k) > _NEAR_BAND
     ker = np.where(far, 1.0 / (np.where(far, np.abs(k), 1) * h) ** (m + 1), 0.0)
     lower, upper = np.where(k > 0, ker, 0.0), np.where(k < 0, ker, 0.0)
     ends = [(cs[:-1], -cs[1:]) for cs in csums]
@@ -451,7 +447,7 @@ def per_pick_calderon(fs: Sequence[GridFunction], pv_cutoff: int = 1) -> np.ndar
         p = math.prod((e[0] for e, pick in zip(ends, picks) if pick == 0), start=1.0)
         q = math.prod((e[1] for e, pick in zip(ends, picks) if pick == 1), start=1.0)
         out += p * toeplitz(q * flast, lower) - q * toeplitz(p * flast, upper)
-    for d in range(pv_cutoff, min(band, N - 1) + 1):
+    for d in range(1, min(_NEAR_BAND, N - 1) + 1):
         diag = math.prod((cs[d:N] - cs[1 : N - d + 1] for cs in csums), start=1.0)
         diag = diag / (d * h) ** (m + 1)
         out[d:] += diag * flast[: N - d]
@@ -478,16 +474,14 @@ def per_scale_stein(f: GridFunction, alpha: float, n_scales: int = 128) -> np.nd
     return np.sqrt(acc)
 
 
-def first_order_commutator_kernel(
-    b: GridFunction, f: GridFunction, pv_cutoff: int = 1
-) -> GridFunction:
+def first_order_commutator_kernel(b: GridFunction, f: GridFunction) -> GridFunction:
     """Direct O(N^2) evaluation of (1/pi) sum (b_i - b_j) f_j / (i - j):
     the independent oracle for the expansion path."""
     N = f.domain.n_cells
     i = np.arange(N)[:, None]
     j = np.arange(N)[None, :]
     with np.errstate(divide="ignore"):
-        ker = np.where(np.abs(i - j) >= pv_cutoff, 1.0 / np.where(i == j, 1, i - j), 0.0)
+        ker = np.where(i != j, 1.0 / np.where(i == j, 1, i - j), 0.0)
     diff = b.samples[:, None] - b.samples[None, :]
     return GridFunction(f.domain, (ker * diff) @ f.samples / math.pi)
 

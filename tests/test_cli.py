@@ -559,12 +559,13 @@ def _small(kind: str, **sections) -> str:
     return _ini(base)
 
 
-# every row of KEYS, tried on every experiment kind (at the operator kind
-# hilbert, where it reads one) and on a decay config of each other operator
-# kind; the refusal names the operator kind for an [operator] key.  Among
-# them: m and alpha on hilbert ran a cf config as "holds", and a stein
-# decay parsed pv_cutoff and dropped it
-_ROWS = sorted({row for rows in KEYS.values() for row in rows})
+# every row of KEYS, and the retired [operator] pv_cutoff, which no kind
+# reads, tried on every experiment kind (at the operator kind hilbert,
+# where it reads one) and on a decay config of each other operator kind;
+# the refusal names the operator kind for an [operator] key.  Among them:
+# m and alpha on hilbert ran a cf config as "holds", and a stein decay
+# parsed pv_cutoff and dropped it
+_ROWS = sorted({row for rows in KEYS.values() for row in rows} | {("operator", "pv_cutoff")})
 _KIND_OPERATORS = [
     (kind, "hilbert" if ("operator", "kind") in KEYS[kind] else None) for kind in KINDS
 ] + [("decay", "calderon"), ("decay", "stein")]
@@ -654,7 +655,6 @@ NUMBER_SITES = [
     (_small("cf", experiment={"slack": "abc"}), "[experiment] slack: 'abc' is not a number"),
     (_small("cf", functions={"seed": "0x"}), "[functions] seed: '0x' is not an integer"),
     (_small("cf", operator={"kind": "calderon", "m": "two"}), "[operator] m: 'two' is not an integer"),
-    (_small("cf", operator={"pv_cutoff": "1.5"}), "[operator] pv_cutoff: '1.5' is not an integer"),
     (_small("decay", operator={"kind": "stein", "alpha": "big"}),
      "[operator] alpha: 'big' is not a number"),
     (_small("decay", params={"t_lo": "lo"}), "[params] t_lo: 'lo' is not a number"),

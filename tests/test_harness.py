@@ -519,7 +519,7 @@ def test_modular_alpha_takes_no_numeric_conjugate_for_a_power(p, q, r, monkeypat
     (30.0, 2.0, 15.0, "violated"),
 ])
 def test_bound_report_ratio_and_verdict(lhs, rhs, ratio, verdict):
-    bundle = calderon_bundle(1, [SYMBOL], [0], pv_cutoff=2)
+    bundle = calderon_bundle(1, [SYMBOL], [0])
     rep = harness._bound_report(
         "bound", bundle, [rand_f(0), rand_f(1)], {"p": 2.0}, lhs, rhs, {"c": 1.0}, 10.0)
     assert (rep.ratio, rep.verdict) == (ratio, verdict)
@@ -528,7 +528,7 @@ def test_bound_report_ratio_and_verdict(lhs, rhs, ratio, verdict):
     assert rep.constants == {"c": 1.0, "slack": 10.0}
     assert rep.fit is None
     assert rep.env["L"] == DOM.resolution_log2
-    assert rep.env["pv_cutoff"] == 2
+    assert rep.env["pv_cutoff"] == 1
     assert "seed" not in rep.env
 
 

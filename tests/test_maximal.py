@@ -16,7 +16,7 @@ from sparse_harmonics.weights import Weight, ainfty_constants, ap_constant
 
 from oracles import (
     all_pairs_ainfty,
-    illinois_luxemburg_per_cube,
+    bracket_luxemburg_per_cube,
     per_entry_bmo,
     per_entry_maximal,
     per_level_maximal,
@@ -247,11 +247,10 @@ _BUMPED = GridFunction(DOM, SYMBOL.samples + np.eye(DOM.n_cells)[7])
 
 
 @pytest.mark.parametrize("a, b", [
-    (hilbert_bundle([SYMBOL], pv_cutoff=1), hilbert_bundle([SYMBOL], pv_cutoff=2)),
     (calderon_bundle(1, [SYMBOL], [0]), calderon_bundle(1, [SYMBOL], [1])),
     (hilbert_bundle([SYMBOL]), hilbert_bundle([_BUMPED])),
     (stein_bundle(0.75), stein_bundle(1.0)),
-], ids=["pv_cutoff", "slots", "symbol-sample", "stein-alpha"])
+], ids=["slots", "symbol-sample", "stein-alpha"])
 def test_bundle_apply_memo_never_shares_an_entry(a, b, empty_memo):
     fs = [rand_f(23 + i, lo=-1.0, hi=1.0) for i in range(a.m)]
     alone = b.apply(fs).samples
@@ -460,13 +459,13 @@ def test_newton_luxemburg_matches_the_illinois_oracle(L, m, monkeypatch):
         got = multilinear_maximal(fs, "llogl").samples
         assert calls
         for args, new in calls:
-            old = illinois_luxemburg_per_cube(*args)
+            old = bracket_luxemburg_per_cube(*args)
             assert np.all(np.abs(new - old) <= 1e-12 * old), name
             assert np.all(new >= old * (1.0 - 1e-12)), name
         assert fallbacks == [], name
         MEMO.clear()
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(maximal_module, "luxemburg_per_cube", illinois_luxemburg_per_cube)
+            mp.setattr(maximal_module, "luxemburg_per_cube", bracket_luxemburg_per_cube)
             want = multilinear_maximal(fs, "llogl").samples
         np.testing.assert_allclose(got, want, rtol=m * 1e-12, atol=0.0)
 
@@ -495,7 +494,7 @@ def test_llogl_norms_of_a_subnormal_input_meet_the_luxemburg_condition(L, monkey
 def test_a_newton_value_that_fails_its_check_takes_the_bracket_solve(monkeypatch):
     # Newton steps of 0 leave every cube at its Jensen end, a lower bound
     # that fails the Luxemburg check on every open cube: each must take the
-    # bracket solve, which gives the Illinois oracle's bits
+    # bracket solve, which gives the bracket oracle's bits
     monkeypatch.setattr(maximal_module, "_newton_step", lambda fam, entry, absf, s: np.zeros_like(s))
     dom = Domain(0.0, 1.0, 9)
     fam = family_for(dom)
@@ -504,7 +503,7 @@ def test_a_newton_value_that_fails_its_check_takes_the_bracket_solve(monkeypatch
     for g in fam.groups:
         tiled = g.tile(f)
         got = luxemburg_per_cube(fam, g, tiled, phi, inv1)
-        np.testing.assert_array_equal(got, illinois_luxemburg_per_cube(fam, g, tiled, phi, inv1))
+        np.testing.assert_array_equal(got, bracket_luxemburg_per_cube(fam, g, tiled, phi, inv1))
 
 
 @settings(max_examples=40, deadline=None)
