@@ -6,7 +6,8 @@ emptied before each call and the cube family of the domain built before the
 first (except in the family row itself).  Inputs: a uniform random f and a
 on [0, 1), and the CLI's bump exp(-120 (x - 1/2)^2) for M_{L log L}, where
 the upper bounds set how many cubes are solved; b = log|x - 1/2| for BMO
-and [b,H]; a log-normal weight and the constant weight for A_inf.  The
+and [b,H]; a log-normal weight and the constant weight for A_inf, and
+the log-normal weight under the weak Lorentz quasinorm of [b,H] f.  The
 cold import is the wall time of a fresh interpreter that imports
 `sparse_harmonics.cli`.
 
@@ -64,6 +65,7 @@ def _rows(dom: Domain) -> dict:
         "BMO": lambda: operators.bmo_norm(b),
         "principal cubes on [b,H] f": lambda: harness.principal_cubes(tbf, root),
         "mixed-min decay, [b,H]": lambda: harness.local_decay_experiment(bh, [f], root),
+        "weak Lorentz L^{1/2,inf}(w)": lambda: harness.lorentz_quasinorm(tbf, 0.5, lognormal),
         "A_inf (log-normal weight)": lambda: weights.ainfty_constants(lognormal),
         "A_inf (constant weight)": lambda: weights.ainfty_constants(one),
     }

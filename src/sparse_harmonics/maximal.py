@@ -43,12 +43,15 @@ def luxemburg_per_cube(
     one evaluation of the Luxemburg condition at that value.  An open cube
     that fails the check, whose iterate is not finite and positive (a
     subnormal mean) or whose value falls below the Jensen end takes
-    `monotone_root` on its bracket [mean, max] |f| / phi^-1(1): the first
-    float of the bracket that meets the condition, the float just above the
-    root.  So every norm meets the Luxemburg condition and lies at most
-    about 1e-12 above the exact one."""
+    `monotone_root` on its bracket [mean, max] |f| / phi^-1(1), whose upper
+    end is raised by one float where it is subnormal: the first float of
+    the bracket that meets the condition, the float just above the root.
+    So every norm meets the Luxemburg condition and lies at most about
+    1e-12 above the exact one."""
     mean = fam.means(entry, absf)
     lo, hi = mean / inv1, fam.segment_max(entry, absf) / inv1
+    # below the normal range max / phi^-1(1) can round under the norm
+    hi = np.where((hi > 0) & (hi < np.finfo(float).tiny), np.nextafter(hi, np.inf), hi)
     open_ = hi - lo > 1e-12 * hi
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         s = inv1 / mean
@@ -85,10 +88,12 @@ def _newton_step(fam: CubeFamily, entry: LevelEntry, absf: np.ndarray, s: np.nda
 
 def _excess(fam: CubeFamily, entry: LevelEntry, absf: np.ndarray, phi: YoungFunction):
     """lambda -> mean phi(|f| / lambda) - 1 per cube of entry, the Luxemburg
-    condition; a lambda of 0 reads as 1 (its bracket stays closed at 0)."""
+    condition; at lambda = 0 it is inf on a cube that holds some |f| > 0
+    and -1 on one that holds none (whose bracket stays closed at 0)."""
     def excess(lam: np.ndarray) -> np.ndarray:
         safe = np.where(lam > 0, lam, 1.0)
-        return fam.means(entry, phi(absf / safe[entry.cell_to_cube])) - 1.0
+        sums = fam.segment_sums(entry, phi(absf / safe[entry.cell_to_cube]))
+        return np.where((lam > 0) | (sums == 0), sums / entry.width - 1.0, np.inf)
     return excess
 
 

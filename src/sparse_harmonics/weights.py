@@ -52,7 +52,9 @@ class Weight:
     def __init__(self, f: GridFunction, name: str = "w"):
         if np.iscomplexobj(f.samples):
             raise ValueError("weights are real")
-        if np.any(f.samples <= 0) or not np.all(np.isfinite(f.samples)):
+        s = f.samples
+        # NaN propagates through min; -inf and +inf each fail an end
+        if not (s.min() > 0 and s.max() < math.inf):
             raise ValueError("weight samples must be positive and finite")
         # every cube sum adds a subset of these positive terms, so the total
         # bounds it: an infinite total means some cube sum overflows

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from sparse_harmonics.grid import DyadicCube, GridFunction, average, cube_cells, family_for
-from sparse_harmonics.harness import _level_masses
 from sparse_harmonics.maximal import maximal
 from sparse_harmonics.orlicz import YoungFunction
 from sparse_harmonics.sparse import SparseFamily, _signed_average, stopping_cubes
@@ -268,6 +267,21 @@ def multi_ap_constant(mw: MultiWeight) -> float:
 
 
 # -- Lorentz and Orlicz --------------------------------------------------------
+
+
+def _level_masses(f: GridFunction, w: Weight | None) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values v of |f|, ascending, and w({|f| >= v}) for each
+    (Lebesgue measure where w is None)."""
+    a = np.abs(f.samples).astype(float)
+    h = f.domain.h
+    cell = np.full(a.shape, h) if w is None else w.samples * h
+    order = np.argsort(a)
+    a = a[order]
+    cell = cell[order]
+    # mass strictly above a[i] = suffix sum over larger values
+    suffix = np.concatenate([np.cumsum(cell[::-1])[::-1], [0.0]])
+    vals, first = np.unique(a, return_index=True)
+    return vals, suffix[first]
 
 
 def lorentz_l1_norm(f: GridFunction, p: float, w: Weight | None = None) -> float:

@@ -9,7 +9,8 @@ quadrature, one FFT convolution per expanded Calderon product, one
 complex inverse FFT per Stein scale, a recursion over the factors of a
 commutator, a discrete sup over dilations for the growth indices and a
 convexity search for the modular alpha that the package takes in closed
-form, little or no vectorisation.  Slow on purpose."""
+form, the distinct values of |f| for the weak Lorentz quasinorm, little
+or no vectorisation.  Slow on purpose."""
 
 import itertools
 import math
@@ -32,7 +33,7 @@ from sparse_harmonics.orlicz import YoungFunction, llog, monotone_root
 from sparse_harmonics.sparse import SparseFamily
 from sparse_harmonics.weights import Weight, _double_sums, clamped_power
 
-from criteria import complementary
+from criteria import _level_masses, complementary
 
 
 def brute_ap(w, p):
@@ -233,6 +234,14 @@ def bracket_luxemburg_per_cube(fam, entry, absf, phi, inv1):
     return monotone_root(
         fam.means(entry, absf) / inv1, fam.segment_max(entry, absf) / inv1, excess
     )
+
+
+def distinct_value_lorentz_quasinorm(f: GridFunction, p: float, w: Optional[Weight] = None) -> float:
+    """`harness.lorentz_quasinorm` over the distinct values of |f| alone, each
+    with w({|f| >= value}): a second sort (`np.unique`) in place of the max
+    over every sorted position."""
+    vals, below_mass = _level_masses(f, w)
+    return float((vals * below_mass ** (1.0 / p)).max(initial=0.0))
 
 
 def per_level_maximal(fs: Sequence[GridFunction], flavor: str) -> np.ndarray:

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import criteria
 from sparse_harmonics import harness
@@ -36,7 +38,7 @@ from sparse_harmonics.sparse import stopping_cubes
 from sparse_harmonics.weights import Weight, ainfty_constants
 
 from criteria import complementary, exp_power, lorentz_l1_norm, verify_sparse
-from oracles import brute_stopping_cubes, quasiconvex_alpha
+from oracles import brute_stopping_cubes, distinct_value_lorentz_quasinorm, quasiconvex_alpha
 
 DOM = Domain(0.0, 1.0, 8)
 ONE = Weight(GridFunction.constant(DOM, 1.0), "one")
@@ -92,6 +94,34 @@ def test_lorentz_duality_sandwich():
                 best = max(best, float(np.sum(a * g.samples)) * DOM.h / den)
         assert best <= norm * (1.0 + 1e-9)
         assert norm <= pp * best * (1.0 + 1e-9)
+
+
+_LORENTZ_F = {
+    "uniform": lambda rng, n: rng.uniform(-1.0, 1.0, n),
+    "ties": lambda rng, n: rng.integers(-3, 4, n).astype(float),
+    "zero": lambda rng, n: np.zeros(n),
+    "subnormal": lambda rng, n: rng.standard_cauchy(n) * 1e-300,
+    "complex": lambda rng, n: rng.uniform(-1.0, 1.0, n) + 1j * rng.uniform(-1.0, 1.0, n),
+}
+_LORENTZ_W = {
+    "none": lambda rng, n: None,
+    "log-normal": lambda rng, n: np.exp(rng.standard_normal(n)),
+    "ties": lambda rng, n: rng.integers(1, 4, n).astype(float),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(3, 10), st.sampled_from(sorted(_LORENTZ_F)),
+       st.sampled_from(sorted(_LORENTZ_W)), st.sampled_from([0.25, 1.0 / 3.0, 0.5, 1.0, 2.0, 3.0]),
+       st.integers(0, 2**32 - 1))
+def test_lorentz_quasinorm_equals_the_distinct_value_oracle_bit_for_bit(L, f_kind, w_kind, p, seed):
+    dom = Domain(0.0, 1.0, L)
+    rng = np.random.default_rng(seed)
+    f = GridFunction(dom, _LORENTZ_F[f_kind](rng, dom.n_cells))
+    w = _LORENTZ_W[w_kind](rng, dom.n_cells)
+    w = None if w is None else Weight(GridFunction(dom, w))
+    got = lorentz_quasinorm(f, p, w)
+    assert got.hex() == distinct_value_lorentz_quasinorm(f, p, w).hex()
 
 
 # -- fitting -----------------------------------------------------------------

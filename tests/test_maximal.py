@@ -491,6 +491,27 @@ def test_llogl_norms_of_a_subnormal_input_meet_the_luxemburg_condition(L, monkey
         assert np.all(maximal_module._excess(fam, entry, absf, phi)(norms) <= 0.0)
 
 
+def test_a_cube_whose_mean_underflows_gets_a_positive_norm():
+    # f = 5e-324 at one cell: the mean |f| of each wider cube that holds it
+    # underflows to 0, so its Newton start is inf and it takes the bracket
+    # [0, max / phi^-1(1)], where lambda = 0 once read as a root; the
+    # one-cell cube's max / phi^-1(1) rounds under its norm (6.3e-324)
+    dom = Domain(0.0, 1.0, 6)
+    fam = family_for(dom)
+    group = fam.groups[0]
+    f = np.zeros(dom.n_cells)
+    f[5] = 5e-324
+    absf = group.tile(f)
+    phi, inv1 = _llogl_young()
+    norms = luxemburg_per_cube(fam, group, absf, phi, inv1)
+    excess = maximal_module._excess(fam, group, absf, phi)(norms)
+    holds = fam.segment_max(group, absf) > 0
+    assert holds.sum() == 28
+    assert np.all(norms[holds] > 0.0) and np.all(excess[holds] <= 0.0)
+    # the cubes that hold none keep their closed bracket [0, 0]
+    assert np.all(norms[~holds] == 0.0) and np.all(excess[~holds] <= 0.0)
+
+
 def test_a_newton_value_that_fails_its_check_takes_the_bracket_solve(monkeypatch):
     # Newton steps of 0 leave every cube at its Jensen end, a lower bound
     # that fails the Luxemburg check on every open cube: each must take the

@@ -187,13 +187,25 @@ def test_ainfty_refuses_grid_without_doubles(L):
         ainfty_constants(Weight(GridFunction.constant(dom, 1.0), "one"))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0],
+                         ids=["nan", "inf", "-inf", "zero", "negative"])
+def test_weight_sample_that_is_not_positive_and_finite_is_refused(bad):
+    # GridFunction refuses a non-finite sample, but its array can change in place
+    f = GridFunction.constant(DOM, 1.0)
+    f.samples[3] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="weight samples must be positive and finite"):
+            Weight(f)
+
+
 def test_weight_whose_sum_overflows_is_refused():
     # 16 cells of 1e308 sum to inf: every cube sum of two or more cells
     # overflows, which A_infty used to report as a grid without doubles
     dom = Domain(0.0, 1.0, 4)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="overflow"):
+        with pytest.raises(ValueError, match="weight samples sum to inf"):
             Weight(GridFunction.constant(dom, 1e308), "huge")
     # the largest total that stays finite is accepted
     Weight(GridFunction.constant(dom, np.finfo(float).max / 16), "large")
