@@ -37,6 +37,7 @@ from .harness import (
     sharpness_experiment,
     stein_bundle,
 )
+from .operators import check_expansion
 from .orlicz import llog, power
 from .weights import Weight, write_constants_csv
 
@@ -62,6 +63,12 @@ class ConfigError(ValueError):
 
 
 KINDS = ("decay", "cf", "mixed", "fs", "modular", "constants", "sharpness")
+
+# The most points of a decay t grid.  Each point costs a pass over Q0's
+# cells and a row of curves.csv, so the grid is bounded like l is: 2^12
+# points, 128 times the largest grid of any shipped config or benchmark,
+# add about 0.3 s and 110 kB to a run at l = 16.
+MAX_T_POINTS = 1 << 12
 
 # kind -> {(section, key): default}; a kind that reads [operator] kind also
 # reads the rows of that operator kind.  A default of None: [experiment] kind
@@ -240,12 +247,14 @@ def _resolve_seed(cfg: dict) -> int:
 
 def _build_bundle(cfg: dict, dom: Domain) -> OperatorBundle:
     kind = _value(cfg, "operator", "kind")
-    bs = [make_symbol(s, dom) for s in _value(cfg, "symbols", "b").split(",") if s.strip()]
+    specs = [s for s in _value(cfg, "symbols", "b").split(",") if s.strip()]
+    m = _value(cfg, "operator", "m", int) if kind == "calderon" else 0
+    check_expansion(dom.resolution_log2, m, len(specs))  # before a symbol or input is built
+    bs = [make_symbol(s, dom) for s in specs]
     if kind == "hilbert":
         return hilbert_bundle(bs)
     if kind == "calderon":
-        slots = tuple(range(len(bs)))
-        return calderon_bundle(_value(cfg, "operator", "m", int), bs, slots)
+        return calderon_bundle(m, bs, tuple(range(len(bs))))
     if bs:
         raise ConfigError("stein operator takes no symbols")
     return stein_bundle(_value(cfg, "operator", "alpha", float))
@@ -301,8 +310,8 @@ def run_experiment(cfg: dict, out_dir: Path) -> list[VerificationReport]:
         t_pts = _value(cfg, "params", "t_points", int)
         if not 0.0 < t_lo < t_hi < math.inf:
             raise ConfigError("[params] t_lo and t_hi need 0 < t_lo < t_hi, both finite")
-        if t_pts < 1:
-            raise ConfigError("[params] t_points must be at least 1")
+        if not 1 <= t_pts <= MAX_T_POINTS:
+            raise ConfigError(f"[params] t_points must be at least 1 and at most {MAX_T_POINTS}")
         wspec = _value(cfg, "weights", "w")
         w = make_weight(wspec, dom) if wspec.strip() else None
         ts = default_t_grid(bundle.symbol_norm_product, t_pts, t_lo, t_hi)

@@ -475,15 +475,11 @@ def cube_cells(domain: Domain, q: DyadicCube, dilation: int = 1) -> tuple[int, i
             dilation * full)
 
 
-def average(f: GridFunction, q: DyadicCube, r: float = 1.0, dilation: int = 1) -> float:
-    """<|f|^r>_{dQ} ** (1/r), exact cell-weighted mean over dQ, d the
-    dilation.  The mean is taken over the full |dQ| even when dQ sticks out
-    of the domain.
+def average(f: GridFunction, q: DyadicCube, dilation: int = 1) -> float:
+    """<|f|>_{dQ}, exact cell-weighted mean over dQ, d the dilation.  The
+    mean is taken over the full |dQ| even when dQ sticks out of the domain.
     """
-    if r <= 0:
-        raise ValueError("power must be positive")
     lo, hi, full = cube_cells(f.domain, q, dilation)
     if hi <= lo:
         raise ValueError("cube does not meet the domain")
-    m = np.sum(np.abs(f.samples[lo:hi]) ** r) / full
-    return float(m ** (1.0 / r))
+    return float(np.sum(np.abs(f.samples[lo:hi])) / full)

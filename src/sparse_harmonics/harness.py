@@ -25,7 +25,7 @@ from .grid import (
 from .maximal import maximal, multilinear_maximal
 from .operators import KernelOperator, bmo_norm, iterated_commutator
 from .orlicz import YoungFunction, dilation_indices
-from .sparse import SparseFamily, commutator_sparse_form, sparse_operator, stopping_cubes
+from .sparse import SparseFamily, sparse_operator, stopping_cubes
 from .weights import C_N, N_DIM, TAU_N, Weight, ap_constant, log_k0_p0
 
 __all__ = [
@@ -329,12 +329,8 @@ def local_decay_experiment(
     constants: dict = {"symbol_norm_product": bprod, "comparator": comparator}
     if comparator == "mixed-min":
         sf = principal_cubes(tf, q0)
-        fs0 = []
-        for i, f in enumerate(fs):
-            if i in bundle.slots:
-                fs0.append(sparse_operator(sf, 1.0, f, dilation=3))
-            else:
-                fs0.append(f)
+        fs0 = [sparse_operator(sf, [f], 3) if i in bundle.slots else f
+               for i, f in enumerate(fs)]
         alt = multilinear_maximal(fs0, "plain")
         both = np.minimum(comp.samples, alt.samples)
         constants["sparse_family_size"] = len(sf.cubes)
@@ -342,7 +338,7 @@ def local_decay_experiment(
             np.mean(alt.samples < comp.samples)
         )
         # domination audit: the sparse form must cover the operator output
-        dom_form = commutator_sparse_form(sf, [], fs, []).samples
+        dom_form = sparse_operator(sf, fs, 1).samples
         covered = dom_form[s0:e0] > 0
         sig = np.abs(g[s0:e0]) > 1e-12 * max(np.abs(g).max(), 1e-300)
         if np.any(sig & ~covered):

@@ -24,6 +24,7 @@ __all__ = [
     "hilbert_transform",
     "calderon_apply",
     "stein_square_function",
+    "check_expansion",
     "iterated_commutator",
     "bmo_norm",
 ]
@@ -203,6 +204,16 @@ def _bmo_sup(b: GridFunction) -> float:
 MAX_ROW_CELLS = 1 << 22
 
 
+def check_expansion(resolution_log2: int, m: int, n_sym: int) -> None:
+    """ValueError where T_b f of order m with n_sym symbols on 2^L cells
+    would exceed `MAX_ROW_CELLS`.  Compared by exponents, so refusing an
+    order or a symbol count of any size builds no large number; an order
+    below 0, which no operator has, counts as 0 against the symbols."""
+    if resolution_log2 + max(m, 0) + n_sym > MAX_ROW_CELLS.bit_length() - 1:
+        raise ValueError(f"order m = {m} with l = {n_sym} symbols: 2^{m + n_sym} expanded rows of "
+                         f"{1 << resolution_log2} cells exceed the {MAX_ROW_CELLS} row cells allowed")
+
+
 def iterated_commutator(
     T: KernelOperator,
     bs: Sequence[GridFunction],
@@ -225,10 +236,7 @@ def iterated_commutator(
     if any(not (0 <= s < len(fs)) for s in slots):
         raise ValueError("slot out of range")
     dom = fs[0].domain
-    m, n_sym = len(fs) - 1, len(bs)
-    if dom.n_cells << (m + n_sym) > MAX_ROW_CELLS:
-        raise ValueError(f"order m = {m} with l = {n_sym} symbols: 2^{m + n_sym} expanded rows of "
-                         f"{dom.n_cells} cells exceed the {MAX_ROW_CELLS} row cells allowed")
+    check_expansion(dom.resolution_log2, len(fs) - 1, len(bs))
     key = ("iterated_commutator", T, tuple(slots), dom,
            *(digest(g.samples) for g in (*bs, *fs)))
     return GridFunction(dom, MEMO.get(key, lambda: _expanded_commutator(T, bs, slots, fs)))

@@ -1,5 +1,5 @@
-"""Sparse families, sparse and commutator sparse operators, and the
-stopping-time sweep of principal cubes and oscillation families.
+"""Sparse families, the sparse sum over a family, and the stopping-time
+sweep of principal cubes and oscillation families.
 
 Families live inside a single lattice, so containment is laminar and all
 measures are exact cell counts.
@@ -7,6 +7,7 @@ measures are exact cell counts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -24,7 +25,6 @@ from .grid import (
 __all__ = [
     "SparseFamily",
     "sparse_operator",
-    "commutator_sparse_form",
     "stopping_cubes",
 ]
 
@@ -55,64 +55,15 @@ class SparseFamily:
 
 
 def sparse_operator(
-    fam: SparseFamily, r: float, f: GridFunction, dilation: int = 1
+    fam: SparseFamily, fs: Sequence[GridFunction], dilation: int
 ) -> GridFunction:
-    """sum_Q <|f|^r>_{dQ}^{1/r} chi_Q, with d the dilation (1 or 3)."""
-    if r < 1:
-        raise ValueError("need r >= 1")
-    if dilation not in (1, 3):
-        raise ValueError("dilation must be 1 or 3")
-    dom = fam.domain
-    out = np.zeros(dom.n_cells)
+    """sum_Q prod_s <|f_s|>_{dQ} chi_Q, with d the dilation: the sparse
+    operator of the mixed-min comparator (one input, d = 3) and the l = 0
+    form of the domination audit (every input, d = 1)."""
+    out = np.zeros(fam.domain.n_cells)
     for q, (lo, hi) in zip(fam.cubes, fam.cell_sets()):
-        out[lo:hi] += average(f, q, r, dilation)
-    return GridFunction(dom, out)
-
-
-def commutator_sparse_form(
-    fam: SparseFamily,
-    bs: Sequence[GridFunction],
-    fs: Sequence[GridFunction],
-    gammas: Sequence[int],
-) -> GridFunction:
-    """The commutator sparse sum for one choice of branch vector, with
-    plain Q averages everywhere.  The first len(bs) slots carry the
-    oscillation factors, the rest enter through <|f_s|>.
-    """
-    l, m = len(bs), len(fs)
-    if l > m:
-        raise ValueError("more symbols than entries")
-    if len(gammas) != l or any(g not in (1, 2) for g in gammas):
-        raise ValueError("branch vector must be in {1,2}^l")
-    dom = fam.domain
-    out = np.zeros(dom.n_cells)
-    for q, (lo, hi) in zip(fam.cubes, fam.cell_sets()):
-        chunk = np.ones(hi - lo)
-        scalar = 1.0
-        for s in range(l):
-            b, g = bs[s], gammas[s]
-            b_avg = _signed_average(b, q, dom)
-            if g == 1:
-                chunk = chunk * np.abs(b.samples[lo:hi] - b_avg)
-                scalar *= average(fs[s], q, 1.0)
-            else:
-                osc = GridFunction(dom, np.abs(b.samples - b_avg) * np.abs(fs[s].samples))
-                scalar *= average(osc, q, 1.0)
-        for s in range(l, m):
-            scalar *= average(fs[s], q, 1.0)
-        out[lo:hi] += scalar * chunk
-    return GridFunction(dom, out)
-
-
-def _signed_average(f: GridFunction, q: DyadicCube, dom: Domain) -> float:
-    """<f>_Q with sign, over Q intersected with the domain.
-
-    Used for recentering symbols b: a symbol is defined everywhere, so a
-    cube leaking past the boundary averages what is actually known, rather
-    than zero-padding (which would make constants non-constant).
-    """
-    lo, hi, _ = cube_cells(dom, q)
-    return float(f.samples[lo:hi].sum() / (hi - lo))
+        out[lo:hi] += math.prod((average(f, q, dilation) for f in fs), start=1.0)
+    return GridFunction(fam.domain, out)
 
 
 def stopping_cubes(roots, b: GridFunction, factor: float, recenter: bool) -> list:

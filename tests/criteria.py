@@ -1,6 +1,7 @@
 """The proof machinery of the paper that only the acceptance criteria and
 the unit tests check, with no route from the CLI: Carleson packing and
-the best sparseness of a family, the oscillation stopping-time family
+the best sparseness of a family, the gamma in {1, 2} commutator sparse
+forms, the oscillation stopping-time family
 with its certificate, counting-function decay (criteria 1-3), reverse
 Holder with the weak A_infty constant (criterion 5), the Rubio de Francia
 majorant and the Lorentz L^{p,1} norm (criterion 6), the multiple-weight
@@ -10,13 +11,14 @@ package's kernels."""
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from sparse_harmonics.grid import DyadicCube, GridFunction, average, cube_cells, family_for
+from sparse_harmonics.grid import Domain, DyadicCube, GridFunction, average, cube_cells, family_for
 from sparse_harmonics.maximal import maximal
 from sparse_harmonics.orlicz import YoungFunction
-from sparse_harmonics.sparse import SparseFamily, _signed_average, stopping_cubes
+from sparse_harmonics.sparse import SparseFamily, stopping_cubes
 from sparse_harmonics.weights import TAU_N, Weight, _double_sums, clamped_power
 
 # -- sparse families -----------------------------------------------------------
@@ -52,6 +54,54 @@ def verify_sparse(fam: SparseFamily) -> tuple[bool, float, float]:
     return best_eta >= fam.eta - 1e-12, best_eta, carleson
 
 
+def commutator_sparse_form(
+    fam: SparseFamily,
+    bs: Sequence[GridFunction],
+    fs: Sequence[GridFunction],
+    gammas: Sequence[int],
+) -> GridFunction:
+    """The commutator sparse sum of Lerner, Ombrosi & Rivera-Rios (Adv.
+    Math. 319, 2017) for one choice of branch vector, with plain Q averages
+    everywhere.  The first len(bs) slots carry the oscillation factors, the
+    rest enter through <|f_s|>; with no symbol it is
+    `sparse.sparse_operator(fam, fs, 1)`.
+    """
+    l, m = len(bs), len(fs)
+    if l > m:
+        raise ValueError("more symbols than entries")
+    if len(gammas) != l or any(g not in (1, 2) for g in gammas):
+        raise ValueError("branch vector must be in {1,2}^l")
+    dom = fam.domain
+    out = np.zeros(dom.n_cells)
+    for q, (lo, hi) in zip(fam.cubes, fam.cell_sets()):
+        chunk = np.ones(hi - lo)
+        scalar = 1.0
+        for s in range(l):
+            b, g = bs[s], gammas[s]
+            b_avg = _signed_average(b, q, dom)
+            if g == 1:
+                chunk = chunk * np.abs(b.samples[lo:hi] - b_avg)
+                scalar *= average(fs[s], q)
+            else:
+                osc = GridFunction(dom, np.abs(b.samples - b_avg) * np.abs(fs[s].samples))
+                scalar *= average(osc, q)
+        for s in range(l, m):
+            scalar *= average(fs[s], q)
+        out[lo:hi] += scalar * chunk
+    return GridFunction(dom, out)
+
+
+def _signed_average(f: GridFunction, q: DyadicCube, dom: Domain) -> float:
+    """<f>_Q with sign, over Q intersected with the domain.
+
+    Used for recentering symbols b: a symbol is defined everywhere, so a
+    cube leaking past the boundary averages what is actually known, rather
+    than zero-padding (which would make constants non-constant).
+    """
+    lo, hi, _ = cube_cells(dom, q)
+    return float(f.samples[lo:hi].sum() / (hi - lo))
+
+
 def oscillation_sparse(
     b: GridFunction, fam: SparseFamily, certify: bool = True
 ) -> tuple[SparseFamily, dict]:
@@ -80,7 +130,7 @@ def _certify_oscillation(b: GridFunction, fam: SparseFamily) -> dict:
     n = 1
     cells = fam.cell_sets()
     devs = [np.abs(b.samples - _signed_average(b, q, dom)) for q in fam.cubes]
-    osc = [average(GridFunction(dom, d), q, 1.0) for q, d in zip(fam.cubes, devs)]
+    osc = [average(GridFunction(dom, d), q) for q, d in zip(fam.cubes, devs)]
     worst = -np.inf
     for dev, (lo, hi) in zip(devs, cells):
         lhs = dev[lo:hi]

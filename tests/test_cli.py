@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from sparse_harmonics.cli import (
     KEYS,
     KINDS,
+    MAX_T_POINTS,
     ConfigError,
     _write_report,
     diff_fixture_file,
@@ -336,9 +337,14 @@ bank = bump
     ("kind = calderon\nm = 40", 40, 40),
     ("kind = calderon\nm = 40", 40, 0),
     ("kind = hilbert", 0, 40),
+    # an order too large for a list of that many inputs (OverflowError)
+    ("kind = calderon\nm = 10000000000000000000", 10 ** 19, 0),
+    # a negative order does not offset the symbols built before m is judged
+    ("kind = calderon\nm = -1000", -1000, 40),
 ])
 def test_run_refuses_an_expansion_over_the_budget(tmp_path, capsys, operator, m, n_sym):
-    # 2^(m + l) rows of 16 cells: refused before a row is allocated
+    # 2^(m + l) rows of 16 cells: refused before a symbol, an input or a
+    # row is built
     cfg = write_config(tmp_path, f"""
 [experiment]
 kind = cf
@@ -401,6 +407,27 @@ t_points = {t_points}
 """)
     assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
     assert "config error: [params] t_points must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("t_points", ["4097", "10000000000000"])
+def test_run_t_points_above_the_bound_exits_2(tmp_path, capsys, t_points):
+    # 10^13 points asked np.logspace for 72.8 TiB and exited 1 with a traceback
+    cfg = write_config(tmp_path, f"""
+[experiment]
+kind = decay
+l = 6
+
+[symbols]
+b = log
+
+[params]
+t_points = {t_points}
+""")
+    out = tmp_path / "o"
+    assert main(["run", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: [params] t_points must be at least 1 and at most {MAX_T_POINTS}\n")
+    assert not out.exists()
 
 
 def test_run_fs_nonpositive_exponent_exits_2(tmp_path, capsys):

@@ -226,7 +226,7 @@ def test_principal_cubes_match_brute_walk(L):
         for factor in (2.0, 4.0):
             for root in PRINCIPAL_ROOTS:
                 want = brute_stopping_cubes(
-                    [root], lambda r, q: average(absg, r, 1.0), factor, dom
+                    [root], lambda r, q: average(absg, r), factor, dom
                 )
                 # principal cubes stop at factor 2; other factors through
                 # the sweep they run on

@@ -8,7 +8,8 @@ the short list of names only tests reach, every function of
 tests/oracles.py and tests/criteria.py is read by a test or another
 function of its module, every defaulted parameter of a src/ function is
 set by some call in src/, perfbench/ or benchmarks/ (a test alone does
-not keep a knob), no src/ object caches a computed value (per-input
+not keep a knob), no parameter takes one literal from every such call
+(short list aside), no src/ object caches a computed value (per-input
 results go through `grid.MEMO`), the benchmark tracer still finds every
 name and parameter it traces, no src/ module imports scipy, and importing
 the CLI loads no scipy module: only the tests use scipy."""
@@ -538,24 +539,23 @@ def test_every_oracle_is_read_by_a_test_or_another_oracle():
     )
 
 
-def unset_defaults(sources: dict[str, str], callers) -> list[str]:
-    """"module.function(parameter)" for each defaulted parameter of a def in
-    sources that no call in callers sets, by keyword or by position: a knob
-    that every caller leaves at its default.  A call is matched to a def by
-    name (`f(...)` or `x.f(...)`), and a call of a class to its __init__,
-    reported as "module.Class(parameter)"; the self or cls of a method takes
-    no position, and a call with *args sets every positional parameter."""
-    positions: dict[str, float] = {}
-    keywords: dict[str, set] = {}
+def _calls_by_name(callers) -> dict[str, list[ast.Call]]:
+    """Each call in callers, under the name it calls: `f(...)` and
+    `x.f(...)` both call f."""
+    calls: dict[str, list[ast.Call]] = {}
     for source in callers:
         for node in ast.walk(ast.parse(source)):
-            if not isinstance(node, ast.Call) or not isinstance(node.func, (ast.Name, ast.Attribute)):
-                continue
-            name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
-            n = math.inf if any(isinstance(a, ast.Starred) for a in node.args) else len(node.args)
-            positions[name] = max(positions.get(name, 0), n)
-            keywords.setdefault(name, set()).update(k.arg for k in node.keywords)
-    out = []
+            if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+                name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+                calls.setdefault(name, []).append(node)
+    return calls
+
+
+def _defs(sources: dict[str, str]):
+    """(called name, "module.where", arguments, positional parameters,
+    skip) for each def in sources: a call of a class goes to its __init__,
+    reported as "module.Class", and the self or cls of a method takes no
+    position (skip is 1)."""
     for module, source in sources.items():
         tree = ast.parse(source)
         owner = {
@@ -569,12 +569,77 @@ def unset_defaults(sources: dict[str, str], callers) -> list[str]:
             a = node.args
             params = [*a.posonlyargs, *a.args]
             skip = int(node in owner and bool(params) and params[0].arg in ("self", "cls"))
-            defaulted = list(enumerate(params))[len(params) - len(a.defaults):]
-            defaulted += [(math.inf, p) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
-            out += [
-                f"{module}.{where}({p.arg})" for i, p in defaulted
-                if i - skip >= positions.get(name, 0) and p.arg not in keywords.get(name, ())
-            ]
+            yield name, f"{module}.{where}", a, params, skip
+
+
+def unset_defaults(sources: dict[str, str], callers) -> list[str]:
+    """"module.function(parameter)" for each defaulted parameter of a def in
+    sources that no call in callers sets, by keyword or by position: a knob
+    that every caller leaves at its default.  A call is matched to a def by
+    name (`f(...)` or `x.f(...)`), and a call of a class to its __init__,
+    reported as "module.Class(parameter)"; the self or cls of a method takes
+    no position, and a call with *args sets every positional parameter."""
+    calls = _calls_by_name(callers)
+    out = []
+    for name, where, a, params, skip in _defs(sources):
+        found = calls.get(name, [])
+        positions = max((
+            math.inf if any(isinstance(x, ast.Starred) for x in c.args) else len(c.args)
+            for c in found), default=0)
+        keywords = {k.arg for c in found for k in c.keywords}
+        defaulted = list(enumerate(params))[len(params) - len(a.defaults):]
+        defaulted += [(math.inf, p) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+        out += [
+            f"{where}({p.arg})" for i, p in defaulted
+            if i - skip >= positions and p.arg not in keywords
+        ]
+    return out
+
+
+def _passed(call: ast.Call, position: float, param: str, default):
+    """The expression that call passes for a parameter, by keyword or at
+    its position, else the parameter's default (None if it has none);
+    None where *args or **kwargs may pass it."""
+    for k in call.keywords:
+        if k.arg == param:
+            return k.value
+    if any(k.arg is None for k in call.keywords):
+        return None
+    star = next((j for j, x in enumerate(call.args) if isinstance(x, ast.Starred)), None)
+    if star is not None and position >= star:
+        return None
+    return call.args[position] if position < len(call.args) else default
+
+
+def _literal(node) -> str | None:
+    """The repr of a literal expression's value, else None: 0x10 reads as
+    16 and 2. as 2.0, but True is not 1 and () is not []."""
+    try:
+        return repr(ast.literal_eval(node))
+    except (ValueError, TypeError, SyntaxError):
+        return None
+
+
+def single_literal_parameters(sources: dict[str, str], callers) -> list[str]:
+    """"module.function(parameter)" for each parameter of a def in sources
+    that every call in callers passes the same literal, by position or by
+    keyword, compared by value (`_literal`; a call that leaves it out
+    passes its default): a parameter with one value is a constant.  Calls
+    are matched to defs as in unset_defaults; a def that nothing calls is
+    not judged."""
+    calls = _calls_by_name(callers)
+    out = []
+    for name, where, a, params, skip in _defs(sources):
+        found = calls.get(name)
+        if not found:
+            continue
+        defaults = dict(zip((p.arg for p in params[len(params) - len(a.defaults):]), a.defaults))
+        defaults |= {p.arg: d for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None}
+        positioned = [(i - skip, p) for i, p in enumerate(params) if i >= skip]
+        for position, p in positioned + [(math.inf, p) for p in a.kwonlyargs]:
+            values = {_literal(_passed(c, position, p.arg, defaults.get(p.arg))) for c in found}
+            if len(values) == 1 and None not in values:
+                out.append(f"{where}({p.arg})")
     return out
 
 
@@ -604,16 +669,79 @@ def test_checker_sees_unset_defaults():
     assert unset_defaults(sources, callers + ["f(z=0)\ng(x=0)\nK(1)\nk.m(e=0)\n"]) == []
 
 
-def test_every_defaulted_parameter_is_set_by_a_caller():
+def _sources_and_callers() -> tuple[dict[str, str], list[str]]:
+    """The src modules by name, and the text of every file that may call
+    them: a knob that only a test sets is a constant, so the tests are no
+    caller."""
     sources = {path.stem: path.read_text() for path in sorted((SRC / "sparse_harmonics").glob("*.py"))}
-    # a knob that only a test sets is a constant: the tests are no caller
     callers = [
         path.read_text() for tree in (SRC, ROOT / "perfbench", ROOT / "benchmarks")
         for path in sorted(tree.rglob("*.py"))
     ]
-    found = unset_defaults(sources, callers)
+    return sources, callers
+
+
+def test_every_defaulted_parameter_is_set_by_a_caller():
+    found = unset_defaults(*_sources_and_callers())
     assert not found, (
         "defaulted parameters no caller sets (make them constants):\n" + "\n".join(found)
+    )
+
+
+def test_checker_sees_single_literal_parameters():
+    sources = {
+        "a": (
+            "def f(x, y, z=2, *, k=0):\n"
+            "    pass\n"
+            "def g(u):\n"
+            "    pass\n"
+            "def h(v):\n"
+            "    pass\n"
+            "def spare(w=1):\n"
+            "    pass\n"
+            "class K:\n"
+            "    def __init__(self, a):\n"
+            "        pass\n"
+            "    def m(self, c, e=1):\n"
+            "        pass\n"
+        ),
+    }
+    callers = [
+        "f(1, 2.0)\n"  # x and y by position, z and k left at their defaults
+        "f(0x1, y=2., z=3)\n"  # the same x and y by value; z differs
+        "g(True)\n"
+        "g(1)\n"  # True is not 1
+        "h(*args)\n"  # v may be anything
+        "K([])\n"  # a, after self
+        "k.m(5, e=1)\n"
+        "k.m(5, 2)\n",  # c after self; e differs
+    ]
+    assert single_literal_parameters(sources, callers) == [
+        "a.f(x)", "a.f(y)", "a.f(k)", "a.K(a)", "a.K.m(c)"]
+    more = "f(2, y)\nf(1, 2.0, 3, k=4)\nK(())\nk.m(c)\n"
+    assert single_literal_parameters(sources, callers + [more]) == []
+
+
+# Parameters that every caller passes one literal, each with why it stays
+SINGLE_VALUE_ALLOWED = {
+    "sparse.stopping_cubes(factor)": "criteria.oscillation_sparse sweeps with factor 4, "
+                                     "principal cubes with 2",
+    "sparse.stopping_cubes(recenter)": "criteria.oscillation_sparse sweeps recentred, "
+                                       "principal cubes do not",
+    "grid.GridFunction.constant(c)": "the value of a constant function is data, not a switch",
+    "grid.Memo(size)": "the capacity of the one memo, written where MEMO is made",
+}
+
+
+def test_no_parameter_takes_one_literal_from_every_caller():
+    found = set(single_literal_parameters(*_sources_and_callers()))
+    assert not found - SINGLE_VALUE_ALLOWED.keys(), (
+        "parameters every caller passes one literal (make them constants):\n"
+        + "\n".join(sorted(found - SINGLE_VALUE_ALLOWED.keys()))
+    )
+    assert not SINGLE_VALUE_ALLOWED.keys() - found, (
+        "listed as single-valued but passed more than one value:\n"
+        + "\n".join(sorted(SINGLE_VALUE_ALLOWED.keys() - found))
     )
 
 

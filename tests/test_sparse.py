@@ -10,10 +10,11 @@ from sparse_harmonics.grid import (
     average,
     children,
     cube_cells,
+    family_for,
 )
-from sparse_harmonics.sparse import SparseFamily, commutator_sparse_form, sparse_operator
+from sparse_harmonics.sparse import SparseFamily, sparse_operator
 
-from criteria import counting_decay, oscillation_sparse, verify_sparse
+from criteria import commutator_sparse_form, counting_decay, oscillation_sparse, verify_sparse
 from oracles import brute_stopping_cubes, optimal_eta
 
 DOM = Domain(0.0, 1.0, 6)
@@ -91,7 +92,7 @@ def test_sparse_carleson_equivalence_brute_force():
 def test_sparse_operator_single_cube():
     fam = SparseFamily.make([DyadicCube(0, 1, 1)], 0.5, DOM)
     one = GridFunction.constant(DOM, 1.0)
-    out = sparse_operator(fam, 1.0, one).samples
+    out = sparse_operator(fam, [one], 1).samples
     want = np.zeros(DOM.n_cells)
     want[DOM.n_cells // 2 :] = 1.0
     np.testing.assert_allclose(out, want)
@@ -101,7 +102,7 @@ def test_sparse_operator_chain_counting():
     d = 4
     fam = nested_chain(d)
     one = GridFunction.constant(DOM, 1.0)
-    out = sparse_operator(fam, 1.0, one).samples
+    out = sparse_operator(fam, [one], 1).samples
     # value k+1 on the k-th cube minus the next one
     for k in range(d + 1):
         width = DOM.n_cells >> k
@@ -109,29 +110,47 @@ def test_sparse_operator_chain_counting():
         assert np.all(out[nxt:width] == pytest.approx(float(k + 1)))
 
 
+def edge_family(lattice_id, dom=DOM):
+    # the first and last cube of each level of one lattice: in the shifted
+    # lattices they stick out past an edge of the domain, and 3Q does in all
+    cubes = [DyadicCube(lattice_id, e.level, e.t0 + i)
+             for e in family_for(dom).entries if e.lattice_id == lattice_id
+             for i in {0, e.n_cubes - 1}]
+    return SparseFamily.make(cubes, 0.5, dom)
+
+
 def test_sparse_operator_matches_naive():
     rng = np.random.default_rng(0)
     f = GridFunction(DOM, rng.uniform(0, 3, DOM.n_cells))
-    for seed in range(5):
-        fam = random_family(seed)
+    families = [random_family(seed) for seed in range(5)]
+    families += [edge_family(lattice_id) for lattice_id in range(4)]
+    # lattice 3's edge family sticks out past both edges of the domain
+    assert any(q.cell_bounds(DOM)[0] < 0 for q in families[-1].cubes)
+    assert any(q.cell_bounds(DOM)[1] > DOM.n_cells for q in families[-1].cubes)
+    for fam in families:
+        # <|f|^r>_{dQ}: the input is |f|^r
         for r, d in ((1.0, 1), (2.0, 1), (1.0, 3)):
-            got = sparse_operator(fam, r, f, d).samples
+            got = sparse_operator(fam, [GridFunction(DOM, f.samples ** r)], d).samples
             want = np.zeros(DOM.n_cells)
             for q in fam.cubes:
                 lo, hi, full = cube_cells(DOM, q, d)
-                avg = (np.sum(f.samples[lo:hi] ** r) / full) ** (1.0 / r)
                 s, e, _ = q.cell_bounds(DOM)
-                want[max(s, 0) : min(e, DOM.n_cells)] += avg
+                want[max(s, 0) : min(e, DOM.n_cells)] += np.sum(f.samples[lo:hi] ** r) / full
             np.testing.assert_allclose(got, want, rtol=1e-12)
+        # the l = 0 commutator form is the plain-Q sum over every input
+        for m in (1, 2, 3):
+            fs = [GridFunction(DOM, rng.uniform(-2, 2, DOM.n_cells)) for _ in range(m)]
+            assert np.array_equal(sparse_operator(fam, fs, 1).samples,
+                                  commutator_sparse_form(fam, [], fs, []).samples)
 
 
 def test_sparse_operator_additive_on_nonnegative():
     f = GridFunction(DOM, np.random.default_rng(1).uniform(0, 2, DOM.n_cells))
     g = GridFunction(DOM, np.random.default_rng(2).uniform(0, 2, DOM.n_cells))
     fam = random_family(3)
-    a = sparse_operator(fam, 1.0, f).samples
-    b = sparse_operator(fam, 1.0, g).samples
-    ab = sparse_operator(fam, 1.0, f + g).samples
+    a = sparse_operator(fam, [f], 1).samples
+    b = sparse_operator(fam, [g], 1).samples
+    ab = sparse_operator(fam, [f + g], 1).samples
     np.testing.assert_allclose(ab, a + b, rtol=1e-12)
 
 
@@ -153,7 +172,7 @@ def test_commutator_form_empty_symbols_is_sparse_product():
     want = np.zeros(DOM.n_cells)
     for q in fam.cubes:
         s, e, _ = q.cell_bounds(DOM)
-        want[s:e] += average(f1, q, 1.0) * average(f2, q, 1.0)
+        want[s:e] += average(f1, q) * average(f2, q)
     np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
@@ -223,7 +242,7 @@ def test_oscillation_family_matches_brute_walk(L):
             # <|b - <b>_Q|>_R, with <b>_Q over Q's cells in the domain
             lo, hi, _ = cube_cells(dom, q)
             dev = np.abs(samples - samples[lo:hi].sum() / (hi - lo))
-            return average(GridFunction(dom, dev), r, 1.0)
+            return average(GridFunction(dom, dev), r)
 
         for fam in families:
             out, _ = oscillation_sparse(GridFunction(dom, samples), fam, certify=False)
