@@ -4,8 +4,10 @@ L in {8, 10, 12, 14}, and the cold import of the CLI.
 Each row is the median of repeated calls (3 at L = 14), with `grid.MEMO`
 emptied before each call and the cube family of the domain built before the
 first (except in the family row itself).  Inputs: a uniform random f and a
-on [0, 1), and the CLI's bump exp(-120 (x - 1/2)^2) for M_{L log L}, where
-the upper bounds set how many cubes are solved; b = log|x - 1/2| for BMO
+on [0, 1) (Stein at alpha = 1.5, and at 0.75, where the band-edge factor
+(1 - |xi|^2/t^2)^(alpha - 1) is singular), and the CLI's bump
+exp(-120 (x - 1/2)^2) for M_{L log L}, where the upper bounds set how many
+cubes are solved; b = log|x - 1/2| for BMO
 and [b,H]; a log-normal weight and the constant weight for A_inf, and
 the log-normal weight under the weak Lorentz quasinorm of [b,H] f.  The
 cold import is the wall time of a fresh interpreter that imports
@@ -60,6 +62,7 @@ def _rows(dom: Domain) -> dict:
         "M_{L log L}, bump f": lambda: maximal.multilinear_maximal([bump], "llogl"),
         "Hilbert": lambda: operators.hilbert_transform(f),
         "Stein (alpha = 1.5)": lambda: operators.stein_square_function(f, 1.5),
+        "Stein (alpha = 0.75)": lambda: operators.stein_square_function(f, 0.75),
         "Calderon m = 1": lambda: operators.calderon_apply([f, a]),
         "Calderon m = 3": lambda: operators.calderon_apply([f, a, a, a]),
         "BMO": lambda: operators.bmo_norm(b),

@@ -137,12 +137,15 @@ def parse_config(path) -> dict:
 
 def _number(text: str, what: str, cast: type = float):
     """text read by cast (str, int or float); a config error that names what
-    (the key, the variable or the spec) if it does not parse."""
+    (the key, the variable or the spec) if it does not parse or reads NaN."""
     try:
-        return cast(text)
+        value = cast(text)
+        if cast is float and math.isnan(value):
+            raise ValueError
     except ValueError:
         noun = "an integer" if cast is int else "a number"
         raise ConfigError(f"{what}: {text!r} is not {noun}") from None
+    return value
 
 
 def _spec_number(spec: str, cast: type = float):

@@ -38,8 +38,8 @@ class KernelOperator:
     def __post_init__(self):
         if self.kind not in ("hilbert", "calderon", "stein"):
             raise ValueError(f"unknown operator kind {self.kind!r}")
-        if self.kind == "stein" and self.alpha <= 0.5:
-            raise ValueError("stein operator needs alpha > 1/2")
+        if self.kind == "stein" and not 0.5 < self.alpha < math.inf:
+            raise ValueError("stein operator needs 1/2 < alpha < inf")
 
     def apply(self, fs: Sequence[GridFunction]) -> GridFunction:
         if self.kind == "hilbert":
@@ -139,9 +139,14 @@ def calderon_apply(fs: Sequence[GridFunction]) -> GridFunction:
     return GridFunction(dom, out * h)
 
 
-# wave number-scale pairs per batched Stein transform: about 4 MiB of
-# complex spectra, and as much of real output, per chunk of scales
+# rows times wave numbers (M/2 + 1 a row at M samples) per batched Stein
+# transform: about 4 MiB of complex spectra, and as much of real output,
+# per chunk of scales
 _STEIN_CHUNK = 1 << 18
+
+# the fewest samples a band of Stein scales is squared at: a grid of at
+# most this many cells squares every scale at its N cells
+_STEIN_MIN_SAMPLES = 256
 
 
 def stein_square_function(
@@ -151,11 +156,18 @@ def stein_square_function(
     (|xi|^2/t^2)(1 - |xi|^2/t^2)_+^{alpha-1} on the periodized grid.
 
     Each multiplier is real and even, so the spectrum of a real f is taken
-    once by a real FFT, and a chunk of scales runs as the rows of one
-    inverse real FFT over the wave numbers 0..N/2.  The kernels are real,
-    so a complex f has S f = |(S Re f, S Im f)|."""
-    if alpha <= 0.5:
-        raise ValueError("need alpha > 1/2")
+    once by a real FFT.  The part g_t of scale t holds the wave numbers
+    below k = ceil(t), so g_t^2 holds those up to 2(k - 1), and M > 4(k - 1)
+    equispaced samples give its spectrum exactly: there g_t is
+    (M/N) irfft(f^[:k] m_t, M).  The scales t <= M/4 not yet taken, for M
+    the powers of two from `_STEIN_MIN_SAMPLES` below N, are a band: their
+    squares are summed at M samples, and the wave numbers 0..2(k - 1) of
+    the sum's real FFT join one length-N spectrum, taken back by one
+    inverse FFT.  The rest, t > N/8 (the top two octaves), are squared at
+    the N cells.  The kernels are real, so a complex f has
+    S f = |(S Re f, S Im f)|."""
+    if not 0.5 < alpha < math.inf:
+        raise ValueError("need 1/2 < alpha < inf")
     if np.iscomplexobj(f.samples):
         re, im = (stein_square_function(GridFunction(f.domain, part), alpha, n_scales).samples
                   for part in (f.samples.real, f.samples.imag))
@@ -164,13 +176,41 @@ def stein_square_function(
     ts = np.logspace(0.0, math.log10(N / 2.0), n_scales)
     dlog = math.log(ts[-1] / ts[0]) / (n_scales - 1)
     fhat = rfft(f.samples)
-    acc = np.zeros(N)
-    for chunk in np.array_split(ts, math.ceil(n_scales * len(fhat) / _STEIN_CHUNK)):
+    spectrum = np.zeros(len(fhat), complex)
+    M, start = _STEIN_MIN_SAMPLES, 0
+    while M < N:
+        stop = int(np.searchsorted(ts, M / 4, side="right"))  # k <= M/4, so 4(k - 1) < M
+        if stop > start:
+            band = 2 * math.ceil(ts[stop - 1]) - 1
+            square = _stein_squares(fhat, ts[start:stop], alpha, M)
+            # the squares of g_t are (M/N)^2 these, and a length-N real FFT
+            # reads N/M times a length-M one
+            spectrum[:band] += rfft(square)[:band] * (M / N)
+        M, start = 2 * M, stop
+    acc = _stein_squares(fhat, ts[start:], alpha, N)
+    if start:
+        acc += irfft(spectrum, N)
+    # rounding can take the band sum a few eps below 0 where S f is about 0
+    return GridFunction(f.domain, np.sqrt(np.maximum(acc, 0.0) * dlog))
+
+
+def _stein_squares(fhat: np.ndarray, ts: np.ndarray, alpha: float, M: int) -> np.ndarray:
+    """The sum over the scales ts of irfft(fhat[:k] m_t, M)^2, each chunk of
+    scales the rows of one inverse real FFT."""
+    out = np.zeros(M)
+    parts = fhat.real.copy(), fhat.imag.copy()
+    for chunk in np.array_split(ts, math.ceil(len(ts) * (M // 2 + 1) / _STEIN_CHUNK)):
         # every multiplier of the chunk vanishes from wave number max t on
         k = min(len(fhat), math.ceil(chunk[-1]))
-        conv = irfft(fhat[:k] * _stein_multipliers(chunk, k, alpha), N)
-        acc += np.einsum("ij,ij->j", conv, conv)
-    return GridFunction(f.domain, np.sqrt(acc * dlog))
+        mult = _stein_multipliers(chunk, k, alpha)
+        # fhat[:k] m_t part by part, into the zero-padded rows: numpy's complex
+        # times real product casts m_t to complex, at about 4 times the cost
+        rows = np.zeros((len(chunk), M // 2 + 1), complex)
+        for part, view in zip(parts, (rows.real, rows.imag)):
+            np.multiply(mult, part[:k], out=view[:, :k])
+        conv = irfft(rows, M)
+        out += np.einsum("ij,ij->j", conv, conv)
+    return out
 
 
 def _stein_multipliers(ts: np.ndarray, n_freq: int, alpha: float) -> np.ndarray:

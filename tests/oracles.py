@@ -6,7 +6,8 @@ place of Newton steps, one cube at a time in
 the stopping-time walk, a linear program for the best sparseness, dense
 O(N^2) sums for the convolution kernels, a literal nested sum for kernel
 quadrature, one FFT convolution per expanded Calderon product, one
-complex inverse FFT per Stein scale, a recursion over the factors of a
+complex inverse FFT per Stein scale, every Stein scale squared at full
+length, a recursion over the factors of a
 commutator, a discrete sup over dilations for the growth indices and a
 convexity search for the modular alpha that the package takes in closed
 form, the distinct values of |f| for the weak Lorentz quasinorm, little
@@ -28,7 +29,7 @@ from sparse_harmonics.grid import (
     family_for,
 )
 from sparse_harmonics.maximal import luxemburg_per_cube
-from sparse_harmonics.operators import _NEAR_BAND
+from sparse_harmonics.operators import _NEAR_BAND, _STEIN_CHUNK, _stein_multipliers
 from sparse_harmonics.orlicz import YoungFunction, llog, monotone_root
 from sparse_harmonics.sparse import SparseFamily
 from sparse_harmonics.weights import Weight, _double_sums, clamped_power
@@ -481,6 +482,25 @@ def per_scale_stein(f: GridFunction, alpha: float, n_scales: int = 128) -> np.nd
         conv = np.fft.ifft(fhat * mult)
         acc += np.abs(conv) ** 2 * dlog
     return np.sqrt(acc)
+
+
+def full_length_stein(f: GridFunction, alpha: float, n_scales: int = 128) -> np.ndarray:
+    """`stein_square_function` with every scale squared at the N cells: the
+    chunks of scales run as the rows of batched inverse real FFTs of length
+    N, the route it took before each scale's square was sampled at its band."""
+    if np.iscomplexobj(f.samples):
+        return np.hypot(*(full_length_stein(GridFunction(f.domain, part), alpha, n_scales)
+                          for part in (f.samples.real, f.samples.imag)))
+    N = f.domain.n_cells
+    ts = np.logspace(0.0, math.log10(N / 2.0), n_scales)
+    dlog = math.log(ts[-1] / ts[0]) / (n_scales - 1)
+    fhat = np.fft.rfft(f.samples)
+    acc = np.zeros(N)
+    for chunk in np.array_split(ts, math.ceil(n_scales * len(fhat) / _STEIN_CHUNK)):
+        k = min(len(fhat), math.ceil(chunk[-1]))
+        conv = np.fft.irfft(fhat[:k] * _stein_multipliers(chunk, k, alpha), N)
+        acc += np.einsum("ij,ij->j", conv, conv)
+    return np.sqrt(acc * dlog)
 
 
 def first_order_commutator_kernel(b: GridFunction, f: GridFunction) -> GridFunction:

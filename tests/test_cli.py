@@ -467,7 +467,8 @@ bank = random
 ps = {ps}
 """)
     assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
-    assert "config error: [params] ps must be finite" in capsys.readouterr().err
+    want = "[params] ps: 'nan' is not a number" if ps == "nan" else "[params] ps must be finite"
+    assert f"config error: {want}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("slack", ["nan", "inf", "-1", "0.5"])
@@ -490,8 +491,9 @@ b = x
 bank = steps
 """)
     assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
-    assert "config error: [experiment] slack must be finite and at least 1" in (
-        capsys.readouterr().err)
+    want = ("[experiment] slack: 'nan' is not a number" if slack == "nan"
+            else "[experiment] slack must be finite and at least 1")
+    assert f"config error: {want}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("t_lo, t_hi", [
@@ -520,7 +522,9 @@ t_hi = {t_hi}
 """)
     assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
-    assert "config error: [params] t_lo and t_hi need 0 < t_lo < t_hi, both finite" in err
+    want = ("[params] t_lo: 'nan' is not a number" if t_lo == "nan"
+            else "[params] t_lo and t_hi need 0 < t_lo < t_hi, both finite")
+    assert f"config error: {want}" in err
 
 
 def test_run_calderon_below_order_one_exits_2(tmp_path, capsys):
@@ -722,6 +726,42 @@ def test_run_number_that_does_not_parse_names_its_key(tmp_path, capsys, text, me
     assert f"config error: {message}\n" == capsys.readouterr().err
 
 
+# every site where a config float is read, with NaN: alpha and the power
+# weight were refused as "samples must be finite", llog as "parameters
+# outside both branches", the rest by a range check that names no NaN
+NAN_SITES = [
+    (_small("cf", experiment={"slack": "nan"}), "[experiment] slack"),
+    (_small("decay", operator={"kind": "stein", "alpha": "nan"}), "[operator] alpha"),
+    (_small("decay", params={"t_lo": "nan"}), "[params] t_lo"),
+    (_small("decay", params={"t_hi": "NaN"}), "[params] t_hi"),
+    (_small("cf", params={"p": "nan"}), "[params] p"),
+    (_small("mixed", params={"t": "nan"}), "[params] t"),
+    (_small("fs", params={"ps": "2,nan"}), "[params] ps"),
+    (_small("modular", params={"q": "nan"}), "[params] q"),
+    (_small("modular", params={"r": "-nan"}), "[params] r"),
+    (_small("constants", bank={"p_grid": "2,nan"}), "[bank] p_grid"),
+    (_small("cf", weights={"w": "power:nan"}), "spec 'power:nan'"),
+    (_small("modular", params={"p": "llog:nan"}), "spec 'llog:nan'"),
+    (_small("modular", params={"p": "power:nan"}), "spec 'power:nan'"),
+]
+
+
+@pytest.mark.parametrize("text, what", NAN_SITES, ids=_site_ids(NAN_SITES))
+def test_run_nan_number_names_its_key(tmp_path, capsys, text, what):
+    cfg = write_config(tmp_path, text)
+    assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {what}: '") and err.endswith("' is not a number\n")
+    assert not (tmp_path / "o").exists()
+
+
+def test_run_infinite_stein_alpha_exits_2(tmp_path, capsys):
+    # alpha = inf made every multiplier 0 (S f = 0), and the decay exited 3
+    cfg = write_config(tmp_path, _small("decay", operator={"kind": "stein", "alpha": "inf"}))
+    assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == "config error: stein operator needs 1/2 < alpha < inf\n"
+
+
 # every site where a seed is read, with a negative one: numpy refused the
 # first two with a message that names no key, and the other two ran
 NEGATIVE_SEED_SITES = [
@@ -759,7 +799,8 @@ def test_constants_nonfinite_p_exits_2(tmp_path, capsys, p_grid):
     cfg = write_config(tmp_path, _small(
         "constants", experiment={"l": "5"}, bank={"weights": "step", "p_grid": p_grid}))
     assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
-    assert "config error: need 1 <= p < inf" in capsys.readouterr().err
+    want = "[bank] p_grid: 'nan' is not a number" if "nan" in p_grid else "need 1 <= p < inf"
+    assert f"config error: {want}" in capsys.readouterr().err
     assert not (tmp_path / "o" / "constants.csv").exists()
 
 
@@ -769,7 +810,8 @@ def test_run_cf_nonfinite_p_exits_2(tmp_path, capsys, p):
     # 0 as "holds (ratio 0)"
     cfg = write_config(tmp_path, _small("cf", params={"p": p}))
     assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
-    assert "config error: need 0 < p < inf" in capsys.readouterr().err
+    want = "[params] p: 'nan' is not a number" if p == "nan" else "need 0 < p < inf"
+    assert f"config error: {want}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("t", ["nan", "inf", "1"])
@@ -780,7 +822,8 @@ def test_run_mixed_t_outside_one_to_inf_exits_2_without_warnings(tmp_path, capsy
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
-    assert "config error: need 1 < t < inf" in capsys.readouterr().err
+    want = "[params] t: 'nan' is not a number" if t == "nan" else "need 1 < t < inf"
+    assert f"config error: {want}" in capsys.readouterr().err
 
 
 def test_run_decay_zero_input_is_degenerate(tmp_path):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -7,6 +8,7 @@ import scipy.fft
 from scipy.integrate import quad
 from scipy.signal import fftconvolve
 
+from sparse_harmonics.cli import make_function
 from sparse_harmonics.grid import MEMO, Domain, DyadicCube, GridFunction
 from sparse_harmonics.operators import (
     KernelOperator,
@@ -26,6 +28,7 @@ from oracles import (
     dense_calderon_apply,
     direct_kernel_apply,
     first_order_commutator_kernel,
+    full_length_stein,
     luxemburg_norm,
     per_entry_bmo,
     per_pick_calderon,
@@ -247,8 +250,11 @@ def test_calderon_is_linear_over_complex_inputs():
 # -- stein -------------------------------------------------------------------
 
 def test_stein_zero():
-    z = GridFunction.constant(DOM, 0.0)
-    np.testing.assert_allclose(stein_square_function(z, 1.0).samples, 0.0)
+    # a constant is exactly 0 at every wave number but 0, where the
+    # multipliers vanish: every band and the full-length scales read 0
+    for L, c in itertools.product((4, 8, 10, 14), (0.0, 1.0, -2.5, 1 / 3)):
+        f = GridFunction.constant(Domain(0.0, 1.0, L), c)
+        assert not np.any(stein_square_function(f, 1.0).samples)
 
 
 def test_stein_wave_scale_invariance():
@@ -298,9 +304,83 @@ def test_stein_of_a_complex_input_matches_the_per_scale_oracle():
     assert np.abs(stein_square_function(f, 1.5).samples - old).max() <= 1e-13 * np.abs(old).max()
 
 
+@pytest.mark.parametrize("L", range(1, 9))
+def test_band_stein_equals_the_full_length_oracle_up_to_l_8(L):
+    # a grid of at most 256 cells squares every scale at its N cells
+    dom = Domain(0.0, 1.0, L)
+    f = rand_f(70 + L, dom)
+    fc = GridFunction(dom, f.samples + 1j * rand_f(80 + L, dom).samples)
+    for u, alpha, n_scales in itertools.product((f, fc), (0.75, 1.5), (128, 2048)):
+        assert np.array_equal(stein_square_function(u, alpha, n_scales).samples,
+                              full_length_stein(u, alpha, n_scales))
+
+
+STEIN_BANKS = ("random", "bump", "steps", "indicator", *(f"wave:{k}" for k in range(1, 9)))
+STEIN_ALPHAS = (0.6, 0.75, 1.0, 1.5, 2.0)
+
+
+def _assert_stein_near_the_per_scale_oracle(f, alpha, n_scales):
+    """Both routes round (S f)^2 to about eps max (S f)^2, which the square
+    root magnifies where S f is near 0, between the peaks of a wave.  Over
+    the CLI banks at L = 6-14, every alpha here and 128 and 2048 scales,
+    the band route read at most 1.3e-14 max (S f)^2 and 1.8e-12 max S f
+    (wave:5, alpha = 1.5, 2048 scales, L = 14); the full-length route
+    reads 8.7e-15 max (S f)^2 at L <= 8."""
+    old = per_scale_stein(f, alpha, n_scales)
+    new = stein_square_function(f, alpha, n_scales).samples
+    top = np.abs(old).max()
+    assert np.abs(new - old).max() <= 4e-12 * top
+    assert np.abs(new ** 2 - old ** 2).max() <= 3e-14 * top ** 2
+
+
+@pytest.mark.parametrize("L", [6, 8, 10, 12, 14])
+def test_band_stein_matches_the_per_scale_oracle_on_the_cli_banks(L):
+    dom = Domain(0.0, 1.0, L)
+    for spec, alpha in itertools.product(STEIN_BANKS, STEIN_ALPHAS):
+        _assert_stein_near_the_per_scale_oracle(make_function(spec, dom, 0), alpha, 128)
+    # 2048 scales, one alpha per bank in turn: the oracle takes 0.8 s a call at L = 14
+    if L <= 10:
+        for spec, alpha in zip(STEIN_BANKS, itertools.cycle(STEIN_ALPHAS)):
+            _assert_stein_near_the_per_scale_oracle(make_function(spec, dom, 0), alpha, 2048)
+
+
+def test_band_stein_worst_reading_stays_within_bound():
+    # the largest error of the sweep in `_assert_stein_near_the_per_scale_oracle`
+    f = make_function("wave:5", Domain(0.0, 1.0, 14), 0)
+    _assert_stein_near_the_per_scale_oracle(f, 1.5, 2048)
+
+
+@pytest.mark.parametrize("L", [10, 12])
+def test_band_stein_of_a_wave_that_vanishes_at_a_cell_is_finite(L):
+    # S f is 0 at that cell, and rounding takes the band sum of squares below
+    # 0 there: without the clamp the square root is NaN.  The error of
+    # (S f)^2 is a few eps max (S f)^2 there too, so S f reads about
+    # 1e-8 max S f at the cell, where the per-scale oracle reads 1e-16
+    dom = Domain(0.0, 1.0, L)
+    x = dom.cell_centers()
+    for k, alpha in itertools.product((1, 3), (0.75, 1.5)):
+        f = GridFunction(dom, np.sin(2 * math.pi * k * (x - x[dom.n_cells // 3])))
+        old = per_scale_stein(f, alpha)
+        new = stein_square_function(f, alpha).samples
+        assert np.all(new >= 0.0)
+        assert np.abs(new ** 2 - old ** 2).max() <= 3e-14 * old.max() ** 2
+
+
+@pytest.mark.parametrize("L", [1, 2, 3])
+def test_band_stein_on_the_smallest_grids(L):
+    dom = Domain(0.0, 1.0, L)
+    for spec, alpha in itertools.product(("random", "bump", "wave:1", "wave:3"), STEIN_ALPHAS):
+        f = make_function(spec, dom, 0)
+        np.testing.assert_allclose(stein_square_function(f, alpha).samples,
+                                   per_scale_stein(f, alpha), rtol=0.0, atol=1e-15)
+
+
 def test_stein_alpha_validation():
-    with pytest.raises(ValueError):
-        stein_square_function(rand_f(0), 0.5)
+    for alpha in (0.5, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            stein_square_function(rand_f(0), alpha)
+        with pytest.raises(ValueError, match="alpha"):
+            KernelOperator("stein", alpha)
 
 
 # -- commutators -------------------------------------------------------------
