@@ -263,20 +263,27 @@ def _build_bundle(cfg: dict, dom: Domain) -> OperatorBundle:
     return stein_bundle(_value(cfg, "operator", "alpha", float))
 
 
+def _per_slot(values: list, m: int, key: str) -> list:
+    """One value per slot of the m slots: the values as given, or a single
+    value repeated; any other count is a config error naming the key."""
+    if len(values) == 1:
+        return values * m
+    if len(values) != m:
+        raise ConfigError(
+            f"{key} gives {len(values)} values for {m} slot{'s' * (m != 1)}: "
+            "give one value, or one per slot")
+    return values
+
+
 def _functions(cfg: dict, dom: Domain, seed: int, m: int) -> list[GridFunction]:
     specs = [s for s in _value(cfg, "functions", "bank").split(",") if s.strip()]
-    if len(specs) == 1:
-        specs = specs * m
-    if len(specs) != m:
-        raise ConfigError(f"need {m} function specs, got {len(specs)}")
-    fseed = _value(cfg, "functions", "seed")
-    fseed = seed if fseed is None else _seed(fseed, "[functions] seed")
-    return [make_function(s, dom, fseed + i) for i, s in enumerate(specs)]
+    specs = _per_slot(specs, m, "[functions] bank")
+    return [make_function(s, dom, seed + i) for i, s in enumerate(specs)]
 
 
 def _weights(cfg: dict, dom: Domain, m: int) -> list[Weight]:
     ws = [make_weight(s, dom) for s in _value(cfg, "weights", "w").split(",")]
-    return ws * m if len(ws) == 1 else ws
+    return _per_slot(ws, m, "[weights] w")
 
 
 def run_experiment(cfg: dict, out_dir: Path) -> list[VerificationReport]:
@@ -301,6 +308,8 @@ def run_experiment(cfg: dict, out_dir: Path) -> list[VerificationReport]:
     curve: DecayCurve | None = None
     if ("operator", "kind") in rows:
         bundle = _build_bundle(cfg, dom)
+        fseed = _value(cfg, "functions", "seed")  # a set [functions] seed picks the inputs
+        seed = seed if fseed is None else _seed(fseed, "[functions] seed")
         fs = _functions(cfg, dom, seed, bundle.m)
 
     if kind == "sharpness":
@@ -333,8 +342,7 @@ def run_experiment(cfg: dict, out_dir: Path) -> list[VerificationReport]:
         ps = [_number(s, "[params] ps") for s in _value(cfg, "params", "ps").split(",")]
         if not all(math.isfinite(pi) for pi in ps):
             raise ConfigError("[params] ps must be finite")
-        if len(ps) == 1:
-            ps = ps * bundle.m
+        ps = _per_slot(ps, bundle.m, "[params] ps")
         ws = _weights(cfg, dom, bundle.m)
         rep = fefferman_stein_experiment(bundle, fs, ps, ws, slack)
     elif kind == "modular":
@@ -344,7 +352,7 @@ def run_experiment(cfg: dict, out_dir: Path) -> list[VerificationReport]:
         w = make_weight(_value(cfg, "weights", "w"), dom)
         rep = modular_experiment(bundle, fs, phi, q, r, w, slack)
 
-    rep.env["seed"] = seed  # the experiments draw nothing; the inputs came from seed
+    rep.env["seed"] = seed  # the experiments draw nothing; the inputs were drawn with seed
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_report(out_dir / "report.json", cfg, [rep])
     if curve is not None:

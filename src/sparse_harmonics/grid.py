@@ -223,7 +223,9 @@ GROUP_CELLS = 1 << 14
 #   2 S**2 eps w(Q), and it is at least w(Q).  With eps = 2**-53 that is
 #   2**(2L - 52): about 6e-8 at L = 14 and 9.5e-7 at L = 16, below the
 #   margin, but 3.8e-6 at L = 17; the pairwise row sums, the per-cube sums of
-#   the bounds and the divisions add about 20 eps.
+#   the bounds and the divisions add about 20 eps.  The weak bounds and the
+#   weak sweep divide by the same w(2Q) (`weights._double_table`), so w(2Q)
+#   adds no gap between them.
 # - M_{L log L}: a computed norm is a Newton iterate below the norm times
 #   1 + 0.5e-12, checked against the Luxemburg condition (else the first
 #   float of its bracket that meets it), and phi^-1(1) is 4 eps below its
@@ -270,7 +272,7 @@ class LevelEntry:
         among this entry's (tiled) cells.  A reduction of values[cells] over
         the restricted entry reduces each kept cube over the same cells in
         the same order as over this entry.  The lattice, level and first
-        index stay this entry's, so `cubes` does not name the kept cubes."""
+        index stay this entry's, so they do not name the kept cubes."""
         lo, hi = self.lo[idx], self.hi[idx]
         sizes = hi - lo
         new_hi = np.cumsum(sizes)
@@ -282,12 +284,6 @@ class LevelEntry:
             self.lattice_id, self.level, self.t0, self.starts[idx] - shift, width,
             new_lo, new_hi, np.repeat(np.arange(len(idx)), sizes),
         ), cells
-
-    def cubes(self) -> list[DyadicCube]:
-        return [
-            DyadicCube(self.lattice_id, self.level, self.t0 + i)
-            for i in range(self.n_cubes)
-        ]
 
 
 class CubeFamily:

@@ -99,17 +99,12 @@ def _excess(fam: CubeFamily, entry: LevelEntry, absf: np.ndarray, phi: YoungFunc
 
 def maximal(f: GridFunction, k: int = 1) -> GridFunction:
     """M^k f: the Hardy-Littlewood maximal function over the full cube
-    family, applied k times; computed once per |f| and k (see `grid.MEMO`)."""
-    absf = np.abs(f.samples).astype(float)
-    key = ("maximal", f.domain, k, digest(absf))
-    return GridFunction(f.domain, MEMO.get(key, lambda: _iterated_maximal(f.domain, absf, k)))
-
-
-def _iterated_maximal(dom: Domain, out: np.ndarray, k: int) -> np.ndarray:
-    fam = family_for(dom)
+    family, applied k times.  Each pass is the one-input "plain"
+    `multilinear_maximal`, whose product of one mean is the mean, so each
+    M^j f along the way is computed once per content (see `grid.MEMO`)."""
     for _ in range(k):
-        out = fam.scatter_max(fam.groups, (fam.means(g, g.tile(out)) for g in fam.groups))
-    return out
+        f = multilinear_maximal([f], "plain")
+    return f
 
 
 def multilinear_maximal(fs: Sequence[GridFunction], flavor: str = "plain") -> GridFunction:

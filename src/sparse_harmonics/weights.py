@@ -114,33 +114,6 @@ def _ap_sup(w: Weight, p: float) -> float:
     return fam.sup(per_cube)
 
 
-def _doubled(e: LevelEntry, n: int) -> np.ndarray:
-    """The cubes Q of e that lie in [0, n) together with their double 2Q, as
-    indices into e: a run of e's cubes.  Doubles of odd-width cubes are not
-    grid aligned and never count."""
-    half = e.width // 2
-    idx = np.nonzero((e.starts >= half) & (e.starts + e.width + half <= n))[0]
-    return idx[:0] if e.width % 2 else idx
-
-
-def _double_sums(e: LevelEntry, values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(idx, q_sums, double_sums): the cubes Q of `_doubled`, and the sums of
-    values over Q and over 2Q.  On one level every 2Q starts on the same
-    grid of step width/2, so both are sums of whole blocks of that grid (two
-    for Q, four for 2Q) and neither is a difference of prefix sums."""
-    n = len(values)
-    half = e.width // 2
-    idx = _doubled(e, n)
-    if not len(idx):
-        return idx, np.zeros(0), np.zeros(0)
-    o = int(e.starts[idx[0]]) - half
-    n_blocks = (n - o) // half
-    blocks = values[o:o + n_blocks * half].reshape(n_blocks, half).sum(axis=1)
-    j = (e.starts[idx] - half - o) // half  # first block of each 2Q
-    q_sums = blocks[j + 1] + blocks[j + 2]
-    return idx, q_sums, blocks[j] + q_sums + blocks[j + 3]
-
-
 def ainfty_constants(w: Weight) -> tuple[float, float]:
     """(Fujii-Wilson, weak) constants, computed once per content of w (see
     `grid.MEMO`).
@@ -156,8 +129,9 @@ def ainfty_constants(w: Weight) -> tuple[float, float]:
     the measure `CubeFamily.means` divides by.  Every sum is local: w(P ∩ Q)
     and w(Q) come from a cumulative sum of w that restarts at each Q (one
     padded row per cube: the additions `maximal` makes on w chi_Q), w(2Q)
-    from `_double_sums`, so a cube holding a tiny share of the mass keeps
-    its digits.  Only the inner levels narrower than Q are swept: a P at
+    from segment sums of Q and its two flanking next-level cubes
+    (`_double_table`), so a cube holding a tiny share of the mass keeps its
+    digits.  Only the inner levels narrower than Q are swept: a P at
     least as wide as Q gives w(P ∩ Q) / |P| <= w(Q) / |Q|, the value of
     P = Q, so the max starts there.  The skip is exact in floating point
     too: a row of the cumulative sum adds non-negative terms, so it never
@@ -173,7 +147,9 @@ def ainfty_constants(w: Weight) -> tuple[float, float]:
     LB(Q), the same sum over the levels of Q's own lattice from Q's down
     (those cubes lie in Q and enter the exact max unclipped).  The running
     sups start at max LB times 1 - PRUNE_MARGIN over w(Q), and over w(2Q);
-    the levels are visited in decreasing order of their largest UB / w(Q),
+    the sweep divides each kept cube's integral by that same w(2Q), which is
+    +inf where 2Q leaves the domain, so such a cube's weak ratios are 0; the
+    levels are visited in decreasing order of their largest UB / w(Q),
     and a level sweeps only its cubes whose UB / w(Q) or UB / w(2Q), times
     1 + PRUNE_MARGIN, reaches the running sup of that constant, with the
     level's full row span, so each kept cube's value is the same floating
@@ -198,38 +174,25 @@ def _ainfty_sup(w: Weight) -> tuple[float, float]:
             f"no cube has its double inside the domain at L = {dom.resolution_log2}, "
             "so the weak A_inf constant is a sup over no cubes"
         )
-    fw_low, fw_up, weak_low, weak_up = _ainfty_bounds(fam, ws)
+    lb, ub, wq, w2q = _ainfty_bounds(fam, ws)
     grow = 1.0 + PRUNE_MARGIN
-    reach_fw, reach_weak = fw_up * grow, weak_up * grow
-    bar_fw = float(fw_low.max()) * (1.0 - PRUNE_MARGIN)
-    bar_weak = float(weak_low.max()) * (1.0 - PRUNE_MARGIN)
-    # per level: the largest and the smallest reach of its cubes
+    reach_fw, reach_weak = ub / wq * grow, ub / w2q * grow
+    bar_fw = float((lb / wq).max()) * (1.0 - PRUNE_MARGIN)
+    bar_weak = float((lb / w2q).max()) * (1.0 - PRUNE_MARGIN)
+    # per level: the largest reach of its cubes
     top_fw = np.maximum.reduceat(reach_fw, off[:-1])
     visits = np.argsort(-top_fw, kind="stable").tolist()
-    top_fw, top_weak, bottom_fw = (x.tolist() for x in (
-        top_fw, np.maximum.reduceat(reach_weak, off[:-1]), np.minimum.reduceat(reach_fw, off[:-1])))
+    top_fw, top_weak = top_fw.tolist(), np.maximum.reduceat(reach_weak, off[:-1]).tolist()
     fw = weak = -np.inf
     for k in visits:
         if top_fw[k] < bar_fw and top_weak[k] < bar_weak:
             continue
-        e = fam.entries[k]
-        idx = None
-        if bottom_fw[k] < bar_fw:
-            cubes = slice(off[k], off[k + 1])
-            keep = (reach_fw[cubes] >= bar_fw) | (reach_weak[cubes] >= bar_weak)
-            if not keep.all():
-                idx = np.flatnonzero(keep)
-        num, w_q = _cube_integrals(fam, ws, e, idx)
-        fw = max(fw, float((num / w_q).max()))
-        doubles, _, w_2q = _double_sums(e, ws)
-        if len(doubles):
-            if idx is None:
-                num = num[doubles]
-            else:  # `_doubled` gives a run of e's cubes
-                has = (idx >= doubles[0]) & (idx <= doubles[-1])
-                num, w_2q = num[has], w_2q[idx[has] - doubles[0]]
-            if len(num):
-                weak = max(weak, float((num / w_2q).max()))
+        cubes = slice(off[k], off[k + 1])
+        keep = (reach_fw[cubes] >= bar_fw) | (reach_weak[cubes] >= bar_weak)
+        idx = None if keep.all() else np.flatnonzero(keep)
+        num, w_q = _cube_integrals(fam, ws, fam.entries[k], idx)
+        w_2q = w2q[cubes] if idx is None else w2q[cubes][idx]
+        fw, weak = max(fw, float((num / w_q).max())), max(weak, float((num / w_2q).max()))
         bar_fw, bar_weak = max(bar_fw, fw), max(bar_weak, weak)
     return float(fw), float(weak)
 
@@ -238,18 +201,23 @@ def _ainfty_sup(w: Weight) -> tuple[float, float]:
 def _double_table(fam: CubeFamily) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(off, doubled, left, right) of a family: entry k's cubes are
     off[k]:off[k + 1] among the cubes of every entry in order; doubled are
-    the cubes whose double 2Q lies in the domain (those of `_doubled`),
-    and left and right the cubes of the next level of Q's lattice that
-    flank Q, so that 2Q is Q with those two."""
+    the cubes Q whose double 2Q, [start - width/2, start + 3 width/2),
+    lies in the domain, and left and right the cubes of the next level of
+    Q's lattice that flank Q, so that w(2Q) is w(Q) plus their two sums.
+    That is the one rule for w(2Q): the bounds and the sweep of
+    `ainfty_constants` divide by the same sums.  Doubles of odd-width
+    cubes are not grid aligned and never count."""
+    N = fam.domain.n_cells
     off = np.cumsum([0] + [e.n_cubes for e in fam.entries])
     doubled, left, right = [], [], []
     for k, e in enumerate(fam.entries):
-        idx = _doubled(e, fam.domain.n_cells)
-        if not len(idx):
+        half = e.width // 2
+        idx = np.flatnonzero((e.starts >= half) & (e.starts + e.width + half <= N))
+        if e.width % 2 or not len(idx):
             continue
         child = fam.entries[k + 1]  # even width: not the finest level
         doubled.append(off[k] + idx)
-        left.append(off[k + 1] + child.cell_to_cube[e.starts[idx] - e.width // 2])
+        left.append(off[k + 1] + child.cell_to_cube[e.starts[idx] - half])
         right.append(off[k + 1] + child.cell_to_cube[e.starts[idx] + e.width])
     return off, *(np.concatenate(x) if x else np.zeros(0, dtype=int) for x in (doubled, left, right))
 
@@ -257,11 +225,10 @@ def _double_table(fam: CubeFamily) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
 def _ainfty_bounds(
     fam: CubeFamily, ws: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(fw_low, fw_up, weak_low, weak_up) per cube of the family, entry after
-    entry: LB and UB of `ainfty_constants` over w(Q), bounds on the
-    Fujii-Wilson ratio of Q, and over w(2Q), bounds on its weak ratio (-inf
-    where 2Q leaves the domain).  w(2Q) is summed from the two flanking
-    cubes of `_double_table`."""
+    """(lb, ub, w_q, w_2q) per cube of the family, entry after entry: LB and
+    UB of `ainfty_constants`, w(Q) by a segment sum and w(2Q) by the rule
+    of `_double_table`, +inf where 2Q leaves the domain, so that the
+    cube's weak ratios are 0."""
     N = len(ws)
     order, widths, _ = fam.width_order
     E = len(order)
@@ -295,12 +262,11 @@ def _ainfty_bounds(
     for g in fam.groups:
         lb.append(fam.segment_sums(g, lower[k:k + g.levels].reshape(-1)))
         k += g.levels
-    ub, lb, wq = np.concatenate(ub), np.concatenate(lb), np.concatenate(sums)
+    wq = np.concatenate(sums)
     _, doubled, left, right = _double_table(fam)
-    w2q = wq[doubled] + wq[left] + wq[right]
-    weak_low, weak_up = np.full(len(wq), -np.inf), np.full(len(wq), -np.inf)
-    weak_low[doubled], weak_up[doubled] = lb[doubled] / w2q, ub[doubled] / w2q
-    return lb / wq, ub / wq, weak_low, weak_up
+    w2q = np.full(len(wq), np.inf)
+    w2q[doubled] = wq[doubled] + wq[left] + wq[right]
+    return np.concatenate(lb), np.concatenate(ub), wq, w2q
 
 
 def _cube_integrals(

@@ -19,7 +19,7 @@ from sparse_harmonics.grid import Domain, DyadicCube, GridFunction, average, cub
 from sparse_harmonics.maximal import maximal
 from sparse_harmonics.orlicz import YoungFunction
 from sparse_harmonics.sparse import SparseFamily, stopping_cubes
-from sparse_harmonics.weights import TAU_N, Weight, _double_sums, clamped_power
+from sparse_harmonics.weights import TAU_N, Weight, _double_table, clamped_power
 
 # -- sparse families -----------------------------------------------------------
 
@@ -195,6 +195,17 @@ def counting_decay(fam: SparseFamily, q0: DyadicCube) -> dict:
 # -- weights -------------------------------------------------------------------
 
 
+def double_sums(fam, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(q_sums, double_sums) of cell values over every cube Q of the family,
+    entry after entry, by one segment sum per entry, and over 2Q by the rule
+    of `weights._double_table` (+inf where 2Q leaves the domain)."""
+    _, doubled, left, right = _double_table(fam)
+    q_sums = np.concatenate([fam.segment_sums(e, values) for e in fam.entries])
+    double_sums = np.full(len(q_sums), np.inf)
+    double_sums[doubled] = q_sums[doubled] + q_sums[left] + q_sums[right]
+    return q_sums, double_sums
+
+
 def reverse_holder_check(w: Weight) -> dict:
     """With r = 1 + 1/(tau_n * weak), check (<w^r>_Q)^{1/r} <= (2/|2Q|) int_{2Q} w
     on every cube whose double stays inside the domain.  The worst cube is
@@ -203,19 +214,20 @@ def reverse_holder_check(w: Weight) -> dict:
     only by rounding."""
     _, weak = w.ainfty()
     r = 1.0 + 1.0 / (TAU_N * weak)
-    wr = clamped_power(w.samples, r)
-    per_level = []
-    for e in family_for(w.domain).entries:
-        idx, wr_q, _ = _double_sums(e, wr)
-        _, _, w_2q = _double_sums(e, w.samples)
-        per_level.append((e, idx, (wr_q / e.width) ** (1.0 / r) / (w_2q / e.width)))
-    worst = max((float(ratio.max()) for _, _, ratio in per_level if len(ratio)), default=-np.inf)
+    fam = family_for(w.domain)
+    off, doubled, _, _ = _double_table(fam)
+    width = np.repeat([e.width for e in fam.entries], np.diff(off))[doubled]
+    wr_q, _ = double_sums(fam, clamped_power(w.samples, r))
+    _, w_2q = double_sums(fam, w.samples)
+    ratio = (wr_q[doubled] / width) ** (1.0 / r) / (w_2q[doubled] / width)
+    worst = float(ratio.max(initial=-np.inf))
     worst_cube = None
-    for e, idx, ratio in per_level:
-        ties = np.nonzero(ratio >= worst * (1.0 - 1e-12))[0]
-        if len(ties):
-            worst_cube = (e.lattice_id, e.level, e.t0 + int(idx[ties[0]]))
-            break
+    ties = np.flatnonzero(ratio >= worst * (1.0 - 1e-12))
+    if len(ties):
+        c = int(doubled[ties[0]])
+        k = int(np.searchsorted(off, c, side="right")) - 1
+        e = fam.entries[k]
+        worst_cube = (e.lattice_id, e.level, e.t0 + c - int(off[k]))
     return {
         "r": r,
         "worst_ratio": worst,

@@ -23,7 +23,9 @@ from scipy.signal import fftconvolve
 from sparse_harmonics.grid import (
     GROUP_CELLS,
     CubeFamily,
+    DyadicCube,
     GridFunction,
+    LevelEntry,
     children,
     cube_cells,
     family_for,
@@ -32,9 +34,14 @@ from sparse_harmonics.maximal import luxemburg_per_cube
 from sparse_harmonics.operators import _NEAR_BAND, _STEIN_CHUNK, _stein_multipliers
 from sparse_harmonics.orlicz import YoungFunction, llog, monotone_root
 from sparse_harmonics.sparse import SparseFamily
-from sparse_harmonics.weights import Weight, _double_sums, clamped_power
+from sparse_harmonics.weights import Weight, _double_table, clamped_power
 
-from criteria import _level_masses, complementary
+from criteria import _level_masses, complementary, double_sums
+
+
+def entry_cubes(e: LevelEntry) -> list[DyadicCube]:
+    """The cubes of a family entry, in order."""
+    return [DyadicCube(e.lattice_id, e.level, e.t0 + i) for i in range(e.n_cubes)]
 
 
 def brute_ap(w, p):
@@ -151,7 +158,8 @@ def all_pairs_ainfty(w):
     For a cell x of an outer cube Q, M(w chi_Q)(x) is the max over every
     inner level of w(P ∩ Q) / |P|, from a cumulative sum of w restarting at
     each Q; the per-cell starts of each inner level are gathered once per
-    outer level."""
+    outer level.  w(2Q) follows the rule of `weights._double_table`
+    (`criteria.double_sums`)."""
     dom = w.domain
     fam = family_for(dom)
     N = dom.n_cells
@@ -159,8 +167,15 @@ def all_pairs_ainfty(w):
     cells = np.arange(N)
     step = max(1, GROUP_CELLS // N)
     chunks = [fam.entries[k:k + step] for k in range(0, len(fam.entries), step)]
+    off, doubled, _, _ = _double_table(fam)
+    if not len(doubled):
+        raise ValueError(
+            f"no cube has its double inside the domain at L = {dom.resolution_log2}, "
+            "so the weak A_inf constant is a sup over no cubes"
+        )
+    _, w2q = double_sums(fam, ws)
     fw = weak = -np.inf
-    for e in fam.entries:
+    for k, e in enumerate(fam.entries):
         q = e.cell_to_cube
         qlo, qhi = e.lo[q], e.hi[q]
         span = int((e.hi - e.lo).max())  # cells of the longest clipped cube
@@ -183,14 +198,7 @@ def all_pairs_ainfty(w):
         per_cube.flat[q * span + cells - qlo] = m
         num = per_cube.sum(axis=1)
         fw = max(fw, float((num / csum[:, -1]).max()))
-        idx, _, w2q = _double_sums(e, ws)
-        if len(idx):
-            weak = max(weak, float((num[idx] / w2q).max()))
-    if weak == -np.inf:
-        raise ValueError(
-            f"no cube has its double inside the domain at L = {dom.resolution_log2}, "
-            "so the weak A_inf constant is a sup over no cubes"
-        )
+        weak = max(weak, float((num / w2q[off[k]:off[k + 1]]).max()))
     return float(fw), float(weak)
 
 

@@ -18,9 +18,9 @@ def test_layers_script_writes_a_bench_file_at_l4(tmp_path):
     assert set(bench) == {"env", "levels", "repeats", "unit", "layers", "cold_import_cli"}
     assert set(bench["env"]) >= {"cores", "python", "numpy", "scipy"}
     assert bench["levels"] == [4]
-    assert len(bench["layers"]) == 16
-    assert {"M_{L log L}, two inputs", "M_{L log L}, bump f",
-            "weak Lorentz L^{1/2,inf}(w)", "Stein (alpha = 0.75)"} <= set(bench["layers"])
+    assert len(bench["layers"]) == 17
+    assert {"M_{L log L}, two inputs", "M_{L log L}, bump f", "weak Lorentz L^{1/2,inf}(w)",
+            "Stein (alpha = 0.75)", "A_inf (step weight)"} <= set(bench["layers"])
     for row in bench["layers"].values():
         assert set(row) == {"4"} and row["4"] > 0.0
     assert bench["cold_import_cli"]["median_s"] > 0.0

@@ -1068,6 +1068,51 @@ def test_seed_env_override(tmp_path, monkeypatch):
         assert "seed" not in _library_report(kind).env, kind
 
 
+# a set [functions] seed picks the inputs over [experiment] seed and the
+# variable: each of these draws the inputs with seed 5, and the reports
+# read 0, 9 and 5 where they named the experiment seed
+INPUT_SEED_CONFIGS = [
+    ({"functions": {"seed": "5"}, "experiment": {"seed": "0"}}, None),
+    ({"functions": {"seed": "5"}, "experiment": {"seed": "0"}}, "9"),
+    ({"experiment": {"seed": "5"}}, None),
+]
+
+
+def test_report_records_the_seed_that_drew_the_inputs(tmp_path, monkeypatch):
+    lhs = set()
+    for i, (sections, variable) in enumerate(INPUT_SEED_CONFIGS):
+        monkeypatch.delenv("SPARSE_HARMONICS_SEED", raising=False)
+        if variable is not None:
+            monkeypatch.setenv("SPARSE_HARMONICS_SEED", variable)
+        cfg = write_config(tmp_path, _small("cf", **sections), f"{i}.ini")
+        assert main(["run", cfg, "--out", str(tmp_path / str(i))]) == 0
+        [rep] = json.loads((tmp_path / str(i) / "report.json").read_text())["reports"]
+        assert rep["env"]["seed"] == 5, (sections, variable)
+        lhs.add(rep["lhs"])
+    assert len(lhs) == 1
+
+
+# a per-slot list of the wrong length: the bank had its own message, and the
+# weights and exponents reached the harness, whose messages name no key
+PER_SLOT_SITES = [
+    (_small("cf", functions={"bank": "random,bump"}), "[functions] bank gives 2 values for 1 slot"),
+    (_small("mixed", weights={"w": "one,step"}), "[weights] w gives 2 values for 1 slot"),
+    (_small("fs", weights={"w": "one,step"}), "[weights] w gives 2 values for 1 slot"),
+    (_small("fs", params={"ps": "2,2"}), "[params] ps gives 2 values for 1 slot"),
+    (_small("mixed", operator={"kind": "calderon", "m": "2"}, weights={"w": "one,step"}),
+     "[weights] w gives 2 values for 3 slots"),
+]
+
+
+@pytest.mark.parametrize("text, what", PER_SLOT_SITES,
+                         ids=["bank", "mixed-w", "fs-w", "fs-ps", "calderon-mixed-w"])
+def test_per_slot_list_of_the_wrong_length_names_its_key(tmp_path, capsys, text, what):
+    cfg = write_config(tmp_path, text)
+    assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"config error: {what}: give one value, or one per slot\n"
+    assert not (tmp_path / "o").exists()
+
+
 # -- constants ---------------------------------------------------------------
 
 def test_constants_matches_fixture_bytes(tmp_path):

@@ -21,6 +21,8 @@ from sparse_harmonics.grid import (
     family_for,
 )
 
+from oracles import entry_cubes
+
 
 def test_domain_basic():
     dom = Domain(0.0, 1.0, 6)
@@ -79,7 +81,7 @@ def test_children_partition_shifted_exhaustive():
     for entry in fam.entries:
         if entry.level >= dom.resolution_log2:
             continue
-        for q in entry.cubes():
+        for q in entry_cubes(entry):
             s, e, _ = q.cell_bounds(dom)
             kid_cells = []
             for k in children(q):
@@ -127,7 +129,7 @@ def test_cube_cells_of_dilated_cubes_match_exact_centres(L):
     N = dom.n_cells
     centres = [Fraction(2 * i + 1, 2 * N) for i in range(N)]
     for entry in CubeFamily(dom).entries:
-        for q in entry.cubes():
+        for q in entry_cubes(entry):
             left, side = _exact_cube(q)
             assert side * N == entry.width
             for d in (1, 2, 3):
@@ -304,7 +306,7 @@ def test_nesting_trichotomy(lattice_id, data):
     dom = Domain(0.0, 1.0, 6)
     fam = CubeFamily(dom)
     entries = [e for e in fam.entries if e.lattice_id == lattice_id]
-    cubes = [q for e in entries for q in e.cubes()]
+    cubes = [q for e in entries for q in entry_cubes(e)]
     q1 = data.draw(st.sampled_from(cubes))
     q2 = data.draw(st.sampled_from(cubes))
     s1, e1, _ = q1.cell_bounds(dom)

@@ -199,13 +199,17 @@ def _counted(monkeypatch, module, *names) -> list:
 
 
 def test_maximal_memo_keys_on_abs_f_and_k(empty_memo, monkeypatch):
-    calls = _counted(monkeypatch, maximal_module, "_iterated_maximal")
+    calls = _counted(monkeypatch, maximal_module, "_product_maximal")
     f = rand_f(9, lo=-1.0, hi=1.0)
     first = maximal(f, 2).samples
+    assert len(calls) == 2  # M f, then M(M f)
     # -f has the same |f|: a hit, equal byte for byte
     assert maximal(-1.0 * f, 2).samples.tobytes() == first.tobytes()
-    assert len(calls) == 1
-    assert not np.array_equal(maximal(f, 1).samples, first)
+    assert len(calls) == 2
+    # M f was the first pass of M^2 f, and the one-input plain maximal is M f
+    mf = maximal(f, 1).samples
+    assert not np.array_equal(mf, first)
+    assert multilinear_maximal([f], "plain").samples.tobytes() == mf.tobytes()
     assert len(calls) == 2
 
 

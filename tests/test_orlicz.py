@@ -20,7 +20,7 @@ from sparse_harmonics.orlicz import (
 from sparse_harmonics.weights import Weight
 
 from criteria import complementary, exp_power, power_over_p, young_pair_checks
-from oracles import luxemburg_norm, numeric_delta2_constant, numeric_dilation_indices
+from oracles import entry_cubes, luxemburg_norm, numeric_delta2_constant, numeric_dilation_indices
 
 DOM = Domain(0.0, 1.0, 8)
 ROOT = DyadicCube(0, 0, 0)
@@ -141,7 +141,7 @@ def test_orlicz_maximal_matches_brute_brentq_on_spike():
     inv1 = brentq(lambda t: phi(t) - 1.0, 0.1, 1.0, xtol=1e-300)
     want = np.zeros(dom.n_cells)
     for e in family_for(dom).entries:
-        for q in e.cubes():
+        for q in entry_cubes(e):
             lo, hi, full = cube_cells(dom, q)
             norm = _brentq_norm(f.samples[lo:hi], full, phi, inv1)
             want[lo:hi] = np.maximum(want[lo:hi], norm)

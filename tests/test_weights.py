@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sparse_harmonics.cli import make_weight
-from sparse_harmonics.grid import PRUNE_MARGIN, Domain, GridFunction, family_for
+from sparse_harmonics.grid import PRUNE_MARGIN, Domain, GridFunction, cube_cells, family_for
 from sparse_harmonics.maximal import maximal
 from sparse_harmonics.weights import (
     Weight,
@@ -16,7 +16,7 @@ from sparse_harmonics.weights import (
     clamped_power,
     log_k0_p0,
 )
-from sparse_harmonics.weights import _ainfty_bounds, _cube_integrals, _double_sums
+from sparse_harmonics.weights import _ainfty_bounds, _cube_integrals, _double_table
 
 from criteria import (
     IterationError,
@@ -26,7 +26,7 @@ from criteria import (
     rubio_de_francia,
     s_u,
 )
-from oracles import all_pairs_ainfty, brute_ainfty, brute_ap, per_entry_ap, per_entry_multi_ap
+from oracles import all_pairs_ainfty, brute_ainfty, brute_ap, entry_cubes, per_entry_ap, per_entry_multi_ap
 
 DOM = Domain(0.0, 1.0, 6)
 
@@ -270,17 +270,35 @@ def test_pruned_ainfty_equals_all_pairs_oracle_on_cli_weights(L, spec):
     assert ainfty_constants(w) == all_pairs_ainfty(w)
 
 
-def _exact_ratios(fam, ws):
+@pytest.mark.parametrize("L", range(3, 13))
+def test_double_table_w2q_equals_the_sum_over_each_double(L):
+    # the one w(2Q) rule against a cube-by-cube enumeration: 2Q counts when
+    # Q has an even width and [start - w/2, start + 3w/2) lies in [0, N)
+    dom = Domain(0.0, 1.0, L)
+    fam = family_for(dom)
+    spans = {}
+    for c, q in enumerate(q for e in fam.entries for q in entry_cubes(e)):
+        lo, hi, full = cube_cells(dom, q, 2)
+        if full % 4 == 0 and hi - lo == full:
+            spans[c] = (lo, hi)
+    off, doubled, _, _ = _double_table(fam)
+    assert sorted(spans) == doubled.tolist()
+    others = np.setdiff1d(np.arange(off[-1]), doubled)
+    weights = [*_ainfty_bank(dom).values(), *(make_weight(s, dom).samples for s in CLI_SPECS)]
+    for ws in weights:
+        w2q = _ainfty_bounds(fam, ws)[3]
+        assert np.all(w2q[others] == np.inf)
+        for c, (lo, hi) in spans.items():
+            want = ws[lo:hi].sum()
+            assert abs(w2q[c] - want) <= 8 * np.spacing(want), (c, w2q[c], want)
+
+
+def _exact_ratios(fam, ws, w2q):
     """Per cube of the family, entry after entry: the Fujii-Wilson and weak
-    ratios of the exact route (-inf where 2Q leaves the domain)."""
-    fw, weak = [], []
-    for e in fam.entries:
-        num, wq = _cube_integrals(fam, ws, e, None)
-        fw.append(num / wq)
-        weak.append(np.full(e.n_cubes, -np.inf))
-        doubles, _, w2q = _double_sums(e, ws)
-        weak[-1][doubles] = num[doubles] / w2q
-    return np.concatenate(fw), np.concatenate(weak)
+    ratios of the exact route, the weak one over the bounds' w(2Q) (0 where
+    2Q leaves the domain)."""
+    num, wq = (np.concatenate(x) for x in zip(*(_cube_integrals(fam, ws, e, None) for e in fam.entries)))
+    return num / wq, num / w2q
 
 
 @settings(max_examples=30, deadline=None)
@@ -300,14 +318,11 @@ def test_ainfty_bounds_hold_on_every_cube(L, spec):
         s = np.abs(dom.cell_centers() - a) ** b
     assume(np.all(s > 0) and np.all(np.isfinite(s)))
     fam = family_for(dom)
-    fw_low, fw_up, weak_low, weak_up = _ainfty_bounds(fam, s)
-    fw, weak = _exact_ratios(fam, s)
-    assert np.all(fw_low * (1.0 - PRUNE_MARGIN) <= fw)
-    assert np.all(fw <= fw_up * (1.0 + PRUNE_MARGIN))
-    has = weak > -np.inf
-    assert np.array_equal(has, weak_up > -np.inf) and np.array_equal(has, weak_low > -np.inf)
-    assert np.all(weak_low[has] * (1.0 - PRUNE_MARGIN) <= weak[has])
-    assert np.all(weak[has] <= weak_up[has] * (1.0 + PRUNE_MARGIN))
+    lb, ub, wq, w2q = _ainfty_bounds(fam, s)
+    fw, weak = _exact_ratios(fam, s, w2q)
+    for exact, denom in ((fw, wq), (weak, w2q)):
+        assert np.all(lb / denom * (1.0 - PRUNE_MARGIN) <= exact)
+        assert np.all(exact <= ub / denom * (1.0 + PRUNE_MARGIN))
 
 
 def test_reverse_holder_constant_weight():
