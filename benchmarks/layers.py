@@ -9,8 +9,10 @@ on [0, 1) (Stein at alpha = 1.5, and at 0.75, where the band-edge factor
 exp(-120 (x - 1/2)^2) for M_{L log L}, where the upper bounds set how many
 cubes are solved; b = log|x - 1/2| for BMO
 and [b,H]; a log-normal weight, the CLI's step weight 1 + 3 chi_[0,1/2)
-(whose wide cubes reach the sup, so the sweep runs) and the constant
-weight for A_inf, and the log-normal weight under the weak Lorentz quasinorm of [b,H] f.  The
+(whose wide cubes reach the sup, so the sweep runs), the power weight
+|x - 1/2|^0.3333 (the fresh kind of the weight-bank workload, whose sweep
+keeps one or two cubes per level) and the constant weight for A_inf,
+and the log-normal weight under the weak Lorentz quasinorm of [b,H] f.  The
 cold import is the wall time of a fresh interpreter that imports
 `sparse_harmonics.cli`.
 
@@ -54,6 +56,8 @@ def _rows(dom: Domain) -> dict:
     tbf = bh.apply([f])
     lognormal = weights.Weight(GridFunction(dom, np.exp(rng.standard_normal(N))), "lognormal")
     step = weights.Weight(GridFunction(dom, 1.0 + 3.0 * (dom.cell_centers() < 0.5)), "step")
+    power = weights.Weight(
+        GridFunction.from_callable(dom, lambda x: np.abs(x - 0.5) ** 0.3333), "power:0.3333")
     one = weights.Weight(GridFunction.constant(dom, 1.0), "one")
     root = DyadicCube(0, 0, 0)
     return {
@@ -73,6 +77,7 @@ def _rows(dom: Domain) -> dict:
         "weak Lorentz L^{1/2,inf}(w)": lambda: harness.lorentz_quasinorm(tbf, 0.5, lognormal),
         "A_inf (log-normal weight)": lambda: weights.ainfty_constants(lognormal),
         "A_inf (step weight)": lambda: weights.ainfty_constants(step),
+        "A_inf (power:0.3333 weight)": lambda: weights.ainfty_constants(power),
         "A_inf (constant weight)": lambda: weights.ainfty_constants(one),
     }
 

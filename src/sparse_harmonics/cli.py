@@ -363,7 +363,12 @@ def run_experiment(cfg: dict, out_dir: Path) -> list[VerificationReport]:
 
 def constants_rows(cfg: dict, dom: Domain) -> list[dict]:
     specs = [s for s in _value(cfg, "bank", "weights").split(",") if s.strip()]
-    p_grid = [_number(s, "[bank] p_grid") for s in _value(cfg, "bank", "p_grid").split(",")]
+    p_grid = []
+    for text in _value(cfg, "bank", "p_grid").split(","):
+        p_grid.append(_number(text, "[bank] p_grid"))
+        # refused here, not by ap_constant after the first weight's A_inf
+        if not 1.0 <= p_grid[-1] < math.inf:
+            raise ConfigError(f"[bank] p_grid: {text!r}: need 1 <= p < inf")
     rows = []
     for spec in specs:
         w = make_weight(spec, dom)

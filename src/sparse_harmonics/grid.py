@@ -345,17 +345,20 @@ class CubeFamily:
         return [self.stack(self.entries[k:k + per]) for k in range(0, len(self.entries), per)]
 
     @functools.cached_property
-    def width_order(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(order, widths, starts): the entries' indices sorted by cube
-        width (stably), their widths in that order, and row i of starts the
-        unclipped cell start of the cube of entry order[i] that holds each
-        cell, as int32."""
+    def width_order(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(order, widths, starts, cubes): the entries' indices sorted by
+        cube width (stably), their widths in that order, and row i of starts
+        and of cubes the unclipped cell start (int32) and the index among
+        its entry's cubes (int64) of the cube of entry order[i] that holds
+        each cell."""
         order = np.argsort([e.width for e in self.entries], kind="stable")
         entries = [self.entries[i] for i in order]
         starts = np.empty((len(entries), self.domain.n_cells), dtype=np.int32)
-        for row, e in zip(starts, entries):
-            row[:] = e.starts[e.cell_to_cube]
-        return order, np.array([e.width for e in entries]), starts
+        cubes = np.empty((len(entries), self.domain.n_cells), dtype=np.int64)
+        for row, ids, e in zip(starts, cubes, entries):
+            ids[:] = e.cell_to_cube
+            row[:] = e.starts[ids]
+        return order, np.array([e.width for e in entries]), starts, cubes
 
     # -- reductions ---------------------------------------------------------
 

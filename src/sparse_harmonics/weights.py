@@ -38,6 +38,14 @@ __all__ = [
 
 _EXP_CLAMP = 690.0  # keeps exp() within ~1e300
 
+# A visited level of the A_infty sweep that keeps at most this many cubes
+# takes each on its own cells (`_kept_cube_integrals`); one that keeps more
+# takes the rows of `_cube_integrals` (CHANGES.md has the measurement)
+_FEW_CUBES = 4
+# Past this many (cell, narrower level) pairs, a kept cube takes each value
+# w(P ∩ Q) / |P| once per inner cube P, not at each cell (CHANGES.md)
+_CELL_PAIRS = 2048
+
 # The paper's dimensional constants in R^n, at n = 1: every cube of the grid
 # is an interval
 N_DIM = 1
@@ -158,8 +166,21 @@ def ainfty_constants(w: Weight) -> tuple[float, float]:
     rounding of the route and of the bounds up to L = 16
     (`grid.MAX_RESOLUTION`), so a skipped cube lies strictly below the sup
     and the constants are those of the sweep over every cube, bit for bit.
-    The per-cell starts of every level, in width order, are built once per
-    family (`CubeFamily.width_order`).
+
+    A visited level that keeps at most `_FEW_CUBES` cubes takes each kept
+    cube Q on its own cells instead (`_kept_cube_integrals`): a wide Q
+    takes one value w(P ∩ Q) / |P| per cube P of a narrower level meeting
+    Q, the floating point operation that the rows repeat at every cell of
+    P, spread over Q's cells through their cube ids; max is exact and the
+    integral sums the same zero-padded row, so the bits are the rows'.
+    Such a Q costs one index add, one gather and one max per cell and
+    narrower level, where its row takes about a dozen passes, and no Q
+    pays for the gathers that restrict a row to the kept cubes: 1.4-1.8x
+    at L = 9 and 2-5x at L = 12-14 on the `step`, `exp` and `power:a`
+    weights, whose levels keep one or two cubes.  A level that keeps more
+    cubes (the fine levels of a constant or a log-normal weight) takes the
+    rows.  The per-cell starts and cube ids of every level, in width
+    order, are built once per family (`CubeFamily.width_order`).
     """
     return MEMO.get(("ainfty_constants", w.domain, digest(w.samples)), lambda: _ainfty_sup(w))
 
@@ -189,9 +210,12 @@ def _ainfty_sup(w: Weight) -> tuple[float, float]:
             continue
         cubes = slice(off[k], off[k + 1])
         keep = (reach_fw[cubes] >= bar_fw) | (reach_weak[cubes] >= bar_weak)
-        idx = None if keep.all() else np.flatnonzero(keep)
-        num, w_q = _cube_integrals(fam, ws, fam.entries[k], idx)
-        w_2q = w2q[cubes] if idx is None else w2q[cubes][idx]
+        idx = np.flatnonzero(keep)
+        if len(idx) <= _FEW_CUBES:
+            num, w_q = _kept_cube_integrals(fam, ws, fam.entries[k], idx)
+        else:
+            num, w_q = _cube_integrals(fam, ws, fam.entries[k], None if keep.all() else idx)
+        w_2q = w2q[cubes][idx]
         fw, weak = max(fw, float((num / w_q).max())), max(weak, float((num / w_2q).max()))
         bar_fw, bar_weak = max(bar_fw, fw), max(bar_weak, weak)
     return float(fw), float(weak)
@@ -230,7 +254,7 @@ def _ainfty_bounds(
     of `_double_table`, +inf where 2Q leaves the domain, so that the
     cube's weak ratios are 0."""
     N = len(ws)
-    order, widths, _ = fam.width_order
+    order, widths, _, _ = fam.width_order
     E = len(order)
     sums = []
     # row k: the unclipped mean of the cube of entry k holding each cell
@@ -274,10 +298,11 @@ def _cube_integrals(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(int_Q M(w chi_Q), w(Q)) over the cubes idx of entry e, or over
     every cube of e, without gathers, when idx is None: the exact route of
-    `ainfty_constants`.  The kept cubes' rows keep the entry's full span,
-    so each value is the same floating point operation whichever cubes are
-    kept."""
-    _, widths, starts = fam.width_order
+    `ainfty_constants` for a level that keeps more than `_FEW_CUBES` cubes,
+    and the bits that `_kept_cube_integrals` must give.  The kept cubes'
+    rows keep the entry's full span, so each value is the same floating
+    point operation whichever cubes are kept."""
+    _, widths, starts, _ = fam.width_order
     if idx is None:
         n_rows, cells, q = e.n_cubes, np.arange(len(ws)), e.cell_to_cube
         qlo, qhi = e.lo[q], e.hi[q]
@@ -304,6 +329,48 @@ def _cube_integrals(
     per_cube = np.zeros((n_rows, span))
     per_cube.flat[q * span + cells - qlo] = m
     return per_cube.sum(axis=1), csum[:, -1]
+
+
+def _kept_cube_integrals(
+    fam: CubeFamily, ws: np.ndarray, e: LevelEntry, idx: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """`_cube_integrals` of the cubes idx of entry e, each cube Q taken on
+    its own cells [lo, hi): the cumulative sum of w over them after a 0
+    (the first hi - lo + 1 sums of Q's padded row), w(P ∩ Q) / |P| with
+    the row's clipped ends and division, and the integral summed over the
+    entry's full row span, so both outputs are the rows' bits.  A Q with
+    more than _CELL_PAIRS (cell, narrower level) pairs takes each value
+    once per cube P of a narrower level meeting Q and spreads it over the
+    cells through the cube ids of `CubeFamily.width_order`: one index add,
+    one gather and one max per pair; a smaller Q takes it at each cell."""
+    _, widths, starts, cubes = fam.width_order
+    nar = int(np.searchsorted(widths, e.width))
+    num, w_q = np.empty(len(idx)), np.empty(len(idx))
+    row = np.zeros(int((e.hi - e.lo).max()))
+    for i, (lo, hi) in enumerate(zip(e.lo[idx].tolist(), e.hi[idx].tolist())):
+        n = hi - lo
+        csum = np.zeros(n + 1)
+        np.cumsum(ws[lo:hi], out=csum[1:])
+        if nar * n <= _CELL_PAIRS:
+            # the start of each cell's cube, relative to lo
+            s, wd, ids = starts[:nar, lo:hi] - lo, widths[:nar, None], None
+        else:
+            # per narrower level, its `count` cubes meeting Q from `first`
+            # (holding lo), laid end to end from `at`; each starts one
+            # width after the one before it
+            first = cubes[:nar, lo]
+            count = cubes[:nar, hi - 1] - first + 1
+            at = np.cumsum(count) - count
+            wd = np.repeat(widths[:nar], count)
+            s = np.repeat(starts[:nar, lo] - lo - at * widths[:nar], count) + np.arange(len(wd)) * wd
+            ids = cubes[:nar, lo:hi] + (at - first)[:, None]
+        v = csum[np.minimum(s + wd, n)] - csum[np.maximum(s, 0)]
+        v /= wd
+        # with P = Q, whose value is the floor
+        (v if ids is None else v[ids]).max(axis=0, initial=csum[-1] / e.width, out=row[:n])
+        row[n:] = 0.0
+        num[i], w_q[i] = row.sum(), csum[-1]
+    return num, w_q
 
 
 def log_k0_p0(t: float, a1_u: float, at_v: float) -> tuple[float, float]:

@@ -42,6 +42,7 @@ from sparse_harmonics.harness import (
     sharpness_experiment,
 )
 from sparse_harmonics.orlicz import power
+from sparse_harmonics import weights as weights_module
 from sparse_harmonics.weights import Weight
 from sparse_harmonics.maximal import maximal
 from sparse_harmonics.operators import stein_square_function
@@ -799,9 +800,24 @@ def test_constants_nonfinite_p_exits_2(tmp_path, capsys, p_grid):
     cfg = write_config(tmp_path, _small(
         "constants", experiment={"l": "5"}, bank={"weights": "step", "p_grid": p_grid}))
     assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
-    want = "[bank] p_grid: 'nan' is not a number" if "nan" in p_grid else "need 1 <= p < inf"
+    want = ("[bank] p_grid: 'nan' is not a number" if "nan" in p_grid
+            else "[bank] p_grid: 'inf': need 1 <= p < inf")
     assert f"config error: {want}" in capsys.readouterr().err
     assert not (tmp_path / "o" / "constants.csv").exists()
+
+
+@pytest.mark.parametrize("p", ["0.5", "-1", "inf"])
+def test_constants_p_out_of_range_is_refused_before_any_constant(tmp_path, capsys, monkeypatch, p):
+    # p = 0.5 printed "need 1 <= p < inf", naming no key, after the first
+    # weight's A_inf had been computed
+    calls = []
+    sweep = weights_module._ainfty_sup
+    monkeypatch.setattr(weights_module, "_ainfty_sup", lambda w: calls.append(w) or sweep(w))
+    cfg = write_config(tmp_path, _small(
+        "constants", experiment={"l": "5"}, bank={"weights": "step", "p_grid": f"2,{p}"}))
+    assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"config error: [bank] p_grid: {p!r}: need 1 <= p < inf\n"
+    assert calls == []
 
 
 @pytest.mark.parametrize("p", ["nan", "inf"])

@@ -307,6 +307,31 @@ def _import_owners(tree: ast.AST, modules) -> tuple[dict[str, str], dict[str, st
     return names, mods
 
 
+def _fields(trees) -> set[str]:
+    """The data attributes that the classes of trees declare: the names
+    assigned in a class body (dataclass fields among them) and each self.name
+    assigned in a method."""
+    fields = set()
+    for cls in (n for tree in trees for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
+        for node in cls.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                fields |= {t.id for t in targets if isinstance(t, ast.Name)}
+        fields |= {
+            n.attr for n in ast.walk(cls)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)
+            and isinstance(n.value, ast.Name) and n.value.id == "self"
+        }
+    return fields
+
+
+def _is_property(fn: ast.FunctionDef) -> bool:
+    return any(
+        (d.id if isinstance(d, ast.Name) else getattr(d, "attr", None)) in ("property", "cached_property")
+        for d in fn.decorator_list
+    )
+
+
 def unreachable_exports(sources: dict[str, str], entry_points=()) -> list[str]:
     """"module.name" for each name in a module's __all__ that no code in
     sources reads outside the name's own definition: neither another
@@ -316,20 +341,27 @@ def unreachable_exports(sources: dict[str, str], entry_points=()) -> list[str]:
     reached.  The public methods of every top-level class, exported or
     not, are checked the same way, as "module.Class.method": a read inside
     another method of the class counts, one inside the method itself does
-    not.  A read has an
-    owner where the imports name one: a name imported from a module of
+    not.  A name or an attribute that is assigned is not a read.  A read
+    has an owner where the imports name one: a name imported from a module of
     sources, or an attribute of an imported module (`orlicz.power`), reads
-    that module's top-level name and no method of the same name."""
+    that module's top-level name and no method of the same name.  An
+    attribute named like a field of some class of sources (`_fields`) and
+    not called reads that field, and a property of the name, but no
+    method: `len(sf.cubes)` does not reach a method `cubes()`."""
     defs, reads = [], []  # (module, path, reads that reach it); (module, path, reads)
-    for module, source in sources.items():
-        tree = ast.parse(source)
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    fields = _fields(trees.values())
+    for module, tree in trees.items():
         names, mods = _import_owners(tree, sources)
+        called = {id(n.func) for n in ast.walk(tree) if isinstance(n, ast.Call)}
 
         def read(n: ast.AST) -> str:
             if isinstance(n, ast.Name):
                 return names.get(n.id, n.id)
             if isinstance(n.value, ast.Name) and n.value.id in mods:
                 return f"{mods[n.value.id]}.{n.attr}"
+            if n.attr in fields and id(n) not in called:
+                return f"{n.attr} (field)"
             return n.attr
 
         exported = next((_names(n.value) for n in tree.body if _is_all(n)), [])
@@ -343,12 +375,14 @@ def unreachable_exports(sources: dict[str, str], entry_points=()) -> list[str]:
                 parts = [((owner,), n) for n in (*node.decorator_list, *node.bases)]
                 parts += [((owner, getattr(n, "name", None)), n) for n in node.body]
                 defs += [
-                    (module, (owner, n.name), {n.name}) for n in node.body
+                    (module, (owner, n.name), {n.name, f"{n.name} (field)"} if _is_property(n) else {n.name})
+                    for n in node.body
                     if isinstance(n, ast.FunctionDef) and not n.name.startswith("_")
                 ]
             reads += [
                 (module, path, {
-                    read(n) for n in ast.walk(part) if isinstance(n, (ast.Name, ast.Attribute))
+                    read(n) for n in ast.walk(part)
+                    if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)
                 })
                 for path, part in parts
             ]
@@ -478,6 +512,38 @@ def test_checker_sees_unreachable_exports():
         ),
     }
     assert unreachable_exports(owners) == ["a.W.power", "a.W.ap", "b.u", "c.v"]
+    # a read of a field hides no method of the same name: `s.cubes` and
+    # `t.mass` read the fields of S and T, and only a call, or a read of a
+    # name that no class holds as a field, reaches a method of E
+    fields = {
+        "a": (
+            "from dataclasses import dataclass\n"
+            "__all__ = ['S', 'T', 'E']\n"
+            "@dataclass\n"
+            "class S:\n"
+            "    cubes: list\n"
+            "class T:\n"
+            "    def __init__(self):\n"
+            "        self.mass = 1.0\n"
+            "class E:\n"
+            "    def cubes(self):\n"
+            "        pass\n"
+            "    def mass(self):\n"
+            "        pass\n"
+            "    def width(self):\n"
+            "        pass\n"
+        ),
+        "b": (
+            "from a import E, S, T\n"
+            "__all__ = ['u']\n"
+            "def u():\n"
+            "    s, t, e = S([]), T(), E()\n"
+            "    return len(s.cubes), t.mass, map(e.width, [])\n"
+        ),
+    }
+    assert unreachable_exports(fields) == ["a.E.cubes", "a.E.mass", "b.u"]
+    fields["c"] = "__all__ = ['v']\ndef v(e):\n    return e.mass()\n"
+    assert unreachable_exports(fields) == ["a.E.cubes", "b.u", "c.v"]
     toml = '[tool.y]\nz = "a.b:c"\n\n[project.scripts]\nx = "pkg.mod:run"\n\n[tool.z]\n'
     assert console_scripts(toml) == {"mod.run"}
     assert console_scripts('[tool.y]\nz = "a.b:c"\n') == set()

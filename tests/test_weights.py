@@ -16,7 +16,8 @@ from sparse_harmonics.weights import (
     clamped_power,
     log_k0_p0,
 )
-from sparse_harmonics.weights import _ainfty_bounds, _cube_integrals, _double_table
+from sparse_harmonics import weights as weights_module
+from sparse_harmonics.weights import _ainfty_bounds, _ainfty_sup, _cube_integrals, _double_table, _kept_cube_integrals
 
 from criteria import (
     IterationError,
@@ -268,6 +269,56 @@ CLI_SPECS = ["one", "step", "spike", "exp", "power:-0.45", "power:-0.01", "power
 def test_pruned_ainfty_equals_all_pairs_oracle_on_cli_weights(L, spec):
     w = make_weight(spec, Domain(0.0, 1.0, L))
     assert ainfty_constants(w) == all_pairs_ainfty(w)
+
+
+def _route_bank(dom):
+    """The CLI weights (with power:-0.3333), log-normals with sigma 0.5 to 6,
+    a weight in the subnormal range, and the spike, step and exp weights
+    times a factor that is not a power of two."""
+    rng = np.random.default_rng(dom.resolution_log2)
+    bank = {s: make_weight(s, dom).samples for s in [*CLI_SPECS, "power:-0.3333"]}
+    for sigma in (0.5, 1.5, 3.0, 6.0):
+        bank[f"lognormal-{sigma}"] = np.exp(sigma * rng.standard_normal(dom.n_cells))
+    bank["subnormal"] = rng.uniform(size=dom.n_cells) * 1e-300 + 1e-310
+    for name in ("spike", "step", "exp"):
+        bank[f"{name}*1.37"] = bank[name] * 1.37
+    return bank
+
+
+@pytest.mark.parametrize("L", range(3, 11))
+def test_kept_cube_route_equals_the_rows_on_every_cube(L):
+    # each cube on its own cells gives the bits of its row, for the integral
+    # and for w(Q)
+    dom = Domain(0.0, 1.0, L)
+    fam = family_for(dom)
+    for name, ws in _route_bank(dom).items():
+        for e in fam.entries:
+            rows = _cube_integrals(fam, ws, e, None)
+            kept = _kept_cube_integrals(fam, ws, e, np.arange(e.n_cubes))
+            assert all(map(np.array_equal, rows, kept)), (name, e.lattice_id, e.level)
+
+
+@pytest.mark.parametrize("L", range(3, 14))
+def test_ainfty_equals_the_rows_only_sweep(L, monkeypatch):
+    dom = Domain(0.0, 1.0, L)
+    weights = [Weight(GridFunction(dom, s), name) for name, s in _route_bank(dom).items()]
+    got = [ainfty_constants(w) for w in weights]
+    monkeypatch.setattr(weights_module, "_FEW_CUBES", 0)
+    assert got == [_ainfty_sup(w) for w in weights]
+
+
+@pytest.mark.parametrize("L", range(3, 13))
+def test_ainfty_of_a_constant_weight(L):
+    # M(c chi_Q) = c on Q and w(2Q) = 2 w(Q): exactly (1, 1/2), which the
+    # sweep prints where every partial sum of c is exact; elsewhere the
+    # cumulative sums round, within the PRUNE_MARGIN budget 2^(2L - 52)
+    dom = Domain(0.0, 1.0, L)
+    for c in (1.0, 3.0, 7.5):
+        assert ainfty_constants(Weight(GridFunction.constant(dom, c), "c")) == (1.0, 0.5), c
+    for c in (0.1, 1.0 / 3.0, 1e-300):
+        fw, weak = ainfty_constants(Weight(GridFunction.constant(dom, c), "c"))
+        assert fw == pytest.approx(1.0, rel=2.0 ** (2 * L - 52), abs=0.0), c
+        assert weak == pytest.approx(0.5, rel=2.0 ** (2 * L - 52), abs=0.0), c
 
 
 @pytest.mark.parametrize("L", range(3, 13))
