@@ -34,6 +34,7 @@ __all__ = [
     "digest",
     "children",
     "cube_cells",
+    "average",
     "ResolutionError",
     "write_csv",
 ]
@@ -145,12 +146,30 @@ def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
 # dyadic cubes
 # ---------------------------------------------------------------------------
 
-def _lattice(lattice_id: int, level: int) -> tuple[int, int]:
-    """(side, offset) of a lattice's cubes at a level, in units of
-    2**-level: cube t has its left end at side * t + offset."""
+def _lattice(lattice_id: int, level):
+    """(side, offset) of a lattice's cubes at a level (an int, or an integer
+    array of levels), in units of 2**-level: cube t has its left end at
+    side * t + offset."""
     if lattice_id == 0:
         return 1, 0
     return 3, ((lattice_id - 1) << level) % 3
+
+
+def _units(lattice_id: int, level, index):
+    """(left end, side) of cubes of one lattice in units of 2**-level."""
+    side, offset = _lattice(lattice_id, level)
+    return side * index + offset, side
+
+
+def _cell_bounds(domain: Domain, lattice_id: int, level, index):
+    """(start, end, full) in cell units of cubes of one lattice, level and
+    index ints or integer arrays: start/end unclipped, full = width."""
+    L = domain.resolution_log2
+    if (np.asarray(level) > L).any():
+        raise ResolutionError("cube finer than the grid")
+    c = 1 << (L - level)
+    start, k = _units(lattice_id, level, index)
+    return start * c, (start + k) * c, k * c
 
 
 @dataclass(frozen=True)
@@ -174,25 +193,15 @@ class DyadicCube:
         if self.level < 0:
             raise ValueError("negative level")
 
-    def _units(self) -> tuple[int, int]:
-        """(left end, side) in units of 2**-level."""
-        side, offset = _lattice(self.lattice_id, self.level)
-        return side * self.index + offset, side
-
     def cell_bounds(self, domain: Domain) -> tuple[int, int, int]:
         """(start, end, full) in cell units; start/end unclipped, full = width."""
-        L = domain.resolution_log2
-        if self.level > L:
-            raise ResolutionError("cube finer than the grid")
-        c = 1 << (L - self.level)
-        start, k = self._units()
-        return start * c, (start + k) * c, k * c
+        return _cell_bounds(domain, self.lattice_id, self.level, self.index)
 
 
 def children(q: DyadicCube) -> list[DyadicCube]:
     """The two cubes of the next level partitioning q; `DyadicCube.cell_bounds`
     refuses them below the grid floor."""
-    start, k = q._units()
+    start, k = _units(q.lattice_id, q.level, q.index)
     # the first child starts at 2 * start in units of 2**-(level + 1); a
     # shifted cube's index is its start divided by 3, rounded down
     first = 2 * start // k
@@ -302,14 +311,30 @@ class CubeFamily:
                 w = side * c
                 # the cubes that meet [0, N): from the one that ends past 0
                 # (t = -1 where the lattice is offset, as offset < side) to
-                # the last that starts before N
+                # the last that starts before N; the next one starts at N or past
                 t0 = -1 if offset else 0
-                ts = np.arange(t0, ((1 << level) - 1 - offset) // side + 1)
-                starts = (side * ts + offset) * c
+                edges = (side * np.arange(t0, ((1 << level) - 1 - offset) // side + 2) + offset) * c
+                # the clipped cubes tile [0, N): each ends where the next starts
+                ends = edges.clip(0, N)
                 self.entries.append(LevelEntry(
-                    lid, level, t0, starts, w, np.maximum(starts, 0),
-                    np.minimum(starts + w, N), (cells - offset * c) // w - t0,
+                    lid, level, t0, edges[:-1], w, ends[:-1], ends[1:], (cells - offset * c) // w - t0,
                 ))
+        # The parent table.  The family's cubes are laid end to end in entry
+        # order (the values of `groups`, concatenated), cube i of entry k at
+        # first_cube[k] + i, and parents[p] is the position of the parent of
+        # the cube at p: the cube of the next-coarser entry of its lattice
+        # that holds its first cell, which holds all of it, each lattice
+        # being nested.  A level-0 cube is its own parent.
+        self.first_cube = np.cumsum([0] + [e.n_cubes for e in self.entries]).tolist()
+        self.parents = np.empty(self.first_cube[-1], dtype=np.int64)
+        self._steps = []  # (the cubes of an entry above level 0, their parents)
+        for k, e in enumerate(self.entries):
+            a, b = self.first_cube[k], self.first_cube[k + 1]
+            if e.level == 0:
+                self.parents[a:b] = np.arange(a, b)
+                continue
+            self.parents[a:b] = self.first_cube[k - 1] + self.entries[k - 1].cell_to_cube[e.lo]
+            self._steps.append((slice(a, b), self.parents[a:b]))
 
     def stack(self, entries: Sequence[LevelEntry]) -> LevelEntry:
         """The cubes of several entries as one entry over their cells tiled
@@ -324,14 +349,15 @@ class CubeFamily:
         N = self.domain.n_cells
         cells = np.arange(len(entries)) * N
         first_cube = np.cumsum([0] + [e.n_cubes for e in entries[:-1]])
+        ends = np.concatenate([*(e.lo + c for e, c in zip(entries, cells)), [len(entries) * N]])
         return LevelEntry(
             entries[0].lattice_id,
             entries[0].level,
             entries[0].t0,
             np.concatenate([e.starts + c for e, c in zip(entries, cells)]),
             np.concatenate([np.full(e.n_cubes, e.width) for e in entries]),
-            np.concatenate([e.lo + c for e, c in zip(entries, cells)]),
-            np.concatenate([e.hi + c for e, c in zip(entries, cells)]),
+            ends[:-1],
+            ends[1:],
             np.concatenate([e.cell_to_cube + t for e, t in zip(entries, first_cube)]),
             len(entries),
         )
@@ -387,18 +413,31 @@ class CubeFamily:
         sizes = entry.clipped_sizes() if clip else entry.width
         return self.segment_sums(entry, values) / sizes
 
-    def scatter_max(
-        self, entries: Iterable[LevelEntry], per_entry_values: Iterable[np.ndarray]
-    ) -> np.ndarray:
-        """Pointwise max over all cubes containing each cell; an entry may
-        be a `stack` of entries, whose levels are folded first."""
-        N = self.domain.n_cells
-        out = np.full(N, -np.inf)
-        for entry, vals in zip(entries, per_entry_values):
-            spread = vals[entry.cell_to_cube]
-            if entry.levels > 1:
-                spread = spread.reshape(entry.levels, N).max(axis=0)
-            np.maximum(out, spread, out=out)
+    def parent(self, k: int) -> np.ndarray:
+        """The index of each cube of entry k, above level 0, among the cubes
+        of entry k - 1, the next-coarser level of its lattice."""
+        return self.parents[self.first_cube[k]:self.first_cube[k + 1]] - self.first_cube[k - 1]
+
+    def scatter_max(self, per_group: Iterable[np.ndarray]) -> np.ndarray:
+        """Pointwise max over all cubes containing each cell, from the values
+        of the cubes of each level group, every group of `groups` in order.
+        A running max from coarse to fine through the parent table, R(Q) =
+        max(v(Q), R(parent of Q)), leaves at each cube the max over the
+        cubes of its lattice that hold it; one spread of the finest level
+        per lattice then takes the max over the four lattices."""
+        r = np.empty(self.first_cube[-1])
+        at = 0
+        for values in per_group:
+            r[at:at + len(values)] = values
+            at += len(values)
+        for cubes, parents in self._steps:
+            level = r[cubes]
+            np.maximum(level, r[parents], out=level)
+        L = self.domain.resolution_log2
+        out = r[self.first_cube[L]:self.first_cube[L + 1]].copy()  # the base lattice: cube i is cell i
+        for k in range(2 * L + 1, 4 * L + 4, L + 1):  # the finest entry of each shifted lattice
+            finest = r[self.first_cube[k]:self.first_cube[k + 1]]
+            np.maximum(out, finest[self.entries[k].cell_to_cube], out=out)
         return out
 
     def sup(self, per_cube: Callable[[LevelEntry], np.ndarray]) -> float:
@@ -459,26 +498,29 @@ class Memo:
 MEMO = Memo(64)
 
 
-def cube_cells(domain: Domain, q: DyadicCube, dilation: int = 1) -> tuple[int, int, int]:
+def cube_cells(domain: Domain, q, dilation: int = 1) -> tuple:
     """(lo, hi, full) for dQ, the cube with Q's centre and d = dilation times
     its side: the cells [lo, hi) whose centres lie in dQ, clipped to the
     domain, and the full width d |Q| in cells.  dQ reaches (d - 1) |Q| / 2
     cells past each end of Q, a whole number of half cells; where it ends on
     a cell centre (2Q of a cube of odd width), the cell at its left end is
-    in and the one at its right end is out."""
+    in and the one at its right end is out.  q is a DyadicCube, or cubes of
+    one lattice as (lattice_id, levels, indices) with integer arrays of
+    levels and indices, whose lo, hi and full are arrays."""
     if not isinstance(dilation, int) or dilation < 1:
         raise ValueError("dilation must be a positive integer")
-    start, end, full = q.cell_bounds(domain)
+    if isinstance(q, DyadicCube):
+        q = q.lattice_id, q.level, q.index
+    start, end, full = _cell_bounds(domain, *q)
     pad = (dilation - 1) * full
-    return (max(start - (pad + 1) // 2, 0), min(end + pad // 2, domain.n_cells),
+    return (np.maximum(start - (pad + 1) // 2, 0), np.minimum(end + pad // 2, domain.n_cells),
             dilation * full)
 
 
-def average(f: GridFunction, q: DyadicCube, dilation: int = 1) -> float:
-    """<|f|>_{dQ}, exact cell-weighted mean over dQ, d the dilation.  The
-    mean is taken over the full |dQ| even when dQ sticks out of the domain.
-    """
-    lo, hi, full = cube_cells(f.domain, q, dilation)
+def average(f: GridFunction, q: DyadicCube) -> float:
+    """<|f|>_Q, exact cell-weighted mean over Q.  The mean is taken over the
+    full |Q| even when Q sticks out of the domain."""
+    lo, hi, full = cube_cells(f.domain, q)
     if hi <= lo:
         raise ValueError("cube does not meet the domain")
     return float(np.sum(np.abs(f.samples[lo:hi])) / full)

@@ -149,7 +149,7 @@ def _product_maximal(dom: Domain, absfs: list[np.ndarray], flavor: str) -> np.nd
             for af in absfs:
                 prod *= fam.means(group, group.tile(af))
             return prod
-        return fam.scatter_max(fam.groups, map(product, fam.groups))
+        return fam.scatter_max(map(product, fam.groups))
     phi, inv1 = _llogl_young()
     # The norms are homogeneous: an input with 0 < max|f| < 1 is scaled by
     # the power of two that brings its max into [1, 2), and the output back.
@@ -159,9 +159,10 @@ def _product_maximal(dom: Domain, absfs: list[np.ndarray], flavor: str) -> np.nd
     shifts = [1 - math.frexp(top)[1] if 0.0 < top < 1.0 else 0 for top in map(np.max, absfs)]
     absfs = [np.ldexp(af, k) for af, k in zip(absfs, shifts)]
     bounds = [_llogl_bounds(fam, g, absfs, inv1) for g in fam.groups]
-    env = fam.scatter_max(fam.groups, (low for low, _ in bounds))
-    kept, values = [], []
+    env = fam.scatter_max(low for low, _ in bounds)
+    values = []
     for g, (_, up) in zip(fam.groups, bounds):
+        values.append(np.full(g.n_cubes, -np.inf))
         idx = np.flatnonzero(up * (1.0 + PRUNE_MARGIN) >= fam.segment_min(g, g.tile(env)))
         if not len(idx):
             continue
@@ -169,10 +170,8 @@ def _product_maximal(dom: Domain, absfs: list[np.ndarray], flavor: str) -> np.nd
         prod = np.ones(len(idx))
         for af in absfs:
             prod *= luxemburg_per_cube(fam, sub, g.tile(af)[cells], phi, inv1)
-        kept.append(g)
-        values.append(np.full(g.n_cubes, -np.inf))
         values[-1][idx] = prod
-    return np.ldexp(fam.scatter_max(kept, values), -sum(shifts))
+    return np.ldexp(fam.scatter_max(values), -sum(shifts))
 
 
 def _llogl_bounds(

@@ -24,6 +24,7 @@ __all__ = [
     "hilbert_transform",
     "calderon_apply",
     "stein_square_function",
+    "STEIN_SCALES",
     "check_expansion",
     "iterated_commutator",
     "bmo_norm",
@@ -148,12 +149,14 @@ _STEIN_CHUNK = 1 << 18
 # most this many cells squares every scale at its N cells
 _STEIN_MIN_SAMPLES = 256
 
+# log-spaced scales t from 1 to N/2 of the Stein square function
+STEIN_SCALES = 128
 
-def stein_square_function(
-    f: GridFunction, alpha: float, n_scales: int = 128
-) -> GridFunction:
-    """Square function over log-spaced scales of the band-edge multiplier
-    (|xi|^2/t^2)(1 - |xi|^2/t^2)_+^{alpha-1} on the periodized grid.
+
+def stein_square_function(f: GridFunction, alpha: float) -> GridFunction:
+    """Square function over `STEIN_SCALES` log-spaced scales of the
+    band-edge multiplier (|xi|^2/t^2)(1 - |xi|^2/t^2)_+^{alpha-1} on the
+    periodized grid.
 
     Each multiplier is real and even, so the spectrum of a real f is taken
     once by a real FFT.  The part g_t of scale t holds the wave numbers
@@ -169,12 +172,12 @@ def stein_square_function(
     if not 0.5 < alpha < math.inf:
         raise ValueError("need 1/2 < alpha < inf")
     if np.iscomplexobj(f.samples):
-        re, im = (stein_square_function(GridFunction(f.domain, part), alpha, n_scales).samples
+        re, im = (stein_square_function(GridFunction(f.domain, part), alpha).samples
                   for part in (f.samples.real, f.samples.imag))
         return GridFunction(f.domain, np.hypot(re, im))
     N = f.domain.n_cells
-    ts = np.logspace(0.0, math.log10(N / 2.0), n_scales)
-    dlog = math.log(ts[-1] / ts[0]) / (n_scales - 1)
+    ts = np.logspace(0.0, math.log10(N / 2.0), STEIN_SCALES)
+    dlog = math.log(ts[-1] / ts[0]) / (STEIN_SCALES - 1)
     fhat = rfft(f.samples)
     spectrum = np.zeros(len(fhat), complex)
     M, start = _STEIN_MIN_SAMPLES, 0

@@ -23,6 +23,10 @@ from sparse_harmonics.weights import TAU_N, Weight, _double_table, clamped_power
 
 # -- sparse families -----------------------------------------------------------
 
+def cell_sets(fam: SparseFamily) -> list[tuple[int, int]]:
+    """Clipped (lo, hi) cell ranges of a family's cubes, in family order."""
+    return [cube_cells(fam.domain, q)[:2] for q in fam.cubes]
+
 
 def verify_sparse(fam: SparseFamily) -> tuple[bool, float, float]:
     """(is_sparse, best_eta, carleson_constant), all by exact cell counts.
@@ -31,7 +35,7 @@ def verify_sparse(fam: SparseFamily) -> tuple[bool, float, float]:
     the family's strict subcubes of Q; the Carleson constant is
     sup_Q (1/|Q|) sum_{P in S, P subset Q} |P|.
     """
-    cells = fam.cell_sets()
+    cells = cell_sets(fam)
     best_eta = 1.0
     carleson = 0.0
     sizes = [hi - lo for lo, hi in cells]
@@ -73,7 +77,7 @@ def commutator_sparse_form(
         raise ValueError("branch vector must be in {1,2}^l")
     dom = fam.domain
     out = np.zeros(dom.n_cells)
-    for q, (lo, hi) in zip(fam.cubes, fam.cell_sets()):
+    for q, (lo, hi) in zip(fam.cubes, cell_sets(fam)):
         chunk = np.ones(hi - lo)
         scalar = 1.0
         for s in range(l):
@@ -128,7 +132,7 @@ def oscillation_sparse(
 def _certify_oscillation(b: GridFunction, fam: SparseFamily) -> dict:
     dom = fam.domain
     n = 1
-    cells = fam.cell_sets()
+    cells = cell_sets(fam)
     devs = [np.abs(b.samples - _signed_average(b, q, dom)) for q in fam.cubes]
     osc = [average(GridFunction(dom, d), q) for q, d in zip(fam.cubes, devs)]
     worst = -np.inf
@@ -156,7 +160,7 @@ def counting_decay(fam: SparseFamily, q0: DyadicCube) -> dict:
     lo0, hi0, _ = cube_cells(dom, q0)
     count = np.zeros(hi0 - lo0)
     inside = 0
-    for lo, hi in fam.cell_sets():
+    for lo, hi in cell_sets(fam):
         if lo0 <= lo and hi <= hi0:
             count[lo - lo0 : hi - lo0] += 1.0
             inside += 1

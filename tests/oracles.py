@@ -36,7 +36,7 @@ from sparse_harmonics.orlicz import YoungFunction, llog, monotone_root
 from sparse_harmonics.sparse import SparseFamily
 from sparse_harmonics.weights import Weight, _double_table, clamped_power
 
-from criteria import _level_masses, complementary, double_sums
+from criteria import _level_masses, cell_sets, complementary, double_sums
 
 
 def entry_cubes(e: LevelEntry) -> list[DyadicCube]:
@@ -70,13 +70,28 @@ def brute_maximal(samples, dom):
     return out
 
 
+def per_cell_scatter_max(fam: CubeFamily, entries, per_entry_values) -> np.ndarray:
+    """Pointwise max over all cubes containing each cell, one spread of
+    every entry's values over its cells: the route `CubeFamily.scatter_max`
+    took before its parent table.  An entry may be a `stack` of entries,
+    whose levels are folded first."""
+    N = fam.domain.n_cells
+    out = np.full(N, -np.inf)
+    for entry, vals in zip(entries, per_entry_values):
+        spread = vals[entry.cell_to_cube]
+        if entry.levels > 1:
+            spread = spread.reshape(entry.levels, N).max(axis=0)
+        np.maximum(out, spread, out=out)
+    return out
+
+
 def per_entry_maximal(f, k=1):
     """M^k f one family entry at a time: the route `maximal` took before it
-    swept level groups."""
+    swept level groups, and each sup spread per cell."""
     fam = family_for(f.domain)
     out = np.abs(f.samples).astype(float)
     for _ in range(k):
-        out = fam.scatter_max(fam.entries, (fam.means(e, out) for e in fam.entries))
+        out = per_cell_scatter_max(fam, fam.entries, (fam.means(e, out) for e in fam.entries))
     return out
 
 
@@ -256,7 +271,7 @@ def distinct_value_lorentz_quasinorm(f: GridFunction, p: float, w: Optional[Weig
 def per_level_maximal(fs: Sequence[GridFunction], flavor: str) -> np.ndarray:
     """`multilinear_maximal` one family entry at a time: the route it took
     before it stacked the entries into level groups, with one root solve
-    per entry for "llogl" and the sup taken entry by entry."""
+    per entry for "llogl" and the sup spread per cell, entry by entry."""
     dom = fs[0].domain
     fam = family_for(dom)
     phi = llog(1.0)
@@ -272,7 +287,26 @@ def per_level_maximal(fs: Sequence[GridFunction], flavor: str) -> np.ndarray:
                 prod *= fam.means(e, af)
         return prod
 
-    return fam.scatter_max(fam.entries, map(product, fam.entries))
+    return per_cell_scatter_max(fam, fam.entries, map(product, fam.entries))
+
+
+def dilated_average(f: GridFunction, q: DyadicCube, dilation: int) -> float:
+    """<|f|>_{dQ}: the sum of |f| over the cells of dQ in the domain, by
+    `np.sum`, over the full width of dQ."""
+    lo, hi, full = cube_cells(f.domain, q, dilation)
+    if hi <= lo:
+        raise ValueError("cube does not meet the domain")
+    return float(np.sum(np.abs(f.samples[lo:hi])) / full)
+
+
+def per_cube_sparse_operator(fam: SparseFamily, fs: Sequence[GridFunction], dilation: int) -> np.ndarray:
+    """`sparse.sparse_operator` one cube at a time, in family order: the
+    route it took before it summed the dQ of one cell count as rows and
+    added every term in one pass."""
+    out = np.zeros(fam.domain.n_cells)
+    for q, (lo, hi) in zip(fam.cubes, cell_sets(fam)):
+        out[lo:hi] += math.prod((dilated_average(f, q, dilation) for f in fs), start=1.0)
+    return out
 
 
 def brute_stopping_cubes(roots, value, factor, domain):
@@ -318,7 +352,7 @@ def optimal_eta(fam: SparseFamily) -> float:
     """
     from scipy.optimize import linprog
 
-    cells = fam.cell_sets()
+    cells = cell_sets(fam)
     lo_all = min(lo for lo, _ in cells)
     hi_all = max(hi for _, hi in cells)
     width = hi_all - lo_all

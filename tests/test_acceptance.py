@@ -7,6 +7,7 @@ import time
 import numpy as np
 import pytest
 
+import sparse_harmonics.operators as operators_module
 from sparse_harmonics.cli import fixtures_dir, main
 from sparse_harmonics.grid import Domain, DyadicCube, GridFunction, children
 from sparse_harmonics.harness import (
@@ -399,7 +400,7 @@ def test_criterion_10_modular_suite():
 
 # 11. operator cross-validation ----------------------------------------------
 
-def test_criterion_11_operator_cross_validation():
+def test_criterion_11_operator_cross_validation(monkeypatch):
     t0 = time.time()
     # kernel vs algebraic commutator
     dom = Domain(0.0, 1.0, 8)
@@ -422,11 +423,12 @@ def test_criterion_11_operator_cross_validation():
     assert rel.max() <= 0.02
 
     # square-function invariance across pure waves
+    monkeypatch.setattr(operators_module, "STEIN_SCALES", 2048)
     dom10 = Domain(0.0, 1.0, 10)
     vals = []
     for xi0 in (4, 16):
         wigg = GridFunction(dom10, np.exp(2j * math.pi * xi0 * dom10.cell_centers()))
-        g = stein_square_function(wigg, 1.0, n_scales=2048).samples
+        g = stein_square_function(wigg, 1.0).samples
         vals.append(g.mean())
     assert abs(vals[0] - vals[1]) / vals[1] <= 0.01
 

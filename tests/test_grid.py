@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sparse_harmonics.grid as grid_module
 from sparse_harmonics.grid import (
     GROUP_CELLS,
     MAX_RESOLUTION,
@@ -21,7 +22,7 @@ from sparse_harmonics.grid import (
     family_for,
 )
 
-from oracles import entry_cubes
+from oracles import dilated_average, entry_cubes, per_cell_scatter_max
 
 
 def test_domain_basic():
@@ -248,6 +249,67 @@ def test_level_groups_cover_the_family_in_order(L, n_groups):
     assert at == len(fam.entries)
 
 
+@pytest.mark.parametrize("L", range(1, 10))
+def test_parent_table_names_the_next_coarser_cube_that_holds_each_cube(L):
+    # each lattice is nested: a cube's cells all lie in its parent's
+    dom = Domain(0.0, 1.0, L)
+    fam = CubeFamily(dom)
+    at = fam.first_cube
+    assert at == np.cumsum([0] + [e.n_cubes for e in fam.entries]).tolist()
+    for k, e in enumerate(fam.entries):
+        here = np.arange(at[k], at[k + 1])
+        if e.level == 0:
+            np.testing.assert_array_equal(fam.parents[here], here)
+            continue
+        up = fam.entries[k - 1]
+        parent = fam.parent(k)
+        np.testing.assert_array_equal(fam.parents[here], at[k - 1] + parent)
+        assert np.all((up.lo[parent] <= e.lo) & (e.hi <= up.hi[parent]))
+        for i in range(e.n_cubes):
+            assert np.all(up.cell_to_cube[e.lo[i]:e.hi[i]] == parent[i])
+
+
+def _group_values(fam: CubeFamily, rng, skipped: set) -> list:
+    """Random values for the cubes of each level group, with ties, -inf
+    for the groups in skipped, and the largest values on the first and last
+    cube of every entry, which stick out of the domain in the shifted
+    lattices."""
+    N = fam.domain.n_cells
+    values = []
+    for i, g in enumerate(fam.groups):
+        if i in skipped:
+            values.append(np.full(g.n_cubes, -np.inf))
+            continue
+        v = rng.integers(0, 8, g.n_cubes) + rng.uniform(0.0, 1.0, g.n_cubes) * (rng.random() < 0.5)
+        edges = g.cell_to_cube[np.r_[0:g.levels * N:N, N - 1:g.levels * N:N]]
+        v[edges] += rng.uniform(0.0, 16.0, len(edges))
+        values.append(v)
+    return values
+
+
+@pytest.mark.parametrize("L", range(1, 14))
+def test_scatter_max_equals_the_per_cell_oracle_in_every_group_layout(L, monkeypatch):
+    # the running max through the parent table against one spread per
+    # entry, bit for bit, for groups of 1, 2, 3 and 7 entries and of the
+    # whole family, with groups that are all -inf (skipped by the L log L
+    # sup) among them
+    dom = Domain(0.0, 1.0, L)
+    rng = np.random.default_rng(L)
+    for per in (1, 2, 3, 7, 4 * (L + 1)):
+        monkeypatch.setattr(grid_module, "GROUP_CELLS", per * dom.n_cells)
+        fam = CubeFamily(dom)
+        assert all(g.levels == min(per, 4 * (L + 1) - i * per) for i, g in enumerate(fam.groups))
+        n = len(fam.groups)
+        for skipped in (set(), {0}, {n - 1}, set(range(0, n, 2)), set(range(n))):
+            values = _group_values(fam, rng, skipped)
+            got = fam.scatter_max(values)
+            assert np.array_equal(got, per_cell_scatter_max(fam, fam.groups, values))
+            flat = np.concatenate(values)
+            at = np.cumsum([0] + [e.n_cubes for e in fam.entries])
+            per_entry = [flat[a:b] for a, b in zip(at, at[1:])]
+            assert np.array_equal(got, per_cell_scatter_max(fam, fam.entries, per_entry))
+
+
 def test_segment_sums_match_direct():
     rng = np.random.default_rng(3)
     v = rng.uniform(size=1 << 7)
@@ -296,8 +358,8 @@ def test_cube_cells_dilated_cube_past_right_edge():
     assert cube_cells(dom, q, 2) == (40, 64, 32)
     assert cube_cells(dom, q, 3) == (32, 64, 48)
     f = GridFunction(dom, np.arange(dom.n_cells, dtype=float))
-    assert average(f, q, 2) == pytest.approx(f.samples[40:].sum() / 32)
-    assert average(f, q, 3) == pytest.approx(f.samples[32:].sum() / 48)
+    assert dilated_average(f, q, 2) == pytest.approx(f.samples[40:].sum() / 32)
+    assert dilated_average(f, q, 3) == pytest.approx(f.samples[32:].sum() / 48)
 
 
 @settings(max_examples=60, deadline=None)

@@ -15,6 +15,7 @@ from sparse_harmonics.grid import (
     GridFunction,
     ResolutionError,
     average,
+    family_for,
 )
 from sparse_harmonics.harness import (
     OperatorBundle,
@@ -233,6 +234,35 @@ def test_principal_cubes_match_brute_walk(L):
                 got = (principal_cubes(g, root).cubes if factor == 2.0
                        else stopping_cubes([root], absg, factor, recenter=False))
                 assert set(got) == set(want)
+
+
+@pytest.mark.parametrize("L", [2, 5, 9, 12])
+def test_principal_cubes_below_roots_of_every_lattice_match_brute_walk(L):
+    # roots at levels 1-3 of each lattice, the first, a middle and the last
+    # cube of the level (in the shifted lattices the end cubes stick out of
+    # the domain): the per-cube thresholds of the sweep, carried through
+    # the parent table, against the walk that compares averages cube by cube
+    dom = Domain(0.0, 1.0, L)
+    x = dom.cell_centers()
+    fam = family_for(dom)
+    rng = np.random.default_rng(100 + L)
+    gs = [
+        GridFunction(dom, rng.uniform(-1.0, 1.0, dom.n_cells)),
+        GridFunction(dom, np.abs(x - 0.37) ** -0.4),
+        hilbert_bundle([GridFunction(dom, np.log(x))]).apply(
+            [GridFunction(dom, np.exp(-120.0 * (x - 0.5) ** 2))]),
+    ]
+    roots = [
+        DyadicCube(e.lattice_id, e.level, e.t0 + i)
+        for e in fam.entries if 1 <= e.level <= min(3, L)
+        for i in sorted({0, e.n_cubes // 2, e.n_cubes - 1})
+    ]
+    for g in gs:
+        absg = abs(g)
+        for root in roots:
+            want = brute_stopping_cubes([root], lambda r, q: average(absg, r), 2.0, dom)
+            got = principal_cubes(g, root).cubes
+            assert set(got) == set(want) and len(got) == len(want)
 
 
 def test_principal_cubes_refuse_root_outside_domain():

@@ -578,6 +578,8 @@ def test_checker_sees_unreachable_exports():
 # Exported names (and public methods of top-level classes, as
 # "module.Class.method") that no src code reads, each with what keeps it
 TEST_ONLY = {
+    "grid.average": "perfbench/tracing.py counts its calls; the criteria and oracles take "
+                    "plain-Q means with it",
     "grid.children": "perfbench/tracing.py counts its calls; criteria 1-3 build families with it",
     "grid.Memo.clear": "test_maximal.py, test_operators.py and test_orlicz.py, for a cold memo",
 }
@@ -607,13 +609,24 @@ def test_every_oracle_is_read_by_a_test_or_another_oracle():
 
 def _calls_by_name(callers) -> dict[str, list[ast.Call]]:
     """Each call in callers, under the name it calls: `f(...)` and
-    `x.f(...)` both call f."""
+    `x.f(...)` both call f.  A call made inside a def of the name it calls
+    is left out: a function's call to itself passes on what its callers
+    set, so it is no caller."""
     calls: dict[str, list[ast.Call]] = {}
+
+    def visit(node: ast.AST, inside: frozenset) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and isinstance(child.func, (ast.Name, ast.Attribute)):
+                name = child.func.id if isinstance(child.func, ast.Name) else child.func.attr
+                if name not in inside:
+                    calls.setdefault(name, []).append(child)
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, inside | {child.name})
+            else:
+                visit(child, inside)
+
     for source in callers:
-        for node in ast.walk(ast.parse(source)):
-            if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
-                name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
-                calls.setdefault(name, []).append(node)
+        visit(ast.parse(source), frozenset())
     return calls
 
 
@@ -729,7 +742,9 @@ def test_checker_sees_unset_defaults():
         "f(1, 2)\n"  # y by position; the keyword-only z never
         "h(*args)\n"  # every positional parameter
         "K(b=3)\n"  # b by keyword, a never
-        "k.m(5)\n",  # c by position after self, e never
+        "k.m(5)\n"  # c by position after self, e never
+        "def g(x=1):\n"
+        "    return g(x)\n",  # a call of g inside g is no caller
     ]
     assert unset_defaults(sources, callers) == ["a.f(z)", "a.g(x)", "a.K(a)", "a.K.m(e)"]
     assert unset_defaults(sources, callers + ["f(z=0)\ng(x=0)\nK(1)\nk.m(e=0)\n"]) == []

@@ -8,6 +8,7 @@ import scipy.fft
 from scipy.integrate import quad
 from scipy.signal import fftconvolve
 
+import sparse_harmonics.operators as operators_module
 from sparse_harmonics.cli import make_function
 from sparse_harmonics.grid import MEMO, Domain, DyadicCube, GridFunction
 from sparse_harmonics.operators import (
@@ -257,12 +258,13 @@ def test_stein_zero():
         assert not np.any(stein_square_function(f, 1.0).samples)
 
 
-def test_stein_wave_scale_invariance():
+def test_stein_wave_scale_invariance(monkeypatch):
+    monkeypatch.setattr(operators_module, "STEIN_SCALES", 2048)
     dom = Domain(0.0, 1.0, 10)
     vals = []
     for xi0 in (4, 16):
         f = GridFunction(dom, np.exp(2j * math.pi * xi0 * dom.cell_centers()))
-        g = stein_square_function(f, 1.0, n_scales=2048).samples
+        g = stein_square_function(f, 1.0).samples
         assert np.ptp(g) / g.mean() < 1e-8  # spatially constant
         vals.append(g.mean())
     assert abs(vals[0] - vals[1]) / vals[1] < 0.01
@@ -286,13 +288,21 @@ def test_stein_alpha_below_one_warns_nothing():
     assert np.all(np.isfinite(g))
 
 
+def stein_over(f, alpha, n_scales):
+    """S f over n_scales scales, with `operators.STEIN_SCALES` set to
+    n_scales for the call."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(operators_module, "STEIN_SCALES", n_scales)
+        return stein_square_function(f, alpha).samples
+
+
 @pytest.mark.parametrize("n_scales", [128, 2048])
 @pytest.mark.parametrize("alpha", [0.75, 1.0, 1.5])
 def test_batched_stein_matches_the_per_scale_oracle(alpha, n_scales):
     for L, seed in ((8, 60), (10, 61), (12, 62)):
         f = rand_f(seed, Domain(0.0, 1.0, L))
         old = per_scale_stein(f, alpha, n_scales)
-        new = stein_square_function(f, alpha, n_scales).samples
+        new = stein_over(f, alpha, n_scales)
         assert np.abs(new - old).max() <= 1e-13 * np.abs(old).max()
 
 
@@ -311,7 +321,7 @@ def test_band_stein_equals_the_full_length_oracle_up_to_l_8(L):
     f = rand_f(70 + L, dom)
     fc = GridFunction(dom, f.samples + 1j * rand_f(80 + L, dom).samples)
     for u, alpha, n_scales in itertools.product((f, fc), (0.75, 1.5), (128, 2048)):
-        assert np.array_equal(stein_square_function(u, alpha, n_scales).samples,
+        assert np.array_equal(stein_over(u, alpha, n_scales),
                               full_length_stein(u, alpha, n_scales))
 
 
@@ -327,7 +337,7 @@ def _assert_stein_near_the_per_scale_oracle(f, alpha, n_scales):
     (wave:5, alpha = 1.5, 2048 scales, L = 14); the full-length route
     reads 8.7e-15 max (S f)^2 at L <= 8."""
     old = per_scale_stein(f, alpha, n_scales)
-    new = stein_square_function(f, alpha, n_scales).samples
+    new = stein_over(f, alpha, n_scales)
     top = np.abs(old).max()
     assert np.abs(new - old).max() <= 4e-12 * top
     assert np.abs(new ** 2 - old ** 2).max() <= 3e-14 * top ** 2

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -12,10 +13,11 @@ from sparse_harmonics.grid import (
     cube_cells,
     family_for,
 )
+from sparse_harmonics.harness import principal_cubes
 from sparse_harmonics.sparse import SparseFamily, sparse_operator
 
 from criteria import commutator_sparse_form, counting_decay, oscillation_sparse, verify_sparse
-from oracles import brute_stopping_cubes, optimal_eta
+from oracles import brute_stopping_cubes, optimal_eta, per_cube_sparse_operator
 
 DOM = Domain(0.0, 1.0, 6)
 ROOT = DyadicCube(0, 0, 0)
@@ -142,6 +144,51 @@ def test_sparse_operator_matches_naive():
             fs = [GridFunction(DOM, rng.uniform(-2, 2, DOM.n_cells)) for _ in range(m)]
             assert np.array_equal(sparse_operator(fam, fs, 1).samples,
                                   commutator_sparse_form(fam, [], fs, []).samples)
+
+
+@pytest.mark.parametrize("L", [6, 10])
+def test_sparse_operator_equals_the_per_cube_oracle_bit_for_bit(L):
+    # every <|f_s|>_{dQ} a pairwise sum over its own cells, and the cubes
+    # added in family order: random and principal families, the edge
+    # families of the four lattices, and a family given out of order with a
+    # cube twice, whose runs of disjoint cubes are shorter than its levels
+    dom = Domain(0.0, 1.0, L)
+    rng = np.random.default_rng(L)
+    x = dom.cell_centers()
+    families = [random_family(seed, dom=dom, max_cubes=40) for seed in range(4)]
+    families += [edge_family(lattice_id, dom) for lattice_id in range(4)]
+    g = GridFunction(dom, np.log(np.abs(x - 0.4)) * rng.uniform(0.5, 1.5, dom.n_cells))
+    families += [principal_cubes(g, DyadicCube(e.lattice_id, 1, e.t0))
+                 for e in family_for(dom).entries if e.level == 1]
+    mixed = families[0].cubes
+    families.append(SparseFamily(mixed[::-1] + mixed[:3] + (mixed[-1],), 0.5, dom))
+    for fam in families:
+        for m, d in itertools.product((1, 2, 3), (1, 3)):
+            fs = [GridFunction(dom, rng.uniform(-2.0, 2.0, dom.n_cells) * rng.uniform(0, 10) ** 3)
+                  for _ in range(m)]
+            assert np.array_equal(sparse_operator(fam, fs, d).samples,
+                                  per_cube_sparse_operator(fam, fs, d))
+
+
+def test_sparse_operator_refuses_a_bad_dilation_and_a_cube_off_the_domain():
+    f = GridFunction.constant(DOM, 1.0)
+    fam = random_family(0)
+    for d in (0, -1, 1.5, True + 1.0):
+        for route in (sparse_operator, per_cube_sparse_operator):
+            with pytest.raises(ValueError, match="dilation must be a positive integer"):
+                route(fam, [f], d)
+    far = SparseFamily.make([ROOT, DyadicCube(0, 2, 9)], 0.5, DOM)
+    for d in (1, 3):
+        for route in (sparse_operator, per_cube_sparse_operator):
+            with pytest.raises(ValueError, match="cube does not meet the domain"):
+                route(far, [f], d)
+    # a cube left of the domain whose 3Q reaches into it: the per-cube route
+    # slices its cells up to a negative end, which counts from the right
+    left = SparseFamily.make([DyadicCube(2, 1, -2)], 0.5, DOM)
+    assert cube_cells(DOM, left.cubes[0], 3)[1] > 0
+    for d in (1, 3):
+        with pytest.raises(ValueError, match="cube does not meet the domain"):
+            sparse_operator(left, [f], d)
 
 
 def test_sparse_operator_additive_on_nonnegative():
