@@ -163,11 +163,9 @@ def _units(lattice_id: int, level, index):
 
 def _cell_bounds(domain: Domain, lattice_id: int, level, index):
     """(start, end, full) in cell units of cubes of one lattice, level and
-    index ints or integer arrays: start/end unclipped, full = width."""
-    L = domain.resolution_log2
-    if (np.asarray(level) > L).any():
-        raise ResolutionError("cube finer than the grid")
-    c = 1 << (L - level)
+    index ints or integer arrays: start/end unclipped, full = width.  The
+    caller has checked that no level is finer than the grid."""
+    c = 1 << (domain.resolution_log2 - level)
     start, k = _units(lattice_id, level, index)
     return start * c, (start + k) * c, k * c
 
@@ -195,6 +193,8 @@ class DyadicCube:
 
     def cell_bounds(self, domain: Domain) -> tuple[int, int, int]:
         """(start, end, full) in cell units; start/end unclipped, full = width."""
+        if self.level > domain.resolution_log2:
+            raise ResolutionError("cube finer than the grid")
         return _cell_bounds(domain, self.lattice_id, self.level, self.index)
 
 
@@ -510,8 +510,11 @@ def cube_cells(domain: Domain, q, dilation: int = 1) -> tuple:
     if not isinstance(dilation, int) or dilation < 1:
         raise ValueError("dilation must be a positive integer")
     if isinstance(q, DyadicCube):
-        q = q.lattice_id, q.level, q.index
-    start, end, full = _cell_bounds(domain, *q)
+        start, end, full = q.cell_bounds(domain)
+    elif q[1].max() > domain.resolution_log2:
+        raise ResolutionError("cube finer than the grid")
+    else:
+        start, end, full = _cell_bounds(domain, *q)
     pad = (dilation - 1) * full
     return (np.maximum(start - (pad + 1) // 2, 0), np.minimum(end + pad // 2, domain.n_cells),
             dilation * full)
